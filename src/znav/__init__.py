@@ -7,8 +7,10 @@ channel along them: heading, course over ground, drift and resulting
 speed.
 
 All evaluation is pure (no shared mutable state), so everything here is
-safe to call concurrently; integrate_family runs fan members on a
-thread pool capped by ZNAV_THREADS.
+safe to call concurrently; integrate_family runs fan members one after
+another in heading order.  Under a rotation wind (a Killing field of
+h) the travel-time geodesics are computed from the h flow through the
+wind-drag identity.
 """
 from znav.control import (
     ControlRecord,
@@ -17,6 +19,7 @@ from znav.control import (
     drift_of,
     heading_of,
     initial_speed_vs_heading,
+    initial_state,
     initial_state_alpha,
     initial_state_randers,
     initial_state_riemannian,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from znav import control
-from znav.control import control_channel, wrap_signed
+from znav.control import control_channel, initial_state, wrap_signed
 from znav.errors import EmptyData, NavigationError, NotMild
 from znav.export import (
     PlotSpec,
@@ -44,7 +44,6 @@ from znav.integrate import (
 )
 from znav.randers import F_value, RandersData, alpha_term, indicatrix
 from znav.spheroid import (
-    NavState,
     POLE_GUARD,
     Spheroid,
     SurfacePoint,
@@ -250,8 +249,6 @@ class Problem:
 
 
 def resolve_problem(cfg: RunConfig) -> Problem:
-    if cfg.a <= 0:
-        raise ValidationError(f"shape parameter must be positive, got {cfg.a}")
     wind = parse_wind(cfg.wind)
     parts = cfg.start.split(",")
     if len(parts) != 2:
@@ -265,18 +262,10 @@ def resolve_problem(cfg: RunConfig) -> Problem:
         )
     if cfg.kind not in ("h", "alpha", "randers"):
         raise ValidationError(f"kind must be h, alpha or randers, got {cfg.kind!r}")
-    if wind is not None:
-        lam = 1.0 - sum(
-            w * w * h
-            for w, h in zip(
-                wind.at(start),
-                (math.sin(start.theta) ** 2,
-                 math.cos(start.theta) ** 2 + cfg.a**2 * math.sin(start.theta) ** 2),
-            )
-        )
-        if lam <= 0:
-            raise ValidationError("wind not mild at the start point")
     try:
+        sph = Spheroid(cfg.a)
+        if wind is not None:
+            RandersData(sph, wind).mildness_factor(start)
         icfg = IntegratorConfig(
             t_end=cfg.t_end,
             rel_tol=cfg.rel_tol,
@@ -284,17 +273,9 @@ def resolve_problem(cfg: RunConfig) -> Problem:
             max_step=cfg.max_step,
             sample_dt=cfg.sample_dt,
         )
-    except ValueError as exc:
+    except (ValueError, NotMild) as exc:
         raise ValidationError(str(exc)) from exc
-    return Problem(Spheroid(cfg.a), wind, start, cfg.kind, icfg, cfg)
-
-
-def _initial_state(prob: Problem, heading: float) -> NavState:
-    if prob.kind == "h" or prob.wind is None:
-        return control.initial_state_riemannian(prob.sph, prob.start, heading)
-    if prob.kind == "alpha":
-        return control.initial_state_alpha(prob.sph, prob.wind, prob.start, heading)
-    return control.initial_state_randers(prob.sph, prob.wind, prob.start, heading)
+    return Problem(sph, wind, start, cfg.kind, icfg, cfg)
 
 
 def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
@@ -347,7 +328,7 @@ def cmd_geodesic(prob: Problem) -> int:
         raise ValidationError("geodesic needs --heading")
     heading = parse_angle(cfg.heading, cfg.deg)
     segments = _parse_segments(cfg.segments)
-    state0 = _initial_state(prob, heading)
+    state0 = initial_state(prob.sph, prob.wind, prob.kind, prob.start, heading)
     traj = integrate(make_rhs(prob.kind, prob.sph, prob.wind), state0, prob.icfg,
                      kind=prob.kind)
     channel = control_channel(prob.sph, prob.wind, traj)
@@ -435,8 +416,7 @@ def cmd_compare(prob: Problem) -> int:
 
     trajs: dict[str, Trajectory] = {}
     for kind in ("h", "alpha", "randers"):
-        sub = Problem(prob.sph, prob.wind, prob.start, kind, prob.icfg, cfg)
-        state0 = _initial_state(sub, heading)
+        state0 = initial_state(prob.sph, prob.wind, kind, prob.start, heading)
         trajs[kind] = integrate(make_rhs(kind, prob.sph, prob.wind), state0,
                                 prob.icfg, kind=kind)
 
@@ -544,7 +524,7 @@ def cmd_report(prob: Problem) -> int:
     if cfg.heading is None:
         raise ValidationError("report needs --heading")
     heading = parse_angle(cfg.heading, cfg.deg)
-    state0 = _initial_state(prob, heading)
+    state0 = initial_state(prob.sph, prob.wind, prob.kind, prob.start, heading)
     traj = integrate(make_rhs(prob.kind, prob.sph, prob.wind), state0, prob.icfg,
                      kind=prob.kind)
     channel = control_channel(prob.sph, prob.wind, traj)

@@ -105,6 +105,33 @@ def initial_state_alpha(
     return NavState(p0, TangentVector(unit.u / scale, unit.v / scale))
 
 
+def initial_state(
+    sph: Spheroid,
+    wind: WindField | None,
+    kind: str,
+    p0: SurfacePoint,
+    heading0: float,
+) -> NavState:
+    """Start state of the chosen flow at the given heading.
+
+    Dispatches like spray.make_rhs: without wind (or for kind "h") the
+    unit h-vector, for "alpha" the unit alpha-vector, for "randers" the
+    time-optimal start W + unit h-vector.
+
+    Raises:
+        PoleSingularity: p0 inside the polar guard band.
+        NotMild: wind not mild at p0.
+        ValueError: unknown metric kind.
+    """
+    if kind == "h" or wind is None:
+        return initial_state_riemannian(sph, p0, heading0)
+    if kind == "alpha":
+        return initial_state_alpha(sph, wind, p0, heading0)
+    if kind == "randers":
+        return initial_state_randers(sph, wind, p0, heading0)
+    raise ValueError(f"unknown metric kind {kind!r}")
+
+
 def speed_of(sph: Spheroid, state: NavState) -> float:
     """Resulting (ground) speed: h-norm of the state velocity."""
     h11, h22 = metric_components(sph, state.point.theta)

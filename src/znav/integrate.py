@@ -9,10 +9,9 @@ re-normalized, making conservation drift the primary accuracy
 diagnostic.
 """
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from znav.control import initial_state
 from znav.errors import PoleSingularity
 from znav.spheroid import NavState, Spheroid, SurfacePoint, TangentVector
 from znav.spray import MetricKind, RhsFn, make_rhs
@@ -253,17 +252,6 @@ class FamilyMember:
     error: Exception | None = None
 
 
-def _worker_count(n_members: int) -> int:
-    raw = os.environ.get("ZNAV_THREADS", "0")
-    try:
-        request = int(raw)
-    except ValueError:
-        request = 0
-    if request <= 0:
-        request = min(8, os.cpu_count() or 1)
-    return max(1, min(request, n_members))
-
-
 def integrate_family(
     sph: Spheroid,
     wind: WindField | None,
@@ -274,40 +262,24 @@ def integrate_family(
 ) -> list[FamilyMember]:
     """Integrate one geodesic per initial heading from a common start.
 
-    Members are seeded by the heading-to-state builders of the control
-    module and may run concurrently (ZNAV_THREADS caps the pool; 0 or
-    unset picks automatically).  Failures are carried per member; the
-    returned list preserves heading order.
+    Members are seeded by control.initial_state and integrated one after
+    another in heading order.  Failures are carried per member.
 
     Raises:
         ValueError: empty heading list.
     """
-    from znav import control
-
     if not headings:
         raise ValueError("heading fan must not be empty")
 
     rhs = make_rhs(kind, sph, wind)
-
-    def seed(heading: float) -> NavState:
-        if kind == "h" or wind is None:
-            return control.initial_state_riemannian(sph, start, heading)
-        if kind == "alpha":
-            return control.initial_state_alpha(sph, wind, start, heading)
-        return control.initial_state_randers(sph, wind, start, heading)
-
-    def run(heading: float) -> FamilyMember:
+    members = []
+    for heading in headings:
         try:
-            traj = integrate(rhs, seed(heading), cfg, kind=kind)
-            return FamilyMember(heading, traj)
+            s0 = initial_state(sph, wind, kind, start, heading)
+            members.append(FamilyMember(heading, integrate(rhs, s0, cfg, kind=kind)))
         except Exception as exc:  # carried per member, no global abort
-            return FamilyMember(heading, None, exc)
-
-    workers = _worker_count(len(headings))
-    if workers == 1:
-        return [run(hd) for hd in headings]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, headings))
+            members.append(FamilyMember(heading, None, exc))
+    return members
 
 
 def classify_path(traj: Trajectory) -> str:

@@ -35,8 +35,10 @@ class Spheroid:
     a: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"shape parameter a must be positive, got {self.a}")
+        if not (self.a > 0 and math.isfinite(self.a)):
+            raise ValueError(
+                f"shape parameter a must be positive and finite, got {self.a}"
+            )
 
 
 @dataclass(frozen=True)

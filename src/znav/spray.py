@@ -5,11 +5,14 @@ metric as accelerations quadratic in velocity:
 
     phi_dd = -2 G(phi, theta, u, v),   theta_dd = -2 H(phi, theta, u, v),
 
-with G, H positively 2-homogeneous in (u, v).  Closed forms are used
-for the rotation wind (where the algebra collapses); arbitrary winds go
-through the generic quotient formulas, with all partial derivatives of
-the Lagrangian L = F^2/2 taken by Richardson-extrapolated central
-differences:
+with G, H positively 2-homogeneous in (u, v).  A rotation wind is a
+Killing field of h, so its travel-time geodesics are the h-geodesics
+carried along by the wind's flow (wind-drag identity): the randers
+accelerations are the h accelerations at the velocity through the
+medium, y - F(y) W.  The alpha flow under a rotation wind has a closed
+form.  Arbitrary winds go through the generic quotient formulas, with
+all partial derivatives of the Lagrangian L = F^2/2 taken by
+Richardson-extrapolated central differences:
 
     G = [(L_vv L_phi - L_th L_uv) - L_v (L_phiv - L_thu)] / (2 D)
     H = [(L_uu L_th - L_phi L_uv) + L_u (L_phiv - L_thu)] / (2 D)
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 from znav.errors import DegenerateHessian
-from znav.randers import RandersData, alpha_term, lagrangian
+from znav.randers import F_rotation_closed, RandersData, alpha_term, lagrangian
 from znav.spheroid import (
     NavState,
     Spheroid,
@@ -159,6 +162,9 @@ def spray_rotation_closed(sph: Spheroid, c: float, state: NavState) -> SprayCoef
 
     and reducing to the unperturbed Christoffel spray at c = 0.
 
+    Reference implementation only: make_rhs computes the same spray
+    through the wind-drag identity, and the tests compare the two.
+
     Raises:
         PoleSingularity: state inside the polar guard band.
     """
@@ -245,9 +251,10 @@ def geodesic_rhs(
 ) -> tuple[float, float]:
     """Accelerations (phi_dd, theta_dd) = -2 (G, H) for the chosen metric.
 
-    Closed forms are used where available (the unperturbed metric, and
-    rotation winds for alpha and the travel-time metric); anything else
-    routes through the numeric quotient spray.
+    The unperturbed metric and the alpha flow under a rotation wind use
+    closed forms, the travel-time metric under a rotation wind uses the
+    wind-drag identity; anything else routes through the numeric
+    quotient spray.
     """
     return make_rhs(kind, sph, wind)(
         state.point.phi, state.point.theta, state.vel.u, state.vel.v
@@ -282,10 +289,12 @@ def make_rhs(kind: MetricKind, sph: Spheroid, wind: WindField | None) -> RhsFn:
             c = wind.c
 
             def rhs_rc(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
-                sc = spray_rotation_closed(
-                    sph, c, NavState(SurfacePoint(phi, theta), TangentVector(u, v))
+                # W = (-c, 0) is Killing, so by 2-homogeneity
+                # rhs_F(y) = F^2 rhs_h(y/F - W) = rhs_h(y - F W) for every y
+                f = F_rotation_closed(sph, c, theta, TangentVector(u, v))
+                return riemannian_rhs(
+                    sph, NavState(SurfacePoint(phi, theta), TangentVector(u + c * f, v))
                 )
-                return -2.0 * sc.G, -2.0 * sc.H
 
             return rhs_rc
         L = randers_lagrangian(sph, wind)

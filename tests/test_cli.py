@@ -67,6 +67,12 @@ class TestGeodesic:
         assert code == 2
         assert "error[validation]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("a", ["nan", "inf"])
+    def test_non_finite_shape_rejected(self, a, capsys):
+        code = main(["geodesic", "--a", a, "--heading", "0"])
+        assert code == 2
+        assert "error[validation]" in capsys.readouterr().err
+
     def test_strong_wind_rejected(self, capsys):
         code = main(["geodesic", "--a", "0.75", "--wind", "rotation:1.0",
                      "--heading", "0"])

@@ -16,6 +16,8 @@ from znav import (
     drift_of,
     heading_of,
     initial_speed_vs_heading,
+    initial_state,
+    initial_state_alpha,
     initial_state_randers,
     initial_state_riemannian,
     integrate,
@@ -72,6 +74,20 @@ class TestInitialStates:
         s = initial_state_riemannian(oblate, equator_start, math.pi / 2)
         assert s.vel.u == pytest.approx(0.0, abs=1e-16)
         assert s.vel.v == pytest.approx(-4.0 / 3.0, rel=1e-15)
+
+    def test_dispatch_by_kind(self, oblate, rot_wind, equator_start):
+        hd = math.pi / 3
+        want = {
+            "h": initial_state_riemannian(oblate, equator_start, hd),
+            "alpha": initial_state_alpha(oblate, rot_wind, equator_start, hd),
+            "randers": initial_state_randers(oblate, rot_wind, equator_start, hd),
+        }
+        for kind, state in want.items():
+            assert initial_state(oblate, rot_wind, kind, equator_start, hd) == state
+        # without wind every kind starts on the unit h-circle
+        assert initial_state(oblate, None, "randers", equator_start, hd) == want["h"]
+        with pytest.raises(ValueError):
+            initial_state(oblate, rot_wind, "finsler", equator_start, hd)
 
 
 class TestHeading:

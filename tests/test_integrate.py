@@ -219,15 +219,6 @@ class TestIntegrateFamily:
             integrate_family(oblate, rot_wind, SurfacePoint(0.0, math.pi / 2),
                              [], "randers", IntegratorConfig(t_end=1.0))
 
-    def test_threads_env_override(self, oblate, monkeypatch):
-        monkeypatch.setenv("ZNAV_THREADS", "2")
-        headings = [0.0, math.pi / 4, math.pi / 2]
-        members = integrate_family(
-            oblate, None, SurfacePoint(0.0, math.pi / 2), headings,
-            "h", IntegratorConfig(t_end=1.0),
-        )
-        assert [m.heading for m in members] == headings
-
 
 class TestConfigValidation:
     @pytest.mark.parametrize(

@@ -184,3 +184,6 @@ def test_spheroid_validation():
         Spheroid(0.0)
     with pytest.raises(ValueError):
         Spheroid(-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Spheroid(bad)
