@@ -8,9 +8,8 @@ speed.
 
 All evaluation is pure (no shared mutable state), so everything here is
 safe to call concurrently; integrate_family runs fan members one after
-another in heading order.  Under a rotation wind (a Killing field of
-h) the travel-time geodesics are computed from the h flow through the
-wind-drag identity.
+another in heading order.  The travel-time geodesics come from
+Zermelo's navigation equation, one exact spray for every mild wind.
 """
 from znav.control import (
     ControlRecord,

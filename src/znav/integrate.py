@@ -60,11 +60,11 @@ class IntegratorConfig:
     pole_eps: float = 1e-6
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_step <= 0:
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not self.max_step > 0:  # inf is allowed: no step cap
             raise ValueError(f"max_step must be positive, got {self.max_step}")
         if not 0 < self.sample_dt <= self.t_end:
             raise ValueError(

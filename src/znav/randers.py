@@ -77,9 +77,8 @@ def F_value(rd: RandersData, point: SurfacePoint, y: TangentVector) -> float:
 def F_rotation_closed(sph: Spheroid, c: float, theta: float, y: TangentVector) -> float:
     """Travel-time metric specialized to the rotation wind (-c, 0).
 
-    The runtime value of F in the rotation-wind randers spray (see
-    spray.make_rhs); the tests also check it against the general
-    alpha + beta path.
+    Reference implementation only: no runtime path calls it, and the
+    tests check it against the general alpha + beta path.
     """
     s2 = math.sin(theta) ** 2
     _, h22 = metric_components(sph, theta)

@@ -5,14 +5,38 @@ metric as accelerations quadratic in velocity:
 
     phi_dd = -2 G(phi, theta, u, v),   theta_dd = -2 H(phi, theta, u, v),
 
-with G, H positively 2-homogeneous in (u, v).  A rotation wind is a
-Killing field of h, so its travel-time geodesics are the h-geodesics
-carried along by the wind's flow (wind-drag identity): the randers
-accelerations are the h accelerations at the velocity through the
-medium, y - F(y) W.  The alpha flow under a rotation wind has a closed
-form.  Arbitrary winds go through the generic quotient formulas, with
-all partial derivatives of the Lagrangian L = F^2/2 taken by
-Richardson-extrapolated central differences:
+with G, H positively 2-homogeneous in (u, v).
+
+The travel-time metric F has one runtime route for every wind: Zermelo's
+navigation equation (Bao-Robles-Shen 2004; Huang-Mo 2011).  With
+
+    lam = 1 - |W|_h^2,   b = <y, W>_h,   F = (sqrt(b^2 + lam |y|_h^2) - b) / lam,
+
+the geodesic through (x, y) moves as y = F (n + W), where the unit
+heading n = (y - F W) / F is steered by the costate p = (h11 n1, h22 n2)
+of the Hamiltonian H(x, p) = |p|_h* + p . W:
+
+    p' = -F d_x H,   n^i = h^ii p_i / |p|_h*,   y' = F (n' + (dW) y),
+
+with ' the derivative along the geodesic and dW the Jacobian of the
+wind, taken by central differences of its components alone
+(WIND_FD_STEP apart; exactly zero for the rotation wind).  For a
+Killing wind this is the h flow at the velocity through the medium
+(wind-drag identity).
+
+The alpha flow is the Christoffel spray of the Riemannian part of F,
+
+    a_ij = h_ij / lam + W_i W_j / lam^2,   W_i = h_ii W^i,
+
+with its derivatives built from the same W and dW; under a rotation
+wind it has the closed form spray_alpha_closed.
+
+Reference implementations, which the tests compare against and no
+runtime path calls: spray_rotation_closed, the closed-form F spray
+under the rotation wind, and spray_numeric, the generic quotient
+formulas with all partial derivatives of a Lagrangian L = F^2/2
+(randers_lagrangian, alpha_lagrangian) taken by Richardson-extrapolated
+central differences:
 
     G = [(L_vv L_phi - L_th L_uv) - L_v (L_phiv - L_thu)] / (2 D)
     H = [(L_uu L_th - L_phi L_uv) + L_u (L_phiv - L_thu)] / (2 D)
@@ -23,8 +47,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
-from znav.errors import DegenerateHessian
-from znav.randers import F_rotation_closed, RandersData, alpha_term, lagrangian
+from znav.errors import DegenerateHessian, NotMild
+from znav.randers import RandersData, alpha_term, lagrangian
 from znav.spheroid import (
     NavState,
     Spheroid,
@@ -33,7 +57,7 @@ from znav.spheroid import (
     require_off_pole,
     riemannian_rhs,
 )
-from znav.wind import WindField
+from znav.wind import ComponentFn, WindField
 
 MetricKind = Literal["h", "alpha", "randers"]
 
@@ -42,6 +66,11 @@ MetricKind = Literal["h", "alpha", "randers"]
 # plain central differences at much smaller steps hit the roundoff
 # floor eps/step^2 and cannot reach the 1e-6 oracle agreement.
 FD_REL_STEP = 2e-3
+
+# Step of the central differences for the wind Jacobian.  Their
+# truncation error (~step^2) and roundoff (~eps/step) balance near 1e-5
+# for winds of unit-order derivatives, leaving ~1e-11.
+WIND_FD_STEP = 1e-5
 
 Lagrangian = Callable[[float, float, float, float], float]
 RhsFn = Callable[[float, float, float, float], tuple[float, float]]
@@ -56,7 +85,10 @@ class SprayCoefficients:
 
 
 def randers_lagrangian(sph: Spheroid, wind: WindField) -> Lagrangian:
-    """Evaluator of the travel-time Lagrangian F^2/2 as a function of (phi, theta, u, v)."""
+    """Evaluator of the travel-time Lagrangian F^2/2 as a function of (phi, theta, u, v).
+
+    Reference implementation only: input to the spray_numeric oracle.
+    """
     rd = RandersData(sph, wind)
 
     def L(phi: float, theta: float, u: float, v: float) -> float:
@@ -66,7 +98,10 @@ def randers_lagrangian(sph: Spheroid, wind: WindField) -> Lagrangian:
 
 
 def alpha_lagrangian(sph: Spheroid, wind: WindField) -> Lagrangian:
-    """Evaluator of alpha^2/2 for the Riemannian part of the travel-time metric."""
+    """Evaluator of alpha^2/2 for the Riemannian part of the travel-time metric.
+
+    Reference implementation only: input to the spray_numeric oracle.
+    """
     rd = RandersData(sph, wind)
 
     def L(phi: float, theta: float, u: float, v: float) -> float:
@@ -140,6 +175,10 @@ def spray_numeric(
     Richardson-extrapolates, cancelling the leading quadratic error of
     the central differences.
 
+    Reference implementation only: the tests compare the runtime sprays
+    against it.  Its theta stencil, rel_step * max(1, theta) wide,
+    spans the pole for states nearer to it than that.
+
     Raises:
         PoleSingularity: state inside the polar guard band.
         DegenerateHessian: velocity Hessian numerically singular.
@@ -163,7 +202,7 @@ def spray_rotation_closed(sph: Spheroid, c: float, state: NavState) -> SprayCoef
     and reducing to the unperturbed Christoffel spray at c = 0.
 
     Reference implementation only: make_rhs computes the same spray
-    through the wind-drag identity, and the tests compare the two.
+    through the navigation equation, and the tests compare the two.
 
     Raises:
         PoleSingularity: state inside the polar guard band.
@@ -246,15 +285,136 @@ def spray_alpha_closed(sph: Spheroid, c: float, state: NavState) -> SprayCoeffic
     return SprayCoefficients(G, H)
 
 
+def _local_jet(a2: float, components: ComponentFn, phi: float, theta: float):
+    """Metric, wind and their first derivatives at one point.
+
+    Returns (h11, h22, dh11, dh22, W1, W2, dW1/dphi, dW1/dtheta,
+    dW2/dphi, dW2/dtheta, lam) with dh the theta-derivatives of h and
+    the wind Jacobian taken by central differences.
+
+    Raises:
+        PoleSingularity: theta inside the polar guard band.
+        NotMild: lam = 1 - |W|_h^2 <= 0 at the point.
+    """
+    require_off_pole(theta)
+    s = math.sin(theta)
+    co = math.cos(theta)
+    h11 = s * s
+    h22 = co * co + a2 * h11
+    dh11 = 2.0 * s * co
+    w1, w2 = components(phi, theta)
+    lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
+    if lam <= 0.0:
+        raise NotMild(
+            f"|W|_h^2 = {1.0 - lam} >= 1 at (phi={phi}, theta={theta})",
+            point=SurfacePoint(phi, theta),
+            norm=math.sqrt(1.0 - lam),
+        )
+    p1, p2 = components(phi + WIND_FD_STEP, theta)
+    m1, m2 = components(phi - WIND_FD_STEP, theta)
+    q1, q2 = components(phi, theta + WIND_FD_STEP)
+    r1, r2 = components(phi, theta - WIND_FD_STEP)
+    k = 0.5 / WIND_FD_STEP
+    return (
+        h11, h22, dh11, (a2 - 1.0) * dh11, w1, w2,
+        (p1 - m1) * k, (q1 - r1) * k, (p2 - m2) * k, (q2 - r2) * k, lam,
+    )
+
+
+def _randers_rhs(sph: Spheroid, wind: WindField) -> RhsFn:
+    """Accelerations of the travel-time metric under any mild wind.
+
+    Zermelo's navigation equation (see the module docstring): the unit
+    heading n = (y - F W) / F turns with the costate of
+    H = |p|_h* + p . W, and y' = F (n' + (dW) y).
+
+    The returned function raises what _local_jet raises.
+    """
+    components = wind.components
+    a2 = sph.a * sph.a
+
+    def rhs_randers(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
+        h11, h22, dh11, dh22, w1, w2, j11, j12, j21, j22, lam = _local_jet(
+            a2, components, phi, theta
+        )
+        if u == 0.0 and v == 0.0:
+            return 0.0, 0.0
+        b = u * w1 * h11 + v * w2 * h22
+        yy = u * u * h11 + v * v * h22
+        r = math.sqrt(b * b + lam * yy)
+        # the two roots of lam F^2 + 2 b F - |y|^2 = 0, without cancellation
+        f = (r - b) / lam if b <= 0.0 else yy / (r + b)
+        n1 = u / f - w1
+        n2 = v / f - w2
+        p1 = h11 * n1
+        p2 = h22 * n2
+        # d|p|_h*/dtheta at |p|_h* = 1, then the costate p' = -F d_x H
+        q = -0.5 * (n1 * n1 * dh11 + n2 * n2 * dh22)
+        pd1 = -f * (p1 * j11 + p2 * j21)
+        pd2 = -f * (q + p1 * j12 + p2 * j22)
+        # n^i = h^ii p_i / |p|_h*, differentiated along the geodesic
+        norm_d = q * v + n1 * pd1 + n2 * pd2
+        nd1 = pd1 / h11 - n1 * (dh11 * v / h11 + norm_d)
+        nd2 = pd2 / h22 - n2 * (dh22 * v / h22 + norm_d)
+        return f * (nd1 + j11 * u + j12 * v), f * (nd2 + j21 * u + j22 * v)
+
+    return rhs_randers
+
+
+def _alpha_rhs(sph: Spheroid, wind: WindField) -> RhsFn:
+    """Accelerations of the Riemannian part alpha of F under any mild wind.
+
+    Christoffel spray of a_ij = h_ij / lam + W_i W_j / lam^2 with
+    W_i = h_ii W^i, written as acc = -a^-1 [(D_y a) y - (1/2) y . (d a) y].
+
+    The returned function raises what _local_jet raises.
+    """
+    components = wind.components
+    a2 = sph.a * sph.a
+
+    def rhs_alpha(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
+        h11, h22, dh11, dh22, w1, w2, j11, j12, j21, j22, lam = _local_jet(
+            a2, components, phi, theta
+        )
+        il = 1.0 / lam
+        il2 = il * il
+        # lowered wind and its derivatives in phi (index p) and theta (t)
+        l1 = h11 * w1
+        l2 = h22 * w2
+        l1p, l2p = h11 * j11, h22 * j21
+        l1t, l2t = dh11 * w1 + h11 * j12, dh22 * w2 + h22 * j22
+        gp = -2.0 * (l1 * j11 + l2 * j21) * il
+        gt = -(2.0 * (l1 * j12 + l2 * j22) + w1 * w1 * dh11 + w2 * w2 * dh22) * il
+        a11 = h11 * il + l1 * l1 * il2
+        a12 = l1 * l2 * il2
+        a22 = h22 * il + l2 * l2 * il2
+        # d a_ij = (d h_ij - h_ij g) / lam + (d W_i W_j + W_i d W_j - 2 W_i W_j g) / lam^2
+        # with g = d lam / lam
+        a11p = -h11 * gp * il + (2.0 * l1p * l1 - 2.0 * l1 * l1 * gp) * il2
+        a12p = (l1p * l2 + l1 * l2p - 2.0 * l1 * l2 * gp) * il2
+        a22p = -h22 * gp * il + (2.0 * l2p * l2 - 2.0 * l2 * l2 * gp) * il2
+        a11t = (dh11 - h11 * gt) * il + (2.0 * l1t * l1 - 2.0 * l1 * l1 * gt) * il2
+        a12t = (l1t * l2 + l1 * l2t - 2.0 * l1 * l2 * gt) * il2
+        a22t = (dh22 - h22 * gt) * il + (2.0 * l2t * l2 - 2.0 * l2 * l2 * gt) * il2
+        # T_l = (D_y a y)_l - y . (d_l a) y / 2
+        d11 = u * a11p + v * a11t
+        d12 = u * a12p + v * a12t
+        d22 = u * a22p + v * a22t
+        uu, uv, vv = u * u, u * v, v * v
+        t1 = d11 * u + d12 * v - 0.5 * (a11p * uu + 2.0 * a12p * uv + a22p * vv)
+        t2 = d12 * u + d22 * v - 0.5 * (a11t * uu + 2.0 * a12t * uv + a22t * vv)
+        det = a11 * a22 - a12 * a12
+        return (a12 * t2 - a22 * t1) / det, (a12 * t1 - a11 * t2) / det
+
+    return rhs_alpha
+
+
 def geodesic_rhs(
     kind: MetricKind, sph: Spheroid, wind: WindField | None, state: NavState
 ) -> tuple[float, float]:
     """Accelerations (phi_dd, theta_dd) = -2 (G, H) for the chosen metric.
 
-    The unperturbed metric and the alpha flow under a rotation wind use
-    closed forms, the travel-time metric under a rotation wind uses the
-    wind-drag identity; anything else routes through the numeric
-    quotient spray.
+    See make_rhs for the route each kind takes.
     """
     return make_rhs(kind, sph, wind)(
         state.point.phi, state.point.theta, state.vel.u, state.vel.v
@@ -262,7 +422,15 @@ def geodesic_rhs(
 
 
 def make_rhs(kind: MetricKind, sph: Spheroid, wind: WindField | None) -> RhsFn:
-    """Build a plain-float acceleration evaluator for the integrator."""
+    """Build a plain-float acceleration evaluator for the integrator.
+
+    h (or no wind): the Christoffel spray of h.  randers: the navigation
+    spray, one route for every wind.  alpha: the closed form under a
+    rotation wind, the Christoffel spray of a_ij under any other.
+
+    Raises:
+        ValueError: unknown metric kind.
+    """
     if kind == "h" or wind is None:
 
         def rhs_h(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
@@ -272,37 +440,18 @@ def make_rhs(kind: MetricKind, sph: Spheroid, wind: WindField | None) -> RhsFn:
 
         return rhs_h
 
-    if kind == "alpha":
-        if wind.kind == "rotation":
-            c = wind.c
-
-            def rhs_ac(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
-                sc = spray_alpha_closed(
-                    sph, c, NavState(SurfacePoint(phi, theta), TangentVector(u, v))
-                )
-                return -2.0 * sc.G, -2.0 * sc.H
-
-            return rhs_ac
-        L = alpha_lagrangian(sph, wind)
-    elif kind == "randers":
-        if wind.kind == "rotation":
-            c = wind.c
-
-            def rhs_rc(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
-                # W = (-c, 0) is Killing, so by 2-homogeneity
-                # rhs_F(y) = F^2 rhs_h(y/F - W) = rhs_h(y - F W) for every y
-                f = F_rotation_closed(sph, c, theta, TangentVector(u, v))
-                return riemannian_rhs(
-                    sph, NavState(SurfacePoint(phi, theta), TangentVector(u + c * f, v))
-                )
-
-            return rhs_rc
-        L = randers_lagrangian(sph, wind)
-    else:
+    if kind == "randers":
+        return _randers_rhs(sph, wind)
+    if kind != "alpha":
         raise ValueError(f"unknown metric kind {kind!r}")
+    if wind.kind != "rotation":
+        return _alpha_rhs(sph, wind)
+    c = wind.c
 
-    def rhs_numeric(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
-        sc = spray_numeric(L, NavState(SurfacePoint(phi, theta), TangentVector(u, v)))
+    def rhs_ac(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
+        sc = spray_alpha_closed(
+            sph, c, NavState(SurfacePoint(phi, theta), TangentVector(u, v))
+        )
         return -2.0 * sc.G, -2.0 * sc.H
 
-    return rhs_numeric
+    return rhs_ac

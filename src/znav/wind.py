@@ -77,7 +77,7 @@ def validate_mild(sph: Spheroid, wind: WindField, grid_n: int = 256) -> Mildness
     for the analytic winds in scope.
 
     Raises:
-        NotMild: first sampled point with norm >= 1 - 1e-12.
+        NotMild: first sampled point with norm >= 1 - 1e-12 or not finite.
         ValueError: grid_n < 2.
     """
     if grid_n < 2:
@@ -90,7 +90,7 @@ def validate_mild(sph: Spheroid, wind: WindField, grid_n: int = 256) -> Mildness
             theta = POLE_GUARD + (math.pi - 2.0 * POLE_GUARD) * j / (grid_n - 1)
             p = SurfacePoint(phi, theta)
             norm = wind_norm(sph, wind, p)
-            if norm >= 1.0 - 1e-12:
+            if not norm < 1.0 - 1e-12:
                 raise NotMild(
                     f"|W|_h = {norm} at (phi={phi}, theta={theta})", point=p, norm=norm
                 )

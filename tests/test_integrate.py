@@ -142,8 +142,8 @@ class TestIntegrate:
         assert traj.samples[0][0] == 0.0
 
     def test_custom_wind_numeric_route_conserves_travel_time(self, oblate):
-        # a genuinely two-component mild wind exercises the numeric
-        # quotient spray end to end; unit travel-time value must persist
+        # a genuinely two-component mild wind exercises the navigation
+        # spray end to end; unit travel-time value must persist
         breeze = custom_wind(
             lambda phi, theta: (0.25 * math.cos(theta), 0.15 * math.sin(theta))
         )
@@ -155,7 +155,24 @@ class TestIntegrate:
                          IntegratorConfig(t_end=1.0), kind="randers")
         assert traj.termination == "completed"
         drift = max(abs(F_value(rd, s.point, s.vel) - 1.0) for _, s in traj.samples)
-        assert drift < 1e-5
+        assert drift < 1e-6
+
+    @pytest.mark.parametrize("theta0, heading", [(0.458, 1.604), (2.742, 4.734)])
+    def test_custom_wind_near_pole_conserves_travel_time(self, oblate, theta0, heading):
+        # these tracks pass within 2e-4 and 5e-3 rad of a pole, where a
+        # finite-difference stencil in theta of the Lagrangian would span
+        # the pole itself
+        breeze = custom_wind(
+            lambda phi, theta: (-0.5 + 0.1 * math.cos(phi),
+                                0.15 * math.sin(phi) * math.sin(theta))
+        )
+        rd = RandersData(oblate, breeze)
+        s0 = initial_state_randers(oblate, breeze, SurfacePoint(0.0, theta0), heading)
+        traj = integrate(make_rhs("randers", oblate, breeze), s0,
+                         IntegratorConfig(t_end=1.0), kind="randers")
+        assert traj.termination == "completed"
+        drift = max(abs(F_value(rd, s.point, s.vel) - 1.0) for _, s in traj.samples)
+        assert drift <= 1e-6
 
 
 class TestPoleHandling:
@@ -230,6 +247,10 @@ class TestConfigValidation:
             {"t_end": 1.0, "sample_dt": 2.0},
             {"t_end": 1.0, "max_step": 0.0},
             {"t_end": 1.0, "pole_eps": 0.5},
+            {"t_end": math.inf},
+            {"t_end": 1.0, "rel_tol": math.nan},
+            {"t_end": 1.0, "abs_tol": math.nan},
+            {"t_end": 1.0, "max_step": math.nan},
         ],
     )
     def test_bad_config(self, kwargs):

@@ -1,4 +1,4 @@
-"""Spray coefficients: closed forms vs the numeric quotient route."""
+"""Spray coefficients: runtime routes vs closed forms and the numeric quotient oracle."""
 import math
 
 import numpy as np
@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies
 from znav import (
     DegenerateHessian,
     NavState,
+    NotMild,
     PoleSingularity,
     Spheroid,
     SprayCoefficients,
     SurfacePoint,
     TangentVector,
     alpha_lagrangian,
+    custom_wind,
     geodesic_rhs,
     h_norm,
     make_rhs,
@@ -23,6 +25,7 @@ from znav import (
     spray_alpha_closed,
     spray_numeric,
     spray_rotation_closed,
+    wind_norm,
 )
 from tests.conftest import ROTATION_RATE, random_mild_states
 
@@ -258,19 +261,62 @@ class TestGeodesicRhsDispatch:
         want = spray_rotation_closed(sph, c, st)
         assert_sprays_close(sph, got, want, st, 1e-12)
 
-    def test_custom_wind_routes_through_numeric(self, oblate):
-        from znav import custom_wind
-
+    def test_custom_wind_routes_through_navigation_spray(self, oblate):
+        # one randers route for every wind kind
         gentle = custom_wind(lambda phi, theta: (0.2 * math.sin(theta), 0.1))
-        st = state(0.4, 1.3, 0.6, -0.2)
-        acc = geodesic_rhs("randers", oblate, gentle, st)
+        rhs = make_rhs("randers", oblate, gentle)
+        assert rhs.__code__ is make_rhs("randers", oblate, rotation_wind(0.5)).__code__
+        acc = rhs(0.4, 1.3, 0.6, -0.2)
         assert all(math.isfinite(x) for x in acc)
 
-    def test_custom_route_against_rotation_oracle(self, oblate):
-        # the same rotation components tagged as a custom field must go
-        # through the numeric quotient and land on the closed form
-        from znav import custom_wind
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=strategies.floats(0.5, 2.0),
+        coef=strategies.lists(strategies.floats(-1.0, 1.0), min_size=4, max_size=4),
+        freq=strategies.lists(strategies.integers(1, 3), min_size=4, max_size=4),
+        phase=strategies.lists(strategies.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4),
+        peak=strategies.floats(0.0, 0.8, exclude_max=True),
+        seed=strategies.integers(0, 2**32 - 1),
+    )
+    def test_custom_wind_rhs_matches_numeric_spray(self, a, coef, freq, phase, peak, seed):
+        # smooth trigonometric winds rescaled to a sampled max |W|_h of
+        # `peak`; both flows must land on the finite-difference oracle.
+        # The oracle runs at half its default step: at the default its own
+        # truncation error reaches 2e-6 for the steepest winds here
+        # (frequency 3, peak near 0.8), at 1e-3 it stayed below 1.3e-7 over
+        # 9000 sampled sprays, and smaller steps meet its roundoff floor.
+        sph = Spheroid(a)
+        c0, c1, d0, d1 = coef
+        m1, k1, m2, k2 = freq
+        p1, q1, p2, q2 = phase
 
+        def shape(phi, theta):
+            return (c0 + c1 * math.cos(m1 * phi + p1) * math.sin(k1 * theta + q1),
+                    d0 + d1 * math.sin(m2 * phi + p2) * math.cos(k2 * theta + q2))
+
+        raw = custom_wind(shape)
+        top = max(
+            wind_norm(sph, raw, SurfacePoint(2.0 * math.pi * i / 24,
+                                             0.01 + (math.pi - 0.02) * j / 24))
+            for i in range(25) for j in range(25)
+        )
+        k = peak / top if top > 0.0 else 0.0
+        wind = custom_wind(lambda phi, theta: tuple(k * w for w in shape(phi, theta)))
+        rng = np.random.default_rng(seed)
+        for st in random_mild_states(sph, wind, rng, 3):
+            for kind, lagrangian in (("randers", randers_lagrangian),
+                                     ("alpha", alpha_lagrangian)):
+                acc = make_rhs(kind, sph, wind)(
+                    st.point.phi, st.point.theta, st.vel.u, st.vel.v
+                )
+                got = SprayCoefficients(-0.5 * acc[0], -0.5 * acc[1])
+                want = spray_numeric(lagrangian(sph, wind), st, rel_step=1e-3)
+                assert_sprays_close(sph, got, want, st, 1e-6)
+
+    def test_custom_route_against_rotation_oracle(self, oblate):
+        # the same rotation components tagged as a custom field go
+        # through the navigation spray with a zero wind Jacobian and
+        # land on the closed form
         disguised = custom_wind(lambda phi, theta: (-ROTATION_RATE, 0.0))
         rng = np.random.default_rng(29)
         for st in random_mild_states(oblate, disguised, rng, 30):
@@ -278,8 +324,14 @@ class TestGeodesicRhsDispatch:
             sc = spray_rotation_closed(oblate, ROTATION_RATE, st)
             want = (-2.0 * sc.G, -2.0 * sc.H)
             scale = max(abs(want[0]), abs(want[1]), spray_scale(oblate, st))
-            assert abs(got[0] - want[0]) <= 2e-6 * scale
-            assert abs(got[1] - want[1]) <= 2e-6 * scale
+            assert abs(got[0] - want[0]) <= 1e-12 * scale
+            assert abs(got[1] - want[1]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["randers", "alpha"])
+    def test_strong_wind_rejected(self, oblate, kind):
+        gale = custom_wind(lambda phi, theta: (1.5, 0.0))
+        with pytest.raises(NotMild):
+            make_rhs(kind, oblate, gale)(0.0, math.pi / 2, 1.0, 0.0)
 
     def test_unknown_kind(self, oblate, rot_wind):
         with pytest.raises(ValueError):

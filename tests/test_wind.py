@@ -81,6 +81,11 @@ class TestValidateMild:
         fine = validate_mild(oblate, w, grid_n=129)
         assert coarse.max_norm <= fine.max_norm + 1e-15
 
+    def test_non_finite_wind_rejected(self, oblate):
+        w = custom_wind(lambda phi, theta: (math.nan, 0.0))
+        with pytest.raises(NotMild):
+            validate_mild(oblate, w, grid_n=5)
+
     def test_grid_too_small(self, oblate, rot_wind):
         with pytest.raises(ValueError):
             validate_mild(oblate, rot_wind, grid_n=1)
