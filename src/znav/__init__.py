@@ -8,8 +8,10 @@ speed.
 
 All evaluation is pure (no shared mutable state), so everything here is
 safe to call concurrently; integrate_family runs fan members one after
-another in heading order.  The travel-time geodesics come from
-Zermelo's navigation equation, one exact spray for every mild wind.
+another in heading order.  Two sprays serve the three flows: Zermelo's
+navigation equation gives the travel-time geodesics for every mild
+wind and the h geodesics as its still-air case, and the Christoffel
+spray of alpha gives the alpha geodesics for every mild wind.
 """
 from znav.control import (
     ControlRecord,
@@ -32,7 +34,6 @@ from znav.errors import (
     NavigationError,
     NotMild,
     PoleSingularity,
-    StepFailure,
     ZeroRelativeVelocity,
     ZeroVelocity,
 )
@@ -79,7 +80,6 @@ from znav.spheroid import (
 from znav.spray import (
     SprayCoefficients,
     alpha_lagrangian,
-    geodesic_rhs,
     make_rhs,
     randers_lagrangian,
     spray_alpha_closed,
@@ -87,6 +87,7 @@ from znav.spray import (
     spray_rotation_closed,
 )
 from znav.wind import (
+    STILL_AIR,
     MildnessReport,
     WindField,
     custom_wind,

@@ -43,15 +43,9 @@ from znav.integrate import (
     integrate_family,
 )
 from znav.randers import F_value, RandersData, alpha_term, indicatrix
-from znav.spheroid import (
-    POLE_GUARD,
-    Spheroid,
-    SurfacePoint,
-    embed,
-    h_norm,
-)
+from znav.spheroid import POLE_GUARD, Spheroid, SurfacePoint, embed
 from znav.spray import make_rhs
-from znav.wind import WindField, rotation_wind
+from znav.wind import STILL_AIR, WindField, rotation_wind
 
 
 class ValidationError(Exception):
@@ -62,23 +56,31 @@ _PI_PATTERN = re.compile(r"([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d+\.?\d*))?")
 
 
 def parse_angle(text: str, degrees: bool = False) -> float:
-    """Parse an angle: plain number (radians, or degrees with --deg) or pi-fraction."""
+    """Parse an angle: plain number (radians, or degrees with --deg) or pi-fraction.
+
+    Raises:
+        ValidationError: unparsable text or a non-finite angle.
+    """
     t = text.strip().lower()
     m = _PI_PATTERN.fullmatch(t)
-    if m:
-        num, den = m.group(1), m.group(2)
-        if num in ("", "+"):
-            factor = 1.0
-        elif num == "-":
-            factor = -1.0
-        else:
-            factor = float(num)
-        return factor * math.pi / (float(den) if den else 1.0)
     try:
-        value = float(t)
-    except ValueError as exc:
+        if m:
+            num, den = m.group(1), m.group(2)
+            if num in ("", "+"):
+                factor = 1.0
+            elif num == "-":
+                factor = -1.0
+            else:
+                factor = float(num)
+            value = factor * math.pi / (float(den) if den else 1.0)
+        else:
+            value = float(t)
+            value = math.radians(value) if degrees else value
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse angle {text!r}") from exc
-    return math.radians(value) if degrees else value
+    if not math.isfinite(value):
+        raise ValidationError(f"angle {text!r} is not finite")
+    return value
 
 
 def parse_wind(text: str) -> WindField | None:
@@ -279,17 +281,16 @@ def resolve_problem(cfg: RunConfig) -> Problem:
 
 
 def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
-    """Largest deviation of the conserved speed (h-, alpha- or F-norm) from 1."""
-    rd = RandersData(prob.sph, prob.wind) if prob.wind is not None else None
+    """Largest deviation of the conserved speed (h-, alpha- or F-norm) from 1.
+
+    The h-norm is F in still air.
+    """
+    wind = STILL_AIR if prob.kind == "h" or prob.wind is None else prob.wind
+    rd = RandersData(prob.sph, wind)
+    norm = alpha_term if prob.kind == "alpha" else F_value
     worst = 0.0
     for _, state in traj.samples:
-        if prob.kind == "randers" and rd is not None:
-            value = F_value(rd, state.point, state.vel)
-        elif prob.kind == "alpha" and rd is not None:
-            value = alpha_term(rd, state.point, state.vel)
-        else:
-            value = h_norm(prob.sph, state.point, state.vel)
-        worst = max(worst, abs(value - 1.0))
+        worst = max(worst, abs(norm(rd, state.point, state.vel) - 1.0))
     return worst
 
 
@@ -482,7 +483,7 @@ def cmd_indicatrix(prob: Problem) -> int:
         raise ValidationError(f"bad multipliers {cfg.multipliers!r}") from exc
     if not mults or any(m <= 0 for m in mults):
         raise ValidationError("multipliers must be positive")
-    wind = prob.wind if prob.wind is not None else rotation_wind(0.0)
+    wind = prob.wind if prob.wind is not None else STILL_AIR
     rd = RandersData(prob.sph, wind)
     vecs = indicatrix(rd, prob.start, cfg.n)
     residual = max(abs(F_value(rd, prob.start, y) - 1.0) for y in vecs)
@@ -550,7 +551,7 @@ def cmd_report(prob: Problem) -> int:
         data = [np.column_stack([t, curves[k]]) for k in ("heading", "course", "drift")]
         write_svg(spec, data, cfg.svg)
     if cfg.speed_svg:
-        wind = prob.wind if prob.wind is not None else rotation_wind(0.0)
+        wind = prob.wind if prob.wind is not None else STILL_AIR
         hds = np.linspace(0.0, 2.0 * math.pi, 361)
         speeds = [
             control.initial_speed_vs_heading(prob.sph, wind, prob.start, float(hd))

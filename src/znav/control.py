@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from znav.errors import NotMild, ZeroRelativeVelocity, ZeroVelocity
+from znav.errors import ZeroRelativeVelocity, ZeroVelocity
 from znav.randers import RandersData, alpha_term
 from znav.spheroid import (
     NavState,
@@ -250,10 +250,9 @@ def initial_speed_vs_heading(
         NotMild: wind not mild at p0.
     """
     require_off_pole(p0.theta)
+    RandersData(sph, wind).mildness_factor(p0)
     h11, h22 = metric_components(sph, p0.theta)
     w1, w2 = wind.at(p0)
-    if w1 * w1 * h11 + w2 * w2 * h22 >= 1.0:
-        raise NotMild(f"wind not mild at (phi={p0.phi}, theta={p0.theta})", point=p0)
     sin_t = math.sqrt(h11)
     sq = (
         1.0

@@ -33,14 +33,5 @@ class ZeroVelocity(NavigationError):
     """Course undefined: resulting velocity vanishes."""
 
 
-class StepFailure(NavigationError):
-    """Adaptive step size underflowed; carries the last good state."""
-
-    def __init__(self, message: str, t: float, state=None):
-        super().__init__(message)
-        self.t = t
-        self.state = state
-
-
 class EmptyData(NavigationError):
     """Plot data insufficient for the requested figure kind."""

@@ -99,6 +99,8 @@ def christoffels(sph: Spheroid, theta: float) -> tuple[float, float, float]:
         G2_11 = -sin(theta) cos(theta) / (a^2 sin^2 + cos^2)
         G2_22 = (a^2 - 1) sin(theta) cos(theta) / (a^2 sin^2 + cos^2)
 
+    Reference implementation only: input to riemannian_rhs.
+
     Raises:
         PoleSingularity: theta inside the polar guard band.
     """
@@ -115,6 +117,9 @@ def riemannian_rhs(sph: Spheroid, state: NavState) -> tuple[float, float]:
 
         phi_dd   = -2 u v cot(theta)
         theta_dd = -sin cos [ (a^2 - 1) v^2 - u^2 ] / (a^2 sin^2 + cos^2)
+
+    Reference implementation only: spray.make_rhs runs the h flow as
+    the navigation spray of still air, and the tests compare the two.
 
     Raises:
         PoleSingularity: theta inside the polar guard band.

@@ -7,8 +7,9 @@ metric as accelerations quadratic in velocity:
 
 with G, H positively 2-homogeneous in (u, v).
 
-The travel-time metric F has one runtime route for every wind: Zermelo's
-navigation equation (Bao-Robles-Shen 2004; Huang-Mo 2011).  With
+There are two runtime routes for the three flows.  The travel-time
+metric F follows Zermelo's navigation equation for every wind
+(Bao-Robles-Shen 2004; Huang-Mo 2011).  With
 
     lam = 1 - |W|_h^2,   b = <y, W>_h,   F = (sqrt(b^2 + lam |y|_h^2) - b) / lam,
 
@@ -22,21 +23,22 @@ with ' the derivative along the geodesic and dW the Jacobian of the
 wind, taken by central differences of its components alone
 (WIND_FD_STEP apart; exactly zero for the rotation wind).  For a
 Killing wind this is the h flow at the velocity through the medium
-(wind-drag identity).
+(wind-drag identity).  The h flow is the same route in still air
+(W = 0, so lam = 1 and F = |y|_h).
 
 The alpha flow is the Christoffel spray of the Riemannian part of F,
 
     a_ij = h_ij / lam + W_i W_j / lam^2,   W_i = h_ii W^i,
 
-with its derivatives built from the same W and dW; under a rotation
-wind it has the closed form spray_alpha_closed.
+with its derivatives built from the same W and dW, for every wind.
 
 Reference implementations, which the tests compare against and no
-runtime path calls: spray_rotation_closed, the closed-form F spray
-under the rotation wind, and spray_numeric, the generic quotient
-formulas with all partial derivatives of a Lagrangian L = F^2/2
-(randers_lagrangian, alpha_lagrangian) taken by Richardson-extrapolated
-central differences:
+runtime path calls: spheroid.riemannian_rhs, the Christoffel spray of
+h; spray_alpha_closed and spray_rotation_closed, the closed-form alpha
+and F sprays under the rotation wind; and spray_numeric, the generic
+quotient formulas with all partial derivatives of a Lagrangian
+L = F^2/2 (randers_lagrangian, alpha_lagrangian) taken by
+Richardson-extrapolated central differences:
 
     G = [(L_vv L_phi - L_th L_uv) - L_v (L_phiv - L_thu)] / (2 D)
     H = [(L_uu L_th - L_phi L_uv) + L_u (L_phiv - L_thu)] / (2 D)
@@ -55,9 +57,8 @@ from znav.spheroid import (
     SurfacePoint,
     TangentVector,
     require_off_pole,
-    riemannian_rhs,
 )
-from znav.wind import ComponentFn, WindField
+from znav.wind import STILL_AIR, ComponentFn, WindField
 
 MetricKind = Literal["h", "alpha", "randers"]
 
@@ -260,6 +261,9 @@ def spray_rotation_closed(sph: Spheroid, c: float, state: NavState) -> SprayCoef
 def spray_alpha_closed(sph: Spheroid, c: float, state: NavState) -> SprayCoefficients:
     """Closed-form spray of the Riemannian alpha-metric under the rotation wind.
 
+    Reference implementation only: make_rhs computes the same spray as
+    the Christoffel spray of a_ij, and the tests compare the two.
+
     Raises:
         PoleSingularity: state inside the polar guard band.
     """
@@ -409,49 +413,20 @@ def _alpha_rhs(sph: Spheroid, wind: WindField) -> RhsFn:
     return rhs_alpha
 
 
-def geodesic_rhs(
-    kind: MetricKind, sph: Spheroid, wind: WindField | None, state: NavState
-) -> tuple[float, float]:
-    """Accelerations (phi_dd, theta_dd) = -2 (G, H) for the chosen metric.
-
-    See make_rhs for the route each kind takes.
-    """
-    return make_rhs(kind, sph, wind)(
-        state.point.phi, state.point.theta, state.vel.u, state.vel.v
-    )
-
-
 def make_rhs(kind: MetricKind, sph: Spheroid, wind: WindField | None) -> RhsFn:
     """Build a plain-float acceleration evaluator for the integrator.
 
-    h (or no wind): the Christoffel spray of h.  randers: the navigation
-    spray, one route for every wind.  alpha: the closed form under a
-    rotation wind, the Christoffel spray of a_ij under any other.
+    Two routes for three flows: randers is the navigation spray, and h
+    (or any kind without wind) is the navigation spray of still air;
+    alpha is the Christoffel spray of a_ij.  Both hold for every wind.
 
     Raises:
         ValueError: unknown metric kind.
     """
     if kind == "h" or wind is None:
-
-        def rhs_h(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
-            return riemannian_rhs(
-                sph, NavState(SurfacePoint(phi, theta), TangentVector(u, v))
-            )
-
-        return rhs_h
-
+        return _randers_rhs(sph, STILL_AIR)
     if kind == "randers":
         return _randers_rhs(sph, wind)
-    if kind != "alpha":
-        raise ValueError(f"unknown metric kind {kind!r}")
-    if wind.kind != "rotation":
+    if kind == "alpha":
         return _alpha_rhs(sph, wind)
-    c = wind.c
-
-    def rhs_ac(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
-        sc = spray_alpha_closed(
-            sph, c, NavState(SurfacePoint(phi, theta), TangentVector(u, v))
-        )
-        return -2.0 * sc.G, -2.0 * sc.H
-
-    return rhs_ac
+    raise ValueError(f"unknown metric kind {kind!r}")

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from znav.cli import main, parse_angle
+from znav.cli import ValidationError, main, parse_angle
 from znav.export import read_csv
 
 BENCH = ["--a", "0.75", "--wind", "rotation:0.7142857142857143",
@@ -25,6 +25,11 @@ class TestParseAngle:
     )
     def test_literals(self, text, expected):
         assert parse_angle(text) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "pi/0", ".pi", "east"])
+    def test_rejected(self, text):
+        with pytest.raises(ValidationError):
+            parse_angle(text)
 
     def test_degrees_mode(self):
         assert parse_angle("60", degrees=True) == pytest.approx(math.pi / 3)
@@ -86,6 +91,26 @@ class TestGeodesic:
                      "--csv", "no/such/dir/out.csv"])
         assert code == 4
         assert "error[io]" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geodesic", "--wind", "rotation:nan", "--heading", "pi/3"],
+            ["geodesic", "--wind", "rotation:0.5", "--heading", "nan"],
+            ["report", "--wind", "rotation:0.5", "--heading", "nan"],
+            ["family", *BENCH, "--heading-start", "0", "--heading-step", "nan",
+             "--heading-count", "4"],
+            ["geodesic", "--heading", "inf"],
+            ["geodesic", "--start", "nan,pi/2", "--heading", "0"],
+        ],
+        ids=["wind-nan", "heading-nan", "report-heading-nan", "family-step-nan",
+             "heading-inf", "start-nan"],
+    )
+    def test_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error[validation]" in capsys.readouterr().err
 
 
 class TestFamily:

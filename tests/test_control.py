@@ -7,12 +7,14 @@ import pytest
 from znav import (
     IntegratorConfig,
     NavState,
+    NotMild,
     SurfacePoint,
     TangentVector,
     ZeroRelativeVelocity,
     ZeroVelocity,
     control_channel,
     course_of,
+    custom_wind,
     drift_of,
     heading_of,
     initial_speed_vs_heading,
@@ -257,6 +259,11 @@ class TestInitialSpeedVsHeading:
         for heading in np.linspace(0.0, 2 * math.pi, 12):
             got = initial_speed_vs_heading(oblate, w0, equator_start, float(heading))
             assert got == pytest.approx(1.0, abs=1e-14)
+
+    def test_strong_wind_rejected(self, oblate, equator_start):
+        gale = custom_wind(lambda phi, theta: (1.5, 0.0))
+        with pytest.raises(NotMild):
+            initial_speed_vs_heading(oblate, gale, equator_start, 0.0)
 
     def test_range_is_twice_wind_norm(self, oblate, rot_wind):
         # |v(heading)|^2 = 1 + w^2 + 2 w cos(heading + delta) with

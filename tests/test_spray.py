@@ -16,7 +16,6 @@ from znav import (
     TangentVector,
     alpha_lagrangian,
     custom_wind,
-    geodesic_rhs,
     h_norm,
     make_rhs,
     randers_lagrangian,
@@ -230,13 +229,37 @@ class TestNumericSpray:
 
 class TestGeodesicRhsDispatch:
     def test_h_kind_at_equator(self, oblate, rot_wind):
-        acc = geodesic_rhs("h", oblate, rot_wind, state(0.0, math.pi / 2, 1.0, 0.0))
+        acc = make_rhs("h", oblate, rot_wind)(0.0, math.pi / 2, 1.0, 0.0)
         assert acc == pytest.approx((0.0, 0.0), abs=1e-15)
 
     def test_alpha_kind_no_wind_equals_h(self, oblate):
-        st = state(0.4, 1.3, 0.6, -0.2)
-        got = geodesic_rhs("alpha", oblate, rotation_wind(0.0), st)
-        assert got == pytest.approx(riemannian_rhs(oblate, st), rel=1e-12)
+        got = make_rhs("alpha", oblate, rotation_wind(0.0))(0.4, 1.3, 0.6, -0.2)
+        want = riemannian_rhs(oblate, state(0.4, 1.3, 0.6, -0.2))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=strategies.floats(0.2, 3.0),
+        c=strategies.floats(-0.9, 0.9),
+        theta=strategies.floats(0.01, math.pi - 0.01),
+        speed=strategies.just(0.0) | strategies.floats(1e-3, 1e3),
+        direction=strategies.floats(0.0, 2.0 * math.pi),
+    )
+    def test_h_and_alpha_rhs_match_reference_sprays(self, a, c, theta, speed, direction):
+        # h runs as the navigation spray of still air whatever the wind,
+        # alpha as the Christoffel spray of a_ij; both land on the
+        # reference formulas
+        sph = Spheroid(a)
+        wind = rotation_wind(c)
+        st = state(0.3, theta, speed * math.cos(direction), speed * math.sin(direction))
+        h_acc = riemannian_rhs(sph, st)
+        for kind, want in (
+            ("h", SprayCoefficients(-0.5 * h_acc[0], -0.5 * h_acc[1])),
+            ("alpha", spray_alpha_closed(sph, c, st)),
+        ):
+            acc = make_rhs(kind, sph, wind)(0.3, theta, st.vel.u, st.vel.v)
+            got = SprayCoefficients(-0.5 * acc[0], -0.5 * acc[1])
+            assert_sprays_close(sph, got, want, st, 1e-12)
 
     # |c| stays at or below 0.9 because the closed form itself loses digits
     # as the wind nears the unit speed (about 1e-10 at |c| = 0.99 against
@@ -262,10 +285,14 @@ class TestGeodesicRhsDispatch:
         assert_sprays_close(sph, got, want, st, 1e-12)
 
     def test_custom_wind_routes_through_navigation_spray(self, oblate):
-        # one randers route for every wind kind
+        # one randers route for every wind kind, h on the same route, and
+        # one alpha route for every wind kind
         gentle = custom_wind(lambda phi, theta: (0.2 * math.sin(theta), 0.1))
         rhs = make_rhs("randers", oblate, gentle)
         assert rhs.__code__ is make_rhs("randers", oblate, rotation_wind(0.5)).__code__
+        assert rhs.__code__ is make_rhs("h", oblate, None).__code__
+        alpha = make_rhs("alpha", oblate, gentle)
+        assert alpha.__code__ is make_rhs("alpha", oblate, rotation_wind(0.5)).__code__
         acc = rhs(0.4, 1.3, 0.6, -0.2)
         assert all(math.isfinite(x) for x in acc)
 
@@ -319,8 +346,9 @@ class TestGeodesicRhsDispatch:
         # land on the closed form
         disguised = custom_wind(lambda phi, theta: (-ROTATION_RATE, 0.0))
         rng = np.random.default_rng(29)
+        rhs = make_rhs("randers", oblate, disguised)
         for st in random_mild_states(oblate, disguised, rng, 30):
-            got = geodesic_rhs("randers", oblate, disguised, st)
+            got = rhs(st.point.phi, st.point.theta, st.vel.u, st.vel.v)
             sc = spray_rotation_closed(oblate, ROTATION_RATE, st)
             want = (-2.0 * sc.G, -2.0 * sc.H)
             scale = max(abs(want[0]), abs(want[1]), spray_scale(oblate, st))
@@ -335,4 +363,4 @@ class TestGeodesicRhsDispatch:
 
     def test_unknown_kind(self, oblate, rot_wind):
         with pytest.raises(ValueError):
-            geodesic_rhs("finsler", oblate, rot_wind, state(0.0, 1.0, 1.0, 0.0))
+            make_rhs("finsler", oblate, rot_wind)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from znav import (
+    POLE_GUARD,
     NotMild,
     SurfacePoint,
     custom_wind,
@@ -25,7 +26,7 @@ class TestRotationWind:
         w = rotation_wind(0.0)
         assert w.at(SurfacePoint(1.0, 1.0)) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("c", [1.0, -1.0, 1.5])
+    @pytest.mark.parametrize("c", [1.0, -1.0, 1.5, math.nan, math.inf, -math.inf])
     def test_unit_rate_rejected(self, c):
         with pytest.raises(NotMild):
             rotation_wind(c)
@@ -80,6 +81,21 @@ class TestValidateMild:
         coarse = validate_mild(oblate, w, grid_n=65)
         fine = validate_mild(oblate, w, grid_n=129)
         assert coarse.max_norm <= fine.max_norm + 1e-15
+
+    def test_report_matches_pointwise_norms(self, oblate):
+        w = custom_wind(
+            lambda phi, theta: (0.4 * math.sin(phi), 0.3 * math.cos(theta))
+        )
+        report = validate_mild(oblate, w, grid_n=17)
+        lattice = [
+            SurfacePoint(2.0 * math.pi * i / 16,
+                         POLE_GUARD + (math.pi - 2.0 * POLE_GUARD) * j / 16)
+            for i in range(17) for j in range(17)
+        ]
+        # max keeps the first of equal norms, as the sweep does
+        worst = max(lattice, key=lambda p: wind_norm(oblate, w, p))
+        assert report.max_norm == wind_norm(oblate, w, worst)
+        assert report.worst_point == worst
 
     def test_non_finite_wind_rejected(self, oblate):
         w = custom_wind(lambda phi, theta: (math.nan, 0.0))
