@@ -24,6 +24,7 @@ from znav.spheroid import (
     require_off_pole,
     unit_heading_vector,
 )
+from znav.spray import METRIC_KINDS
 from znav.wind import WindField
 
 if TYPE_CHECKING:
@@ -123,13 +124,13 @@ def initial_state(
         NotMild: wind not mild at p0.
         ValueError: unknown metric kind.
     """
+    if kind not in METRIC_KINDS:
+        raise ValueError(f"unknown metric kind {kind!r}")
     if kind == "h" or wind is None:
         return initial_state_riemannian(sph, p0, heading0)
     if kind == "alpha":
         return initial_state_alpha(sph, wind, p0, heading0)
-    if kind == "randers":
-        return initial_state_randers(sph, wind, p0, heading0)
-    raise ValueError(f"unknown metric kind {kind!r}")
+    return initial_state_randers(sph, wind, p0, heading0)
 
 
 def speed_of(sph: Spheroid, state: NavState) -> float:

@@ -105,19 +105,6 @@ class Trajectory:
         return self.samples[-1][1]
 
 
-def _hermite(y0, f0, y1, f1, h: float, tau: float) -> list[float]:
-    """Cubic Hermite value at fraction tau of a step of size h."""
-    t2 = tau * tau
-    t3 = t2 * tau
-    a = 2 * t3 - 3 * t2 + 1
-    b = t3 - 2 * t2 + tau
-    c = -2 * t3 + 3 * t2
-    d = t3 - t2
-    return [
-        a * y0[i] + b * h * f0[i] + c * y1[i] + d * h * f1[i] for i in range(4)
-    ]
-
-
 def _initial_step(f0, y0, cfg: IntegratorConfig) -> float:
     sc = [cfg.abs_tol + cfg.rel_tol * abs(y0[i]) for i in range(4)]
     d0 = math.sqrt(sum((y0[i] / sc[i]) ** 2 for i in range(4)) / 4)
@@ -140,67 +127,115 @@ def integrate(
     recorded in the termination tag.
 
     Raises:
+        ValueError: a component of s0 is not finite.
         PoleSingularity: the initial state itself violates the guard band.
     """
-    if not (cfg.pole_eps < s0.point.theta < math.pi - cfg.pole_eps):
+    p1, q1, u1, v1 = s0.point.phi, s0.point.theta, s0.vel.u, s0.vel.v
+    if not all(map(math.isfinite, (p1, q1, u1, v1))):
+        raise ValueError(f"initial state must be finite, got {s0}")
+    if not (cfg.pole_eps < q1 < math.pi - cfg.pole_eps):
         raise PoleSingularity(
-            f"initial colatitude {s0.point.theta} inside the polar guard band"
+            f"initial colatitude {q1} inside the polar guard band"
         )
 
-    def f(y):
-        acc = rhs(y[0], y[1], y[2], y[3])
-        return [y[2], y[3], acc[0], acc[1]]
+    (
+        _,
+        (a21,),
+        (a31, a32),
+        (a41, a42, a43),
+        (a51, a52, a53, a54),
+        (a61, a62, a63, a64, a65),
+        (a71, _, a73, a74, a75, a76),
+    ) = _A
+    e1, _, e3, e4, e5, e6, e7 = _E
+    rel_tol, abs_tol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    t_end, sample_dt = cfg.t_end, cfg.sample_dt
+    theta_lo, theta_hi = cfg.pole_eps, math.pi - cfg.pole_eps
 
-    y = [s0.point.phi, s0.point.theta, s0.vel.u, s0.vel.v]
-    k1 = f(y)
+    # Stage n (1..7) evaluates rhs at phi = pn, theta = qn, phi_dot = un,
+    # theta_dot = vn, giving the accelerations dun, dvn; its derivative
+    # k_n is (un, vn, dun, dvn).  Stage 1 is the current state, and its
+    # accelerations are the previous step's stage 7 ones (FSAL).
+    du1, dv1 = rhs(p1, q1, u1, v1)
     t = 0.0
-    h = _initial_step(k1, y, cfg)
+    h = _initial_step((u1, v1, du1, dv1), (p1, q1, u1, v1), cfg)
 
-    n_grid = int(math.floor(cfg.t_end / cfg.sample_dt + 1e-9))
+    n_grid = int(math.floor(t_end / sample_dt + 1e-9))
     samples: list[tuple[float, NavState]] = [(0.0, s0)]
     next_idx = 1
     events: list[str] = []
     err_prev = 1e-4
     # completion window wider than the underflow floor, so a shrunken
     # final step cannot misreport an essentially finished run
-    t_final = cfg.t_end - 1e-12 * max(1.0, cfg.t_end)
-
-    def state_of(yv) -> NavState:
-        return NavState(SurfacePoint(yv[0], yv[1]), TangentVector(yv[2], yv[3]))
+    t_final = t_end - 1e-12 * max(1.0, t_end)
 
     while t < t_final:
-        h = min(h, cfg.max_step, cfg.t_end - t)
+        h = min(h, max_step, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             events.append(f"step underflow at t={t}")
             return Trajectory(samples, "step_failure", kind, events)
 
-        pole_hit = False
+        # Each sum runs left to right over the tableau row, the zero
+        # weights _A[6][1] and _E[1] left out: the float operations of
+        # the list-form loop in tests/dp5_reference.py, whose trajectories
+        # the tests require to match bit for bit.
         try:
-            k = [k1]
-            for i in range(1, 7):
-                yi = [
-                    y[j] + h * sum(_A[i][m] * k[m][j] for m in range(i))
-                    for j in range(4)
-                ]
-                k.append(f(yi))
-            y_new = yi  # stage 7 input is the 5th-order solution
-            k_new = k[6]
-        except PoleSingularity:
-            pole_hit = True
+            p2 = p1 + h * (a21 * u1)
+            q2 = q1 + h * (a21 * v1)
+            u2 = u1 + h * (a21 * du1)
+            v2 = v1 + h * (a21 * dv1)
+            du2, dv2 = rhs(p2, q2, u2, v2)
 
-        if pole_hit:
+            p3 = p1 + h * (a31 * u1 + a32 * u2)
+            q3 = q1 + h * (a31 * v1 + a32 * v2)
+            u3 = u1 + h * (a31 * du1 + a32 * du2)
+            v3 = v1 + h * (a31 * dv1 + a32 * dv2)
+            du3, dv3 = rhs(p3, q3, u3, v3)
+
+            p4 = p1 + h * (a41 * u1 + a42 * u2 + a43 * u3)
+            q4 = q1 + h * (a41 * v1 + a42 * v2 + a43 * v3)
+            u4 = u1 + h * (a41 * du1 + a42 * du2 + a43 * du3)
+            v4 = v1 + h * (a41 * dv1 + a42 * dv2 + a43 * dv3)
+            du4, dv4 = rhs(p4, q4, u4, v4)
+
+            p5 = p1 + h * (a51 * u1 + a52 * u2 + a53 * u3 + a54 * u4)
+            q5 = q1 + h * (a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4)
+            u5 = u1 + h * (a51 * du1 + a52 * du2 + a53 * du3 + a54 * du4)
+            v5 = v1 + h * (a51 * dv1 + a52 * dv2 + a53 * dv3 + a54 * dv4)
+            du5, dv5 = rhs(p5, q5, u5, v5)
+
+            p6 = p1 + h * (a61 * u1 + a62 * u2 + a63 * u3 + a64 * u4 + a65 * u5)
+            q6 = q1 + h * (a61 * v1 + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
+            u6 = u1 + h * (a61 * du1 + a62 * du2 + a63 * du3 + a64 * du4 + a65 * du5)
+            v6 = v1 + h * (a61 * dv1 + a62 * dv2 + a63 * dv3 + a64 * dv4 + a65 * dv5)
+            du6, dv6 = rhs(p6, q6, u6, v6)
+
+            # stage 7 input is the 5th-order solution
+            p7 = p1 + h * (a71 * u1 + a73 * u3 + a74 * u4 + a75 * u5 + a76 * u6)
+            q7 = q1 + h * (a71 * v1 + a73 * v3 + a74 * v4 + a75 * v5 + a76 * v6)
+            u7 = u1 + h * (a71 * du1 + a73 * du3 + a74 * du4 + a75 * du5 + a76 * du6)
+            v7 = v1 + h * (a71 * dv1 + a73 * dv3 + a74 * dv4 + a75 * dv5 + a76 * dv6)
+            du7, dv7 = rhs(p7, q7, u7, v7)
+        except PoleSingularity:
             h *= 0.5
             if h < 1e-12 * max(1.0, abs(t)):
                 events.append(f"pole approach at t={t}")
                 return Trajectory(samples, "pole_proximity", kind, events)
             continue
 
-        err = 0.0
-        for j in range(4):
-            e = h * sum(_E[m] * k[m][j] for m in range(7))
-            sc = cfg.abs_tol + cfg.rel_tol * max(abs(y[j]), abs(y_new[j]))
-            err += (e / sc) ** 2
-        err = math.sqrt(err / 4)
+        ep = h * (e1 * u1 + e3 * u3 + e4 * u4 + e5 * u5 + e6 * u6 + e7 * u7)
+        eq = h * (e1 * v1 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v7)
+        eu = h * (e1 * du1 + e3 * du3 + e4 * du4 + e5 * du5 + e6 * du6 + e7 * du7)
+        ev = h * (e1 * dv1 + e3 * dv3 + e4 * dv4 + e5 * dv5 + e6 * dv6 + e7 * dv7)
+        err = math.sqrt(
+            (
+                (ep / (abs_tol + rel_tol * max(abs(p1), abs(p7)))) ** 2
+                + (eq / (abs_tol + rel_tol * max(abs(q1), abs(q7)))) ** 2
+                + (eu / (abs_tol + rel_tol * max(abs(u1), abs(u7)))) ** 2
+                + (ev / (abs_tol + rel_tol * max(abs(v1), abs(v7)))) ** 2
+            )
+            / 4
+        )
 
         if not math.isfinite(err):
             h *= 0.1
@@ -209,37 +244,45 @@ def integrate(
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             continue
 
-        # Accepted: emit grid samples inside (t, t+h] by Hermite interpolation.
-        stop = None
+        # Accepted: emit grid samples inside (t, t+h] by cubic Hermite
+        # interpolation between stage 1 and stage 7.
         while next_idx <= n_grid:
-            ts = next_idx * cfg.sample_dt
+            ts = next_idx * sample_dt
             if ts > t + h + 1e-14 * max(1.0, ts):
                 break
             tau = min(max((ts - t) / h, 0.0), 1.0)
-            yi = _hermite(y, k1, y_new, k_new, h, tau)
-            if not (cfg.pole_eps < yi[1] < math.pi - cfg.pole_eps):
-                stop = ts
-                break
-            samples.append((ts, state_of(yi)))
+            tau2 = tau * tau
+            tau3 = tau2 * tau
+            c1 = 2 * tau3 - 3 * tau2 + 1
+            d1 = (tau3 - 2 * tau2 + tau) * h
+            c7 = -2 * tau3 + 3 * tau2
+            d7 = (tau3 - tau2) * h
+            q = c1 * q1 + d1 * v1 + c7 * q7 + d7 * v7
+            if not (theta_lo < q < theta_hi):
+                events.append(f"pole approach at t={ts}")
+                return Trajectory(samples, "pole_proximity", kind, events)
+            samples.append((ts, NavState(
+                SurfacePoint(c1 * p1 + d1 * u1 + c7 * p7 + d7 * u7, q),
+                TangentVector(
+                    c1 * u1 + d1 * du1 + c7 * u7 + d7 * du7,
+                    c1 * v1 + d1 * dv1 + c7 * v7 + d7 * dv7,
+                ),
+            )))
             next_idx += 1
-        if stop is not None:
-            events.append(f"pole approach at t={stop}")
-            return Trajectory(samples, "pole_proximity", kind, events)
-        if not (cfg.pole_eps < y_new[1] < math.pi - cfg.pole_eps):
+        if not (theta_lo < q7 < theta_hi):
             events.append(f"pole approach at t={t + h}")
             return Trajectory(samples, "pole_proximity", kind, events)
 
         t += h
-        y = y_new
-        k1 = k_new
+        p1, q1, u1, v1, du1, dv1 = p7, q7, u7, v7, du7, dv7
         err = max(err, 1e-16)  # exactly-linear solutions give a zero estimate
         fac = _SAFETY * err ** -0.14 * err_prev ** 0.08
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
         err_prev = max(err, 1e-4)
 
-    if samples[-1][0] < cfg.t_end - 1e-9 * max(1.0, cfg.t_end):
+    if samples[-1][0] < t_end - 1e-9 * max(1.0, t_end):
         # grid did not land on t_end; append the final state explicitly
-        samples.append((cfg.t_end, state_of(y)))
+        samples.append((t_end, NavState(SurfacePoint(p1, q1), TangentVector(u1, v1))))
     return Trajectory(samples, "completed", kind, events)
 
 

@@ -37,12 +37,12 @@ class RandersData:
         """lam = 1 - |W|_h^2 at a point; positive exactly where the wind is mild.
 
         Raises:
-            NotMild: lam <= 0 at the point.
+            NotMild: lam <= 0 or not a number at the point.
         """
         w1, w2 = self.wind.at(point)
         h11, h22 = metric_components(self.sph, point.theta)
         lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
-        if lam <= 0.0:
+        if not lam > 0.0:
             raise NotMild(
                 f"|W|_h^2 = {1.0 - lam} >= 1 at (phi={point.phi}, theta={point.theta})",
                 point=point,

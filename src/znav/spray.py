@@ -47,7 +47,7 @@ where D = L_uu L_vv - L_uv^2 is the velocity-Hessian determinant.
 """
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, get_args
 
 from znav.errors import DegenerateHessian, NotMild
 from znav.randers import RandersData, alpha_term, lagrangian
@@ -61,6 +61,7 @@ from znav.spheroid import (
 from znav.wind import STILL_AIR, ComponentFn, WindField
 
 MetricKind = Literal["h", "alpha", "randers"]
+METRIC_KINDS = get_args(MetricKind)
 
 # Base relative step for the Lagrangian partials.  Each partial is
 # evaluated at this step and at half of it, then Richardson-combined;
@@ -298,7 +299,7 @@ def _local_jet(a2: float, components: ComponentFn, phi: float, theta: float):
 
     Raises:
         PoleSingularity: theta inside the polar guard band.
-        NotMild: lam = 1 - |W|_h^2 <= 0 at the point.
+        NotMild: lam = 1 - |W|_h^2 <= 0 or not a number at the point.
     """
     require_off_pole(theta)
     s = math.sin(theta)
@@ -308,7 +309,7 @@ def _local_jet(a2: float, components: ComponentFn, phi: float, theta: float):
     dh11 = 2.0 * s * co
     w1, w2 = components(phi, theta)
     lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise NotMild(
             f"|W|_h^2 = {1.0 - lam} >= 1 at (phi={phi}, theta={theta})",
             point=SurfacePoint(phi, theta),
@@ -423,10 +424,10 @@ def make_rhs(kind: MetricKind, sph: Spheroid, wind: WindField | None) -> RhsFn:
     Raises:
         ValueError: unknown metric kind.
     """
+    if kind not in METRIC_KINDS:
+        raise ValueError(f"unknown metric kind {kind!r}")
     if kind == "h" or wind is None:
         return _randers_rhs(sph, STILL_AIR)
     if kind == "randers":
         return _randers_rhs(sph, wind)
-    if kind == "alpha":
-        return _alpha_rhs(sph, wind)
-    raise ValueError(f"unknown metric kind {kind!r}")
+    return _alpha_rhs(sph, wind)

@@ -8,6 +8,7 @@ from znav import (
     IntegratorConfig,
     NavState,
     NotMild,
+    RandersData,
     SurfacePoint,
     TangentVector,
     ZeroRelativeVelocity,
@@ -90,6 +91,8 @@ class TestInitialStates:
         assert initial_state(oblate, None, "randers", equator_start, hd) == want["h"]
         with pytest.raises(ValueError):
             initial_state(oblate, rot_wind, "finsler", equator_start, hd)
+        with pytest.raises(ValueError):
+            initial_state(oblate, None, "finsler", equator_start, hd)
 
 
 class TestHeading:
@@ -264,6 +267,14 @@ class TestInitialSpeedVsHeading:
         gale = custom_wind(lambda phi, theta: (1.5, 0.0))
         with pytest.raises(NotMild):
             initial_speed_vs_heading(oblate, gale, equator_start, 0.0)
+
+    def test_nan_wind_rejected(self, oblate, equator_start):
+        # a NaN mildness factor must not pass as mild
+        blank = custom_wind(lambda phi, theta: (math.nan, 0.0))
+        with pytest.raises(NotMild):
+            RandersData(oblate, blank).mildness_factor(equator_start)
+        with pytest.raises(NotMild):
+            initial_speed_vs_heading(oblate, blank, equator_start, 0.0)
 
     def test_range_is_twice_wind_norm(self, oblate, rot_wind):
         # |v(heading)|^2 = 1 + w^2 + 2 w cos(heading + delta) with

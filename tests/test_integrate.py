@@ -6,23 +6,39 @@ import pytest
 from znav import (
     F_value,
     IntegratorConfig,
+    NavState,
     PoleSingularity,
     RandersData,
+    Spheroid,
     SurfacePoint,
+    TangentVector,
     Trajectory,
     alpha_term,
     clairaut_invariant,
     classify_path,
     custom_wind,
     h_norm,
+    initial_state,
     initial_state_alpha,
     initial_state_randers,
     initial_state_riemannian,
     integrate,
     integrate_family,
     make_rhs,
+    rotation_wind,
 )
 from tests.conftest import ROTATION_RATE
+from tests.dp5_reference import integrate_reference
+
+
+def counting(rhs, calls: list[int]):
+    """rhs that adds one to calls[0] per evaluation."""
+
+    def counted(phi, theta, u, v):
+        calls[0] += 1
+        return rhs(phi, theta, u, v)
+
+    return counted
 
 
 def run(sph, wind, kind, heading, cfg) -> Trajectory:
@@ -141,6 +157,36 @@ class TestIntegrate:
         assert traj.termination == "step_failure"
         assert traj.samples[0][0] == 0.0
 
+    @pytest.mark.parametrize(
+        "s0",
+        [
+            # a NaN heading gives a NaN velocity
+            initial_state_randers(Spheroid(0.75), rotation_wind(0.5),
+                                  SurfacePoint(0.0, math.pi / 2), math.nan),
+            NavState(SurfacePoint(0.0, math.nan), TangentVector(1.0, 0.0)),
+            NavState(SurfacePoint(math.inf, 1.0), TangentVector(1.0, 0.0)),
+            NavState(SurfacePoint(0.0, 1.0), TangentVector(1.0, -math.inf)),
+        ],
+        ids=["nan-heading", "nan-theta", "inf-phi", "inf-v"],
+    )
+    def test_non_finite_initial_state_rejected(self, oblate, s0):
+        # before stepping, so a NaN is never reported as a pole approach
+        with pytest.raises(ValueError, match="finite"):
+            integrate(make_rhs("randers", oblate, rotation_wind(0.5)), s0,
+                      IntegratorConfig(t_end=1.0), kind="randers")
+
+    @pytest.mark.parametrize("max_step, calls", [(0.01, 4273), (math.inf, 2233)])
+    def test_benchmark_path_rhs_calls(self, oblate, rot_wind, max_step, calls):
+        # machine-independent cost guard on the benchmark randers path
+        s0 = initial_state_randers(
+            oblate, rot_wind, SurfacePoint(0.0, math.pi / 2), math.pi / 3
+        )
+        got = [0]
+        traj = integrate(counting(make_rhs("randers", oblate, rot_wind), got), s0,
+                         IntegratorConfig(t_end=7.0, max_step=max_step))
+        assert traj.termination == "completed"
+        assert got[0] == calls
+
     def test_custom_wind_numeric_route_conserves_travel_time(self, oblate):
         # a genuinely two-component mild wind exercises the navigation
         # spray end to end; unit travel-time value must persist
@@ -173,6 +219,51 @@ class TestIntegrate:
         assert traj.termination == "completed"
         drift = max(abs(F_value(rd, s.point, s.vel) - 1.0) for _, s in traj.samples)
         assert drift <= 1e-6
+
+
+BENCH_CUSTOM_WIND = custom_wind(
+    lambda phi, theta: (-0.5 + 0.1 * math.cos(phi), 0.15 * math.sin(phi) * math.sin(theta))
+)
+
+
+class TestReferenceStepping:
+    """The unrolled stage loop against the list-comprehension reference."""
+
+    @pytest.mark.parametrize("max_step", [0.01, math.inf])
+    @pytest.mark.parametrize("wind_name", ["rotation", "custom", "none"])
+    @pytest.mark.parametrize("kind", ["h", "alpha", "randers"])
+    def test_identical_trajectories(self, oblate, rot_wind, kind, wind_name, max_step):
+        wind = {"rotation": rot_wind, "custom": BENCH_CUSTOM_WIND, "none": None}[wind_name]
+        rhs = make_rhs(kind, oblate, wind)
+        cfg = IntegratorConfig(t_end=2.0, max_step=max_step)
+        terminations = set()
+        for heading in (math.pi / 3, math.pi / 2, 4.0):
+            s0 = initial_state(oblate, wind, kind, SurfacePoint(0.0, math.pi / 2), heading)
+            got_calls, want_calls = [0], [0]
+            got = integrate(counting(rhs, got_calls), s0, cfg, kind=kind)
+            want = integrate_reference(counting(rhs, want_calls), s0, cfg, kind=kind)
+            assert got.samples == want.samples
+            assert got.termination == want.termination
+            assert got.events == want.events
+            assert got_calls == want_calls
+            terminations.add(got.termination)
+        assert "completed" in terminations
+        # due north reaches the pole guard on every flow but the
+        # travel-time one under the custom wind, which turns back short of it
+        if (kind, wind_name) != ("randers", "custom"):
+            assert "pole_proximity" in terminations
+
+    def test_identical_step_failure(self, oblate):
+        def broken(phi, theta, u, v):
+            return (math.nan, math.nan)
+
+        s0 = initial_state_riemannian(oblate, SurfacePoint(0.0, math.pi / 2), 0.0)
+        cfg = IntegratorConfig(t_end=1.0)
+        got = integrate(broken, s0, cfg)
+        want = integrate_reference(broken, s0, cfg)
+        assert (got.samples, got.termination, got.events) == (
+            want.samples, want.termination, want.events
+        )
 
 
 class TestPoleHandling:

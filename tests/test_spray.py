@@ -361,6 +361,15 @@ class TestGeodesicRhsDispatch:
         with pytest.raises(NotMild):
             make_rhs(kind, oblate, gale)(0.0, math.pi / 2, 1.0, 0.0)
 
+    @pytest.mark.parametrize("kind", ["randers", "alpha"])
+    def test_nan_wind_rejected(self, oblate, kind):
+        # a NaN mildness factor must not pass as mild
+        blank = custom_wind(lambda phi, theta: (math.nan, 0.0))
+        with pytest.raises(NotMild):
+            make_rhs(kind, oblate, blank)(0.0, math.pi / 2, 1.0, 0.0)
+
     def test_unknown_kind(self, oblate, rot_wind):
         with pytest.raises(ValueError):
             make_rhs("finsler", oblate, rot_wind)
+        with pytest.raises(ValueError):
+            make_rhs("finsler", oblate, None)
