@@ -32,6 +32,7 @@ from znav.errors import (
     DegenerateHessian,
     EmptyData,
     NavigationError,
+    NonFiniteState,
     NotMild,
     PoleSingularity,
     ZeroRelativeVelocity,
@@ -45,6 +46,7 @@ from znav.export import (
     unwrap_angles,
     write_csv,
     write_svg,
+    write_table,
 )
 from znav.integrate import (
     FamilyMember,
@@ -55,7 +57,6 @@ from znav.integrate import (
     integrate_family,
 )
 from znav.randers import (
-    F_rotation_closed,
     F_value,
     RandersData,
     alpha_term,
@@ -69,12 +70,10 @@ from znav.spheroid import (
     Spheroid,
     SurfacePoint,
     TangentVector,
-    christoffels,
     clairaut_invariant,
     embed,
     h_norm,
     metric_components,
-    riemannian_rhs,
     unit_heading_vector,
 )
 from znav.spray import (

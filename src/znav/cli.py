@@ -13,8 +13,10 @@ Subcommands:
 
 Angles are radians by default; pi-fraction literals like pi/3 are
 accepted anywhere, --deg switches plain numbers to degrees.  A flat
-key=value config file can be given with --config; explicit flags
-override it.  Exit codes: 0 ok, 2 validation, 3 numeric failure, 4 IO.
+key=value config file can be given with --config; its values convert
+by the type of their RunConfig field, and explicit flags override it.
+Every CSV goes through export.write_table.  Exit codes: 0 ok, 2
+validation, 3 numeric failure, 4 IO.
 """
 import argparse
 import math
@@ -22,6 +24,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from znav.export import (
     unwrap_angles,
     write_csv,
     write_svg,
+    write_table,
 )
 from znav.integrate import (
     IntegratorConfig,
@@ -44,7 +48,7 @@ from znav.integrate import (
 )
 from znav.randers import F_value, RandersData, alpha_term, indicatrix
 from znav.spheroid import POLE_GUARD, Spheroid, SurfacePoint, embed
-from znav.spray import make_rhs
+from znav.spray import METRIC_KINDS, make_rhs
 from znav.wind import STILL_AIR, WindField, rotation_wind
 
 
@@ -128,10 +132,8 @@ class RunConfig:
     speed_svg: str | None = None
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-_FLOAT_KEYS = {"a", "t_end", "rel_tol", "abs_tol", "max_step", "sample_dt"}
-_INT_KEYS = {"heading_count", "n"}
-_BOOL_KEYS = {"deg", "compass"}
+# field name -> value type, with Optional[T] read as T
+_FIELD_TYPES = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -147,7 +149,7 @@ def load_config_file(path: str) -> dict[str, str]:
                     raise ValidationError(f"{path}:{lineno}: expected key=value")
                 key, value = line.split("=", 1)
                 key = key.strip().replace("-", "_")
-                if key not in _CONFIG_KEYS:
+                if key not in _FIELD_TYPES:
                     raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
                 out[key] = value.strip()
     except OSError as exc:
@@ -160,7 +162,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, help="shape parameter of the spheroid (1,1,a)")
     p.add_argument("--wind", help="wind spec: rotation:C or none")
     p.add_argument("--start", help="start point as phi,theta")
-    p.add_argument("--kind", choices=["h", "alpha", "randers"], help="metric kind")
+    p.add_argument("--kind", choices=METRIC_KINDS, help="metric kind")
     p.add_argument("--t-end", dest="t_end", type=float, help="integration horizon")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, help="relative tolerance")
     p.add_argument("--abs-tol", dest="abs_tol", type=float, help="absolute tolerance")
@@ -220,15 +222,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
+            ftype = _FIELD_TYPES[key]
             try:
-                if key in _FLOAT_KEYS:
-                    setattr(cfg, key, float(value))
-                elif key in _INT_KEYS:
-                    setattr(cfg, key, int(value))
-                elif key in _BOOL_KEYS:
-                    setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
-                else:
-                    setattr(cfg, key, value)
+                setattr(cfg, key, value.lower() in ("1", "true", "yes", "on")
+                        if ftype is bool else ftype(value))
             except ValueError as exc:
                 raise ValidationError(f"bad value for {key}: {value!r}") from exc
     for f in fields(RunConfig):
@@ -262,7 +259,7 @@ def resolve_problem(cfg: RunConfig) -> Problem:
         raise ValidationError(
             f"start colatitude {start.theta} inside the polar guard band"
         )
-    if cfg.kind not in ("h", "alpha", "randers"):
+    if cfg.kind not in METRIC_KINDS:
         raise ValidationError(f"kind must be h, alpha or randers, got {cfg.kind!r}")
     try:
         sph = Spheroid(cfg.a)
@@ -295,23 +292,39 @@ def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
 
 
 def _path3d_array(prob: Problem, traj: Trajectory) -> np.ndarray:
-    rows = []
-    for t, state in traj.samples:
-        x, y, z = embed(prob.sph, state.point)
-        rows.append((t, x, y, z))
-    return np.asarray(rows)
+    return np.asarray([(t, *embed(prob.sph, s.point)) for t, s in traj.samples])
 
 
-def _parse_segments(text: str | None) -> tuple[float, ...] | None:
-    if not text:
-        return None
+def _float_list(text: str, what: str) -> tuple[float, ...]:
+    """Parse comma-separated finite floats; ValidationError otherwise."""
     try:
         vals = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
-        raise ValidationError(f"bad segment list {text!r}") from exc
+        raise ValidationError(f"bad {what} {text!r}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise ValidationError(f"{what} {text!r} must be finite")
+    return vals
+
+
+def _segments(cfg: RunConfig) -> tuple[float, ...] | None:
+    if not cfg.segments:
+        return None
+    vals = _float_list(cfg.segments, "segment list")
     if list(vals) != sorted(set(vals)):
         raise ValidationError("segment boundaries must be strictly increasing")
     return vals
+
+
+def _heading(prob: Problem, command: str) -> float:
+    if prob.cfg.heading is None:
+        raise ValidationError(f"{command} needs --heading")
+    return parse_angle(prob.cfg.heading, prob.cfg.deg)
+
+
+def _track(prob: Problem, kind: str, heading: float) -> Trajectory:
+    """Seed and integrate one track of the given metric kind."""
+    state0 = initial_state(prob.sph, prob.wind, kind, prob.start, heading)
+    return integrate(make_rhs(kind, prob.sph, prob.wind), state0, prob.icfg, kind=kind)
 
 
 def _heading_deg(cfg: RunConfig, angle: float) -> float:
@@ -320,34 +333,26 @@ def _heading_deg(cfg: RunConfig, angle: float) -> float:
     return (90.0 - deg) % 360.0 if cfg.compass else deg
 
 
-_PLOT_KIND = {"path3d": "path3d_projection", "xy": "xy_projection", "polar": "polar"}
-
-
 def cmd_geodesic(prob: Problem) -> int:
     cfg = prob.cfg
-    if cfg.heading is None:
-        raise ValidationError("geodesic needs --heading")
-    heading = parse_angle(cfg.heading, cfg.deg)
-    segments = _parse_segments(cfg.segments)
-    state0 = initial_state(prob.sph, prob.wind, prob.kind, prob.start, heading)
-    traj = integrate(make_rhs(prob.kind, prob.sph, prob.wind), state0, prob.icfg,
-                     kind=prob.kind)
+    heading = _heading(prob, "geodesic")
+    segments = _segments(cfg)
+    traj = _track(prob, prob.kind, heading)
     channel = control_channel(prob.sph, prob.wind, traj)
     if cfg.csv:
         write_csv(prob.sph, traj, channel, cfg.csv)
     if cfg.svg:
-        kind = _PLOT_KIND[cfg.plot]
-        if kind == "path3d_projection":
-            data = [_path3d_array(prob, traj)]
-        elif kind == "xy_projection":
-            data = [_path3d_array(prob, traj)[:, :3]]
+        if cfg.plot == "polar":
+            kind = "polar"
+            data = np.asarray([(t, s.point.phi, s.point.theta) for t, s in traj.samples])
+        elif cfg.plot == "xy":
+            kind, data = "xy_projection", _path3d_array(prob, traj)[:, :3]
         else:
-            data = [np.asarray([(t, s.point.phi, s.point.theta)
-                                for t, s in traj.samples])]
+            kind, data = "path3d_projection", _path3d_array(prob, traj)
         spec = PlotSpec(kind=kind,
                         series=(SeriesStyle(label=prob.kind, color="#d62728"),),
                         segments=segments, view_axis=cfg.view)
-        write_svg(spec, data, cfg.svg)
+        write_svg(spec, [data], cfg.svg)
     final = traj.final_state()
     print(
         f"termination={traj.termination} classification={classify_path(traj)} "
@@ -375,7 +380,7 @@ def cmd_family(prob: Problem) -> int:
     h0 = parse_angle(cfg.heading_start, cfg.deg)
     dh = parse_angle(cfg.heading_step, cfg.deg)
     headings = [h0 + k * dh for k in range(cfg.heading_count)]
-    segments = _parse_segments(cfg.segments)
+    segments = _segments(cfg)
 
     members = integrate_family(prob.sph, prob.wind, prob.start, headings,
                                prob.kind, prob.icfg)
@@ -411,15 +416,8 @@ def cmd_family(prob: Problem) -> int:
 
 def cmd_compare(prob: Problem) -> int:
     cfg = prob.cfg
-    if cfg.heading is None:
-        raise ValidationError("compare needs --heading")
-    heading = parse_angle(cfg.heading, cfg.deg)
-
-    trajs: dict[str, Trajectory] = {}
-    for kind in ("h", "alpha", "randers"):
-        state0 = initial_state(prob.sph, prob.wind, kind, prob.start, heading)
-        trajs[kind] = integrate(make_rhs(kind, prob.sph, prob.wind), state0,
-                                prob.icfg, kind=kind)
+    heading = _heading(prob, "compare")
+    trajs = {kind: _track(prob, kind, heading) for kind in METRIC_KINDS}
 
     n = min(len(t.samples) for t in trajs.values())
     t_grid = [t for t, _ in trajs["h"].samples[:n]]
@@ -440,15 +438,9 @@ def cmd_compare(prob: Problem) -> int:
         ]
 
     if cfg.csv:
-        names = list(cols)
-        lines = [",".join(names)]
-        for i in range(n):
-            lines.append(",".join(
-                repr(cols[name][i]) if i < len(cols[name]) else ""
-                for name in names
-            ))
-        with open(cfg.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        # the channel columns stop at the shorter control channel
+        rows = ([c[i] if i < len(c) else None for c in cols.values()] for i in range(n))
+        write_table(list(cols), rows, cfg.csv)
     if cfg.svg:
         palette = {"h": "#1f77b4", "alpha": "#2ca02c", "randers": "#d62728"}
         spec = PlotSpec(
@@ -477,29 +469,22 @@ def cmd_indicatrix(prob: Problem) -> int:
     cfg = prob.cfg
     if cfg.n < 3:
         raise ValidationError(f"--n must be >= 3, got {cfg.n}")
-    try:
-        mults = tuple(float(x) for x in cfg.multipliers.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"bad multipliers {cfg.multipliers!r}") from exc
-    if not mults or any(m <= 0 for m in mults):
+    mults = _float_list(cfg.multipliers, "multipliers")
+    if any(m <= 0 for m in mults):
         raise ValidationError("multipliers must be positive")
     wind = prob.wind if prob.wind is not None else STILL_AIR
     rd = RandersData(prob.sph, wind)
     vecs = indicatrix(rd, prob.start, cfg.n)
-    residual = max(abs(F_value(rd, prob.start, y) - 1.0) for y in vecs)
+    f_vals = [F_value(rd, prob.start, y) for y in vecs]
+    residual = max(abs(f - 1.0) for f in f_vals)
 
     if cfg.csv:
-        lines = ["mult,k,heading,u,v,F"]
-        for mult in mults:
-            for k, y in enumerate(vecs):
-                hd = 2.0 * math.pi * k / cfg.n
-                f_val = F_value(rd, prob.start, y)
-                lines.append(
-                    f"{repr(mult)},{k},{repr(hd)},{repr(mult * y.u)},"
-                    f"{repr(mult * y.v)},{repr(f_val)}"
-                )
-        with open(cfg.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = (
+            (mult, k, 2.0 * math.pi * k / cfg.n, mult * y.u, mult * y.v, f)
+            for mult in mults
+            for k, (y, f) in enumerate(zip(vecs, f_vals))
+        )
+        write_table(("mult", "k", "heading", "u", "v", "F"), rows, cfg.csv)
     if cfg.svg:
         data = []
         for mult in mults:
@@ -522,12 +507,7 @@ def cmd_indicatrix(prob: Problem) -> int:
 
 def cmd_report(prob: Problem) -> int:
     cfg = prob.cfg
-    if cfg.heading is None:
-        raise ValidationError("report needs --heading")
-    heading = parse_angle(cfg.heading, cfg.deg)
-    state0 = initial_state(prob.sph, prob.wind, prob.kind, prob.start, heading)
-    traj = integrate(make_rhs(prob.kind, prob.sph, prob.wind), state0, prob.icfg,
-                     kind=prob.kind)
+    traj = _track(prob, prob.kind, _heading(prob, "report"))
     channel = control_channel(prob.sph, prob.wind, traj)
     if not channel:
         raise EmptyData("control channel is empty; no defined samples")

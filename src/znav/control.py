@@ -220,21 +220,6 @@ def drift_cos_mildness(sph: Spheroid, wind: WindField | None, state: NavState) -
     return num / (2.0 * speed_of(sph, state))
 
 
-def rotation_drift(sph: Spheroid, c: float, state: NavState) -> float:
-    """Signed drift for the rotation wind: sign(c * theta_dot) * arccos(...).
-
-    Specialization of the dot-product formula; kept as a cross-check of
-    the generic heading-minus-course definition.
-    """
-    h11, h22 = metric_components(sph, state.point.theta)
-    u, v = state.vel.u, state.vel.v
-    num = u * (u + c) * h11 + v * v * h22
-    cos_psi = num / speed_of(sph, state)
-    mag = math.acos(min(1.0, max(-1.0, cos_psi)))
-    sign = 1.0 if c * v > 0 else (-1.0 if c * v < 0 else 0.0)
-    return sign * mag
-
-
 def initial_speed_vs_heading(
     sph: Spheroid, wind: WindField, p0: SurfacePoint, heading0: float
 ) -> float:

@@ -9,6 +9,10 @@ class PoleSingularity(NavigationError):
     """Chart-based operation requested inside the polar guard band."""
 
 
+class NonFiniteState(NavigationError):
+    """A state component turned NaN or infinite during a computation."""
+
+
 class NotMild(NavigationError):
     """Wind norm reaches or exceeds the unit own-speed somewhere.
 

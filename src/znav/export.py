@@ -1,14 +1,16 @@
 """CSV serialization and standalone SVG figures.
 
-The CSV schema is fixed at twelve columns (times, chart state, embedded
-position, control channel), floats written in shortest round-trip form.
-SVG output is deterministic: no timestamps, stable element order, fixed
-coordinate formatting.  3D paths are drawn by orthographic projection
-along a configurable view axis.
+write_table is the one CSV writer: floats in shortest round-trip form,
+ints as ints, None as an empty cell.  The trajectory schema of
+write_csv is fixed at twelve columns (times, chart state, embedded
+position, control channel).  SVG output is deterministic: no
+timestamps, stable element order, fixed coordinate formatting.  3D
+paths are drawn by orthographic projection along a configurable view
+axis.
 """
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +43,29 @@ PATH_KINDS = {"path3d_projection", "xy_projection", "polar"}
 MARKER_KINDS = {"channel_vs_time", "indicatrix", "speed_vs_heading"}
 
 
+def write_table(columns: Sequence[str], rows: Iterable[Sequence], path: str) -> int:
+    """Write a header and one CSV line per row; returns bytes written.
+
+    Floats are written in shortest round-trip form (repr), ints as ints
+    and None as an empty cell.
+
+    Raises:
+        OSError: surfaced with the target path in the message.
+    """
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(
+            "" if v is None else repr(v if isinstance(v, int) else float(v)) for v in row
+        ))
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    return len(data)
+
+
 def write_csv(
     sph: Spheroid,
     traj: "Trajectory",
@@ -53,41 +78,16 @@ def write_csv(
     cells empty.  The azimuth is wrapped to [0, 2*pi) on export.
 
     Raises:
-        OSError: surfaced with the target path in the message.
+        OSError: as write_table.
     """
     by_t = {rec.t: rec for rec in channel}
-    lines = [",".join(CSV_COLUMNS)]
-    for t, state in traj.samples:
-        x, y, z = embed(sph, state.point)
-        cells = [
-            repr(float(t)),
-            repr(wrap_2pi(state.point.phi)),
-            repr(float(state.point.theta)),
-            repr(float(state.vel.u)),
-            repr(float(state.vel.v)),
-            repr(float(x)),
-            repr(float(y)),
-            repr(float(z)),
-        ]
+    rows = []
+    for t, s in traj.samples:
         rec = by_t.get(t)
-        if rec is None:
-            cells += ["", "", "", ""]
-        else:
-            cells += [
-                repr(float(rec.heading)),
-                repr(float(rec.course)),
-                repr(float(rec.drift)),
-                repr(float(rec.speed)),
-            ]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    data = text.encode("utf-8")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-    return len(data)
+        ch = (None,) * 4 if rec is None else (rec.heading, rec.course, rec.drift, rec.speed)
+        rows.append((t, wrap_2pi(s.point.phi), s.point.theta, s.vel.u, s.vel.v,
+                     *embed(sph, s.point), *ch))
+    return write_table(CSV_COLUMNS, rows, path)
 
 
 def read_csv(path: str) -> dict[str, list[float]]:

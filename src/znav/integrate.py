@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from znav.control import initial_state
 from znav.errors import PoleSingularity
-from znav.spheroid import NavState, Spheroid, SurfacePoint, TangentVector
+from znav.spheroid import POLE_GUARD, NavState, Spheroid, SurfacePoint, TangentVector
 from znav.spray import MetricKind, RhsFn, make_rhs
 from znav.wind import WindField
 
@@ -57,7 +57,6 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     max_step: float = 0.01
     sample_dt: float = 0.01
-    pole_eps: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.t_end < math.inf:
@@ -70,8 +69,6 @@ class IntegratorConfig:
             raise ValueError(
                 f"sample_dt must be in (0, t_end], got {self.sample_dt}"
             )
-        if not 0 < self.pole_eps < 0.1:
-            raise ValueError(f"pole_eps must be in (0, 0.1), got {self.pole_eps}")
 
 
 @dataclass
@@ -107,8 +104,9 @@ class Trajectory:
 
 def _initial_step(f0, y0, cfg: IntegratorConfig) -> float:
     sc = [cfg.abs_tol + cfg.rel_tol * abs(y0[i]) for i in range(4)]
-    d0 = math.sqrt(sum((y0[i] / sc[i]) ** 2 for i in range(4)) / 4)
-    d1 = math.sqrt(sum((f0[i] / sc[i]) ** 2 for i in range(4)) / 4)
+    # products, not ** 2: a float square that overflows raises OverflowError
+    d0 = math.sqrt(sum((y0[i] / sc[i]) * (y0[i] / sc[i]) for i in range(4)) / 4)
+    d1 = math.sqrt(sum((f0[i] / sc[i]) * (f0[i] / sc[i]) for i in range(4)) / 4)
     if not (math.isfinite(d0) and math.isfinite(d1)) or d0 < 1e-5 or d1 < 1e-5:
         h = 1e-6
     else:
@@ -129,11 +127,13 @@ def integrate(
     Raises:
         ValueError: a component of s0 is not finite.
         PoleSingularity: the initial state itself violates the guard band.
+        NonFiniteState: a stage colatitude turned NaN or infinite mid-run
+            (raised by the rhs through spheroid.require_off_pole).
     """
     p1, q1, u1, v1 = s0.point.phi, s0.point.theta, s0.vel.u, s0.vel.v
     if not all(map(math.isfinite, (p1, q1, u1, v1))):
         raise ValueError(f"initial state must be finite, got {s0}")
-    if not (cfg.pole_eps < q1 < math.pi - cfg.pole_eps):
+    if not (POLE_GUARD < q1 < math.pi - POLE_GUARD):
         raise PoleSingularity(
             f"initial colatitude {q1} inside the polar guard band"
         )
@@ -150,7 +150,7 @@ def integrate(
     e1, _, e3, e4, e5, e6, e7 = _E
     rel_tol, abs_tol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     t_end, sample_dt = cfg.t_end, cfg.sample_dt
-    theta_lo, theta_hi = cfg.pole_eps, math.pi - cfg.pole_eps
+    theta_lo, theta_hi = POLE_GUARD, math.pi - POLE_GUARD
 
     # Stage n (1..7) evaluates rhs at phi = pn, theta = qn, phi_dot = un,
     # theta_dot = vn, giving the accelerations dun, dvn; its derivative

@@ -74,18 +74,6 @@ def F_value(rd: RandersData, point: SurfacePoint, y: TangentVector) -> float:
     return alpha_term(rd, point, y) + beta_term(rd, point, y)
 
 
-def F_rotation_closed(sph: Spheroid, c: float, theta: float, y: TangentVector) -> float:
-    """Travel-time metric specialized to the rotation wind (-c, 0).
-
-    Reference implementation only: no runtime path calls it, and the
-    tests check it against the general alpha + beta path.
-    """
-    s2 = math.sin(theta) ** 2
-    _, h22 = metric_components(sph, theta)
-    arg = -c * c * y.v * y.v * s2 * h22 + y.v * y.v * h22 + y.u * y.u * s2
-    return (math.sqrt(max(arg, 0.0)) + c * y.u * s2) / (1.0 - c * c * s2)
-
-
 def lagrangian(rd: RandersData, point: SurfacePoint, y: TangentVector) -> float:
     """Energy form F^2 / 2 whose extremals are the time-optimal paths."""
     f = F_value(rd, point, y)

@@ -17,7 +17,7 @@ POLE_GUARD radians around theta in {0, pi}.
 import math
 from dataclasses import dataclass
 
-from znav.errors import PoleSingularity
+from znav.errors import NonFiniteState, PoleSingularity
 
 # Chart guard band around the poles (radians).
 POLE_GUARD = 1e-6
@@ -69,11 +69,17 @@ class NavState:
     vel: TangentVector
 
 
-def require_off_pole(theta: float, eps: float = POLE_GUARD) -> None:
-    """Raise PoleSingularity unless theta lies in (eps, pi - eps)."""
-    if not (eps < theta < math.pi - eps):
+def require_off_pole(theta: float) -> None:
+    """Raise PoleSingularity unless theta lies in (POLE_GUARD, pi - POLE_GUARD).
+
+    A NaN or infinite theta raises NonFiniteState instead, so it is never
+    reported as a pole approach; the test runs only once the guard fails.
+    """
+    if not (POLE_GUARD < theta < math.pi - POLE_GUARD):
+        if not math.isfinite(theta):
+            raise NonFiniteState(f"colatitude {theta} is not finite")
         raise PoleSingularity(
-            f"colatitude {theta} within {eps} of a pole; chart undefined"
+            f"colatitude {theta} within {POLE_GUARD} of a pole; chart undefined"
         )
 
 
@@ -88,45 +94,6 @@ def h_norm(sph: Spheroid, point: SurfacePoint, vec: TangentVector) -> float:
     """Length of a tangent vector in the induced metric."""
     h11, h22 = metric_components(sph, point.theta)
     return math.sqrt(vec.u * vec.u * h11 + vec.v * vec.v * h22)
-
-
-def christoffels(sph: Spheroid, theta: float) -> tuple[float, float, float]:
-    """Nonzero Christoffel symbols (second kind) at colatitude theta.
-
-    Returns (G1_12, G2_11, G2_22):
-
-        G1_12 = cot(theta)
-        G2_11 = -sin(theta) cos(theta) / (a^2 sin^2 + cos^2)
-        G2_22 = (a^2 - 1) sin(theta) cos(theta) / (a^2 sin^2 + cos^2)
-
-    Reference implementation only: input to riemannian_rhs.
-
-    Raises:
-        PoleSingularity: theta inside the polar guard band.
-    """
-    require_off_pole(theta)
-    s = math.sin(theta)
-    c = math.cos(theta)
-    h22 = c * c + sph.a * sph.a * s * s
-    sc = s * c
-    return c / s, -sc / h22, (sph.a * sph.a - 1.0) * sc / h22
-
-
-def riemannian_rhs(sph: Spheroid, state: NavState) -> tuple[float, float]:
-    """Accelerations (phi_dd, theta_dd) of the induced-metric geodesic flow.
-
-        phi_dd   = -2 u v cot(theta)
-        theta_dd = -sin cos [ (a^2 - 1) v^2 - u^2 ] / (a^2 sin^2 + cos^2)
-
-    Reference implementation only: spray.make_rhs runs the h flow as
-    the navigation spray of still air, and the tests compare the two.
-
-    Raises:
-        PoleSingularity: theta inside the polar guard band.
-    """
-    g112, g211, g222 = christoffels(sph, state.point.theta)
-    u, v = state.vel.u, state.vel.v
-    return -2.0 * g112 * u * v, -(g211 * u * u + g222 * v * v)
 
 
 def embed(sph: Spheroid, point: SurfacePoint) -> tuple[float, float, float]:

@@ -33,17 +33,18 @@ The alpha flow is the Christoffel spray of the Riemannian part of F,
 with its derivatives built from the same W and dW, for every wind.
 
 Reference implementations, which the tests compare against and no
-runtime path calls: spheroid.riemannian_rhs, the Christoffel spray of
-h; spray_alpha_closed and spray_rotation_closed, the closed-form alpha
-and F sprays under the rotation wind; and spray_numeric, the generic
-quotient formulas with all partial derivatives of a Lagrangian
-L = F^2/2 (randers_lagrangian, alpha_lagrangian) taken by
-Richardson-extrapolated central differences:
+runtime path calls: spray_alpha_closed and spray_rotation_closed, the
+closed-form alpha and F sprays under the rotation wind, and
+spray_numeric, the generic quotient formulas with all partial
+derivatives of a Lagrangian L = F^2/2 (randers_lagrangian,
+alpha_lagrangian) taken by Richardson-extrapolated central
+differences:
 
     G = [(L_vv L_phi - L_th L_uv) - L_v (L_phiv - L_thu)] / (2 D)
     H = [(L_uu L_th - L_phi L_uv) + L_u (L_phiv - L_thu)] / (2 D)
 
 where D = L_uu L_vv - L_uv^2 is the velocity-Hessian determinant.
+tests/oracles.py holds the Christoffel spray of h.
 """
 import math
 from dataclasses import dataclass

@@ -54,6 +54,15 @@ def random_mild_states(sph, wind, rng: np.random.Generator, n: int) -> list[NavS
     ]
 
 
+def nan_after(rhs, phi_max: float):
+    """rhs whose phi acceleration turns NaN once phi exceeds phi_max."""
+
+    def broken(phi, theta, u, v):
+        return (math.nan, 0.0) if phi > phi_max else rhs(phi, theta, u, v)
+
+    return broken
+
+
 def random_vectors(rng: np.random.Generator, n: int) -> list[TangentVector]:
     comps = rng.uniform(-2.0, 2.0, (n, 2))
     return [TangentVector(float(u), float(v)) for u, v in comps]

@@ -10,7 +10,7 @@ import math
 
 from znav.errors import PoleSingularity
 from znav.integrate import IntegratorConfig, Trajectory
-from znav.spheroid import NavState, SurfacePoint, TangentVector
+from znav.spheroid import POLE_GUARD, NavState, SurfacePoint, TangentVector
 from znav.spray import RhsFn
 
 _A = (
@@ -51,8 +51,8 @@ def _hermite(y0, f0, y1, f1, h: float, tau: float) -> list[float]:
 
 def _initial_step(f0, y0, cfg: IntegratorConfig) -> float:
     sc = [cfg.abs_tol + cfg.rel_tol * abs(y0[i]) for i in range(4)]
-    d0 = math.sqrt(sum((y0[i] / sc[i]) ** 2 for i in range(4)) / 4)
-    d1 = math.sqrt(sum((f0[i] / sc[i]) ** 2 for i in range(4)) / 4)
+    d0 = math.sqrt(sum((y0[i] / sc[i]) * (y0[i] / sc[i]) for i in range(4)) / 4)
+    d1 = math.sqrt(sum((f0[i] / sc[i]) * (f0[i] / sc[i]) for i in range(4)) / 4)
     if not (math.isfinite(d0) and math.isfinite(d1)) or d0 < 1e-5 or d1 < 1e-5:
         h = 1e-6
     else:
@@ -64,7 +64,7 @@ def integrate_reference(
     rhs: RhsFn, s0: NavState, cfg: IntegratorConfig, kind: str = ""
 ) -> Trajectory:
     """Same contract as znav.integrate.integrate for a finite s0."""
-    if not (cfg.pole_eps < s0.point.theta < math.pi - cfg.pole_eps):
+    if not (POLE_GUARD < s0.point.theta < math.pi - POLE_GUARD):
         raise PoleSingularity(
             f"initial colatitude {s0.point.theta} inside the polar guard band"
         )
@@ -136,7 +136,7 @@ def integrate_reference(
                 break
             tau = min(max((ts - t) / h, 0.0), 1.0)
             yi = _hermite(y, k1, y_new, k_new, h, tau)
-            if not (cfg.pole_eps < yi[1] < math.pi - cfg.pole_eps):
+            if not (POLE_GUARD < yi[1] < math.pi - POLE_GUARD):
                 stop = ts
                 break
             samples.append((ts, state_of(yi)))
@@ -144,7 +144,7 @@ def integrate_reference(
         if stop is not None:
             events.append(f"pole approach at t={stop}")
             return Trajectory(samples, "pole_proximity", kind, events)
-        if not (cfg.pole_eps < y_new[1] < math.pi - cfg.pole_eps):
+        if not (POLE_GUARD < y_new[1] < math.pi - POLE_GUARD):
             events.append(f"pole approach at t={t + h}")
             return Trajectory(samples, "pole_proximity", kind, events)
 

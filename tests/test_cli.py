@@ -4,8 +4,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from znav import make_rhs
 from znav.cli import ValidationError, main, parse_angle
 from znav.export import read_csv
+from tests.conftest import nan_after
 
 BENCH = ["--a", "0.75", "--wind", "rotation:0.7142857142857143",
          "--start", "0,pi/2"]
@@ -86,11 +88,37 @@ class TestGeodesic:
     def test_missing_heading(self):
         assert main(["geodesic", *BENCH]) == 2
 
-    def test_io_failure(self, capsys):
-        code = main(["geodesic", *BENCH, "--heading", "0", "--t-end", "1",
-                     "--csv", "no/such/dir/out.csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geodesic", "--heading", "0"],
+            ["family", "--heading-start", "0", "--heading-step", "1",
+             "--heading-count", "1"],
+            ["compare", "--heading", "0"],
+            ["indicatrix"],
+            ["report", "--heading", "0"],
+        ],
+        ids=["geodesic", "family", "compare", "indicatrix", "report"],
+    )
+    def test_io_failure(self, argv, capsys):
+        code = main([*argv, *BENCH, "--t-end", "1", "--csv", "no/such/dir/out.csv"])
         assert code == 4
-        assert "error[io]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error[io]: cannot write CSV to no/such/dir/" in err
+
+    def test_tiny_abs_tol_completes(self, capsys):
+        # the default start has phi = 0: the initial-step scale is abs_tol
+        code = main(["geodesic", "--heading", "0.3", "--abs-tol", "1e-200",
+                     "--t-end", "1"])
+        assert code == 0
+        assert "termination=completed" in capsys.readouterr().out
+
+    def test_nan_mid_run_is_numeric_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr("znav.cli.make_rhs",
+                            lambda *args: nan_after(make_rhs(*args), 0.5))
+        code = main(["geodesic", "--heading", "0.3", "--t-end", "2"])
+        assert code == 3
+        assert "error[numeric]: colatitude nan is not finite" in capsys.readouterr().err
 
 
 class TestNonFiniteInput:
@@ -104,9 +132,16 @@ class TestNonFiniteInput:
              "--heading-count", "4"],
             ["geodesic", "--heading", "inf"],
             ["geodesic", "--start", "nan,pi/2", "--heading", "0"],
+            ["geodesic", "--heading", "0.3", "--t-end", "1", "--segments", "nan"],
+            ["geodesic", "--heading", "0.3", "--t-end", "1", "--segments", "1,nan"],
+            ["family", *BENCH, "--heading-start", "0", "--heading-step", "1",
+             "--heading-count", "2", "--t-end", "1", "--segments", "0.5,inf"],
+            ["indicatrix", "--multipliers", "nan"],
+            ["indicatrix", "--multipliers", "1,inf"],
         ],
         ids=["wind-nan", "heading-nan", "report-heading-nan", "family-step-nan",
-             "heading-inf", "start-nan"],
+             "heading-inf", "start-nan", "segments-nan", "segments-tail-nan",
+             "family-segments-inf", "multipliers-nan", "multipliers-inf"],
     )
     def test_rejected(self, argv, capsys):
         assert main(argv) == 2
@@ -248,6 +283,37 @@ class TestConfigFile:
         code = main(["report", "--config", str(cfg), "--heading", "0"])
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_int_and_bool_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "a = 0.75\n"
+            "wind = rotation:0.7142857142857143\n"
+            "t_end = 1\n"
+            "heading = 60\n"
+            "heading_start = 0\n"
+            "heading_step = 90\n"
+            "heading_count = 3\n"
+            "n = 7\n"
+            "deg = true\n"
+            "compass = yes\n"
+        )
+        assert main(["report", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        # 60 read as degrees, printed as compass azimuth 030
+        assert "heading_0 = 30 deg (compass azimuth)" in out
+        assert main(["family", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("member=") == 3
+        assert "member=01 heading=1.5708 " in out
+        assert main(["indicatrix", "--config", str(cfg)]) == 0
+        assert " n=7 " in capsys.readouterr().out
+
+    def test_non_integer_count_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n = 3.5\n")
+        assert main(["indicatrix", "--config", str(cfg)]) == 2
+        assert "error[validation]: bad value for n: '3.5'" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert main(["report", "--config", "nope.cfg", "--heading", "0"]) == 2

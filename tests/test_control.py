@@ -30,12 +30,9 @@ from znav import (
     wind_norm,
     wrap_signed,
 )
-from znav.control import (
-    drift_cos_mildness,
-    drift_cos_velocity,
-    rotation_drift,
-)
+from znav.control import drift_cos_mildness, drift_cos_velocity
 from tests.conftest import ROTATION_RATE, random_mild_states, random_points
+from tests.oracles import rotation_drift
 
 SQRT3 = math.sqrt(3.0)
 

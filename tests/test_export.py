@@ -17,6 +17,7 @@ from znav import (
     make_rhs,
     render_svg,
     write_csv,
+    write_table,
 )
 from znav.export import read_csv, unwrap_angles
 
@@ -83,6 +84,10 @@ class TestWriteCsv:
         write_csv(oblate, bench_traj, [], str(path))
         first_data = path.read_text().split("\n")[1]
         assert first_data.endswith(",,,,")
+        # the general writer: ints stay ints, None leaves the cell empty
+        table = tmp_path / "table.csv"
+        write_table(("k", "x", "gap"), [(3, 0.1, None), (4, None, 2.5)], str(table))
+        assert table.read_text() == "k,x,gap\n3,0.1,\n4,,2.5\n"
 
     def test_io_error_carries_path(self, oblate, bench_traj):
         with pytest.raises(OSError, match="no/such/dir"):

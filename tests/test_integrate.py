@@ -1,4 +1,5 @@
 """Adaptive integration: accuracy, conservation, families, classification."""
+import importlib
 import math
 
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from znav import (
     F_value,
     IntegratorConfig,
+    POLE_GUARD,
     NavState,
+    NonFiniteState,
     PoleSingularity,
     RandersData,
     Spheroid,
@@ -27,7 +30,7 @@ from znav import (
     make_rhs,
     rotation_wind,
 )
-from tests.conftest import ROTATION_RATE
+from tests.conftest import ROTATION_RATE, nan_after
 from tests.dp5_reference import integrate_reference
 
 
@@ -253,6 +256,17 @@ class TestReferenceStepping:
         if (kind, wind_name) != ("randers", "custom"):
             assert "pole_proximity" in terminations
 
+    def test_identical_at_tiny_abs_tol(self, oblate):
+        # the start has phi = 0, so the initial-step scale of phi is
+        # abs_tol itself and the squared ratios reach ~1e400
+        rhs = make_rhs("h", oblate, None)
+        s0 = initial_state_riemannian(oblate, SurfacePoint(0.0, math.pi / 2), 0.3)
+        cfg = IntegratorConfig(t_end=1.0, abs_tol=1e-200)
+        got = integrate(rhs, s0, cfg)
+        want = integrate_reference(rhs, s0, cfg)
+        assert got.termination == "completed"
+        assert (got.samples, got.events) == (want.samples, want.events)
+
     def test_identical_step_failure(self, oblate):
         def broken(phi, theta, u, v):
             return (math.nan, math.nan)
@@ -271,8 +285,8 @@ class TestPoleHandling:
         traj = run(oblate, None, "h", math.pi / 2, IntegratorConfig(t_end=3.0))
         assert traj.termination == "pole_proximity"
         assert classify_path(traj) == "transpolar"
-        eps = IntegratorConfig(t_end=3.0).pole_eps
-        assert all(eps < s.point.theta < math.pi - eps for _, s in traj.samples)
+        assert all(POLE_GUARD < s.point.theta < math.pi - POLE_GUARD
+                   for _, s in traj.samples)
 
     def test_circumpolar_benchmark_individual(self, oblate, rot_wind):
         traj = run(oblate, rot_wind, "randers", math.pi / 3,
@@ -284,6 +298,14 @@ class TestPoleHandling:
     def test_equatorial_path_is_circumpolar(self, oblate):
         traj = run(oblate, None, "h", 0.0, IntegratorConfig(t_end=3.0))
         assert classify_path(traj) == "circumpolar"
+
+    def test_nan_mid_run_is_not_a_pole_approach(self, oblate):
+        # the NaN acceleration makes a later stage colatitude NaN, which
+        # fails the guard-band test without being near a pole
+        rhs = nan_after(make_rhs("h", oblate, None), 0.5)
+        s0 = initial_state(oblate, None, "h", SurfacePoint(0.0, math.pi / 2), 0.3)
+        with pytest.raises(NonFiniteState):
+            integrate(rhs, s0, IntegratorConfig(t_end=2.0))
 
     def test_step_failure_not_classifiable(self, oblate):
         traj = Trajectory(samples=[], termination="step_failure")
@@ -322,6 +344,19 @@ class TestIntegrateFamily:
         assert all(m.trajectory is None for m in members)
         assert all(m.error is not None for m in members)
 
+    def test_non_finite_member_carried(self, oblate, monkeypatch):
+        # the package's integrate function shadows its module of that name
+        module = importlib.import_module("znav.integrate")
+        monkeypatch.setattr(module, "make_rhs",
+                            lambda *args: nan_after(make_rhs(*args), 0.5))
+        members = integrate_family(
+            oblate, None, SurfacePoint(0.0, math.pi / 2), [0.3, math.pi / 2],
+            "h", IntegratorConfig(t_end=2.0),
+        )
+        assert isinstance(members[0].error, NonFiniteState)
+        # due north keeps phi = 0 and reaches the guard band
+        assert members[1].trajectory.termination == "pole_proximity"
+
     def test_empty_fan_rejected(self, oblate, rot_wind):
         with pytest.raises(ValueError):
             integrate_family(oblate, rot_wind, SurfacePoint(0.0, math.pi / 2),
@@ -337,7 +372,6 @@ class TestConfigValidation:
             {"t_end": 1.0, "abs_tol": -1.0},
             {"t_end": 1.0, "sample_dt": 2.0},
             {"t_end": 1.0, "max_step": 0.0},
-            {"t_end": 1.0, "pole_eps": 0.5},
             {"t_end": math.inf},
             {"t_end": 1.0, "rel_tol": math.nan},
             {"t_end": 1.0, "abs_tol": math.nan},

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from znav import (
-    F_rotation_closed,
     F_value,
     NotMild,
     RandersData,
@@ -22,6 +21,7 @@ from znav import (
     wind_norm,
 )
 from tests.conftest import ROTATION_RATE, random_points, random_vectors
+from tests.oracles import F_rotation_closed
 
 
 @pytest.fixture

@@ -10,15 +10,14 @@ from znav import (
     Spheroid,
     SurfacePoint,
     TangentVector,
-    christoffels,
     clairaut_invariant,
     embed,
     h_norm,
     metric_components,
-    riemannian_rhs,
     unit_heading_vector,
 )
 from tests.conftest import random_points
+from tests.oracles import christoffels, riemannian_rhs
 
 
 def state(phi, theta, u, v) -> NavState:

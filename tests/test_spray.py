@@ -19,7 +19,6 @@ from znav import (
     h_norm,
     make_rhs,
     randers_lagrangian,
-    riemannian_rhs,
     rotation_wind,
     spray_alpha_closed,
     spray_numeric,
@@ -27,6 +26,7 @@ from znav import (
     wind_norm,
 )
 from tests.conftest import ROTATION_RATE, random_mild_states
+from tests.oracles import riemannian_rhs
 
 
 def state(phi, theta, u, v) -> NavState:
