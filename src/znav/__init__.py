@@ -81,6 +81,7 @@ from znav.spray import (
     alpha_lagrangian,
     make_rhs,
     randers_lagrangian,
+    resolve_flow,
     spray_alpha_closed,
     spray_numeric,
     spray_rotation_closed,

@@ -30,7 +30,7 @@ import numpy as np
 
 from znav import control
 from znav.control import control_channel, initial_state, wrap_signed
-from znav.errors import EmptyData, NavigationError, NotMild
+from znav.errors import EmptyData, NavigationError
 from znav.export import (
     PlotSpec,
     SeriesStyle,
@@ -47,8 +47,8 @@ from znav.integrate import (
     integrate_family,
 )
 from znav.randers import F_value, RandersData, alpha_term, indicatrix
-from znav.spheroid import POLE_GUARD, Spheroid, SurfacePoint, embed
-from znav.spray import METRIC_KINDS, make_rhs
+from znav.spheroid import Spheroid, SurfacePoint, embed, require_off_pole
+from znav.spray import METRIC_KINDS, make_rhs, resolve_flow
 from znav.wind import STILL_AIR, WindField, rotation_wind
 
 
@@ -87,19 +87,16 @@ def parse_angle(text: str, degrees: bool = False) -> float:
     return value
 
 
-def parse_wind(text: str) -> WindField | None:
+def parse_wind(text: str) -> float | None:
+    """Rotation rate of a wind spec 'rotation:C', or None for still air ('none')."""
     t = text.strip().lower()
     if t in ("none", "0", "zero"):
         return None
     if t.startswith("rotation:"):
         try:
-            c = float(t.split(":", 1)[1])
+            return float(t.split(":", 1)[1])
         except ValueError as exc:
             raise ValidationError(f"bad rotation rate in {text!r}") from exc
-        try:
-            return rotation_wind(c)
-        except NotMild as exc:
-            raise ValidationError(str(exc)) from exc
     raise ValidationError(f"wind spec must be 'rotation:C' or 'none', got {text!r}")
 
 
@@ -237,10 +234,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 @dataclass
 class Problem:
-    """Validated and parsed navigation problem."""
+    """Validated and parsed navigation problem; rate is None without a rotation wind."""
 
     sph: Spheroid
-    wind: WindField | None
+    wind: WindField
+    rate: float | None
     start: SurfacePoint
     kind: str
     icfg: IntegratorConfig
@@ -248,23 +246,19 @@ class Problem:
 
 
 def resolve_problem(cfg: RunConfig) -> Problem:
-    wind = parse_wind(cfg.wind)
+    rate = parse_wind(cfg.wind)
     parts = cfg.start.split(",")
     if len(parts) != 2:
         raise ValidationError(f"start must be 'phi,theta', got {cfg.start!r}")
     start = SurfacePoint(
         parse_angle(parts[0], cfg.deg), parse_angle(parts[1], cfg.deg)
     )
-    if not (POLE_GUARD < start.theta < math.pi - POLE_GUARD):
-        raise ValidationError(
-            f"start colatitude {start.theta} inside the polar guard band"
-        )
-    if cfg.kind not in METRIC_KINDS:
-        raise ValidationError(f"kind must be h, alpha or randers, got {cfg.kind!r}")
     try:
+        wind = STILL_AIR if rate is None else rotation_wind(rate)
+        require_off_pole(start.theta)
+        resolve_flow(cfg.kind, wind)
         sph = Spheroid(cfg.a)
-        if wind is not None:
-            RandersData(sph, wind).mildness_factor(start)
+        RandersData(sph, wind).mildness_factor(start)
         icfg = IntegratorConfig(
             t_end=cfg.t_end,
             rel_tol=cfg.rel_tol,
@@ -272,19 +266,18 @@ def resolve_problem(cfg: RunConfig) -> Problem:
             max_step=cfg.max_step,
             sample_dt=cfg.sample_dt,
         )
-    except (ValueError, NotMild) as exc:
+    except (ValueError, NavigationError) as exc:  # NotMild, PoleSingularity
         raise ValidationError(str(exc)) from exc
-    return Problem(sph, wind, start, cfg.kind, icfg, cfg)
+    return Problem(sph, wind, rate, start, cfg.kind, icfg, cfg)
 
 
-def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
-    """Largest deviation of the conserved speed (h-, alpha- or F-norm) from 1.
+def _conservation_drift(sph: Spheroid, wind: WindField, traj: Trajectory) -> float:
+    """Largest deviation of the conserved speed (alpha- or F-norm) from 1.
 
-    The h-norm is F in still air.
+    wind is the wind of the track's flow; the h-norm is F in still air.
     """
-    wind = STILL_AIR if prob.kind == "h" or prob.wind is None else prob.wind
-    rd = RandersData(prob.sph, wind)
-    norm = alpha_term if prob.kind == "alpha" else F_value
+    rd = RandersData(sph, wind)
+    norm = alpha_term if traj.kind == "alpha" else F_value
     worst = 0.0
     for _, state in traj.samples:
         worst = max(worst, abs(norm(rd, state.point, state.vel) - 1.0))
@@ -321,10 +314,11 @@ def _heading(prob: Problem, command: str) -> float:
     return parse_angle(prob.cfg.heading, prob.cfg.deg)
 
 
-def _track(prob: Problem, kind: str, heading: float) -> Trajectory:
-    """Seed and integrate one track of the given metric kind."""
-    state0 = initial_state(prob.sph, prob.wind, kind, prob.start, heading)
-    return integrate(make_rhs(kind, prob.sph, prob.wind), state0, prob.icfg, kind=kind)
+def _track(prob: Problem, kind: str, heading: float) -> tuple[Trajectory, WindField]:
+    """Seed and integrate one track; returns it and the wind of its flow."""
+    kind, wind = resolve_flow(kind, prob.wind)
+    state0 = initial_state(prob.sph, wind, kind, prob.start, heading)
+    return integrate(make_rhs(kind, prob.sph, wind), state0, prob.icfg, kind=kind), wind
 
 
 def _heading_deg(cfg: RunConfig, angle: float) -> float:
@@ -337,21 +331,20 @@ def cmd_geodesic(prob: Problem) -> int:
     cfg = prob.cfg
     heading = _heading(prob, "geodesic")
     segments = _segments(cfg)
-    traj = _track(prob, prob.kind, heading)
-    channel = control_channel(prob.sph, prob.wind, traj)
+    traj, wind = _track(prob, prob.kind, heading)
+    channel = control_channel(prob.sph, wind, traj)
     if cfg.csv:
         write_csv(prob.sph, traj, channel, cfg.csv)
     if cfg.svg:
         if cfg.plot == "polar":
             kind = "polar"
             data = np.asarray([(t, s.point.phi, s.point.theta) for t, s in traj.samples])
-        elif cfg.plot == "xy":
-            kind, data = "xy_projection", _path3d_array(prob, traj)[:, :3]
         else:
             kind, data = "path3d_projection", _path3d_array(prob, traj)
+        # --plot xy is the path3d projection along z
         spec = PlotSpec(kind=kind,
                         series=(SeriesStyle(label=prob.kind, color="#d62728"),),
-                        segments=segments, view_axis=cfg.view)
+                        segments=segments, view_axis="z" if cfg.plot == "xy" else cfg.view)
         write_svg(spec, [data], cfg.svg)
     final = traj.final_state()
     print(
@@ -359,7 +352,7 @@ def cmd_geodesic(prob: Problem) -> int:
         f"t_last={traj.samples[-1][0]:.6g} "
         f"final_phi={final.point.phi:.9g} final_theta={final.point.theta:.9g} "
         f"final_phi_dot={final.vel.u:.9g} final_theta_dot={final.vel.v:.9g} "
-        f"conservation_drift={_conservation_drift(prob, traj):.3e}"
+        f"conservation_drift={_conservation_drift(prob.sph, wind, traj):.3e}"
     )
     return 0
 
@@ -371,7 +364,7 @@ def _member_csv_path(base: str, index: int) -> str:
 
 def cmd_family(prob: Problem) -> int:
     cfg = prob.cfg
-    if cfg.heading_start is None or cfg.heading_step is None or not cfg.heading_count:
+    if cfg.heading_start is None or cfg.heading_step is None or cfg.heading_count is None:
         raise ValidationError(
             "family needs --heading-start, --heading-step and --heading-count"
         )
@@ -384,6 +377,7 @@ def cmd_family(prob: Problem) -> int:
 
     members = integrate_family(prob.sph, prob.wind, prob.start, headings,
                                prob.kind, prob.icfg)
+    wind = resolve_flow(prob.kind, prob.wind)[1]
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
     data, styles = [], []
     for i, member in enumerate(members):
@@ -397,7 +391,7 @@ def cmd_family(prob: Problem) -> int:
         print(f"member={i:02d} heading={member.heading:.6g} "
               f"termination={member.trajectory.termination} classification={label}")
         if cfg.csv:
-            channel = control_channel(prob.sph, prob.wind, member.trajectory)
+            channel = control_channel(prob.sph, wind, member.trajectory)
             write_csv(prob.sph, member.trajectory, channel,
                       _member_csv_path(cfg.csv, i))
         data.append(_path3d_array(prob, member.trajectory))
@@ -417,17 +411,18 @@ def cmd_family(prob: Problem) -> int:
 def cmd_compare(prob: Problem) -> int:
     cfg = prob.cfg
     heading = _heading(prob, "compare")
-    trajs = {kind: _track(prob, kind, heading) for kind in METRIC_KINDS}
+    tracks = {kind: _track(prob, kind, heading) for kind in METRIC_KINDS}
+    (traj_h, wind_h), (traj_f, wind_f) = tracks["h"], tracks["randers"]
 
-    n = min(len(t.samples) for t in trajs.values())
-    t_grid = [t for t, _ in trajs["h"].samples[:n]]
+    n = min(len(t.samples) for t, _ in tracks.values())
+    t_grid = [t for t, _ in traj_h.samples[:n]]
     cols: dict[str, list[float]] = {"t": t_grid}
     for name in ("phi", "theta", "phi_dot", "theta_dot"):
-        f_vals = trajs["randers"].channel(name)[:n]
-        h_vals = trajs["h"].channel(name)[:n]
+        f_vals = traj_f.channel(name)[:n]
+        h_vals = traj_h.channel(name)[:n]
         cols[f"d_{name}"] = [fv - hv for fv, hv in zip(f_vals, h_vals)]
-    ch_f = control_channel(prob.sph, prob.wind, trajs["randers"])
-    ch_h = control_channel(prob.sph, None, trajs["h"])
+    ch_f = control_channel(prob.sph, wind_f, traj_f)
+    ch_h = control_channel(prob.sph, wind_h, traj_h)
     m = min(len(ch_f), len(ch_h), n)
     for name in ("heading", "course", "drift", "speed"):
         cols[f"d_{name}"] = [
@@ -445,20 +440,19 @@ def cmd_compare(prob: Problem) -> int:
         palette = {"h": "#1f77b4", "alpha": "#2ca02c", "randers": "#d62728"}
         spec = PlotSpec(
             kind="path3d_projection",
-            series=tuple(SeriesStyle(label=k, color=palette[k]) for k in trajs),
+            series=tuple(SeriesStyle(label=k, color=palette[k]) for k in tracks),
             view_axis=cfg.view,
         )
-        write_svg(spec, [_path3d_array(prob, t) for t in trajs.values()], cfg.svg)
+        write_svg(spec, [_path3d_array(prob, t) for t, _ in tracks.values()], cfg.svg)
 
     max_dphi = max(abs(v) for v in cols["d_phi"])
     max_dtheta = max(abs(v) for v in cols["d_theta"])
     print(f"max_dphi={max_dphi:.3e} max_dtheta={max_dtheta:.3e}")
-    if prob.wind is not None and prob.wind.kind == "rotation":
-        c = prob.wind.c
+    if prob.rate is not None:
         res_phi = max(
-            abs(pf - (ph - c * t))
-            for t, pf, ph in zip(t_grid, trajs["randers"].channel("phi")[:n],
-                                 trajs["h"].channel("phi")[:n])
+            abs(pf - (ph - prob.rate * t))
+            for t, pf, ph in zip(t_grid, traj_f.channel("phi")[:n],
+                                 traj_h.channel("phi")[:n])
         )
         print(f"killing_residual_phi={res_phi:.3e} "
               f"killing_residual_theta={max_dtheta:.3e}")
@@ -472,8 +466,7 @@ def cmd_indicatrix(prob: Problem) -> int:
     mults = _float_list(cfg.multipliers, "multipliers")
     if any(m <= 0 for m in mults):
         raise ValidationError("multipliers must be positive")
-    wind = prob.wind if prob.wind is not None else STILL_AIR
-    rd = RandersData(prob.sph, wind)
+    rd = RandersData(prob.sph, prob.wind)
     vecs = indicatrix(rd, prob.start, cfg.n)
     f_vals = [F_value(rd, prob.start, y) for y in vecs]
     residual = max(abs(f - 1.0) for f in f_vals)
@@ -507,8 +500,8 @@ def cmd_indicatrix(prob: Problem) -> int:
 
 def cmd_report(prob: Problem) -> int:
     cfg = prob.cfg
-    traj = _track(prob, prob.kind, _heading(prob, "report"))
-    channel = control_channel(prob.sph, prob.wind, traj)
+    traj, wind = _track(prob, prob.kind, _heading(prob, "report"))
+    channel = control_channel(prob.sph, wind, traj)
     if not channel:
         raise EmptyData("control channel is empty; no defined samples")
     if cfg.csv:
@@ -531,7 +524,6 @@ def cmd_report(prob: Problem) -> int:
         data = [np.column_stack([t, curves[k]]) for k in ("heading", "course", "drift")]
         write_svg(spec, data, cfg.svg)
     if cfg.speed_svg:
-        wind = prob.wind if prob.wind is not None else STILL_AIR
         hds = np.linspace(0.0, 2.0 * math.pi, 361)
         speeds = [
             control.initial_speed_vs_heading(prob.sph, wind, prob.start, float(hd))

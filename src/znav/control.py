@@ -24,8 +24,8 @@ from znav.spheroid import (
     require_off_pole,
     unit_heading_vector,
 )
-from znav.spray import METRIC_KINDS
-from znav.wind import WindField
+from znav.spray import resolve_flow
+from znav.wind import STILL_AIR, WindField
 
 if TYPE_CHECKING:
     from znav.integrate import Trajectory
@@ -56,7 +56,7 @@ class ControlRecord:
 
 
 def _wind_at(wind: WindField | None, point: SurfacePoint) -> tuple[float, float]:
-    return (0.0, 0.0) if wind is None else wind.at(point)
+    return (wind or STILL_AIR).at(point)  # None is still air
 
 
 def initial_state_riemannian(
@@ -115,7 +115,7 @@ def initial_state(
 ) -> NavState:
     """Start state of the chosen flow at the given heading.
 
-    Dispatches like spray.make_rhs: without wind (or for kind "h") the
+    The flow is spray.resolve_flow's, as in spray.make_rhs: for "h" the
     unit h-vector, for "alpha" the unit alpha-vector, for "randers" the
     time-optimal start W + unit h-vector.
 
@@ -124,13 +124,12 @@ def initial_state(
         NotMild: wind not mild at p0.
         ValueError: unknown metric kind.
     """
-    if kind not in METRIC_KINDS:
-        raise ValueError(f"unknown metric kind {kind!r}")
-    if kind == "h" or wind is None:
-        return initial_state_riemannian(sph, p0, heading0)
+    kind, wind = resolve_flow(kind, wind)
+    if kind == "randers":
+        return initial_state_randers(sph, wind, p0, heading0)
     if kind == "alpha":
         return initial_state_alpha(sph, wind, p0, heading0)
-    return initial_state_randers(sph, wind, p0, heading0)
+    return initial_state_riemannian(sph, p0, heading0)
 
 
 def speed_of(sph: Spheroid, state: NavState) -> float:

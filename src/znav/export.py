@@ -39,7 +39,7 @@ CSV_COLUMNS = (
 # Time-segment palette: red, blue, purple, magenta.
 SEGMENT_COLORS = ("#d62728", "#1f77b4", "#9467bd", "#e377c2")
 
-PATH_KINDS = {"path3d_projection", "xy_projection", "polar"}
+PATH_KINDS = {"path3d_projection", "polar"}
 MARKER_KINDS = {"channel_vs_time", "indicatrix", "speed_vs_heading"}
 
 
@@ -145,8 +145,6 @@ def _to_plane(spec: PlotSpec, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         if spec.view_axis == "x":
             return y, z, t
         return x, z, t
-    if kind == "xy_projection":
-        return arr[:, 1], arr[:, 2], arr[:, 0]
     if kind == "polar":
         t, phi, theta = arr[:, 0], arr[:, 1], arr[:, 2]
         return theta * np.cos(phi), theta * np.sin(phi), t
@@ -164,7 +162,8 @@ def render_svg(spec: PlotSpec, data: Sequence[np.ndarray]) -> str:
     Path kinds refuse series with fewer than two points; marker kinds
     draw lone points as small circles.  Series are drawn in order; when
     time segmentation is set, each path series is split at the
-    boundaries and colored through the segment palette.
+    boundaries and colored through the segment palette, the part after
+    the last boundary included.
 
     Raises:
         EmptyData: no data, or a path series with fewer than two points.
@@ -230,7 +229,7 @@ def render_svg(spec: PlotSpec, data: Sequence[np.ndarray]) -> str:
             )
             continue
         if spec.segments and t is not None:
-            bounds = [-math.inf, *spec.segments]
+            bounds = [-math.inf, *spec.segments, math.inf]
             for i in range(len(bounds) - 1):
                 mask = (t >= bounds[i]) & (t <= bounds[i + 1])
                 # keep shared boundary points so segments join up

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 from znav.control import initial_state
 from znav.errors import PoleSingularity
-from znav.spheroid import POLE_GUARD, NavState, Spheroid, SurfacePoint, TangentVector
+from znav.spheroid import (
+    POLE_GUARD, NavState, Spheroid, SurfacePoint, TangentVector, require_off_pole,
+)
 from znav.spray import MetricKind, RhsFn, make_rhs
 from znav.wind import WindField
 
@@ -133,10 +135,7 @@ def integrate(
     p1, q1, u1, v1 = s0.point.phi, s0.point.theta, s0.vel.u, s0.vel.v
     if not all(map(math.isfinite, (p1, q1, u1, v1))):
         raise ValueError(f"initial state must be finite, got {s0}")
-    if not (POLE_GUARD < q1 < math.pi - POLE_GUARD):
-        raise PoleSingularity(
-            f"initial colatitude {q1} inside the polar guard band"
-        )
+    require_off_pole(q1)
 
     (
         _,

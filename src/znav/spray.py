@@ -24,7 +24,8 @@ wind, taken by central differences of its components alone
 (WIND_FD_STEP apart; exactly zero for the rotation wind).  For a
 Killing wind this is the h flow at the velocity through the medium
 (wind-drag identity).  The h flow is the same route in still air
-(W = 0, so lam = 1 and F = |y|_h).
+(W = 0, so lam = 1 and F = |y|_h); resolve_flow maps a kind and a wind
+to the flow they run.
 
 The alpha flow is the Christoffel spray of the Riemannian part of F,
 
@@ -415,20 +416,31 @@ def _alpha_rhs(sph: Spheroid, wind: WindField) -> RhsFn:
     return rhs_alpha
 
 
-def make_rhs(kind: MetricKind, sph: Spheroid, wind: WindField | None) -> RhsFn:
-    """Build a plain-float acceleration evaluator for the integrator.
+def resolve_flow(kind: str, wind: WindField | None) -> tuple[MetricKind, WindField]:
+    """The flow (kind, wind) that a metric kind runs under a wind.
 
-    Two routes for three flows: randers is the navigation spray, and h
-    (or any kind without wind) is the navigation spray of still air;
-    alpha is the Christoffel spray of a_ij.  Both hold for every wind.
+    h is F in still air: kind "h", a None wind and STILL_AIR (by
+    identity) give ("h", STILL_AIR); alpha and randers keep their wind.
 
     Raises:
         ValueError: unknown metric kind.
     """
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
-    if kind == "h" or wind is None:
-        return _randers_rhs(sph, STILL_AIR)
-    if kind == "randers":
-        return _randers_rhs(sph, wind)
-    return _alpha_rhs(sph, wind)
+    if kind == "h" or wind is None or wind is STILL_AIR:
+        return "h", STILL_AIR
+    return kind, wind
+
+
+def make_rhs(kind: MetricKind, sph: Spheroid, wind: WindField | None) -> RhsFn:
+    """Build a plain-float acceleration evaluator for the integrator.
+
+    Two routes for the flows of resolve_flow: alpha is the Christoffel
+    spray of a_ij, randers and h (its still-air case) the navigation
+    spray.  Both hold for every wind.
+
+    Raises:
+        ValueError: unknown metric kind.
+    """
+    kind, wind = resolve_flow(kind, wind)
+    return (_alpha_rhs if kind == "alpha" else _randers_rhs)(sph, wind)

@@ -20,13 +20,10 @@ ComponentFn = Callable[[float, float], tuple[float, float]]
 class WindField:
     """Stationary vector field in the coordinate basis (d/dphi, d/dtheta).
 
-    components maps (phi, theta) to (W1, W2).  For rotation fields the
-    angular rate is kept in c and components is (-c, 0) everywhere.
+    components maps (phi, theta) to (W1, W2).
     """
 
     components: ComponentFn
-    kind: str = "custom"
-    c: float | None = None
 
     def at(self, point: SurfacePoint) -> tuple[float, float]:
         return self.components(point.phi, point.theta)
@@ -43,16 +40,17 @@ def rotation_wind(c: float) -> WindField:
     """
     if not abs(c) < 1.0:
         raise NotMild(f"rotation rate {c} gives |W|_h = {abs(c)} at the equator", norm=abs(c))
-    return WindField(components=lambda phi, theta: (-c, 0.0), kind="rotation", c=c)
+    return WindField(components=lambda phi, theta: (-c, 0.0))
 
 
 # The zero wind: the travel-time metric of still air is the induced metric h.
+# spray.resolve_flow reads it, and a None wind, as the h flow.
 STILL_AIR = rotation_wind(0.0)
 
 
 def custom_wind(components: ComponentFn) -> WindField:
     """Wrap closed-form component functions (phi, theta) -> (W1, W2)."""
-    return WindField(components=components, kind="custom")
+    return WindField(components=components)
 
 
 def wind_norm(sph: Spheroid, wind: WindField, point: SurfacePoint) -> float:

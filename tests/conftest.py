@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies
 
 from znav import (
     NavState,
@@ -14,6 +15,13 @@ from znav import (
 )
 
 ROTATION_RATE = 5.0 / 7.0
+
+# Draws for the property tests of the paper's identities: shape, rotation
+# rate of a mild wind, off-pole colatitude and heading.
+SHAPES = strategies.floats(0.2, 3.0)
+RATES = strategies.floats(-0.95, 0.95)
+COLATITUDES = strategies.floats(0.01, math.pi - 0.01)
+HEADINGS = strategies.floats(0.0, 2.0 * math.pi)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import math
 
 from znav.errors import PoleSingularity
 from znav.integrate import IntegratorConfig, Trajectory
-from znav.spheroid import POLE_GUARD, NavState, SurfacePoint, TangentVector
+from znav.spheroid import POLE_GUARD, NavState, SurfacePoint, TangentVector, require_off_pole
 from znav.spray import RhsFn
 
 _A = (
@@ -64,10 +64,7 @@ def integrate_reference(
     rhs: RhsFn, s0: NavState, cfg: IntegratorConfig, kind: str = ""
 ) -> Trajectory:
     """Same contract as znav.integrate.integrate for a finite s0."""
-    if not (POLE_GUARD < s0.point.theta < math.pi - POLE_GUARD):
-        raise PoleSingularity(
-            f"initial colatitude {s0.point.theta} inside the polar guard band"
-        )
+    require_off_pole(s0.point.theta)
 
     def f(y):
         acc = rhs(y[0], y[1], y[2], y[3])

@@ -56,9 +56,13 @@ class TestGeodesic:
         for plot in ("path3d", "xy", "polar"):
             svg = tmp_path / f"{plot}.svg"
             code = main(["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "1",
-                         "--svg", str(svg), "--plot", plot])
+                         "--svg", str(svg), "--plot", plot, "--view", "x"])
             assert code == 0
             ET.parse(svg)  # well-formed document
+        # xy is the path3d projection along z, whatever --view says
+        main(["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "1",
+              "--svg", str(tmp_path / "z.svg"), "--plot", "path3d", "--view", "z"])
+        assert (tmp_path / "xy.svg").read_bytes() == (tmp_path / "z.svg").read_bytes()
 
     def test_segmented_figure(self, tmp_path):
         svg = tmp_path / "seg.svg"
@@ -68,6 +72,24 @@ class TestGeodesic:
         root = ET.parse(svg).getroot()
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 3
+
+    def test_segment_tail_drawn(self, tmp_path):
+        # the 200 samples after the last boundary take the next colour
+        svg = tmp_path / "seg.svg"
+        code = main(["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "5",
+                     "--svg", str(svg), "--segments", "1,2,3"])
+        assert code == 0
+        root = ET.parse(svg).getroot()
+        polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
+        assert len(polylines) == 4
+        assert polylines[3].get("stroke") == "#e377c2"
+        assert len(polylines[3].get("points").split()) == 201
+
+    @pytest.mark.parametrize("theta", ["0", "1e-7", "pi"])
+    def test_start_in_pole_band_rejected(self, theta, capsys):
+        code = main(["geodesic", *BENCH, "--start", f"0,{theta}", "--heading", "0"])
+        assert code == 2
+        assert "of a pole; chart undefined" in capsys.readouterr().err
 
     def test_invalid_shape_rejected(self, capsys):
         code = main(["geodesic", "--a", "0", "--heading", "0"])
@@ -174,10 +196,11 @@ class TestFamily:
         assert "classification=transpolar" in out
         assert "classification=circumpolar" in out
 
-    def test_empty_fan_rejected(self):
+    def test_empty_fan_rejected(self, capsys):
         code = main(["family", *BENCH, "--heading-start", "0",
                      "--heading-step", "pi/4", "--heading-count", "0"])
         assert code == 2
+        assert "heading count must be >= 1" in capsys.readouterr().err
 
 
 class TestCompare:
@@ -242,6 +265,15 @@ class TestReport:
         assert "course_0 = 144.5 deg" in out
         assert "drift_0 = -24.5 deg" in out
         assert "speed_0 = 1.491" in out
+
+    def test_h_ignores_wind(self, capsys):
+        # kind h is the still-air flow: seeded, integrated and measured in it
+        code = main(["report", *BENCH, "--kind", "h", "--heading", "pi/3",
+                     "--t-end", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "heading_0 = 60 deg" in out
+        assert "drift_0 = 0 deg" in out
 
     def test_compass_conversion(self, capsys):
         code = main(["report", *BENCH, "--heading", "pi/3", "--t-end", "1",
@@ -308,6 +340,13 @@ class TestConfigFile:
         assert "member=01 heading=1.5708 " in out
         assert main(["indicatrix", "--config", str(cfg)]) == 0
         assert " n=7 " in capsys.readouterr().out
+
+    def test_unknown_kind_rejected(self, tmp_path, capsys):
+        # --kind has argparse choices; a config file reaches resolve_flow
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("kind = finsler\n")
+        assert main(["geodesic", "--config", str(cfg), "--heading", "0"]) == 2
+        assert "unknown metric kind 'finsler'" in capsys.readouterr().err
 
     def test_non_integer_count_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

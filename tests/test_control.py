@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from znav import (
     IntegratorConfig,
     NavState,
     NotMild,
     RandersData,
+    Spheroid,
     SurfacePoint,
     TangentVector,
     ZeroRelativeVelocity,
@@ -25,13 +27,22 @@ from znav import (
     initial_state_riemannian,
     integrate,
     make_rhs,
+    metric_components,
     rotation_wind,
     speed_of,
     wind_norm,
     wrap_signed,
 )
 from znav.control import drift_cos_mildness, drift_cos_velocity
-from tests.conftest import ROTATION_RATE, random_mild_states, random_points
+from tests.conftest import (
+    COLATITUDES,
+    HEADINGS,
+    RATES,
+    ROTATION_RATE,
+    SHAPES,
+    random_mild_states,
+    random_points,
+)
 from tests.oracles import rotation_drift
 
 SQRT3 = math.sqrt(3.0)
@@ -186,23 +197,25 @@ class TestDrift:
             drift = drift_of(oblate, rot_wind, st)
             assert math.cos(drift) == pytest.approx(c1, abs=1e-10)
 
-    def test_mild_wind_bound(self, oblate, rot_wind):
-        rng = np.random.default_rng(36)
-        for st in random_mild_states(oblate, rot_wind, rng, 500):
-            assert abs(drift_of(oblate, rot_wind, st)) < math.pi / 2
+    @settings(max_examples=300, deadline=None)
+    @given(a=SHAPES, c=RATES, theta=COLATITUDES, heading=HEADINGS)
+    def test_mild_wind_bound(self, a, c, theta, heading):
+        sph, wind = Spheroid(a), rotation_wind(c)
+        st = initial_state_randers(sph, wind, SurfacePoint(0.3, theta), heading)
+        assert abs(drift_of(sph, wind, st)) < math.pi / 2
 
-    def test_rotation_sign_rule(self, oblate, rot_wind):
-        rng = np.random.default_rng(37)
-        for st in random_mild_states(oblate, rot_wind, rng, 300):
-            if abs(ROTATION_RATE * st.vel.v) < 1e-9:
-                continue
-            generic = drift_of(oblate, rot_wind, st)
-            assert math.copysign(1.0, generic) == math.copysign(
-                1.0, ROTATION_RATE * st.vel.v
-            )
-            assert rotation_drift(oblate, ROTATION_RATE, st) == pytest.approx(
-                generic, abs=1e-10
-            )
+    @settings(max_examples=300, deadline=None)
+    @given(a=SHAPES, c=RATES, theta=COLATITUDES, heading=HEADINGS)
+    def test_rotation_sign_rule(self, a, c, theta, heading):
+        sph, wind = Spheroid(a), rotation_wind(c)
+        st = initial_state_randers(sph, wind, SurfacePoint(0.3, theta), heading)
+        assume(abs(c * st.vel.v) >= 1e-9)
+        generic = drift_of(sph, wind, st)
+        assert math.copysign(1.0, generic) == math.copysign(1.0, c * st.vel.v)
+        # the oracle's acos near 1 costs it about eps / |drift| of its angle
+        assert rotation_drift(sph, c, st) == pytest.approx(
+            generic, abs=1e-10 + 4e-16 / abs(generic)
+        )
 
     def test_law_of_cosines(self, oblate, rot_wind):
         # |W|^2 = |u|^2 + |v|^2 - 2 |u||v| cos|drift| with unit own speed
@@ -273,20 +286,22 @@ class TestInitialSpeedVsHeading:
         with pytest.raises(NotMild):
             initial_speed_vs_heading(oblate, blank, equator_start, 0.0)
 
-    def test_range_is_twice_wind_norm(self, oblate, rot_wind):
+    @settings(max_examples=300, deadline=None)
+    @given(a=SHAPES, c=RATES, theta=COLATITUDES, heading=HEADINGS)
+    def test_range_is_twice_wind_norm(self, a, c, theta, heading):
         # |v(heading)|^2 = 1 + w^2 + 2 w cos(heading + delta) with
         # w = |W|_h and delta from the wind components, so the exact
-        # extremes sit at heading = -delta and pi - delta
-        rng = np.random.default_rng(41)
-        for p in random_points(rng, 8):
-            w1, w2 = rot_wind.at(p)
-            h22 = math.cos(p.theta) ** 2 + 0.75**2 * math.sin(p.theta) ** 2
-            delta = math.atan2(-w2 * math.sqrt(h22), w1 * math.sin(p.theta))
-            fastest = initial_speed_vs_heading(oblate, rot_wind, p, delta)
-            slowest = initial_speed_vs_heading(oblate, rot_wind, p, delta + math.pi)
-            assert fastest - slowest == pytest.approx(
-                2.0 * wind_norm(oblate, rot_wind, p), abs=1e-10
-            )
+        # extremes sit at heading = -delta and pi - delta, and every
+        # heading lies between them
+        sph, wind, p = Spheroid(a), rotation_wind(c), SurfacePoint(0.3, theta)
+        w1, w2 = wind.at(p)
+        h11, h22 = metric_components(sph, theta)
+        delta = math.atan2(-w2 * math.sqrt(h22), w1 * math.sqrt(h11))
+        fastest = initial_speed_vs_heading(sph, wind, p, delta)
+        slowest = initial_speed_vs_heading(sph, wind, p, delta + math.pi)
+        assert fastest - slowest == pytest.approx(2.0 * wind_norm(sph, wind, p), abs=1e-10)
+        assert slowest - 1e-12 <= initial_speed_vs_heading(sph, wind, p, heading)
+        assert initial_speed_vs_heading(sph, wind, p, heading) <= fastest + 1e-12
 
 
 class TestControlChannel:

@@ -161,9 +161,9 @@ class TestRenderSvg:
         marker_spec = PlotSpec(kind="speed_vs_heading", series=(SeriesStyle("pt"),))
         doc = render_svg(marker_spec, point)
         assert "<circle" in doc
-        path_spec = PlotSpec(kind="xy_projection", series=(SeriesStyle("pt"),))
+        path_spec = PlotSpec(kind="path3d_projection", series=(SeriesStyle("pt"),))
         with pytest.raises(EmptyData):
-            render_svg(path_spec, [np.asarray([[0.0, 0.5, 0.5]])])
+            render_svg(path_spec, [np.asarray([[0.0, 0.5, 0.5, 0.0]])])
 
     def test_no_data_refused(self):
         spec = PlotSpec(kind="channel_vs_time", series=(SeriesStyle("x"),))

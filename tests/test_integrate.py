@@ -10,6 +10,7 @@ from znav import (
     POLE_GUARD,
     NavState,
     NonFiniteState,
+    STILL_AIR,
     PoleSingularity,
     RandersData,
     Spheroid,
@@ -22,7 +23,6 @@ from znav import (
     custom_wind,
     h_norm,
     initial_state,
-    initial_state_alpha,
     initial_state_randers,
     initial_state_riemannian,
     integrate,
@@ -45,13 +45,7 @@ def counting(rhs, calls: list[int]):
 
 
 def run(sph, wind, kind, heading, cfg) -> Trajectory:
-    start = SurfacePoint(0.0, math.pi / 2)
-    if kind == "h" or wind is None:
-        s0 = initial_state_riemannian(sph, start, heading)
-    elif kind == "alpha":
-        s0 = initial_state_alpha(sph, wind, start, heading)
-    else:
-        s0 = initial_state_randers(sph, wind, start, heading)
+    s0 = initial_state(sph, wind, kind, SurfacePoint(0.0, math.pi / 2), heading)
     return integrate(make_rhs(kind, sph, wind), s0, cfg, kind=kind)
 
 
@@ -361,6 +355,21 @@ class TestIntegrateFamily:
         with pytest.raises(ValueError):
             integrate_family(oblate, rot_wind, SurfacePoint(0.0, math.pi / 2),
                              [], "randers", IntegratorConfig(t_end=1.0))
+
+    @pytest.mark.parametrize("kind", ["h", "alpha", "randers"])
+    def test_still_air_spellings_run_the_h_flow(self, oblate, kind):
+        # None and STILL_AIR are one still air: every kind runs the h
+        # flow there, sample for sample
+        cfg = IntegratorConfig(t_end=2.0)
+        want = run(oblate, None, "h", 0.7, cfg).samples
+        for wind in (None, STILL_AIR):
+            assert run(oblate, wind, kind, 0.7, cfg).samples == want
+        fans = [
+            [m.trajectory.samples for m in integrate_family(
+                oblate, wind, SurfacePoint(0.0, 1.2), [0.3, 2.0], kind, cfg)]
+            for wind in (None, STILL_AIR)
+        ]
+        assert fans[0] == fans[1]
 
 
 class TestConfigValidation:

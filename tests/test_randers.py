@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from znav import (
     F_value,
     NotMild,
     RandersData,
+    Spheroid,
     SurfacePoint,
     TangentVector,
     alpha_term,
@@ -20,7 +22,15 @@ from znav import (
     unit_heading_vector,
     wind_norm,
 )
-from tests.conftest import ROTATION_RATE, random_points, random_vectors
+from tests.conftest import (
+    COLATITUDES,
+    HEADINGS,
+    RATES,
+    ROTATION_RATE,
+    SHAPES,
+    random_points,
+    random_vectors,
+)
 from tests.oracles import F_rotation_closed
 
 
@@ -179,9 +189,16 @@ class TestIndicatrix:
         for y in vecs:
             assert F_value(rd_still, equator_start, y) == pytest.approx(1.0, abs=1e-12)
 
-    def test_translated_circle_is_unit_time(self, rd, equator_start):
-        vecs = indicatrix(rd, equator_start, 360)
-        worst = max(abs(F_value(rd, equator_start, y) - 1.0) for y in vecs)
+    @settings(max_examples=200, deadline=None)
+    @given(a=SHAPES, c=RATES, theta=COLATITUDES, heading=HEADINGS)
+    def test_translated_circle_is_unit_time(self, a, c, theta, heading):
+        # 360 indicatrix samples plus W + the unit h-vector at the drawn heading
+        rd = RandersData(Spheroid(a), rotation_wind(c))
+        p = SurfacePoint(0.3, theta)
+        w1, w2 = rd.wind.at(p)
+        unit = unit_heading_vector(rd.sph, p, heading)
+        vecs = [*indicatrix(rd, p, 360), TangentVector(w1 + unit.u, w2 + unit.v)]
+        worst = max(abs(F_value(rd, p, y) - 1.0) for y in vecs)
         assert worst < 1e-9
 
     def test_offset_equals_wind_norm(self, oblate, rot_wind, rd):

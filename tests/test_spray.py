@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from znav import (
+    STILL_AIR,
     DegenerateHessian,
     NavState,
     NotMild,
@@ -19,6 +20,7 @@ from znav import (
     h_norm,
     make_rhs,
     randers_lagrangian,
+    resolve_flow,
     rotation_wind,
     spray_alpha_closed,
     spray_numeric,
@@ -373,3 +375,17 @@ class TestGeodesicRhsDispatch:
             make_rhs("finsler", oblate, rot_wind)
         with pytest.raises(ValueError):
             make_rhs("finsler", oblate, None)
+
+    def test_resolve_flow(self, rot_wind):
+        for kind in ("h", "alpha", "randers"):
+            for wind in (None, STILL_AIR):
+                assert resolve_flow(kind, wind) == ("h", STILL_AIR)
+        assert resolve_flow("h", rot_wind) == ("h", STILL_AIR)
+        for kind in ("alpha", "randers"):
+            assert resolve_flow(kind, rot_wind) == (kind, rot_wind)
+        # still air is STILL_AIR itself: a zero-rate wind keeps its kind
+        zero = rotation_wind(0.0)
+        assert resolve_flow("alpha", zero) == ("alpha", zero)
+        for wind in (rot_wind, None):
+            with pytest.raises(ValueError, match="unknown metric kind 'finsler'"):
+                resolve_flow("finsler", wind)
