@@ -234,11 +234,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 @dataclass
 class Problem:
-    """Validated and parsed navigation problem; rate is None without a rotation wind."""
+    """Validated and parsed navigation problem."""
 
     sph: Spheroid
-    wind: WindField
-    rate: float | None
+    wind: WindField  # STILL_AIR for --wind none
+    flow_wind: WindField  # the wind of the flow that kind runs (spray.resolve_flow)
+    rate: float | None  # None without a rotation wind
     start: SurfacePoint
     kind: str
     icfg: IntegratorConfig
@@ -256,7 +257,7 @@ def resolve_problem(cfg: RunConfig) -> Problem:
     try:
         wind = STILL_AIR if rate is None else rotation_wind(rate)
         require_off_pole(start.theta)
-        resolve_flow(cfg.kind, wind)
+        flow_wind = resolve_flow(cfg.kind, wind)[1]
         sph = Spheroid(cfg.a)
         RandersData(sph, wind).mildness_factor(start)
         icfg = IntegratorConfig(
@@ -268,16 +269,16 @@ def resolve_problem(cfg: RunConfig) -> Problem:
         )
     except (ValueError, NavigationError) as exc:  # NotMild, PoleSingularity
         raise ValidationError(str(exc)) from exc
-    return Problem(sph, wind, rate, start, cfg.kind, icfg, cfg)
+    return Problem(sph, wind, flow_wind, rate, start, cfg.kind, icfg, cfg)
 
 
-def _conservation_drift(sph: Spheroid, wind: WindField, traj: Trajectory) -> float:
+def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
     """Largest deviation of the conserved speed (alpha- or F-norm) from 1.
 
-    wind is the wind of the track's flow; the h-norm is F in still air.
+    The flow's wind is still air for h, where the h-norm is F.
     """
-    rd = RandersData(sph, wind)
-    norm = alpha_term if traj.kind == "alpha" else F_value
+    rd = RandersData(prob.sph, prob.flow_wind)
+    norm = alpha_term if prob.kind == "alpha" else F_value
     worst = 0.0
     for _, state in traj.samples:
         worst = max(worst, abs(norm(rd, state.point, state.vel) - 1.0))
@@ -314,11 +315,10 @@ def _heading(prob: Problem, command: str) -> float:
     return parse_angle(prob.cfg.heading, prob.cfg.deg)
 
 
-def _track(prob: Problem, kind: str, heading: float) -> tuple[Trajectory, WindField]:
-    """Seed and integrate one track; returns it and the wind of its flow."""
-    kind, wind = resolve_flow(kind, prob.wind)
-    state0 = initial_state(prob.sph, wind, kind, prob.start, heading)
-    return integrate(make_rhs(kind, prob.sph, wind), state0, prob.icfg, kind=kind), wind
+def _track(prob: Problem, kind: str, heading: float) -> Trajectory:
+    """Seed and integrate one track of the given metric kind."""
+    state0 = initial_state(prob.sph, prob.wind, kind, prob.start, heading)
+    return integrate(make_rhs(kind, prob.sph, prob.wind), state0, prob.icfg, kind=kind)
 
 
 def _heading_deg(cfg: RunConfig, angle: float) -> float:
@@ -331,8 +331,8 @@ def cmd_geodesic(prob: Problem) -> int:
     cfg = prob.cfg
     heading = _heading(prob, "geodesic")
     segments = _segments(cfg)
-    traj, wind = _track(prob, prob.kind, heading)
-    channel = control_channel(prob.sph, wind, traj)
+    traj = _track(prob, prob.kind, heading)
+    channel = control_channel(prob.sph, prob.flow_wind, traj)
     if cfg.csv:
         write_csv(prob.sph, traj, channel, cfg.csv)
     if cfg.svg:
@@ -352,7 +352,7 @@ def cmd_geodesic(prob: Problem) -> int:
         f"t_last={traj.samples[-1][0]:.6g} "
         f"final_phi={final.point.phi:.9g} final_theta={final.point.theta:.9g} "
         f"final_phi_dot={final.vel.u:.9g} final_theta_dot={final.vel.v:.9g} "
-        f"conservation_drift={_conservation_drift(prob.sph, wind, traj):.3e}"
+        f"conservation_drift={_conservation_drift(prob, traj):.3e}"
     )
     return 0
 
@@ -377,7 +377,6 @@ def cmd_family(prob: Problem) -> int:
 
     members = integrate_family(prob.sph, prob.wind, prob.start, headings,
                                prob.kind, prob.icfg)
-    wind = resolve_flow(prob.kind, prob.wind)[1]
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
     data, styles = [], []
     for i, member in enumerate(members):
@@ -391,7 +390,7 @@ def cmd_family(prob: Problem) -> int:
         print(f"member={i:02d} heading={member.heading:.6g} "
               f"termination={member.trajectory.termination} classification={label}")
         if cfg.csv:
-            channel = control_channel(prob.sph, wind, member.trajectory)
+            channel = control_channel(prob.sph, prob.flow_wind, member.trajectory)
             write_csv(prob.sph, member.trajectory, channel,
                       _member_csv_path(cfg.csv, i))
         data.append(_path3d_array(prob, member.trajectory))
@@ -411,18 +410,17 @@ def cmd_family(prob: Problem) -> int:
 def cmd_compare(prob: Problem) -> int:
     cfg = prob.cfg
     heading = _heading(prob, "compare")
-    tracks = {kind: _track(prob, kind, heading) for kind in METRIC_KINDS}
-    (traj_h, wind_h), (traj_f, wind_f) = tracks["h"], tracks["randers"]
+    trajs = {kind: _track(prob, kind, heading) for kind in METRIC_KINDS}
 
-    n = min(len(t.samples) for t, _ in tracks.values())
-    t_grid = [t for t, _ in traj_h.samples[:n]]
+    n = min(len(t.samples) for t in trajs.values())
+    t_grid = [t for t, _ in trajs["h"].samples[:n]]
     cols: dict[str, list[float]] = {"t": t_grid}
     for name in ("phi", "theta", "phi_dot", "theta_dot"):
-        f_vals = traj_f.channel(name)[:n]
-        h_vals = traj_h.channel(name)[:n]
+        f_vals = trajs["randers"].channel(name)[:n]
+        h_vals = trajs["h"].channel(name)[:n]
         cols[f"d_{name}"] = [fv - hv for fv, hv in zip(f_vals, h_vals)]
-    ch_f = control_channel(prob.sph, wind_f, traj_f)
-    ch_h = control_channel(prob.sph, wind_h, traj_h)
+    ch_f = control_channel(prob.sph, prob.wind, trajs["randers"])
+    ch_h = control_channel(prob.sph, STILL_AIR, trajs["h"])
     m = min(len(ch_f), len(ch_h), n)
     for name in ("heading", "course", "drift", "speed"):
         cols[f"d_{name}"] = [
@@ -440,10 +438,10 @@ def cmd_compare(prob: Problem) -> int:
         palette = {"h": "#1f77b4", "alpha": "#2ca02c", "randers": "#d62728"}
         spec = PlotSpec(
             kind="path3d_projection",
-            series=tuple(SeriesStyle(label=k, color=palette[k]) for k in tracks),
+            series=tuple(SeriesStyle(label=k, color=palette[k]) for k in trajs),
             view_axis=cfg.view,
         )
-        write_svg(spec, [_path3d_array(prob, t) for t, _ in tracks.values()], cfg.svg)
+        write_svg(spec, [_path3d_array(prob, t) for t in trajs.values()], cfg.svg)
 
     max_dphi = max(abs(v) for v in cols["d_phi"])
     max_dtheta = max(abs(v) for v in cols["d_theta"])
@@ -451,8 +449,8 @@ def cmd_compare(prob: Problem) -> int:
     if prob.rate is not None:
         res_phi = max(
             abs(pf - (ph - prob.rate * t))
-            for t, pf, ph in zip(t_grid, traj_f.channel("phi")[:n],
-                                 traj_h.channel("phi")[:n])
+            for t, pf, ph in zip(t_grid, trajs["randers"].channel("phi")[:n],
+                                 trajs["h"].channel("phi")[:n])
         )
         print(f"killing_residual_phi={res_phi:.3e} "
               f"killing_residual_theta={max_dtheta:.3e}")
@@ -500,8 +498,8 @@ def cmd_indicatrix(prob: Problem) -> int:
 
 def cmd_report(prob: Problem) -> int:
     cfg = prob.cfg
-    traj, wind = _track(prob, prob.kind, _heading(prob, "report"))
-    channel = control_channel(prob.sph, wind, traj)
+    traj = _track(prob, prob.kind, _heading(prob, "report"))
+    channel = control_channel(prob.sph, prob.flow_wind, traj)
     if not channel:
         raise EmptyData("control channel is empty; no defined samples")
     if cfg.csv:
@@ -526,7 +524,7 @@ def cmd_report(prob: Problem) -> int:
     if cfg.speed_svg:
         hds = np.linspace(0.0, 2.0 * math.pi, 361)
         speeds = [
-            control.initial_speed_vs_heading(prob.sph, wind, prob.start, float(hd))
+            control.initial_speed_vs_heading(prob.sph, prob.flow_wind, prob.start, float(hd))
             for hd in hds
         ]
         spec = PlotSpec(

@@ -3,11 +3,10 @@
 christoffels and riemannian_rhs give the Christoffel spray of the
 induced metric h, which make_rhs runs as the navigation spray of still
 air; F_rotation_closed is F = alpha + beta specialized to the rotation
-wind; rotation_drift is the dot-product drift formula for that wind.
+wind; rotation_drift is the dot- and cross-product drift formula for that wind.
 """
 import math
 
-from znav.control import speed_of
 from znav.spheroid import (
     NavState,
     Spheroid,
@@ -60,11 +59,19 @@ def F_rotation_closed(sph: Spheroid, c: float, theta: float, y: TangentVector) -
 
 
 def rotation_drift(sph: Spheroid, c: float, state: NavState) -> float:
-    """Signed drift for the rotation wind: sign(c * theta_dot) * arccos(...)."""
+    """Signed drift for the rotation wind: sign(c * theta_dot) * angle(v, v - W).
+
+    The angle between the resulting velocity (u, v) and the relative one
+    (u + c, v) comes from their h dot product and h cross product,
+
+        dot = u (u + c) h11 + v^2 h22,   |cross| = |c v| sqrt(h11 h22),
+
+    through atan2, which keeps full precision for small drifts, where
+    arccos of the normalized dot product does not.
+    """
     h11, h22 = metric_components(sph, state.point.theta)
     u, v = state.vel.u, state.vel.v
-    num = u * (u + c) * h11 + v * v * h22
-    cos_psi = num / speed_of(sph, state)
-    mag = math.acos(min(1.0, max(-1.0, cos_psi)))
+    dot = u * (u + c) * h11 + v * v * h22
+    mag = math.atan2(abs(c * v) * math.sqrt(h11 * h22), dot)
     sign = 1.0 if c * v > 0 else (-1.0 if c * v < 0 else 0.0)
     return sign * mag
