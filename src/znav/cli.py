@@ -26,8 +26,6 @@ import sys
 from dataclasses import dataclass, fields
 from typing import get_args
 
-import numpy as np
-
 from znav import control
 from znav.control import control_channel, initial_state, wrap_signed
 from znav.errors import EmptyData, NavigationError
@@ -237,9 +235,9 @@ class Problem:
     """Validated and parsed navigation problem."""
 
     sph: Spheroid
-    wind: WindField  # STILL_AIR for --wind none
+    wind: WindField  # STILL_AIR for --wind none and a zero rotation rate
     flow_wind: WindField  # the wind of the flow that kind runs (spray.resolve_flow)
-    rate: float | None  # None without a rotation wind
+    rate: float | None  # None for --wind none
     start: SurfacePoint
     kind: str
     icfg: IntegratorConfig
@@ -255,7 +253,8 @@ def resolve_problem(cfg: RunConfig) -> Problem:
         parse_angle(parts[0], cfg.deg), parse_angle(parts[1], cfg.deg)
     )
     try:
-        wind = STILL_AIR if rate is None else rotation_wind(rate)
+        # a zero rate (0 or -0.0) is still air, the same flow as --wind none
+        wind = STILL_AIR if not rate else rotation_wind(rate)
         require_off_pole(start.theta)
         flow_wind = resolve_flow(cfg.kind, wind)[1]
         sph = Spheroid(cfg.a)
@@ -285,8 +284,8 @@ def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
     return worst
 
 
-def _path3d_array(prob: Problem, traj: Trajectory) -> np.ndarray:
-    return np.asarray([(t, *embed(prob.sph, s.point)) for t, s in traj.samples])
+def _path3d_rows(prob: Problem, traj: Trajectory) -> list[tuple[float, ...]]:
+    return [(t, *embed(prob.sph, s.point)) for t, s in traj.samples]
 
 
 def _float_list(text: str, what: str) -> tuple[float, ...]:
@@ -315,10 +314,25 @@ def _heading(prob: Problem, command: str) -> float:
     return parse_angle(prob.cfg.heading, prob.cfg.deg)
 
 
+def _step_failure(traj: Trajectory) -> NavigationError | None:
+    """The numeric error (exit 3) a step_failure track reports, else None."""
+    if traj.termination != "step_failure":
+        return None
+    return NavigationError(traj.events[-1])
+
+
 def _track(prob: Problem, kind: str, heading: float) -> Trajectory:
-    """Seed and integrate one track of the given metric kind."""
+    """Seed and integrate one track of the given metric kind.
+
+    Raises:
+        NavigationError: the step size underflowed (a step_failure track).
+    """
     state0 = initial_state(prob.sph, prob.wind, kind, prob.start, heading)
-    return integrate(make_rhs(kind, prob.sph, prob.wind), state0, prob.icfg, kind=kind)
+    traj = integrate(make_rhs(kind, prob.sph, prob.wind), state0, prob.icfg, kind=kind)
+    error = _step_failure(traj)
+    if error is not None:
+        raise error
+    return traj
 
 
 def _heading_deg(cfg: RunConfig, angle: float) -> float:
@@ -338,9 +352,9 @@ def cmd_geodesic(prob: Problem) -> int:
     if cfg.svg:
         if cfg.plot == "polar":
             kind = "polar"
-            data = np.asarray([(t, s.point.phi, s.point.theta) for t, s in traj.samples])
+            data = [(t, s.point.phi, s.point.theta) for t, s in traj.samples]
         else:
-            kind, data = "path3d_projection", _path3d_array(prob, traj)
+            kind, data = "path3d_projection", _path3d_rows(prob, traj)
         # --plot xy is the path3d projection along z
         spec = PlotSpec(kind=kind,
                         series=(SeriesStyle(label=prob.kind, color="#d62728"),),
@@ -380,20 +394,20 @@ def cmd_family(prob: Problem) -> int:
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
     data, styles = [], []
     for i, member in enumerate(members):
-        if member.trajectory is None:
+        traj = member.trajectory
+        error = member.error if traj is None else _step_failure(traj)
+        if error is not None:
             counts["failed"] += 1
-            print(f"member={i:02d} heading={member.heading:.6g} "
-                  f"error={member.error}")
+            print(f"member={i:02d} heading={member.heading:.6g} error={error}")
             continue
-        label = classify_path(member.trajectory)
+        label = classify_path(traj)
         counts[label] += 1
         print(f"member={i:02d} heading={member.heading:.6g} "
-              f"termination={member.trajectory.termination} classification={label}")
+              f"termination={traj.termination} classification={label}")
         if cfg.csv:
-            channel = control_channel(prob.sph, prob.flow_wind, member.trajectory)
-            write_csv(prob.sph, member.trajectory, channel,
-                      _member_csv_path(cfg.csv, i))
-        data.append(_path3d_array(prob, member.trajectory))
+            channel = control_channel(prob.sph, prob.flow_wind, traj)
+            write_csv(prob.sph, traj, channel, _member_csv_path(cfg.csv, i))
+        data.append(_path3d_rows(prob, traj))
         styles.append(SeriesStyle(
             label=f"heading={member.heading:.4g}",
             color="#1f77b4" if label == "transpolar" else "#d62728",
@@ -441,7 +455,7 @@ def cmd_compare(prob: Problem) -> int:
             series=tuple(SeriesStyle(label=k, color=palette[k]) for k in trajs),
             view_axis=cfg.view,
         )
-        write_svg(spec, [_path3d_array(prob, t) for t in trajs.values()], cfg.svg)
+        write_svg(spec, [_path3d_rows(prob, t) for t in trajs.values()], cfg.svg)
 
     max_dphi = max(abs(v) for v in cols["d_phi"])
     max_dtheta = max(abs(v) for v in cols["d_theta"])
@@ -481,7 +495,7 @@ def cmd_indicatrix(prob: Problem) -> int:
         for mult in mults:
             pts = [(mult * y.u, mult * y.v) for y in vecs]
             pts.append(pts[0])  # close the curve
-            data.append(np.asarray(pts))
+            data.append(pts)
         palette = ("#1f77b4", "#d62728", "#9467bd", "#e377c2")
         spec = PlotSpec(
             kind="indicatrix",
@@ -505,11 +519,11 @@ def cmd_report(prob: Problem) -> int:
     if cfg.csv:
         write_csv(prob.sph, traj, channel, cfg.csv)
     if cfg.svg:
-        t = np.asarray([r.t for r in channel])
+        t = [r.t for r in channel]
         curves = {
             "heading": unwrap_angles([r.heading for r in channel]),
             "course": unwrap_angles([r.course for r in channel]),
-            "drift": np.asarray([r.drift for r in channel]),
+            "drift": [r.drift for r in channel],
         }
         spec = PlotSpec(
             kind="channel_vs_time",
@@ -519,19 +533,20 @@ def cmd_report(prob: Problem) -> int:
                 SeriesStyle(label="drift", color="#1f77b4", dash="6,3"),
             ),
         )
-        data = [np.column_stack([t, curves[k]]) for k in ("heading", "course", "drift")]
+        data = [list(zip(t, curves[k])) for k in ("heading", "course", "drift")]
         write_svg(spec, data, cfg.svg)
     if cfg.speed_svg:
-        hds = np.linspace(0.0, 2.0 * math.pi, 361)
+        # numpy.linspace(0, 2*pi, 361), float for float
+        hds = [k * (2.0 * math.pi / 360) for k in range(360)] + [2.0 * math.pi]
         speeds = [
-            control.initial_speed_vs_heading(prob.sph, prob.flow_wind, prob.start, float(hd))
+            control.initial_speed_vs_heading(prob.sph, prob.flow_wind, prob.start, hd)
             for hd in hds
         ]
         spec = PlotSpec(
             kind="speed_vs_heading",
             series=(SeriesStyle(label="initial speed", color="#000000"),),
         )
-        write_svg(spec, [np.column_stack([hds, speeds])], cfg.speed_svg)
+        write_svg(spec, [list(zip(hds, speeds))], cfg.speed_svg)
 
     rec0 = channel[0]
     conv = " (compass azimuth)" if cfg.compass else ""

@@ -7,12 +7,20 @@ position, control channel).  SVG output is deterministic: no
 timestamps, stable element order, fixed coordinate formatting.  3D
 paths are drawn by orthographic projection along a configurable view
 axis.
+
+A figure series is a sequence of float rows, one row per point, read
+in plain Python (any sequence of number sequences works, a list of
+tuples or a 2-D array alike).  The columns depend on the plot kind:
+
+    path3d_projection   (t, x, y, z)
+    polar               (t, phi, theta), drawn at radius theta
+    channel_vs_time,
+    speed_vs_heading,
+    indicatrix          (x, y)
 """
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
-
-import numpy as np
 
 from znav.control import ControlRecord, wrap_2pi
 from znav.errors import EmptyData
@@ -38,6 +46,12 @@ CSV_COLUMNS = (
 
 # Time-segment palette: red, blue, purple, magenta.
 SEGMENT_COLORS = ("#d62728", "#1f77b4", "#9467bd", "#e377c2")
+
+# One figure series: a float row per point, columns as in the module docstring.
+Series = Sequence[Sequence[float]]
+
+# Width and height of every figure, in SVG user units.
+FIGURE_SIZE = 640
 
 PATH_KINDS = {"path3d_projection", "polar"}
 MARKER_KINDS = {"channel_vs_time", "indicatrix", "speed_vs_heading"}
@@ -121,8 +135,6 @@ class PlotSpec:
     series: tuple[SeriesStyle, ...]
     segments: tuple[float, ...] | None = None
     view_axis: str = "z"
-    width: int = 640
-    height: int = 640
 
     def __post_init__(self):
         if self.kind not in PATH_KINDS | MARKER_KINDS:
@@ -135,29 +147,30 @@ class PlotSpec:
             raise ValueError(f"view_axis must be x, y or z, got {self.view_axis!r}")
 
 
-def _to_plane(spec: PlotSpec, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Map one series array to (px, py, t-or-None) for the requested plot kind."""
+# (first, second) plane column of a (t, x, y, z) row per view axis
+_PROJECTION = {"z": (1, 2), "x": (2, 3), "y": (1, 3)}
+
+
+def _to_plane(
+    spec: PlotSpec, rows: Series
+) -> tuple[list[float], list[float], list[float] | None]:
+    """Map one series to (px, py, t-or-None) for the requested plot kind."""
     kind = spec.kind
     if kind == "path3d_projection":
-        t, x, y, z = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-        if spec.view_axis == "z":
-            return x, y, t
-        if spec.view_axis == "x":
-            return y, z, t
-        return x, z, t
+        i, j = _PROJECTION[spec.view_axis]
+        return [r[i] for r in rows], [r[j] for r in rows], [r[0] for r in rows]
     if kind == "polar":
-        t, phi, theta = arr[:, 0], arr[:, 1], arr[:, 2]
-        return theta * np.cos(phi), theta * np.sin(phi), t
+        return (
+            [r[2] * math.cos(r[1]) for r in rows],
+            [r[2] * math.sin(r[1]) for r in rows],
+            [r[0] for r in rows],
+        )
     # channel_vs_time, speed_vs_heading, indicatrix: already planar
-    return arr[:, 0], arr[:, 1], None
+    return [r[0] for r in rows], [r[1] for r in rows], None
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.4f}"
-
-
-def render_svg(spec: PlotSpec, data: Sequence[np.ndarray]) -> str:
-    """Render series data to a standalone SVG 1.1 document string.
+def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
+    """Render series of float rows to a standalone SVG 1.1 document string.
 
     Path kinds refuse series with fewer than two points; marker kinds
     draw lone points as small circles.  Series are drawn in order; when
@@ -172,80 +185,80 @@ def render_svg(spec: PlotSpec, data: Sequence[np.ndarray]) -> str:
         raise ValueError(
             f"{len(spec.series)} series styles but {len(data)} data arrays"
         )
-    arrays = [np.asarray(a, dtype=float) for a in data]
-    if not arrays or all(a.size == 0 for a in arrays):
+    if all(len(rows) == 0 for rows in data):
         raise EmptyData(f"no data for {spec.kind} plot")
     if spec.kind in PATH_KINDS:
-        for style, a in zip(spec.series, arrays):
-            if a.shape[0] < 2:
+        for style, rows in zip(spec.series, data):
+            if len(rows) < 2:
                 raise EmptyData(
-                    f"series {style.label!r} has {a.shape[0]} points; "
+                    f"series {style.label!r} has {len(rows)} points; "
                     f"{spec.kind} needs at least 2"
                 )
 
-    planes = [_to_plane(spec, a) for a in arrays]
-    all_x = np.concatenate([p[0] for p in planes])
-    all_y = np.concatenate([p[1] for p in planes])
-    xmin, xmax = float(all_x.min()), float(all_x.max())
-    ymin, ymax = float(all_y.min()), float(all_y.max())
+    planes = [_to_plane(spec, rows) for rows in data]
+    xmin = min(min(x) for x, _, _ in planes if x)
+    xmax = max(max(x) for x, _, _ in planes if x)
+    ymin = min(min(y) for _, y, _ in planes if y)
+    ymax = max(max(y) for _, y, _ in planes if y)
     pad_x = 0.05 * (xmax - xmin) or 1.0
     pad_y = 0.05 * (ymax - ymin) or 1.0
     xmin, xmax = xmin - pad_x, xmax + pad_x
     ymin, ymax = ymin - pad_y, ymax + pad_y
 
-    sx = spec.width / (xmax - xmin)
-    sy = spec.height / (ymax - ymin)
+    size = FIGURE_SIZE
+    sx = size / (xmax - xmin)
+    sy = size / (ymax - ymin)
     if spec.kind in PATH_KINDS or spec.kind == "indicatrix":
         sx = sy = min(sx, sy)  # equal aspect for geometric figures
-    x0 = 0.5 * (spec.width - sx * (xmax - xmin))
-    y0 = 0.5 * (spec.height - sy * (ymax - ymin))
-
-    def to_px(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x0 + (x - xmin) * sx, spec.height - (y0 + (y - ymin) * sy)
+    x0 = 0.5 * (size - sx * (xmax - xmin))
+    y0 = 0.5 * (size - sy * (ymax - ymin))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" '
+        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect x="0" y="0" width="{size}" height="{size}" '
         f'fill="white" stroke="#cccccc"/>',
     ]
 
-    def emit_polyline(px, py, color: str, dash: str, label: str) -> None:
-        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+    def emit_polyline(pts: list[str], color: str, dash: str, label: str) -> None:
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
-            f'{dash_attr} points="{pts}"><title>{label}</title></polyline>'
+            f'{dash_attr} points="{" ".join(pts)}"><title>{label}</title></polyline>'
         )
 
     for style, (x, y, t) in zip(spec.series, planes):
-        px, py = to_px(x, y)
-        if px.shape[0] == 1:
+        # one "px,py" pixel pair per point, the y axis pointing up
+        pts = [
+            f"{x0 + (a - xmin) * sx:.4f},{size - (y0 + (b - ymin) * sy):.4f}"
+            for a, b in zip(x, y)
+        ]
+        if len(pts) == 1:
+            cx, cy = pts[0].split(",")
             parts.append(
-                f'<circle cx="{_fmt(px[0])}" cy="{_fmt(py[0])}" r="3" '
+                f'<circle cx="{cx}" cy="{cy}" r="3" '
                 f'fill="{style.color}"><title>{style.label}</title></circle>'
             )
             continue
         if spec.segments and t is not None:
             bounds = [-math.inf, *spec.segments, math.inf]
             for i in range(len(bounds) - 1):
-                mask = (t >= bounds[i]) & (t <= bounds[i + 1])
+                lo, hi = bounds[i], bounds[i + 1]
                 # keep shared boundary points so segments join up
-                if mask.sum() < 2:
+                seg = [p for p, tk in zip(pts, t) if lo <= tk <= hi]
+                if len(seg) < 2:
                     continue
                 color = SEGMENT_COLORS[i % len(SEGMENT_COLORS)]
-                emit_polyline(px[mask], py[mask], color, style.dash,
-                              f"{style.label} [{i}]")
+                emit_polyline(seg, color, style.dash, f"{style.label} [{i}]")
         else:
-            emit_polyline(px, py, style.color, style.dash, style.label)
+            emit_polyline(pts, style.color, style.dash, style.label)
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def write_svg(spec: PlotSpec, data: Sequence[np.ndarray], path: str) -> int:
+def write_svg(spec: PlotSpec, data: Sequence[Series], path: str) -> int:
     """Render and write an SVG; returns bytes written.
 
     Raises:
@@ -261,6 +274,23 @@ def write_svg(spec: PlotSpec, data: Sequence[np.ndarray], path: str) -> int:
     return len(doc)
 
 
-def unwrap_angles(values: Sequence[float]) -> np.ndarray:
-    """Lift wrapped angles to a continuous curve (for plotting)."""
-    return np.unwrap(np.asarray(values, dtype=float))
+def unwrap_angles(values: Sequence[float]) -> list[float]:
+    """Lift wrapped angles to a continuous curve (for plotting).
+
+    numpy.unwrap's rule with period 2*pi, float for float: a jump of pi
+    or more is mapped into [-pi, pi), a positive jump that lands on -pi
+    to +pi, and the running sum of the corrections is added to each
+    later value.
+    """
+    vals = [float(v) for v in values]
+    out = vals[:1]
+    correction = 0.0
+    for prev, v in zip(vals, vals[1:]):
+        d = v - prev
+        if not abs(d) < math.pi:  # NaN jumps too, as in numpy
+            dmod = (d + math.pi) % (2.0 * math.pi) - math.pi
+            if dmod == -math.pi and d > 0:
+                dmod = math.pi
+            correction += dmod - d
+        out.append(v + correction)
+    return out

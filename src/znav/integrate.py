@@ -226,15 +226,20 @@ def integrate(
         eq = h * (e1 * v1 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v7)
         eu = h * (e1 * du1 + e3 * du3 + e4 * du4 + e5 * du5 + e6 * du6 + e7 * du7)
         ev = h * (e1 * dv1 + e3 * dv3 + e4 * dv4 + e5 * dv5 + e6 * dv6 + e7 * dv7)
-        err = math.sqrt(
-            (
-                (ep / (abs_tol + rel_tol * max(abs(p1), abs(p7)))) ** 2
-                + (eq / (abs_tol + rel_tol * max(abs(q1), abs(q7)))) ** 2
-                + (eu / (abs_tol + rel_tol * max(abs(u1), abs(u7)))) ** 2
-                + (ev / (abs_tol + rel_tol * max(abs(v1), abs(v7)))) ** 2
+        try:
+            err = math.sqrt(
+                (
+                    (ep / (abs_tol + rel_tol * max(abs(p1), abs(p7)))) ** 2
+                    + (eq / (abs_tol + rel_tol * max(abs(q1), abs(q7)))) ** 2
+                    + (eu / (abs_tol + rel_tol * max(abs(u1), abs(u7)))) ** 2
+                    + (ev / (abs_tol + rel_tol * max(abs(v1), abs(v7)))) ** 2
+                )
+                / 4
             )
-            / 4
-        )
+        except OverflowError:
+            # a float square that overflows raises instead of giving inf;
+            # ** 2 stays, since x * x rounds differently for some x
+            err = math.inf
 
         if not math.isfinite(err):
             h *= 0.1

@@ -113,11 +113,14 @@ def integrate_reference(
             continue
 
         err = 0.0
-        for j in range(4):
-            e = h * sum(_E[m] * k[m][j] for m in range(7))
-            sc = cfg.abs_tol + cfg.rel_tol * max(abs(y[j]), abs(y_new[j]))
-            err += (e / sc) ** 2
-        err = math.sqrt(err / 4)
+        try:
+            for j in range(4):
+                e = h * sum(_E[m] * k[m][j] for m in range(7))
+                sc = cfg.abs_tol + cfg.rel_tol * max(abs(y[j]), abs(y_new[j]))
+                err += (e / sc) ** 2
+            err = math.sqrt(err / 4)
+        except OverflowError:
+            err = math.inf
 
         if not math.isfinite(err):
             h *= 0.1

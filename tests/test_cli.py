@@ -1,9 +1,13 @@
 """End-to-end command-line behavior: outputs, summaries, exit codes."""
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import znav
 from znav import make_rhs
 from znav.cli import ValidationError, main, parse_angle
 from znav.export import read_csv
@@ -135,12 +139,41 @@ class TestGeodesic:
         assert code == 0
         assert "termination=completed" in capsys.readouterr().out
 
+    def test_zero_rotation_is_still_air(self, tmp_path, capsys):
+        # rotation:0 and rotation:-0.0 run the flow of --wind none
+        winds = ("none", "rotation:0", "rotation:-0.0")
+        for i, wind in enumerate(winds):
+            code = main(["geodesic", "--a", "0.75", "--wind", wind, "--start", "0,pi/2",
+                         "--kind", "alpha", "--heading", "pi/3", "--t-end", "1",
+                         "--csv", str(tmp_path / f"{i}.csv")])
+            assert code == 0
+        csvs = [(tmp_path / f"{i}.csv").read_bytes() for i in range(len(winds))]
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
     def test_nan_mid_run_is_numeric_failure(self, monkeypatch, capsys):
         monkeypatch.setattr("znav.cli.make_rhs",
                             lambda *args: nan_after(make_rhs(*args), 0.5))
         code = main(["geodesic", "--heading", "0.3", "--t-end", "2"])
         assert code == 3
         assert "error[numeric]: colatitude nan is not finite" in capsys.readouterr().err
+
+
+class TestStepFailure:
+    # at tolerances of 1e-300 every step is refused until h underflows
+    TINY_TOL = ["--rel-tol", "1e-300", "--abs-tol", "1e-300", "--t-end", "1"]
+
+    @pytest.mark.parametrize("command", ["geodesic", "compare", "report"])
+    def test_numeric_exit(self, command, capsys):
+        assert main([command, "--heading", "0.3", *self.TINY_TOL]) == 3
+        assert "error[numeric]: step underflow at t=" in capsys.readouterr().err
+
+    def test_family_member_failed(self, capsys):
+        code = main(["family", "--heading-start", "0", "--heading-step", "1",
+                     "--heading-count", "1", *self.TINY_TOL])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "member=00 heading=0 error=step underflow at t=" in out
+        assert "counts: circumpolar=0 transpolar=0 failed=1" in out
 
 
 class TestNonFiniteInput:
@@ -356,3 +389,45 @@ class TestConfigFile:
 
     def test_missing_file(self):
         assert main(["report", "--config", "nope.cfg", "--heading", "0"]) == 2
+
+
+# Every subcommand with its CSV and SVG outputs, short horizons.
+_NO_NUMPY_RUNS = [
+    ["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "1", "--plot", "path3d",
+     "--csv", "g.csv", "--svg", "g3d.svg"],
+    ["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "1", "--plot", "xy",
+     "--svg", "gxy.svg"],
+    ["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "1", "--plot", "polar",
+     "--svg", "gpolar.svg"],
+    ["family", *BENCH, "--heading-start", "0", "--heading-step", "pi/2",
+     "--heading-count", "4", "--t-end", "1", "--segments", "0.3,0.6",
+     "--csv", "f.csv", "--svg", "f.svg"],
+    ["compare", *BENCH, "--heading", "pi/3", "--t-end", "1",
+     "--csv", "c.csv", "--svg", "c.svg"],
+    ["indicatrix", *BENCH, "--n", "36", "--csv", "i.csv", "--svg", "i.svg"],
+    ["report", *BENCH, "--heading", "pi/3", "--t-end", "1",
+     "--csv", "r.csv", "--svg", "r.svg", "--speed-svg", "rs.svg"],
+]
+
+
+def test_runs_without_numpy(tmp_path):
+    # numpy is a test dependency only: with its import blocked, every
+    # subcommand still runs and writes its files
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # import numpy raises ImportError\n"
+        "from znav.cli import main\n"
+        f"sys.exit(max(main(argv) for argv in {_NO_NUMPY_RUNS!r}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(znav.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    written = {p.name: p.stat().st_size for p in tmp_path.iterdir()}
+    assert sorted(written) == sorted([
+        "g.csv", "g3d.svg", "gxy.svg", "gpolar.svg",
+        *(f"f_{i:03d}.csv" for i in range(4)), "f.svg",
+        "c.csv", "c.svg", "i.csv", "i.svg", "r.csv", "r.svg", "rs.svg",
+    ])
+    assert all(written.values())

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from znav import (
     EmptyData,
@@ -94,6 +95,13 @@ class TestWriteCsv:
             write_csv(oblate, bench_traj, [], "no/such/dir/out.csv")
 
 
+def render_both(spec, arrays):
+    """render_svg of ndarray series, checked against the same series as float-row lists."""
+    doc = render_svg(spec, arrays)
+    assert render_svg(spec, [a.tolist() for a in arrays]) == doc
+    return doc
+
+
 def spiral(n=50, turns=2.0):
     t = np.linspace(0.0, 1.0, n)
     ang = 2 * math.pi * turns * t
@@ -104,14 +112,14 @@ class TestRenderSvg:
     def test_deterministic(self):
         spec = PlotSpec(kind="path3d_projection", series=(SeriesStyle("a", "#d62728"),))
         data = [spiral()]
-        assert render_svg(spec, data) == render_svg(spec, data)
+        assert render_both(spec, data) == render_svg(spec, data)
 
     def test_valid_xml_and_member_count(self):
         spec = PlotSpec(
             kind="path3d_projection",
             series=tuple(SeriesStyle(f"m{i}", "#d62728") for i in range(16)),
         )
-        doc = render_svg(spec, [spiral(turns=0.5 + 0.1 * i) for i in range(16)])
+        doc = render_both(spec, [spiral(turns=0.5 + 0.1 * i) for i in range(16)])
         root = ET.fromstring(doc)
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 16
@@ -122,7 +130,7 @@ class TestRenderSvg:
             series=(SeriesStyle("path", "#000000"),),
             segments=(1.0, 2.0, 3.0),
         )
-        doc = render_svg(spec, [spiral(n=400)])
+        doc = render_both(spec, [spiral(n=400)])
         root = ET.fromstring(doc)
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 3
@@ -134,13 +142,13 @@ class TestRenderSvg:
         spec_x = PlotSpec(kind="path3d_projection", series=(SeriesStyle("a"),),
                           view_axis="x")
         data = [spiral()]
-        assert render_svg(spec_z, data) != render_svg(spec_x, data)
+        assert render_both(spec_z, data) != render_both(spec_x, data)
 
     def test_polar_kind(self):
         t = np.linspace(0.0, 3.0, 40)
         data = [np.column_stack([t, 2 * t, 1.0 + 0.2 * np.sin(t)])]
         spec = PlotSpec(kind="polar", series=(SeriesStyle("sol", "#d62728"),))
-        assert "<polyline" in render_svg(spec, data)
+        assert "<polyline" in render_both(spec, data)
 
     def test_indicatrix_nest(self):
         curves = []
@@ -153,22 +161,24 @@ class TestRenderSvg:
             kind="indicatrix",
             series=tuple(SeriesStyle(f"t={m}") for m in (1, 2, 3, 4)),
         )
-        root = ET.fromstring(render_svg(spec, curves))
+        root = ET.fromstring(render_both(spec, curves))
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 4
 
     def test_single_point_marker_vs_path(self):
         point = [np.asarray([[0.5, 0.5]])]
         marker_spec = PlotSpec(kind="speed_vs_heading", series=(SeriesStyle("pt"),))
-        doc = render_svg(marker_spec, point)
+        doc = render_both(marker_spec, point)
         assert "<circle" in doc
         path_spec = PlotSpec(kind="path3d_projection", series=(SeriesStyle("pt"),))
-        with pytest.raises(EmptyData):
-            render_svg(path_spec, [np.asarray([[0.0, 0.5, 0.5, 0.0]])])
+        for lone in ([np.asarray([[0.0, 0.5, 0.5, 0.0]])], [[(0.0, 0.5, 0.5, 0.0)]]):
+            with pytest.raises(EmptyData):
+                render_svg(path_spec, lone)
 
     def test_no_data_refused(self):
         spec = PlotSpec(kind="channel_vs_time", series=(SeriesStyle("x"),))
-        with pytest.raises(EmptyData):
-            render_svg(spec, [np.zeros((0, 2))])
+        for empty in ([np.zeros((0, 2))], [[]]):
+            with pytest.raises(EmptyData):
+                render_svg(spec, empty)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -188,3 +198,22 @@ def test_unwrap_angles():
     wrapped = [0.1, 2.0, 4.0, 6.0, 0.5 + 2 * math.pi - 2 * math.pi]
     lifted = unwrap_angles(wrapped)
     assert all(b - a < math.pi for a, b in zip(lifted, lifted[1:]))
+
+
+# Angles on a wide range, mixed with multiples of pi so that jumps of
+# exactly +-pi and +-3*pi (numpy's boundary cases) come up often.
+ANGLES = strategies.one_of(
+    strategies.floats(-20.0, 20.0),
+    strategies.sampled_from([k * math.pi for k in range(-4, 5)]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=strategies.lists(ANGLES, max_size=40))
+@example(values=[0.0, math.pi, 0.0, -math.pi, 0.0])
+@example(values=[0.0, 3 * math.pi, 0.0, -3 * math.pi, -0.0])
+@example(values=[1.0, math.nan, 2.0])
+def test_unwrap_angles_matches_numpy(values):
+    want = np.unwrap(np.asarray(values, dtype=float)).tolist()
+    # repr compares element for element, NaN and the sign of zero included
+    assert list(map(repr, unwrap_angles(values))) == list(map(repr, want))

@@ -273,6 +273,17 @@ class TestReferenceStepping:
             want.samples, want.termination, want.events
         )
 
+    def test_identical_overflowing_error_norm(self, oblate):
+        # at tolerances of 1e-300 a squared error ratio overflows; the
+        # step is refused like a non-finite norm until h underflows
+        rhs = make_rhs("h", oblate, None)
+        s0 = initial_state_riemannian(oblate, SurfacePoint(0.0, math.pi / 2), 0.3)
+        cfg = IntegratorConfig(t_end=1.0, rel_tol=1e-300, abs_tol=1e-300)
+        got = integrate(rhs, s0, cfg)
+        want = integrate_reference(rhs, s0, cfg)
+        assert got.termination == want.termination == "step_failure"
+        assert (got.samples, got.events) == (want.samples, want.events)
+
 
 class TestPoleHandling:
     def test_due_north_hits_guard(self, oblate):
