@@ -113,10 +113,10 @@ class RunConfig:
     n: int = 360
     multipliers: str = "1,2,3,4"
     t_end: float = 3.0
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
-    sample_dt: float = 0.01
+    rel_tol: float = IntegratorConfig.rel_tol
+    abs_tol: float = IntegratorConfig.abs_tol
+    max_step: float = IntegratorConfig.max_step
+    sample_dt: float = IntegratorConfig.sample_dt
     segments: str | None = None
     plot: str = "path3d"
     view: str = "z"

@@ -31,22 +31,36 @@ _E = (
     22 / 525,
     -1 / 40,
 )
+_D = (
+    -12715105075 / 11282082432,
+    0.0,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
+)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _hermite(y0, f0, y1, f1, h: float, tau: float) -> list[float]:
-    t2 = tau * tau
-    t3 = t2 * tau
-    a = 2 * t3 - 3 * t2 + 1
-    b = t3 - 2 * t2 + tau
-    c = -2 * t3 + 3 * t2
-    d = t3 - t2
-    return [
-        a * y0[i] + b * h * f0[i] + c * y1[i] + d * h * f1[i] for i in range(4)
-    ]
+def _dense_rows(y0, y1, k, h: float) -> list[list[float]]:
+    """Per component the continuous-extension rows [y0, dy, b, c, r]."""
+    rows = []
+    for j in range(4):
+        dy = y1[j] - y0[j]
+        b = h * k[0][j] - dy
+        c = dy - h * k[6][j] - b
+        r = h * sum(_D[m] * k[m][j] for m in range(7))
+        rows.append([y0[j], dy, b, c, r])
+    return rows
+
+
+def _dense(rows, tau: float) -> list[float]:
+    tau1 = 1.0 - tau
+    return [y + tau * (dy + tau1 * (b + tau * (c + tau1 * r))) for y, dy, b, c, r in rows]
 
 
 def _initial_step(f0, y0, cfg: IntegratorConfig) -> float:
@@ -130,12 +144,14 @@ def integrate_reference(
             continue
 
         stop = None
+        rows = None
         while next_idx <= n_grid:
             ts = next_idx * cfg.sample_dt
             if ts > t + h + 1e-14 * max(1.0, ts):
                 break
+            rows = rows or _dense_rows(y, y_new, k, h)
             tau = min(max((ts - t) / h, 0.0), 1.0)
-            yi = _hermite(y, k1, y_new, k_new, h, tau)
+            yi = _dense(rows, tau)
             if not (POLE_GUARD < yi[1] < math.pi - POLE_GUARD):
                 stop = ts
                 break

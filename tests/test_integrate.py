@@ -135,9 +135,16 @@ class TestIntegrate:
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
     def test_sphere_equatorial_reduction(self, sphere):
-        traj = run(sphere, None, "h", 0.0, IntegratorConfig(t_end=2 * math.pi))
+        # at steps of 0.01 the equator holds exactly
+        cfg = IntegratorConfig(t_end=2 * math.pi, max_step=0.01)
+        traj = run(sphere, None, "h", 0.0, cfg)
         assert all(s.point.theta == math.pi / 2 for _, s in traj.samples)
         assert traj.final_state().point.phi == pytest.approx(2 * math.pi, abs=1e-7)
+        # uncapped steps: the float cos(pi/2) = 6.1e-17 is not zero, so the
+        # theta acceleration is not either and theta moves a few ulp
+        traj = run(sphere, None, "h", 0.0, IntegratorConfig(t_end=2 * math.pi))
+        ulp = math.ulp(math.pi / 2)
+        assert all(abs(s.point.theta - math.pi / 2) <= 16 * ulp for _, s in traj.samples)
 
     def test_initial_state_in_guard_band_rejected(self, oblate):
         s0 = initial_state_riemannian(oblate, SurfacePoint(0.0, 1.0), 0.0)
@@ -183,6 +190,49 @@ class TestIntegrate:
                          IntegratorConfig(t_end=7.0, max_step=max_step))
         assert traj.termination == "completed"
         assert got[0] == calls
+
+    def test_benchmark_path_default_config(self, oblate, rot_wind):
+        # the default config leaves steps uncapped, and the continuous
+        # extension keeps F = 1 at the samples between step ends
+        s0 = initial_state_randers(
+            oblate, rot_wind, SurfacePoint(0.0, math.pi / 2), math.pi / 3
+        )
+        got = [0]
+        traj = integrate(counting(make_rhs("randers", oblate, rot_wind), got), s0,
+                         IntegratorConfig(t_end=7.0), kind="randers")
+        assert traj.termination == "completed"
+        assert got[0] == 2233
+        rd = RandersData(oblate, rot_wind)
+        drift = max(abs(F_value(rd, s.point, s.vel) - 1.0) for _, s in traj.samples)
+        assert drift <= 2e-9
+
+    def test_dense_output_matches_scipy(self, oblate, rot_wind):
+        # one Dormand-Prince step of h = 0.004 (the initial-step estimate
+        # here is 0.0054): the samples inside it come from the same
+        # 4th-order interpolant as scipy's RK45 dense output
+        integrate_mod = pytest.importorskip("scipy.integrate")
+        rhs = make_rhs("randers", oblate, rot_wind)
+        s0 = initial_state_randers(oblate, rot_wind, SurfacePoint(1.0, 1.2), 1.0)
+        h = 0.004
+        calls = [0]
+        traj = integrate(counting(rhs, calls), s0,
+                         IntegratorConfig(t_end=h, sample_dt=h / 4), kind="randers")
+        assert calls[0] == 7  # one accepted step, no rejection
+
+        def f(t, y):
+            return [y[2], y[3], *rhs(*y)]
+
+        y0 = [s0.point.phi, s0.point.theta, s0.vel.u, s0.vel.v]
+        solver = integrate_mod.RK45(f, 0.0, y0, t_bound=h, first_step=h,
+                                    rtol=1e-9, atol=1e-12)
+        solver.step()
+        assert (solver.status, solver.t) == ("finished", h)
+        dense = solver.dense_output()
+        assert [t for t, _ in traj.samples] == pytest.approx([0.0, h / 4, h / 2, 3 * h / 4, h])
+        for ts, s in traj.samples[1:]:
+            got = (s.point.phi, s.point.theta, s.vel.u, s.vel.v)
+            want = dense(ts)
+            assert all(math.isclose(g, float(w), rel_tol=1e-14) for g, w in zip(got, want))
 
     def test_custom_wind_numeric_route_conserves_travel_time(self, oblate):
         # a genuinely two-component mild wind exercises the navigation
