@@ -82,6 +82,10 @@ class IntegratorConfig:
             raise ValueError(
                 f"sample_dt must be in (0, t_end], got {self.sample_dt}"
             )
+        if not math.isfinite(self.t_end / self.sample_dt):  # integrate's grid size is an int
+            raise ValueError(
+                f"t_end / sample_dt = {self.t_end / self.sample_dt} samples is not finite"
+            )
 
 
 @dataclass

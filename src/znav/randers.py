@@ -15,7 +15,6 @@ locus).
 import math
 from dataclasses import dataclass
 
-from znav.errors import NotMild
 from znav.spheroid import (
     Spheroid,
     SurfacePoint,
@@ -23,7 +22,7 @@ from znav.spheroid import (
     metric_components,
     unit_heading_vector,
 )
-from znav.wind import WindField
+from znav.wind import WindField, not_mild
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,7 @@ class RandersData:
         h11, h22 = metric_components(self.sph, point.theta)
         lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
         if not lam > 0.0:
-            raise NotMild(
-                f"|W|_h^2 = {1.0 - lam} >= 1 at (phi={point.phi}, theta={point.theta})",
-                point=point,
-                norm=math.sqrt(1.0 - lam),
-            )
+            raise not_mild(point.phi, point.theta, lam)
         return lam
 
 

@@ -20,18 +20,20 @@ of the Hamiltonian H(x, p) = |p|_h* + p . W:
     p' = -F d_x H,   n^i = h^ii p_i / |p|_h*,   y' = F (n' + (dW) y),
 
 with ' the derivative along the geodesic and dW the Jacobian of the
-wind, taken by central differences of its components alone
-(WIND_FD_STEP apart; exactly zero for the rotation wind).  For a
-Killing wind this is the h flow at the velocity through the medium
-(wind-drag identity).  The h flow is the same route in still air
-(W = 0, so lam = 1 and F = |y|_h); resolve_flow maps a kind and a wind
-to the flow they run.
+wind.  For a Killing wind this is the h flow at the velocity through
+the medium (wind-drag identity).  The h flow is the same route in still
+air (W = 0, so lam = 1 and F = |y|_h); resolve_flow maps a kind and a
+wind to the flow they run.
 
 The alpha flow is the Christoffel spray of the Riemannian part of F,
 
     a_ij = h_ij / lam + W_i W_j / lam^2,   W_i = h_ii W^i,
 
 with its derivatives built from the same W and dW, for every wind.
+
+Both routes read W and dW from one WindField.jet call per evaluation:
+the rotation wind and still air hand over an exactly zero dW, a custom
+wind central differences of its components (wind.custom_wind).
 
 Reference implementations, which the tests compare against and no
 runtime path calls: spray_alpha_closed and spray_rotation_closed, the
@@ -51,16 +53,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal, get_args
 
-from znav.errors import DegenerateHessian, NotMild
+from znav.errors import DegenerateHessian
 from znav.randers import RandersData, alpha_term, lagrangian
 from znav.spheroid import (
+    POLE_GUARD,
     NavState,
     Spheroid,
     SurfacePoint,
     TangentVector,
     require_off_pole,
 )
-from znav.wind import STILL_AIR, ComponentFn, WindField
+from znav.wind import STILL_AIR, WindField, not_mild
 
 MetricKind = Literal["h", "alpha", "randers"]
 METRIC_KINDS = get_args(MetricKind)
@@ -71,10 +74,8 @@ METRIC_KINDS = get_args(MetricKind)
 # floor eps/step^2 and cannot reach the 1e-6 oracle agreement.
 FD_REL_STEP = 2e-3
 
-# Step of the central differences for the wind Jacobian.  Their
-# truncation error (~step^2) and roundoff (~eps/step) balance near 1e-5
-# for winds of unit-order derivatives, leaving ~1e-11.
-WIND_FD_STEP = 1e-5
+# Upper end of the chart band (POLE_GUARD, _THETA_MAX) the sprays accept.
+_THETA_MAX = math.pi - POLE_GUARD
 
 Lagrangian = Callable[[float, float, float, float], float]
 RhsFn = Callable[[float, float, float, float], tuple[float, float]]
@@ -292,42 +293,6 @@ def spray_alpha_closed(sph: Spheroid, c: float, state: NavState) -> SprayCoeffic
     return SprayCoefficients(G, H)
 
 
-def _local_jet(a2: float, components: ComponentFn, phi: float, theta: float):
-    """Metric, wind and their first derivatives at one point.
-
-    Returns (h11, h22, dh11, dh22, W1, W2, dW1/dphi, dW1/dtheta,
-    dW2/dphi, dW2/dtheta, lam) with dh the theta-derivatives of h and
-    the wind Jacobian taken by central differences.
-
-    Raises:
-        PoleSingularity: theta inside the polar guard band.
-        NotMild: lam = 1 - |W|_h^2 <= 0 or not a number at the point.
-    """
-    require_off_pole(theta)
-    s = math.sin(theta)
-    co = math.cos(theta)
-    h11 = s * s
-    h22 = co * co + a2 * h11
-    dh11 = 2.0 * s * co
-    w1, w2 = components(phi, theta)
-    lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
-    if not lam > 0.0:
-        raise NotMild(
-            f"|W|_h^2 = {1.0 - lam} >= 1 at (phi={phi}, theta={theta})",
-            point=SurfacePoint(phi, theta),
-            norm=math.sqrt(1.0 - lam),
-        )
-    p1, p2 = components(phi + WIND_FD_STEP, theta)
-    m1, m2 = components(phi - WIND_FD_STEP, theta)
-    q1, q2 = components(phi, theta + WIND_FD_STEP)
-    r1, r2 = components(phi, theta - WIND_FD_STEP)
-    k = 0.5 / WIND_FD_STEP
-    return (
-        h11, h22, dh11, (a2 - 1.0) * dh11, w1, w2,
-        (p1 - m1) * k, (q1 - r1) * k, (p2 - m2) * k, (q2 - r2) * k, lam,
-    )
-
-
 def _randers_rhs(sph: Spheroid, wind: WindField) -> RhsFn:
     """Accelerations of the travel-time metric under any mild wind.
 
@@ -335,17 +300,30 @@ def _randers_rhs(sph: Spheroid, wind: WindField) -> RhsFn:
     heading n = (y - F W) / F turns with the costate of
     H = |p|_h* + p . W, and y' = F (n' + (dW) y).
 
-    The returned function raises what _local_jet raises.
+    The returned function makes one wind.jet call per evaluation and raises
+    PoleSingularity for theta inside the polar guard band, NonFiniteState
+    for a theta that is not finite, and NotMild where lam <= 0 or is not
+    a number.
     """
-    components = wind.components
+    jet = wind.jet
     a2 = sph.a * sph.a
 
     def rhs_randers(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
-        h11, h22, dh11, dh22, w1, w2, j11, j12, j21, j22, lam = _local_jet(
-            a2, components, phi, theta
-        )
+        if not (POLE_GUARD < theta < _THETA_MAX):
+            require_off_pole(theta)
+        w1, w2, j11, j12, j21, j22 = jet(phi, theta)
+        s = math.sin(theta)
+        co = math.cos(theta)
+        h11 = s * s
+        h22 = co * co + a2 * h11
+        lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
+        if not lam > 0.0:
+            raise not_mild(phi, theta, lam)
         if u == 0.0 and v == 0.0:
             return 0.0, 0.0
+        # theta-derivatives of h
+        dh11 = 2.0 * s * co
+        dh22 = (a2 - 1.0) * dh11
         b = u * w1 * h11 + v * w2 * h22
         yy = u * u * h11 + v * v * h22
         r = math.sqrt(b * b + lam * yy)
@@ -374,15 +352,26 @@ def _alpha_rhs(sph: Spheroid, wind: WindField) -> RhsFn:
     Christoffel spray of a_ij = h_ij / lam + W_i W_j / lam^2 with
     W_i = h_ii W^i, written as acc = -a^-1 [(D_y a) y - (1/2) y . (d a) y].
 
-    The returned function raises what _local_jet raises.
+    The returned function makes one wind.jet call per evaluation and
+    raises what the randers route raises.
     """
-    components = wind.components
+    jet = wind.jet
     a2 = sph.a * sph.a
 
     def rhs_alpha(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
-        h11, h22, dh11, dh22, w1, w2, j11, j12, j21, j22, lam = _local_jet(
-            a2, components, phi, theta
-        )
+        if not (POLE_GUARD < theta < _THETA_MAX):
+            require_off_pole(theta)
+        w1, w2, j11, j12, j21, j22 = jet(phi, theta)
+        s = math.sin(theta)
+        co = math.cos(theta)
+        h11 = s * s
+        h22 = co * co + a2 * h11
+        lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
+        if not lam > 0.0:
+            raise not_mild(phi, theta, lam)
+        # theta-derivatives of h
+        dh11 = 2.0 * s * co
+        dh22 = (a2 - 1.0) * dh11
         il = 1.0 / lam
         il2 = il * il
         # lowered wind and its derivatives in phi (index p) and theta (t)

@@ -14,19 +14,41 @@ from znav.errors import NotMild
 from znav.spheroid import POLE_GUARD, Spheroid, SurfacePoint, metric_components
 
 ComponentFn = Callable[[float, float], tuple[float, float]]
+JetFn = Callable[[float, float], tuple[float, float, float, float, float, float]]
+
+# Step of the central differences for the Jacobian of a custom wind.
+# Their truncation error (~step^2) and roundoff (~eps/step) balance near
+# 1e-5 for winds of unit-order derivatives, leaving ~1e-11.
+WIND_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
 class WindField:
     """Stationary vector field in the coordinate basis (d/dphi, d/dtheta).
 
-    components maps (phi, theta) to (W1, W2).
+    components maps (phi, theta) to (W1, W2).  jet maps (phi, theta) to
+    the components and their first derivatives, in the order
+
+        (W1, W2, dW1/dphi, dW1/dtheta, dW2/dphi, dW2/dtheta),
+
+    and is what the sprays call, once per evaluation.  Its W1 and W2
+    equal those of components at the same point.
     """
 
     components: ComponentFn
+    jet: JetFn
 
     def at(self, point: SurfacePoint) -> tuple[float, float]:
         return self.components(point.phi, point.theta)
+
+
+def not_mild(phi: float, theta: float, lam: float) -> NotMild:
+    """The error for lam = 1 - |W|_h^2 <= 0, or not a number, at (phi, theta)."""
+    return NotMild(
+        f"|W|_h^2 = {1.0 - lam} >= 1 at (phi={phi}, theta={theta})",
+        point=SurfacePoint(phi, theta),
+        norm=math.sqrt(1.0 - lam),
+    )
 
 
 def rotation_wind(c: float) -> WindField:
@@ -40,7 +62,9 @@ def rotation_wind(c: float) -> WindField:
     """
     if not abs(c) < 1.0:
         raise NotMild(f"rotation rate {c} gives |W|_h = {abs(c)} at the equator", norm=abs(c))
-    return WindField(components=lambda phi, theta: (-c, 0.0))
+    # constant components: the Jacobian is exactly zero
+    jet = (-c, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return WindField(components=lambda phi, theta: (-c, 0.0), jet=lambda phi, theta: jet)
 
 
 # The zero wind: the travel-time metric of still air is the induced metric h.
@@ -49,8 +73,22 @@ STILL_AIR = rotation_wind(0.0)
 
 
 def custom_wind(components: ComponentFn) -> WindField:
-    """Wrap closed-form component functions (phi, theta) -> (W1, W2)."""
-    return WindField(components=components)
+    """Wrap closed-form component functions (phi, theta) -> (W1, W2).
+
+    The jet takes the Jacobian by central differences WIND_FD_STEP
+    apart: five component evaluations per call.
+    """
+    k = 0.5 / WIND_FD_STEP
+
+    def jet(phi: float, theta: float):
+        w1, w2 = components(phi, theta)
+        p1, p2 = components(phi + WIND_FD_STEP, theta)
+        m1, m2 = components(phi - WIND_FD_STEP, theta)
+        q1, q2 = components(phi, theta + WIND_FD_STEP)
+        r1, r2 = components(phi, theta - WIND_FD_STEP)
+        return w1, w2, (p1 - m1) * k, (q1 - r1) * k, (p2 - m2) * k, (q2 - r2) * k
+
+    return WindField(components=components, jet=jet)
 
 
 def wind_norm(sph: Spheroid, wind: WindField, point: SurfacePoint) -> float:

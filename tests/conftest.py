@@ -6,12 +6,15 @@ import pytest
 from hypothesis import strategies
 
 from znav import (
+    POLE_GUARD,
     NavState,
     Spheroid,
     SurfacePoint,
     TangentVector,
+    custom_wind,
     initial_state_randers,
     rotation_wind,
+    wind_norm,
 )
 
 ROTATION_RATE = 5.0 / 7.0
@@ -22,6 +25,31 @@ SHAPES = strategies.floats(0.2, 3.0)
 RATES = strategies.floats(-0.95, 0.95)
 COLATITUDES = strategies.floats(0.01, math.pi - 0.01)
 HEADINGS = strategies.floats(0.0, 2.0 * math.pi)
+
+
+@strategies.composite
+def axisymmetric_winds(draw):
+    """(spheroid, wind) with theta-dependent W1, W2 and no phi dependence.
+
+    W1 = c0 + c1 cos(k1 theta + q1) and W2 = d0 + d1 sin(k2 theta + q2),
+    rescaled to a sampled peak |W|_h drawn from (0, 0.8].
+    """
+    sph = Spheroid(draw(SHAPES))
+    c0, c1, d0, d1 = (draw(strategies.floats(-1.0, 1.0)) for _ in range(4))
+    k1, k2 = (draw(strategies.integers(1, 3)) for _ in range(2))
+    q1, q2 = (draw(strategies.floats(0.0, 2.0 * math.pi)) for _ in range(2))
+    peak = draw(strategies.floats(0.0, 0.8, exclude_min=True))
+
+    def shape(phi, theta):
+        return c0 + c1 * math.cos(k1 * theta + q1), d0 + d1 * math.sin(k2 * theta + q2)
+
+    top = max(
+        wind_norm(sph, custom_wind(shape),
+                  SurfacePoint(0.0, POLE_GUARD + (math.pi - 2.0 * POLE_GUARD) * j / 511))
+        for j in range(512)
+    )
+    k = peak / top if top > 0.0 else 0.0
+    return sph, custom_wind(lambda phi, theta: tuple(k * w for w in shape(phi, theta)))
 
 
 @pytest.fixture

@@ -4,9 +4,12 @@ christoffels and riemannian_rhs give the Christoffel spray of the
 induced metric h, which make_rhs runs as the navigation spray of still
 air; F_rotation_closed is F = alpha + beta specialized to the rotation
 wind; rotation_drift is the dot- and cross-product drift formula for that wind.
+azimuthal_costate and alpha_azimuthal_momentum are the Noether invariants
+of the travel-time and alpha flows under a wind that does not depend on phi.
 """
 import math
 
+from znav.randers import F_value, RandersData
 from znav.spheroid import (
     NavState,
     Spheroid,
@@ -14,6 +17,7 @@ from znav.spheroid import (
     metric_components,
     require_off_pole,
 )
+from znav.wind import WindField
 
 
 def christoffels(sph: Spheroid, theta: float) -> tuple[float, float, float]:
@@ -75,3 +79,37 @@ def rotation_drift(sph: Spheroid, c: float, state: NavState) -> float:
     mag = math.atan2(abs(c * v) * math.sqrt(h11 * h22), dot)
     sign = 1.0 if c * v > 0 else (-1.0 if c * v < 0 else 0.0)
     return sign * mag
+
+
+def azimuthal_costate(sph: Spheroid, wind: WindField, state: NavState) -> float:
+    """Azimuthal costate P_phi = h11 n1 / (1 + <n, W>_h) of the travel-time flow.
+
+    n = y / F - W is the unit heading through the medium.  P_phi is
+    dF/du, the phi-momentum of the Hamiltonian H = |p|_h* + p . W at
+    H = 1, so it is conserved along F-geodesics when neither h nor the
+    wind depends on phi (Noether; Bao-Robles-Shen 2004, Huang-Mo 2011).
+    The unnormalised h11 n1 is conserved only under Killing winds.
+    """
+    f = F_value(RandersData(sph, wind), state.point, state.vel)
+    w1, w2 = wind.at(state.point)
+    h11, h22 = metric_components(sph, state.point.theta)
+    n1 = state.vel.u / f - w1
+    n2 = state.vel.v / f - w2
+    return h11 * n1 / (1.0 + n1 * w1 * h11 + n2 * w2 * h22)
+
+
+def alpha_azimuthal_momentum(sph: Spheroid, wind: WindField, state: NavState) -> float:
+    """Clairaut momentum a11 u + a12 v of the alpha metric.
+
+    a_ij = h_ij / lam + W_i W_j / lam^2 with W_i = h_ii W^i; the
+    phi-momentum is conserved along alpha-geodesics when a_ij does not
+    depend on phi.
+    """
+    w1, w2 = wind.at(state.point)
+    h11, h22 = metric_components(sph, state.point.theta)
+    lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
+    l1 = h11 * w1
+    l2 = h22 * w2
+    a11 = h11 / lam + l1 * l1 / (lam * lam)
+    a12 = l1 * l2 / (lam * lam)
+    return a11 * state.vel.u + a12 * state.vel.v

@@ -193,10 +193,12 @@ class TestNonFiniteInput:
              "--heading-count", "2", "--t-end", "1", "--segments", "0.5,inf"],
             ["indicatrix", "--multipliers", "nan"],
             ["indicatrix", "--multipliers", "1,inf"],
+            ["geodesic", "--heading", "0.3", "--t-end", "1e308"],
         ],
         ids=["wind-nan", "heading-nan", "report-heading-nan", "family-step-nan",
              "heading-inf", "start-nan", "segments-nan", "segments-tail-nan",
-             "family-segments-inf", "multipliers-nan", "multipliers-inf"],
+             "family-segments-inf", "multipliers-nan", "multipliers-inf",
+             "t-end-sample-overflow"],
     )
     def test_rejected(self, argv, capsys):
         assert main(argv) == 2

@@ -3,6 +3,7 @@ import importlib
 import math
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from znav import (
     F_value,
@@ -30,8 +31,9 @@ from znav import (
     make_rhs,
     rotation_wind,
 )
-from tests.conftest import ROTATION_RATE, nan_after
+from tests.conftest import HEADINGS, ROTATION_RATE, axisymmetric_winds, nan_after
 from tests.dp5_reference import integrate_reference
+from tests.oracles import alpha_azimuthal_momentum, azimuthal_costate
 
 
 def counting(rhs, calls: list[int]):
@@ -335,6 +337,38 @@ class TestReferenceStepping:
         assert (got.samples, got.events) == (want.samples, want.events)
 
 
+def momentum_drift(sph, wind, kind, theta0, heading) -> float:
+    """Largest change of the flow's azimuthal momentum along a default-config track, t=5."""
+    momentum = alpha_azimuthal_momentum if kind == "alpha" else azimuthal_costate
+    s0 = initial_state(sph, wind, kind, SurfacePoint(0.0, theta0), heading)
+    traj = integrate(make_rhs(kind, sph, wind), s0, IntegratorConfig(t_end=5.0), kind=kind)
+    p0 = momentum(sph, wind, s0)
+    return max(abs(momentum(sph, wind, s) - p0) for _, s in traj.samples)
+
+
+class TestNoetherMomentum:
+    """Azimuthal momenta conserved under winds that do not depend on phi.
+
+    The rotation wind has a zero Jacobian; these winds exercise the
+    theta-derivatives of the finite-difference wind jet along whole tracks.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        flow=axisymmetric_winds(),
+        theta0=strategies.floats(0.3, math.pi - 0.3),
+        heading=HEADINGS,
+    )
+    def test_conserved_under_axisymmetric_winds(self, flow, theta0, heading):
+        sph, wind = flow
+        for kind in ("randers", "alpha"):
+            assert momentum_drift(sph, wind, kind, theta0, heading) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["randers", "alpha"])
+    def test_broken_by_phi_dependent_wind(self, oblate, kind):
+        assert momentum_drift(oblate, BENCH_CUSTOM_WIND, kind, 1.2, math.pi / 3) > 0.1
+
+
 class TestPoleHandling:
     def test_due_north_hits_guard(self, oblate):
         traj = run(oblate, None, "h", math.pi / 2, IntegratorConfig(t_end=3.0))
@@ -446,6 +480,8 @@ class TestConfigValidation:
             {"t_end": 1.0, "rel_tol": math.nan},
             {"t_end": 1.0, "abs_tol": math.nan},
             {"t_end": 1.0, "max_step": math.nan},
+            {"t_end": 1e308},
+            {"t_end": 1e10, "sample_dt": 1e-300},
         ],
     )
     def test_bad_config(self, kwargs):

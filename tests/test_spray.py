@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from znav import (
+    POLE_GUARD,
     STILL_AIR,
     DegenerateHessian,
+    IntegratorConfig,
     NavState,
+    NonFiniteState,
     NotMild,
     PoleSingularity,
     Spheroid,
@@ -18,6 +21,8 @@ from znav import (
     alpha_lagrangian,
     custom_wind,
     h_norm,
+    initial_state,
+    integrate,
     make_rhs,
     randers_lagrangian,
     resolve_flow,
@@ -389,3 +394,73 @@ class TestGeodesicRhsDispatch:
         for wind in (rot_wind, None):
             with pytest.raises(ValueError, match="unknown metric kind 'finsler'"):
                 resolve_flow("finsler", wind)
+
+
+class TestWindJet:
+    """Both runtime routes read the wind through one jet call per evaluation."""
+
+    @pytest.mark.parametrize("kind", ["randers", "alpha"])
+    def test_five_component_evaluations_per_rhs(self, oblate, kind):
+        evals, calls = [0], [0]
+
+        def components(phi, theta):
+            evals[0] += 1
+            return -0.5 + 0.1 * math.cos(phi), 0.15 * math.sin(phi) * math.sin(theta)
+
+        wind = custom_wind(components)
+        rhs = make_rhs(kind, oblate, wind)
+
+        def counted(phi, theta, u, v):
+            calls[0] += 1
+            return rhs(phi, theta, u, v)
+
+        s0 = initial_state(oblate, wind, kind, SurfacePoint(0.0, 1.2), math.pi / 3)
+        evals[0] = 0
+        integrate(counted, s0, IntegratorConfig(t_end=1.0), kind=kind)
+        assert calls[0] > 0
+        assert evals[0] == 5 * calls[0]
+
+    @pytest.mark.parametrize("kind", ["randers", "alpha"])
+    def test_constant_jet_changes_no_float(self, oblate, kind):
+        # the rotation wind's exact zero Jacobian against the central
+        # difference of the same constant components, which is also 0.0
+        rot = rotation_wind(ROTATION_RATE)
+        disguised = custom_wind(lambda phi, theta: (-ROTATION_RATE, 0.0))
+        cfg = IntegratorConfig(t_end=7.0)
+        for heading in (0.0, math.pi / 3, 2.0, 4.0):
+            tracks = [
+                integrate(make_rhs(kind, oblate, wind),
+                          initial_state(oblate, wind, kind, SurfacePoint(0.0, 1.2), heading),
+                          cfg, kind=kind)
+                for wind in (rot, disguised)
+            ]
+            assert tracks[0].samples == tracks[1].samples
+            assert tracks[0].termination == tracks[1].termination
+
+
+WINDS = {
+    "rotation": rotation_wind(ROTATION_RATE),
+    "custom": custom_wind(lambda phi, theta: (-0.5 + 0.1 * math.cos(phi), 0.15 * math.sin(theta))),
+}
+
+
+@pytest.mark.parametrize("wind_name", sorted(WINDS))
+@pytest.mark.parametrize("kind", ["randers", "alpha"])
+class TestPoleBand:
+    """The chart band (POLE_GUARD, pi - POLE_GUARD) of the runtime routes."""
+
+    @pytest.mark.parametrize("theta", [POLE_GUARD, math.pi - POLE_GUARD, 0.0, math.pi])
+    def test_pole_rejected(self, oblate, kind, wind_name, theta):
+        with pytest.raises(PoleSingularity):
+            make_rhs(kind, oblate, WINDS[wind_name])(0.0, theta, 0.3, 0.2)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, oblate, kind, wind_name, theta):
+        with pytest.raises(NonFiniteState):
+            make_rhs(kind, oblate, WINDS[wind_name])(0.0, theta, 0.3, 0.2)
+
+    @pytest.mark.parametrize("theta", [math.nextafter(POLE_GUARD, 1.0),
+                                       math.nextafter(math.pi - POLE_GUARD, 0.0)])
+    def test_first_float_inside_evaluates(self, oblate, kind, wind_name, theta):
+        acc = make_rhs(kind, oblate, WINDS[wind_name])(0.0, theta, 0.3, 0.2)
+        assert all(math.isfinite(x) for x in acc)

@@ -6,6 +6,7 @@ import pytest
 
 from znav import (
     POLE_GUARD,
+    STILL_AIR,
     NotMild,
     SurfacePoint,
     custom_wind,
@@ -26,10 +27,30 @@ class TestRotationWind:
         w = rotation_wind(0.0)
         assert w.at(SurfacePoint(1.0, 1.0)) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("c", [ROTATION_RATE, -0.3, 0.0])
+    def test_jet_is_exact(self, c):
+        # constant components: an exactly zero Jacobian, not a difference
+        w = rotation_wind(c)
+        for p in random_points(np.random.default_rng(1), 10):
+            assert w.jet(p.phi, p.theta) == (-c, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert STILL_AIR.jet(0.3, 1.2) == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("c", [1.0, -1.0, 1.5, math.nan, math.inf, -math.inf])
     def test_unit_rate_rejected(self, c):
         with pytest.raises(NotMild):
             rotation_wind(c)
+
+
+class TestCustomWind:
+    def test_jet_by_central_differences(self):
+        w = custom_wind(lambda phi, theta: (math.sin(phi) * math.cos(theta), phi * theta))
+        for p in random_points(np.random.default_rng(2), 10):
+            w1, w2, j11, j12, j21, j22 = w.jet(p.phi, p.theta)
+            assert (w1, w2) == w.at(p)
+            assert j11 == pytest.approx(math.cos(p.phi) * math.cos(p.theta), abs=1e-9)
+            assert j12 == pytest.approx(-math.sin(p.phi) * math.sin(p.theta), abs=1e-9)
+            assert j21 == pytest.approx(p.theta, abs=1e-9)
+            assert j22 == pytest.approx(p.phi, abs=1e-9)
 
 
 class TestWindNorm:
