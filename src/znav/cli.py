@@ -45,7 +45,7 @@ from znav.integrate import (
     integrate_family,
 )
 from znav.randers import F_value, RandersData, alpha_term, indicatrix
-from znav.spheroid import Spheroid, SurfacePoint, embed, require_off_pole
+from znav.spheroid import Spheroid, SurfacePoint, embed_chart, require_off_pole
 from znav.spray import METRIC_KINDS, make_rhs, resolve_flow
 from znav.wind import STILL_AIR, WindField, rotation_wind
 
@@ -285,7 +285,8 @@ def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
 
 
 def _path3d_rows(prob: Problem, traj: Trajectory) -> list[tuple[float, ...]]:
-    return [(t, *embed(prob.sph, s.point)) for t, s in traj.samples]
+    sph = prob.sph
+    return [(t, *embed_chart(sph, phi, theta)) for t, phi, theta, _, _ in traj.rows]
 
 
 def _float_list(text: str, what: str) -> tuple[float, ...]:
@@ -351,8 +352,7 @@ def cmd_geodesic(prob: Problem) -> int:
         write_csv(prob.sph, traj, channel, cfg.csv)
     if cfg.svg:
         if cfg.plot == "polar":
-            kind = "polar"
-            data = [(t, s.point.phi, s.point.theta) for t, s in traj.samples]
+            kind, data = "polar", traj.rows
         else:
             kind, data = "path3d_projection", _path3d_rows(prob, traj)
         # --plot xy is the path3d projection along z
@@ -363,7 +363,7 @@ def cmd_geodesic(prob: Problem) -> int:
     final = traj.final_state()
     print(
         f"termination={traj.termination} classification={classify_path(traj)} "
-        f"t_last={traj.samples[-1][0]:.6g} "
+        f"t_last={traj.rows[-1][0]:.6g} "
         f"final_phi={final.point.phi:.9g} final_theta={final.point.theta:.9g} "
         f"final_phi_dot={final.vel.u:.9g} final_theta_dot={final.vel.v:.9g} "
         f"conservation_drift={_conservation_drift(prob, traj):.3e}"
@@ -426,13 +426,11 @@ def cmd_compare(prob: Problem) -> int:
     heading = _heading(prob, "compare")
     trajs = {kind: _track(prob, kind, heading) for kind in METRIC_KINDS}
 
-    n = min(len(t.samples) for t in trajs.values())
-    t_grid = [t for t, _ in trajs["h"].samples[:n]]
-    cols: dict[str, list[float]] = {"t": t_grid}
-    for name in ("phi", "theta", "phi_dot", "theta_dot"):
-        f_vals = trajs["randers"].channel(name)[:n]
-        h_vals = trajs["h"].channel(name)[:n]
-        cols[f"d_{name}"] = [fv - hv for fv, hv in zip(f_vals, h_vals)]
+    n = min(len(t.rows) for t in trajs.values())
+    rows_f, rows_h = trajs["randers"].rows[:n], trajs["h"].rows[:n]
+    cols: dict[str, list[float]] = {"t": [row[0] for row in rows_h]}
+    for j, name in enumerate(("phi", "theta", "phi_dot", "theta_dot"), 1):
+        cols[f"d_{name}"] = [rf[j] - rh[j] for rf, rh in zip(rows_f, rows_h)]
     ch_f = control_channel(prob.sph, prob.wind, trajs["randers"])
     ch_h = control_channel(prob.sph, STILL_AIR, trajs["h"])
     m = min(len(ch_f), len(ch_h), n)
@@ -462,9 +460,7 @@ def cmd_compare(prob: Problem) -> int:
     print(f"max_dphi={max_dphi:.3e} max_dtheta={max_dtheta:.3e}")
     if prob.rate is not None:
         res_phi = max(
-            abs(pf - (ph - prob.rate * t))
-            for t, pf, ph in zip(t_grid, trajs["randers"].channel("phi")[:n],
-                                 trajs["h"].channel("phi")[:n])
+            abs(rf[1] - (rh[1] - prob.rate * rh[0])) for rf, rh in zip(rows_f, rows_h)
         )
         print(f"killing_residual_phi={res_phi:.3e} "
               f"killing_residual_theta={max_dtheta:.3e}")

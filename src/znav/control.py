@@ -132,11 +132,32 @@ def initial_state(
     return initial_state_riemannian(sph, p0, heading0)
 
 
+def _speed(u: float, v: float, h11: float, h22: float) -> float:
+    return math.sqrt(u * u * h11 + v * v * h22)
+
+
+def _heading(
+    u: float, v: float, w1: float, w2: float, sqrt_h11: float, sqrt_h22: float
+) -> float:
+    cos_h = (u - w1) * sqrt_h11
+    sin_h = (w2 - v) * sqrt_h22
+    if math.hypot(cos_h, sin_h) < 1e-12:
+        raise ZeroRelativeVelocity("relative velocity vanishes; heading undefined")
+    return wrap_2pi(math.atan2(sin_h, cos_h))
+
+
+def _course(u: float, v: float, sqrt_h11: float, sqrt_h22: float, speed: float) -> float:
+    if speed < 1e-12:
+        raise ZeroVelocity("resulting velocity vanishes; course undefined")
+    cos_c = u * sqrt_h11 / speed
+    sin_c = -v * sqrt_h22 / speed
+    return wrap_2pi(math.atan2(sin_c, cos_c))
+
+
 def speed_of(sph: Spheroid, state: NavState) -> float:
     """Resulting (ground) speed: h-norm of the state velocity."""
     h11, h22 = metric_components(sph, state.point.theta)
-    u, v = state.vel.u, state.vel.v
-    return math.sqrt(u * u * h11 + v * v * h22)
+    return _speed(state.vel.u, state.vel.v, h11, h22)
 
 
 def heading_of(sph: Spheroid, wind: WindField | None, state: NavState) -> float:
@@ -152,11 +173,7 @@ def heading_of(sph: Spheroid, wind: WindField | None, state: NavState) -> float:
     """
     w1, w2 = _wind_at(wind, state.point)
     h11, h22 = metric_components(sph, state.point.theta)
-    cos_h = (state.vel.u - w1) * math.sqrt(h11)
-    sin_h = (w2 - state.vel.v) * math.sqrt(h22)
-    if math.hypot(cos_h, sin_h) < 1e-12:
-        raise ZeroRelativeVelocity("relative velocity vanishes; heading undefined")
-    return wrap_2pi(math.atan2(sin_h, cos_h))
+    return _heading(state.vel.u, state.vel.v, w1, w2, math.sqrt(h11), math.sqrt(h22))
 
 
 def course_of(sph: Spheroid, state: NavState) -> float:
@@ -169,13 +186,9 @@ def course_of(sph: Spheroid, state: NavState) -> float:
     Raises:
         ZeroVelocity: resulting velocity vanishes.
     """
-    speed = speed_of(sph, state)
-    if speed < 1e-12:
-        raise ZeroVelocity("resulting velocity vanishes; course undefined")
     h11, h22 = metric_components(sph, state.point.theta)
-    cos_c = state.vel.u * math.sqrt(h11) / speed
-    sin_c = -state.vel.v * math.sqrt(h22) / speed
-    return wrap_2pi(math.atan2(sin_c, cos_c))
+    u, v = state.vel.u, state.vel.v
+    return _course(u, v, math.sqrt(h11), math.sqrt(h22), _speed(u, v, h11, h22))
 
 
 def drift_of(sph: Spheroid, wind: WindField | None, state: NavState) -> float:
@@ -254,23 +267,23 @@ def control_channel(
 ) -> list[ControlRecord]:
     """Extract the control channel for every trajectory sample.
 
-    Samples where an angle is undefined are skipped (gaps); all angles
-    are wrapped.  Use unwrapped copies downstream for plotting.
+    One pass over traj.rows: per sample one wind evaluation and one
+    metric evaluation feed the heading_of, course_of and speed_of
+    formulas.  Samples where an angle is undefined are skipped (gaps),
+    the heading tested first; all angles are wrapped.  Use unwrapped
+    copies downstream for plotting.
     """
+    components = (wind or STILL_AIR).components  # None is still air
     records = []
-    for t, state in traj.samples:
+    for t, phi, theta, u, v in traj.rows:
+        w1, w2 = components(phi, theta)
+        h11, h22 = metric_components(sph, theta)
+        sqrt_h11, sqrt_h22 = math.sqrt(h11), math.sqrt(h22)
+        speed = _speed(u, v, h11, h22)
         try:
-            heading = heading_of(sph, wind, state)
-            course = course_of(sph, state)
+            heading = _heading(u, v, w1, w2, sqrt_h11, sqrt_h22)
+            course = _course(u, v, sqrt_h11, sqrt_h22, speed)
         except (ZeroRelativeVelocity, ZeroVelocity):
             continue
-        records.append(
-            ControlRecord(
-                t=t,
-                heading=heading,
-                course=course,
-                drift=wrap_signed(heading - course),
-                speed=speed_of(sph, state),
-            )
-        )
+        records.append(ControlRecord(t, heading, course, wrap_signed(heading - course), speed))
     return records

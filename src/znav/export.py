@@ -3,17 +3,18 @@
 write_table is the one CSV writer: floats in shortest round-trip form,
 ints as ints, None as an empty cell.  The trajectory schema of
 write_csv is fixed at twelve columns (times, chart state, embedded
-position, control channel).  SVG output is deterministic: no
-timestamps, stable element order, fixed coordinate formatting.  3D
-paths are drawn by orthographic projection along a configurable view
-axis.
+position, control channel), read from the trajectory's rows.  SVG
+output is deterministic: no timestamps, stable element order, fixed
+coordinate formatting.  3D paths are drawn by orthographic projection
+along a configurable view axis.
 
 A figure series is a sequence of float rows, one row per point, read
 in plain Python (any sequence of number sequences works, a list of
 tuples or a 2-D array alike).  The columns depend on the plot kind:
 
     path3d_projection   (t, x, y, z)
-    polar               (t, phi, theta), drawn at radius theta
+    polar               (t, phi, theta), drawn at radius theta; the
+                        rows of a Trajectory serve as they are
     channel_vs_time,
     speed_vs_heading,
     indicatrix          (x, y)
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from znav.control import ControlRecord, wrap_2pi
 from znav.errors import EmptyData
-from znav.spheroid import Spheroid, embed
+from znav.spheroid import Spheroid, embed_chart
 
 if TYPE_CHECKING:
     from znav.integrate import Trajectory
@@ -60,18 +61,21 @@ MARKER_KINDS = {"channel_vs_time", "indicatrix", "speed_vs_heading"}
 def write_table(columns: Sequence[str], rows: Iterable[Sequence], path: str) -> int:
     """Write a header and one CSV line per row; returns bytes written.
 
-    Floats are written in shortest round-trip form (repr), ints as ints
-    and None as an empty cell.
+    Cells are floats, written in shortest round-trip form (repr), ints,
+    written as ints, or None, written as an empty cell.  Each row is
+    formatted in one operation.
 
     Raises:
+        ValueError: a row whose length differs from the header's.
         OSError: surfaced with the target path in the message.
     """
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(
-            "" if v is None else repr(v if isinstance(v, int) else float(v)) for v in row
-        ))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    line = ",".join(["%r"] * len(columns)) + "\n"
+    try:
+        body = "".join([line % tuple(row) for row in rows])
+    except TypeError as exc:  # too few or too many cells for the line
+        raise ValueError(f"every row needs {len(columns)} cells: {exc}") from exc
+    # %r prints None as "None", which no int or float repr contains
+    data = (",".join(columns) + "\n" + body.replace("None", "")).encode("utf-8")
     try:
         with open(path, "wb") as fh:
             fh.write(data)
@@ -95,27 +99,13 @@ def write_csv(
         OSError: as write_table.
     """
     by_t = {rec.t: rec for rec in channel}
+    gap = (None,) * 4
     rows = []
-    for t, s in traj.samples:
+    for t, phi, theta, u, v in traj.rows:
         rec = by_t.get(t)
-        ch = (None,) * 4 if rec is None else (rec.heading, rec.course, rec.drift, rec.speed)
-        rows.append((t, wrap_2pi(s.point.phi), s.point.theta, s.vel.u, s.vel.v,
-                     *embed(sph, s.point), *ch))
+        ch = gap if rec is None else (rec.heading, rec.course, rec.drift, rec.speed)
+        rows.append((t, wrap_2pi(phi), theta, u, v, *embed_chart(sph, phi, theta), *ch))
     return write_table(CSV_COLUMNS, rows, path)
-
-
-def read_csv(path: str) -> dict[str, list[float]]:
-    """Parse a file written by write_csv back into per-column float lists.
-
-    Gap cells come back as NaN.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        cols: dict[str, list[float]] = {name: [] for name in header}
-        for line in fh:
-            for name, cell in zip(header, line.rstrip("\n").split(",")):
-                cols[name].append(float(cell) if cell else math.nan)
-    return cols
 
 
 @dataclass(frozen=True)

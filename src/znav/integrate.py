@@ -11,6 +11,7 @@ conservation drift the primary accuracy diagnostic.
 """
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from znav.control import initial_state
 from znav.errors import PoleSingularity
@@ -55,6 +56,11 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
+# Largest output grid of one track, in sample intervals t_end / sample_dt.
+# A track holds at most MAX_GRID + 2 rows, ~200 MB at this size; a larger
+# grid is rejected before any work starts.
+MAX_GRID = 10**6
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -82,41 +88,45 @@ class IntegratorConfig:
             raise ValueError(
                 f"sample_dt must be in (0, t_end], got {self.sample_dt}"
             )
-        if not math.isfinite(self.t_end / self.sample_dt):  # integrate's grid size is an int
+        if not self.t_end / self.sample_dt <= MAX_GRID:  # an infinite ratio too
             raise ValueError(
-                f"t_end / sample_dt = {self.t_end / self.sample_dt} samples is not finite"
+                f"t_end / sample_dt = {self.t_end / self.sample_dt} sample intervals"
+                f" exceeds the per-track grid of {MAX_GRID}"
             )
+
+
+# One sample of a track: (t, phi, theta, phi_dot, theta_dot).
+Row = tuple[float, float, float, float, float]
 
 
 @dataclass
 class Trajectory:
     """Uniformly sampled geodesic with a termination record.
 
-    samples holds (t, NavState) pairs with strictly increasing t; the
-    first sample is the initial state at t = 0.  phi values accumulate
-    (no wrapping) so winding counts are recoverable.
+    rows holds one (t, phi, theta, phi_dot, theta_dot) float tuple per
+    sample, with strictly increasing t; the first row is the initial
+    state at t = 0.  phi values accumulate (no wrapping) so winding
+    counts are recoverable.  The control channel, the CSV and the
+    figures read rows; samples is the same track as (t, NavState)
+    pairs, built from rows on first access and then kept.
     """
 
-    samples: list[tuple[float, NavState]]
+    rows: list[Row]
     termination: str  # "completed" | "pole_proximity" | "step_failure"
     kind: str = ""
     events: list[str] = field(default_factory=list)
 
-    def times(self) -> list[float]:
-        return [t for t, _ in self.samples]
-
-    def channel(self, name: str) -> list[float]:
-        """One raw coordinate channel: phi, theta, phi_dot or theta_dot."""
-        pick = {
-            "phi": lambda s: s.point.phi,
-            "theta": lambda s: s.point.theta,
-            "phi_dot": lambda s: s.vel.u,
-            "theta_dot": lambda s: s.vel.v,
-        }[name]
-        return [pick(s) for _, s in self.samples]
+    @cached_property
+    def samples(self) -> list[tuple[float, NavState]]:
+        """(t, NavState) per row, built once, on first access."""
+        return [
+            (t, NavState(SurfacePoint(phi, theta), TangentVector(u, v)))
+            for t, phi, theta, u, v in self.rows
+        ]
 
     def final_state(self) -> NavState:
-        return self.samples[-1][1]
+        _, phi, theta, u, v = self.rows[-1]
+        return NavState(SurfacePoint(phi, theta), TangentVector(u, v))
 
 
 def _initial_step(f0, y0, cfg: IntegratorConfig) -> float:
@@ -137,9 +147,10 @@ def integrate(
     """Integrate accelerations rhs from s0 over [0, t_end].
 
     rhs maps (phi, theta, phi_dot, theta_dot) to the two accelerations.
-    The trajectory is sampled at multiples of cfg.sample_dt; an early
-    pole approach or step underflow truncates the sample list and is
-    recorded in the termination tag.
+    The trajectory is sampled at multiples of cfg.sample_dt, one row
+    (t, phi, theta, phi_dot, theta_dot) per sample, the first row being
+    s0 at t = 0; an early pole approach or step underflow truncates the
+    rows and is recorded in the termination tag.
 
     Raises:
         ValueError: a component of s0 is not finite.
@@ -176,7 +187,7 @@ def integrate(
     h = _initial_step((u1, v1, du1, dv1), (p1, q1, u1, v1), cfg)
 
     n_grid = int(math.floor(t_end / sample_dt + 1e-9))
-    samples: list[tuple[float, NavState]] = [(0.0, s0)]
+    rows: list[Row] = [(0.0, p1, q1, u1, v1)]
     next_idx = 1
     events: list[str] = []
     err_prev = 1e-4
@@ -188,7 +199,7 @@ def integrate(
         h = min(h, max_step, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             events.append(f"step underflow at t={t}")
-            return Trajectory(samples, "step_failure", kind, events)
+            return Trajectory(rows, "step_failure", kind, events)
 
         # Each sum runs left to right over the tableau row, the zero
         # weights _A[6][1], _E[1] and _D[1] left out: the float operations of
@@ -235,7 +246,7 @@ def integrate(
             h *= 0.5
             if h < 1e-12 * max(1.0, abs(t)):
                 events.append(f"pole approach at t={t}")
-                return Trajectory(samples, "pole_proximity", kind, events)
+                return Trajectory(rows, "pole_proximity", kind, events)
             continue
 
         ep = h * (e1 * u1 + e3 * u3 + e4 * u4 + e5 * u5 + e6 * u6 + e7 * u7)
@@ -285,23 +296,21 @@ def integrate(
                 q = q1 + tau * (dq + tau1 * (bq + tau * (cq + tau1 * rq)))
                 if not (theta_lo < q < theta_hi):
                     events.append(f"pole approach at t={ts}")
-                    return Trajectory(samples, "pole_proximity", kind, events)
-                samples.append((ts, NavState(
-                    SurfacePoint(
-                        p1 + tau * (dp + tau1 * (bp + tau * (cp + tau1 * rp))), q
-                    ),
-                    TangentVector(
-                        u1 + tau * (du + tau1 * (bu + tau * (cu + tau1 * ru))),
-                        v1 + tau * (dv + tau1 * (bv + tau * (cv + tau1 * rv))),
-                    ),
-                )))
+                    return Trajectory(rows, "pole_proximity", kind, events)
+                rows.append((
+                    ts,
+                    p1 + tau * (dp + tau1 * (bp + tau * (cp + tau1 * rp))),
+                    q,
+                    u1 + tau * (du + tau1 * (bu + tau * (cu + tau1 * ru))),
+                    v1 + tau * (dv + tau1 * (bv + tau * (cv + tau1 * rv))),
+                ))
                 next_idx += 1
                 ts = next_idx * sample_dt
                 if next_idx > n_grid or ts > t + h + 1e-14 * max(1.0, ts):
                     break
         if not (theta_lo < q7 < theta_hi):
             events.append(f"pole approach at t={t + h}")
-            return Trajectory(samples, "pole_proximity", kind, events)
+            return Trajectory(rows, "pole_proximity", kind, events)
 
         t += h
         p1, q1, u1, v1, du1, dv1 = p7, q7, u7, v7, du7, dv7
@@ -310,10 +319,10 @@ def integrate(
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
         err_prev = max(err, 1e-4)
 
-    if samples[-1][0] < t_end - 1e-9 * max(1.0, t_end):
+    if rows[-1][0] < t_end - 1e-9 * max(1.0, t_end):
         # grid did not land on t_end; append the final state explicitly
-        samples.append((t_end, NavState(SurfacePoint(p1, q1), TangentVector(u1, v1))))
-    return Trajectory(samples, "completed", kind, events)
+        rows.append((t_end, p1, q1, u1, v1))
+    return Trajectory(rows, "completed", kind, events)
 
 
 @dataclass

@@ -98,8 +98,13 @@ def h_norm(sph: Spheroid, point: SurfacePoint, vec: TangentVector) -> float:
 
 def embed(sph: Spheroid, point: SurfacePoint) -> tuple[float, float, float]:
     """Cartesian coordinates of a chart point on the embedded surface."""
-    s = math.sin(point.theta)
-    return s * math.cos(point.phi), s * math.sin(point.phi), sph.a * math.cos(point.theta)
+    return embed_chart(sph, point.phi, point.theta)
+
+
+def embed_chart(sph: Spheroid, phi: float, theta: float) -> tuple[float, float, float]:
+    """embed at the chart coordinates (phi, theta)."""
+    s = math.sin(theta)
+    return s * math.cos(phi), s * math.sin(phi), sph.a * math.cos(theta)
 
 
 def clairaut_invariant(sph: Spheroid, state: NavState) -> float:

@@ -102,3 +102,17 @@ def nan_after(rhs, phi_max: float):
 def random_vectors(rng: np.random.Generator, n: int) -> list[TangentVector]:
     comps = rng.uniform(-2.0, 2.0, (n, 2))
     return [TangentVector(float(u), float(v)) for u, v in comps]
+
+
+def read_csv(path: str) -> dict[str, list[float]]:
+    """Parse a file written by write_csv back into per-column float lists.
+
+    Gap cells come back as NaN.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        cols: dict[str, list[float]] = {name: [] for name in header}
+        for line in fh:
+            for name, cell in zip(header, line.rstrip("\n").split(",")):
+                cols[name].append(float(cell) if cell else math.nan)
+    return cols

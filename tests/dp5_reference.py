@@ -4,13 +4,13 @@ Each stage is built as a list with sum() over the tableau, and the
 accelerations come through a wrapper returning [u, v, acc_u, acc_v].
 znav.integrate.integrate unrolls this loop into scalar arithmetic that
 performs the same float operations in the same order, so the two must
-produce identical samples, events and terminations.  Test-only.
+produce identical sample rows, events and terminations.  Test-only.
 """
 import math
 
 from znav.errors import PoleSingularity
 from znav.integrate import IntegratorConfig, Trajectory
-from znav.spheroid import POLE_GUARD, NavState, SurfacePoint, TangentVector, require_off_pole
+from znav.spheroid import POLE_GUARD, NavState, require_off_pole
 from znav.spray import RhsFn
 
 _A = (
@@ -90,20 +90,17 @@ def integrate_reference(
     h = _initial_step(k1, y, cfg)
 
     n_grid = int(math.floor(cfg.t_end / cfg.sample_dt + 1e-9))
-    samples: list[tuple[float, NavState]] = [(0.0, s0)]
+    rows = [(0.0, *y)]
     next_idx = 1
     events: list[str] = []
     err_prev = 1e-4
     t_final = cfg.t_end - 1e-12 * max(1.0, cfg.t_end)
 
-    def state_of(yv) -> NavState:
-        return NavState(SurfacePoint(yv[0], yv[1]), TangentVector(yv[2], yv[3]))
-
     while t < t_final:
         h = min(h, cfg.max_step, cfg.t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             events.append(f"step underflow at t={t}")
-            return Trajectory(samples, "step_failure", kind, events)
+            return Trajectory(rows, "step_failure", kind, events)
 
         pole_hit = False
         try:
@@ -123,7 +120,7 @@ def integrate_reference(
             h *= 0.5
             if h < 1e-12 * max(1.0, abs(t)):
                 events.append(f"pole approach at t={t}")
-                return Trajectory(samples, "pole_proximity", kind, events)
+                return Trajectory(rows, "pole_proximity", kind, events)
             continue
 
         err = 0.0
@@ -144,25 +141,25 @@ def integrate_reference(
             continue
 
         stop = None
-        rows = None
+        dense = None
         while next_idx <= n_grid:
             ts = next_idx * cfg.sample_dt
             if ts > t + h + 1e-14 * max(1.0, ts):
                 break
-            rows = rows or _dense_rows(y, y_new, k, h)
+            dense = dense or _dense_rows(y, y_new, k, h)
             tau = min(max((ts - t) / h, 0.0), 1.0)
-            yi = _dense(rows, tau)
+            yi = _dense(dense, tau)
             if not (POLE_GUARD < yi[1] < math.pi - POLE_GUARD):
                 stop = ts
                 break
-            samples.append((ts, state_of(yi)))
+            rows.append((ts, *yi))
             next_idx += 1
         if stop is not None:
             events.append(f"pole approach at t={stop}")
-            return Trajectory(samples, "pole_proximity", kind, events)
+            return Trajectory(rows, "pole_proximity", kind, events)
         if not (POLE_GUARD < y_new[1] < math.pi - POLE_GUARD):
             events.append(f"pole approach at t={t + h}")
-            return Trajectory(samples, "pole_proximity", kind, events)
+            return Trajectory(rows, "pole_proximity", kind, events)
 
         t += h
         y = y_new
@@ -172,6 +169,6 @@ def integrate_reference(
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
         err_prev = max(err, 1e-4)
 
-    if samples[-1][0] < cfg.t_end - 1e-9 * max(1.0, cfg.t_end):
-        samples.append((cfg.t_end, state_of(y)))
-    return Trajectory(samples, "completed", kind, events)
+    if rows[-1][0] < cfg.t_end - 1e-9 * max(1.0, cfg.t_end):
+        rows.append((cfg.t_end, *y))
+    return Trajectory(rows, "completed", kind, events)

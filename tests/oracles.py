@@ -6,6 +6,7 @@ air; F_rotation_closed is F = alpha + beta specialized to the rotation
 wind; rotation_drift is the dot- and cross-product drift formula for that wind.
 azimuthal_costate and alpha_azimuthal_momentum are the Noether invariants
 of the travel-time and alpha flows under a wind that does not depend on phi.
+csv_cell is the per-cell rule that write_table formats whole rows by.
 """
 import math
 
@@ -113,3 +114,8 @@ def alpha_azimuthal_momentum(sph: Spheroid, wind: WindField, state: NavState) ->
     a11 = h11 / lam + l1 * l1 / (lam * lam)
     a12 = l1 * l2 / (lam * lam)
     return a11 * state.vel.u + a12 * state.vel.v
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: empty for None, repr of an int, repr(float(value)) otherwise."""
+    return "" if value is None else repr(value if isinstance(value, int) else float(value))

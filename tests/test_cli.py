@@ -10,8 +10,7 @@ import pytest
 import znav
 from znav import make_rhs
 from znav.cli import ValidationError, main, parse_angle
-from znav.export import read_csv
-from tests.conftest import nan_after
+from tests.conftest import nan_after, read_csv
 
 BENCH = ["--a", "0.75", "--wind", "rotation:0.7142857142857143",
          "--start", "0,pi/2"]
@@ -194,11 +193,12 @@ class TestNonFiniteInput:
             ["indicatrix", "--multipliers", "nan"],
             ["indicatrix", "--multipliers", "1,inf"],
             ["geodesic", "--heading", "0.3", "--t-end", "1e308"],
+            ["geodesic", "--heading", "0.3", "--t-end", "1e20"],
         ],
         ids=["wind-nan", "heading-nan", "report-heading-nan", "family-step-nan",
              "heading-inf", "start-nan", "segments-nan", "segments-tail-nan",
              "family-segments-inf", "multipliers-nan", "multipliers-inf",
-             "t-end-sample-overflow"],
+             "t-end-sample-overflow", "t-end-over-grid-budget"],
     )
     def test_rejected(self, argv, capsys):
         assert main(argv) == 2

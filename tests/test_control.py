@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from znav import (
+    ControlRecord,
     IntegratorConfig,
     NavState,
     NotMild,
@@ -13,6 +14,7 @@ from znav import (
     Spheroid,
     SurfacePoint,
     TangentVector,
+    Trajectory,
     ZeroRelativeVelocity,
     ZeroVelocity,
     control_channel,
@@ -46,6 +48,26 @@ from tests.conftest import (
 from tests.oracles import rotation_drift
 
 SQRT3 = math.sqrt(3.0)
+
+# A mild wind that depends on phi: |W|_h <= 0.75 on every spheroid with a <= 3.
+BREEZE = custom_wind(
+    lambda phi, theta: (-0.5 + 0.1 * math.cos(phi), 0.15 * math.sin(phi) * math.sin(theta))
+)
+
+
+def composed_channel(sph, wind, traj) -> list[ControlRecord]:
+    """The control channel composed from the per-state formulas, sample by sample."""
+    records = []
+    for t, state in traj.samples:
+        try:
+            heading = heading_of(sph, wind, state)
+            course = course_of(sph, state)
+        except (ZeroRelativeVelocity, ZeroVelocity):
+            continue
+        records.append(ControlRecord(
+            t, heading, course, wrap_signed(heading - course), speed_of(sph, state)
+        ))
+    return records
 
 
 @pytest.fixture
@@ -338,7 +360,38 @@ class TestControlChannel:
         traj, channel = bench_channel
         # the benchmark path keeps both angles defined at every sample
         assert len(channel) == len(traj.samples)
-        assert [rec.t for rec in channel] == traj.times()
+        assert [rec.t for rec in channel] == [row[0] for row in traj.rows]
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=SHAPES, c=RATES, heading=HEADINGS)
+    def test_one_pass_equals_composition(self, a, c, heading):
+        # the pass over the rows and the per-state formulas over the
+        # samples built from them give equal records, float for float
+        sph = Spheroid(a)
+        start = SurfacePoint(0.3, 1.2)
+        for wind in (rotation_wind(c), BREEZE):
+            s0 = initial_state_randers(sph, wind, start, heading)
+            traj = integrate(make_rhs("randers", sph, wind), s0,
+                             IntegratorConfig(t_end=2.0), kind="randers")
+            assert traj.samples[0][1] == s0
+            assert len(traj.rows) == len(traj.samples)
+            assert control_channel(sph, wind, traj) == composed_channel(sph, wind, traj)
+
+    def test_gap_rows_skipped_like_composition(self, oblate, rot_wind):
+        c = ROTATION_RATE
+        rows = [
+            (0.0, 0.0, 1.2, 0.3, -0.4),
+            (0.01, 0.1, 1.2, -c, 0.0),  # moves with the wind: no relative velocity
+            (0.02, 0.2, 1.3, 0.0, 0.0),  # holds still against it: no ground velocity
+            (0.03, 0.3, 1.3, 0.5, 0.2),
+        ]
+        traj = Trajectory(rows=rows, termination="completed")
+        for wind in (rot_wind, None):
+            channel = control_channel(oblate, wind, traj)
+            assert channel == composed_channel(oblate, wind, traj)
+        assert [rec.t for rec in control_channel(oblate, rot_wind, traj)] == [0.0, 0.03]
+        # in still air the resting row lacks both angles, the heading first
+        assert [rec.t for rec in control_channel(oblate, None, traj)] == [0.0, 0.01, 0.03]
 
 
 class TestWrap:

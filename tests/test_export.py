@@ -20,7 +20,9 @@ from znav import (
     write_csv,
     write_table,
 )
-from znav.export import read_csv, unwrap_angles
+from tests.conftest import read_csv
+from tests.oracles import csv_cell
+from znav.export import unwrap_angles
 
 
 @pytest.fixture
@@ -77,7 +79,7 @@ class TestWriteCsv:
 
     def test_empty_trajectory_header_only(self, oblate, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv(oblate, Trajectory(samples=[], termination="completed"), [], str(path))
+        write_csv(oblate, Trajectory(rows=[], termination="completed"), [], str(path))
         assert path.read_text().strip().count("\n") == 0
 
     def test_channel_gaps_leave_empty_cells(self, oblate, bench_traj, tmp_path):
@@ -93,6 +95,37 @@ class TestWriteCsv:
     def test_io_error_carries_path(self, oblate, bench_traj):
         with pytest.raises(OSError, match="no/such/dir"):
             write_csv(oblate, bench_traj, [], "no/such/dir/out.csv")
+
+    def test_ragged_row_rejected(self, tmp_path):
+        for row in [(1.0,), (1.0, 2.0, 3.0)]:
+            with pytest.raises(ValueError, match="2 cells"):
+                write_table(("a", "b"), [(0.5, 0.5), row], str(tmp_path / "t.csv"))
+
+
+# CSV cells: floats of every magnitude and the edge values, ints of any
+# size and gaps.
+CELLS = strategies.one_of(
+    strategies.floats(),
+    strategies.sampled_from([-0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]),
+    strategies.integers(),
+    strategies.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=strategies.integers(1, 12).flatmap(
+    lambda width: strategies.lists(strategies.tuples(*[CELLS] * width), max_size=20)))
+@example(rows=[(None, -0.0, 5e-324, math.nan, math.inf, -math.inf, 0, -7, True)])
+def test_write_table_matches_cell_rule(rows, tmp_path_factory):
+    width = len(rows[0]) if rows else 3
+    columns = [f"c{j}" for j in range(width)]
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    nbytes = write_table(columns, rows, str(path))
+    want = "".join(
+        ",".join(cells) + "\n" for cells in [columns, *([csv_cell(v) for v in row] for row in rows)]
+    )
+    assert path.read_bytes() == want.encode()
+    assert nbytes == len(want)
 
 
 def render_both(spec, arrays):

@@ -31,6 +31,7 @@ from znav import (
     make_rhs,
     rotation_wind,
 )
+from znav.integrate import MAX_GRID
 from tests.conftest import HEADINGS, ROTATION_RATE, axisymmetric_winds, nan_after
 from tests.dp5_reference import integrate_reference
 from tests.oracles import alpha_azimuthal_momentum, azimuthal_costate
@@ -64,7 +65,7 @@ class TestIntegrate:
         traj = run(oblate, rot_wind, "randers", math.pi / 3,
                    IntegratorConfig(t_end=7.0, sample_dt=0.01))
         assert len(traj.samples) == 701
-        ts = traj.times()
+        ts = [row[0] for row in traj.rows]
         assert ts[0] == 0.0
         assert all(t2 > t1 for t1, t2 in zip(ts, ts[1:]))
 
@@ -397,7 +398,7 @@ class TestPoleHandling:
             integrate(rhs, s0, IntegratorConfig(t_end=2.0))
 
     def test_step_failure_not_classifiable(self, oblate):
-        traj = Trajectory(samples=[], termination="step_failure")
+        traj = Trajectory(rows=[], termination="step_failure")
         with pytest.raises(ValueError):
             classify_path(traj)
 
@@ -482,8 +483,14 @@ class TestConfigValidation:
             {"t_end": 1.0, "max_step": math.nan},
             {"t_end": 1e308},
             {"t_end": 1e10, "sample_dt": 1e-300},
+            {"t_end": 1e20},
+            {"t_end": MAX_GRID + 1.0, "sample_dt": 1.0},
         ],
     )
     def test_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+    def test_largest_grid_accepted(self):
+        # constructed only: integrating it would fill ~200 MB of rows
+        assert IntegratorConfig(t_end=float(MAX_GRID), sample_dt=1.0).t_end == MAX_GRID
