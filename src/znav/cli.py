@@ -13,8 +13,8 @@ Subcommands:
 
 Angles are radians by default; pi-fraction literals like pi/3 are
 accepted anywhere, --deg switches plain numbers to degrees.  A flat
-key=value config file can be given with --config; its values convert
-by the type of their RunConfig field, and explicit flags override it.
+key=value config file can be given with --config; its entries are
+parsed as the flags they name, and explicit flags override them.
 Every CSV goes through export.write_table.  Exit codes: 0 ok, 2
 validation, 3 numeric failure, 4 IO.
 """
@@ -23,8 +23,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
-from typing import get_args
+from dataclasses import dataclass
+from typing import NoReturn
 
 from znav import control
 from znav.control import control_channel, initial_state, wrap_signed
@@ -38,6 +38,7 @@ from znav.export import (
     write_table,
 )
 from znav.integrate import (
+    MAX_GRID,
     IntegratorConfig,
     Trajectory,
     classify_path,
@@ -98,42 +99,31 @@ def parse_wind(text: str) -> float | None:
     raise ValidationError(f"wind spec must be 'rotation:C' or 'none', got {text!r}")
 
 
-@dataclass
-class RunConfig:
-    """Validated inputs for one command invocation."""
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose parse errors raise ValidationError (exit 2 in main)."""
 
-    a: float = 0.75
-    wind: str = "none"
-    start: str = "0,pi/2"
-    kind: str = "randers"
-    heading: str | None = None
-    heading_start: str | None = None
-    heading_step: str | None = None
-    heading_count: int | None = None
-    n: int = 360
-    multipliers: str = "1,2,3,4"
-    t_end: float = 3.0
-    rel_tol: float = IntegratorConfig.rel_tol
-    abs_tol: float = IntegratorConfig.abs_tol
-    max_step: float = IntegratorConfig.max_step
-    sample_dt: float = IntegratorConfig.sample_dt
-    segments: str | None = None
-    plot: str = "path3d"
-    view: str = "z"
-    deg: bool = False
-    compass: bool = False
-    csv: str | None = None
-    svg: str | None = None
-    speed_svg: str | None = None
+    def error(self, message: str) -> NoReturn:
+        raise ValidationError(message)
 
 
-# field name -> value type, with Optional[T] read as T
-_FIELD_TYPES = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(RunConfig)}
+# config-file spellings of a switch (--deg, --compass): on, off
+_SWITCH = {"1": True, "true": True, "yes": True, "on": True,
+           "0": False, "false": False, "no": False, "off": False}
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Read a flat key=value file; '#' starts a comment, unknown keys are rejected."""
-    out: dict[str, str] = {}
+def _config_tokens(path: str, parser: argparse.ArgumentParser, command: str) -> list[str]:
+    """A flat key=value config file as command-line tokens of one subcommand.
+
+    '#' starts a comment; a key is a long option with '_' read as '-'.
+    A value option gives '--key=value', a switch its bare flag for
+    1/true/yes/on and nothing for 0/false/no/off.  Keys of other
+    subcommands are skipped; a key of none (or config) is rejected.
+    """
+    # argparse lists no actions publicly: read each subparser's option table
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    keys = {o for p in subparsers.values() for o in p._option_string_actions}
+    keys -= {"-h", "--help", "--config"}
+    tokens = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -142,92 +132,92 @@ def load_config_file(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise ValidationError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                key = key.strip().replace("-", "_")
-                if key not in _FIELD_TYPES:
+                key, value = (part.strip() for part in line.split("=", 1))
+                option = "--" + key.replace("_", "-")
+                if option not in keys:
                     raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-                out[key] = value.strip()
-    except OSError as exc:
+                action = subparsers[command]._option_string_actions.get(option)
+                if action is None:  # a key of another subcommand
+                    continue
+                if action.nargs != 0:
+                    tokens.append(f"{option}={value}")
+                elif value.lower() not in _SWITCH:
+                    raise ValidationError(f"{path}:{lineno}: {key} = {value!r} is not"
+                                          f" one of {'/'.join(_SWITCH)}")
+                elif _SWITCH[value.lower()]:
+                    tokens.append(option)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    return out
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--a", type=float, help="shape parameter of the spheroid (1,1,a)")
-    p.add_argument("--wind", help="wind spec: rotation:C or none")
-    p.add_argument("--start", help="start point as phi,theta")
-    p.add_argument("--kind", choices=METRIC_KINDS, help="metric kind")
-    p.add_argument("--t-end", dest="t_end", type=float, help="integration horizon")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, help="relative tolerance")
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, help="absolute tolerance")
-    p.add_argument("--max-step", dest="max_step", type=float, help="step size cap")
-    p.add_argument("--sample-dt", dest="sample_dt", type=float, help="output grid spacing")
-    p.add_argument("--deg", action="store_true", default=None,
-                   help="plain-number angles are degrees")
-    p.add_argument("--compass", action="store_true", default=None,
-                   help="print azimuths clockwise from north")
-    p.add_argument("--csv", help="CSV output path")
-    p.add_argument("--svg", help="SVG output path")
+    return tokens
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    common = _Parser(add_help=False)
+    common.add_argument("--config", help="flat key=value config file; flags override")
+    common.add_argument("--a", type=float, default=0.75,
+                        help="shape parameter of the spheroid (1,1,a)")
+    common.add_argument("--wind", default="none", help="wind spec: rotation:C or none")
+    common.add_argument("--start", default="0,pi/2", help="start point as phi,theta")
+    common.add_argument("--kind", choices=METRIC_KINDS, default="randers", help="metric kind")
+    common.add_argument("--t-end", type=float, default=3.0, help="integration horizon")
+    common.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol,
+                        help="relative tolerance")
+    common.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol,
+                        help="absolute tolerance")
+    common.add_argument("--max-step", type=float, default=IntegratorConfig.max_step,
+                        help="step size cap")
+    common.add_argument("--sample-dt", type=float, default=IntegratorConfig.sample_dt,
+                        help="output grid spacing")
+    common.add_argument("--deg", action="store_true", help="plain-number angles are degrees")
+    common.add_argument("--compass", action="store_true",
+                        help="print azimuths clockwise from north")
+    common.add_argument("--csv", help="CSV output path")
+    common.add_argument("--svg", help="SVG output path")
+    heading = _Parser(add_help=False)
+    heading.add_argument("--heading", help="initial heading angle")
+    view = _Parser(add_help=False)
+    view.add_argument("--view", choices=["x", "y", "z"], default="z", help="projection axis")
+    segments = _Parser(add_help=False)
+    segments.add_argument("--segments",
+                          help="time boundaries for color segmentation, e.g. 1,2,3")
+
+    parser = _Parser(
         prog="znav",
         description="Time-optimal navigation on spheroids under mild stationary winds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("geodesic", help="integrate one geodesic")
-    _add_common(p)
-    p.add_argument("--heading", help="initial heading angle")
-    p.add_argument("--plot", choices=["path3d", "xy", "polar"],
+    p = sub.add_parser("geodesic", parents=[common, heading, view, segments],
+                       help="integrate one geodesic")
+    p.add_argument("--plot", choices=["path3d", "xy", "polar"], default="path3d",
                    help="figure kind for --svg")
-    p.add_argument("--view", choices=["x", "y", "z"], help="projection axis")
-    p.add_argument("--segments", help="time boundaries for color segmentation, e.g. 1,2,3")
-
-    p = sub.add_parser("family", help="integrate a fan of headings")
-    _add_common(p)
-    p.add_argument("--heading-start", dest="heading_start", help="first heading")
-    p.add_argument("--heading-step", dest="heading_step", help="heading increment")
-    p.add_argument("--heading-count", dest="heading_count", type=int,
-                   help="number of members")
-    p.add_argument("--view", choices=["x", "y", "z"], help="projection axis")
-    p.add_argument("--segments", help="time boundaries for color segmentation")
-
-    p = sub.add_parser("compare", help="h vs alpha vs randers from one heading")
-    _add_common(p)
-    p.add_argument("--heading", help="initial heading angle")
-    p.add_argument("--view", choices=["x", "y", "z"], help="projection axis")
-
-    p = sub.add_parser("indicatrix", help="unit-time destination curves at a point")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="samples per curve (>= 3)")
-    p.add_argument("--multipliers", help="curve time multipliers, e.g. 1,2,3,4")
-
-    p = sub.add_parser("report", help="control channel and departure summary")
-    _add_common(p)
-    p.add_argument("--heading", help="initial heading angle")
-    p.add_argument("--speed-svg", dest="speed_svg",
-                   help="SVG path for the speed-vs-heading curve")
+    p = sub.add_parser("family", parents=[common, view, segments],
+                       help="integrate a fan of headings")
+    p.add_argument("--heading-start", help="first heading")
+    p.add_argument("--heading-step", help="heading increment")
+    p.add_argument("--heading-count", type=int, help="number of members")
+    sub.add_parser("compare", parents=[common, heading, view],
+                   help="h vs alpha vs randers from one heading")
+    p = sub.add_parser("indicatrix", parents=[common],
+                       help="unit-time destination curves at a point")
+    p.add_argument("--n", type=int, default=360, help="samples per curve, 3 to 10**6")
+    p.add_argument("--multipliers", default="1,2,3,4",
+                   help="curve time multipliers, e.g. 1,2,3,4")
+    p = sub.add_parser("report", parents=[common, heading],
+                       help="control channel and departure summary")
+    p.add_argument("--speed-svg", help="SVG path for the speed-vs-heading curve")
     return parser
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            ftype = _FIELD_TYPES[key]
-            try:
-                setattr(cfg, key, value.lower() in ("1", "true", "yes", "on")
-                        if ftype is bool else ftype(value))
-            except ValueError as exc:
-                raise ValidationError(f"bad value for {key}: {value!r}") from exc
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            setattr(cfg, f.name, val)
-    return cfg
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; --config file tokens go before the flags, which override them."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(
+            [*argv[:at], *_config_tokens(args.config, parser, args.command), *argv[at:]]
+        )
+    return args
 
 
 @dataclass
@@ -241,10 +231,10 @@ class Problem:
     start: SurfacePoint
     kind: str
     icfg: IntegratorConfig
-    cfg: RunConfig
+    cfg: argparse.Namespace
 
 
-def resolve_problem(cfg: RunConfig) -> Problem:
+def resolve_problem(cfg: argparse.Namespace) -> Problem:
     rate = parse_wind(cfg.wind)
     parts = cfg.start.split(",")
     if len(parts) != 2:
@@ -300,7 +290,7 @@ def _float_list(text: str, what: str) -> tuple[float, ...]:
     return vals
 
 
-def _segments(cfg: RunConfig) -> tuple[float, ...] | None:
+def _segments(cfg: argparse.Namespace) -> tuple[float, ...] | None:
     if not cfg.segments:
         return None
     vals = _float_list(cfg.segments, "segment list")
@@ -336,7 +326,7 @@ def _track(prob: Problem, kind: str, heading: float) -> Trajectory:
     return traj
 
 
-def _heading_deg(cfg: RunConfig, angle: float) -> float:
+def _heading_deg(cfg: argparse.Namespace, angle: float) -> float:
     """Angle for display: degrees, optionally converted to a compass azimuth."""
     deg = math.degrees(angle)
     return (90.0 - deg) % 360.0 if cfg.compass else deg
@@ -384,6 +374,12 @@ def cmd_family(prob: Problem) -> int:
         )
     if cfg.heading_count < 1:
         raise ValidationError("heading count must be >= 1")
+    # fan budget: at most MAX_GRID rows over all members, each of at most
+    # t_end / sample_dt + 2 rows; a count is compared, never multiplied
+    if cfg.heading_count > MAX_GRID / (prob.icfg.t_end / prob.icfg.sample_dt + 2):
+        raise ValidationError(f"{cfg.heading_count} members of t_end / sample_dt ="
+                              f" {prob.icfg.t_end / prob.icfg.sample_dt:g} exceed"
+                              f" the fan budget of {MAX_GRID} rows")
     h0 = parse_angle(cfg.heading_start, cfg.deg)
     dh = parse_angle(cfg.heading_step, cfg.deg)
     headings = [h0 + k * dh for k in range(cfg.heading_count)]
@@ -469,8 +465,8 @@ def cmd_compare(prob: Problem) -> int:
 
 def cmd_indicatrix(prob: Problem) -> int:
     cfg = prob.cfg
-    if cfg.n < 3:
-        raise ValidationError(f"--n must be >= 3, got {cfg.n}")
+    if not 3 <= cfg.n <= MAX_GRID:
+        raise ValidationError(f"--n must be in [3, {MAX_GRID}], got {cfg.n}")
     mults = _float_list(cfg.multipliers, "multipliers")
     if any(m <= 0 for m in mults):
         raise ValidationError("multipliers must be positive")
@@ -564,10 +560,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-        prob = resolve_problem(cfg)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        prob = resolve_problem(args)
         return _COMMANDS[args.command](prob)
     except ValidationError as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)

@@ -115,9 +115,9 @@ def initial_state(
 ) -> NavState:
     """Start state of the chosen flow at the given heading.
 
-    The flow is spray.resolve_flow's, as in spray.make_rhs: for "h" the
-    unit h-vector, for "alpha" the unit alpha-vector, for "randers" the
-    time-optimal start W + unit h-vector.
+    Two routes for the flows of spray.resolve_flow, as in spray.make_rhs:
+    alpha starts from the unit alpha-vector, randers and h (its
+    still-air case, W = (-0.0, 0.0)) from W + unit h-vector.
 
     Raises:
         PoleSingularity: p0 inside the polar guard band.
@@ -125,11 +125,9 @@ def initial_state(
         ValueError: unknown metric kind.
     """
     kind, wind = resolve_flow(kind, wind)
-    if kind == "randers":
-        return initial_state_randers(sph, wind, p0, heading0)
     if kind == "alpha":
         return initial_state_alpha(sph, wind, p0, heading0)
-    return initial_state_riemannian(sph, p0, heading0)
+    return initial_state_randers(sph, wind, p0, heading0)
 
 
 def _speed(u: float, v: float, h11: float, h22: float) -> float:

@@ -80,8 +80,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < math.inf):
+            raise ValueError("rel_tol must be in (0, 1) and abs_tol positive and finite")
         if not self.max_step > 0:  # inf is allowed: no step cap
             raise ValueError(f"max_step must be positive, got {self.max_step}")
         if not 0 < self.sample_dt <= self.t_end:

@@ -35,9 +35,12 @@ class Spheroid:
     a: float
 
     def __post_init__(self):
-        if not (self.a > 0 and math.isfinite(self.a)):
+        # h22 holds a * a: its overflow (a = 1e160) or underflow would
+        # otherwise surface later as a non-mild wind
+        if not (self.a > 0 and 0 < self.a * self.a < math.inf):
             raise ValueError(
-                f"shape parameter a must be positive and finite, got {self.a}"
+                f"shape parameter a must be positive with a positive finite square,"
+                f" got {self.a}"
             )
 
 

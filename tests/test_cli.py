@@ -1,11 +1,16 @@
 """End-to-end command-line behavior: outputs, summaries, exit codes."""
+import contextlib
+import io
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from datetime import timedelta
 
 import pytest
+from hypothesis import example, given, settings, strategies
 
 import znav
 from znav import make_rhs
@@ -194,11 +199,18 @@ class TestNonFiniteInput:
             ["indicatrix", "--multipliers", "1,inf"],
             ["geodesic", "--heading", "0.3", "--t-end", "1e308"],
             ["geodesic", "--heading", "0.3", "--t-end", "1e20"],
+            ["geodesic", "--heading", "0.3", "--a", "1e160"],
+            ["geodesic", "--heading", "0.3", "--rel-tol", "1", "--abs-tol", "1"],
+            # rejected before a heading list or a curve is built
+            ["family", "--heading-start", "0", "--heading-step", "1",
+             "--heading-count", "1000000000"],
+            ["indicatrix", "--n", "1000000000"],
         ],
         ids=["wind-nan", "heading-nan", "report-heading-nan", "family-step-nan",
              "heading-inf", "start-nan", "segments-nan", "segments-tail-nan",
              "family-segments-inf", "multipliers-nan", "multipliers-inf",
-             "t-end-sample-overflow", "t-end-over-grid-budget"],
+             "t-end-sample-overflow", "t-end-over-grid-budget", "a-square-overflow",
+             "rel-tol-one", "fan-over-budget", "n-over-grid"],
     )
     def test_rejected(self, argv, capsys):
         assert main(argv) == 2
@@ -377,20 +389,177 @@ class TestConfigFile:
         assert " n=7 " in capsys.readouterr().out
 
     def test_unknown_kind_rejected(self, tmp_path, capsys):
-        # --kind has argparse choices; a config file reaches resolve_flow
+        # config values meet the flags' argparse choices
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kind = finsler\n")
         assert main(["geodesic", "--config", str(cfg), "--heading", "0"]) == 2
-        assert "unknown metric kind 'finsler'" in capsys.readouterr().err
+        assert "invalid choice: 'finsler'" in capsys.readouterr().err
 
     def test_non_integer_count_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n = 3.5\n")
         assert main(["indicatrix", "--config", str(cfg)]) == 2
-        assert "error[validation]: bad value for n: '3.5'" in capsys.readouterr().err
+        assert "error[validation]: argument --n: invalid int value: '3.5'" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert main(["report", "--config", "nope.cfg", "--heading", "0"]) == 2
+
+    # One README recipe per subcommand, with its output flags.
+    RECIPES = [
+        ["geodesic", *BENCH, "--heading", "pi/3", "--plot", "polar",
+         "--svg", "path.svg", "--csv", "path.csv"],
+        ["family", *BENCH, "--kind", "randers", "--heading-start", "0",
+         "--heading-step", "pi/8", "--heading-count", "16", "--t-end", "3",
+         "--segments", "1,2,3", "--svg", "fan_f.svg", "--csv", "fan_f.csv"],
+        ["compare", *BENCH, "--heading", "pi/3", "--t-end", "7",
+         "--svg", "overlay.svg", "--csv", "diff.csv"],
+        ["indicatrix", *BENCH, "--n", "360", "--svg", "indicatrix.svg",
+         "--csv", "indicatrix.csv"],
+        ["report", *BENCH, "--heading", "pi/3", "--t-end", "7", "--svg",
+         "channel.svg", "--csv", "channel.csv", "--speed-svg", "speed.svg"],
+    ]
+
+    @pytest.mark.parametrize("recipe", RECIPES, ids=[r[0] for r in RECIPES])
+    def test_config_matches_flags(self, recipe, tmp_path, capsys, monkeypatch):
+        command, options = recipe[0], recipe[1:]
+        runs = {}
+        for form in ("flags", "config"):
+            (tmp_path / form).mkdir()
+            monkeypatch.chdir(tmp_path / form)
+            if form == "flags":
+                argv = recipe
+            else:
+                lines = [f"{flag[2:].replace('-', '_')} = {value}"
+                         for flag, value in zip(options[::2], options[1::2])]
+                (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
+                argv = [command, "--config", str(tmp_path / "run.cfg")]
+            assert main(argv) == 0
+            files = {p.name: p.read_bytes() for p in (tmp_path / form).iterdir()}
+            runs[form] = (capsys.readouterr().out, files)
+        assert runs["config"] == runs["flags"]
+        assert runs["flags"][1]
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [("geodesic", "view = q"), ("geodesic", "plot = pie"), ("report", "deg = y"),
+         ("report", "config = other.cfg"), ("report", "help = yes")],
+    )
+    def test_bad_entry_rejected_before_work(self, command, line, tmp_path, capsys,
+                                            monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("integrate called on a rejected config")
+
+        monkeypatch.setattr("znav.cli.integrate", no_work)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"heading = 60\n{line}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error[validation]: ")
+
+    def test_other_subcommand_keys_skipped(self, tmp_path, capsys):
+        # a bad value under a key report does not have is not parsed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("heading = pi/3\nt_end = 1\nn = 3.5\nplot = pie\n")
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert "heading_0 = 60 deg" in capsys.readouterr().out
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bin.cfg"
+        cfg.write_bytes(b"\xff\xfe\n")
+        assert main(["report", "--config", str(cfg), "--heading", "0"]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["geodesic", "--a", "foo"], ["indicatrix", "--n", "abc"], [],
+         ["geodesic", "--heading", "0", "--warp", "9"], ["orbit"]],
+        ids=["bad-float", "bad-int", "no-command", "unknown-flag", "unknown-command"],
+    )
+    def test_exit_2_without_usage(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]: ")
+        assert "usage:" not in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["geodesic", "--help"])
+        assert exc.value.code == 0
+        assert "--heading" in capsys.readouterr().out
+
+
+# Edge values of a float, angle or count option, and garbage.
+EDGE = ["0", "-0.0", "5e-324", "1e-300", "1e308", "nan", "inf", "-inf",
+        "pi/3", "-pi/8", "2pi", "foo", "0.5", "1"]
+COUNTS = ["0", "-1", "1", "2", "3.5", "foo", "1000000000", "1" + "0" * 400]
+# Value pools per option.  The only horizons above 1 drawn are 1e308 and
+# inf, which the grid cap rejects: no sample_dt in the pool is large
+# enough to let them through.
+POOLS = {
+    "--a": EDGE, "--heading": EDGE, "--heading-start": EDGE, "--heading-step": EDGE,
+    "--t-end": EDGE, "--rel-tol": EDGE, "--abs-tol": EDGE, "--max-step": EDGE,
+    "--sample-dt": [v for v in EDGE if v != "1e308"],
+    "--start": [f"{p},{t}" for p in ("0", "1e308", "nan") for t in ("pi/2", "1", "0")]
+    + ["foo", "1", "-0.0,1e-300"],
+    "--wind": ["none", "rotation:0", "rotation:-0.0", "rotation:0.5", "rotation:5e-324",
+               "rotation:1e308", "rotation:nan", "rotation:inf", "rotation:foo", "breeze"],
+    "--kind": ["h", "alpha", "randers", "finsler"],
+    "--heading-count": COUNTS, "--n": COUNTS + ["3", "36"],
+    "--multipliers": ["1,2", "nan", "1,inf", "-1", "foo", "1e308", "0.5"],
+    "--segments": ["0.5", "0.3,0.6", "nan", "0.6,0.3", "foo"],
+    "--plot": ["path3d", "xy", "polar", "pie"], "--view": ["x", "y", "z", "q"],
+    "--warp": ["9"],
+}
+SWITCHES = ["--deg", "--compass", "-x"]
+# A valid run of each subcommand that the drawn options then override.
+VALID_BASE = {
+    "geodesic": ["--heading", "0.3"], "compare": ["--heading", "0.3"],
+    "report": ["--heading", "0.3"], "indicatrix": ["--n", "36"],
+    "family": ["--heading-start", "0", "--heading-step", "1", "--heading-count", "2"],
+}
+CONFIG_LINES = ["garbage", "warp = 9", "config = x", "deg = y", "deg = off",
+                "compass = yes", "n = 3.5"]
+
+
+@strategies.composite
+def edge_runs(draw):
+    """(argv, config text or None) over the edge alphabet, horizon 1 unless drawn."""
+    command = draw(strategies.sampled_from(sorted(VALID_BASE)))
+    argv = [command, *VALID_BASE[command], "--t-end", "1"]
+    for flag in draw(strategies.lists(strategies.sampled_from(sorted(POOLS) + SWITCHES),
+                                      max_size=6)):
+        argv += [flag] if flag in SWITCHES else [flag, draw(strategies.sampled_from(POOLS[flag]))]
+    entry = strategies.one_of(
+        strategies.sampled_from(CONFIG_LINES),
+        strategies.sampled_from(sorted(POOLS)).flatmap(
+            lambda f: strategies.sampled_from(POOLS[f]).map(lambda v: f"{f[2:]} = {v}")),
+    )
+    lines = draw(strategies.none() | strategies.lists(entry, max_size=4))
+    return argv, None if lines is None else "\n".join(lines)
+
+
+class TestTotal:
+    @settings(max_examples=200, deadline=timedelta(seconds=5))
+    @given(run=edge_runs())
+    @example(run=(["geodesic", "--heading", "0.3", "--t-end", "1e308"], None))
+    @example(run=(["geodesic", "--heading", "0.3", "--rel-tol", "1e-300",
+                   "--abs-tol", "1e-300", "--t-end", "1"], None))
+    @example(run=(["family", "--heading-start", "0", "--heading-step", "1",
+                   "--heading-count", "0"], None))
+    @example(run=(["report", "--t-end", "1"], "heading = 60\ndeg = y"))
+    def test_every_input_ends_in_a_documented_exit(self, run, tmp_path_factory):
+        argv, config = run
+        if config is not None:
+            path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+            path.write_text(config + "\n")
+            argv = [*argv, "--config", str(path)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE)
 
 
 # Every subcommand with its CSV and SVG outputs, short horizons.

@@ -124,6 +124,15 @@ class TestInitialStates:
         with pytest.raises(ValueError):
             initial_state(oblate, None, "finsler", equator_start, hd)
 
+    @settings(max_examples=300, deadline=None)
+    @given(a=SHAPES, phi=HEADINGS, theta=COLATITUDES, heading=HEADINGS)
+    def test_still_air_seed_is_unit_h_vector(self, a, phi, theta, heading):
+        # the h flow seeds through initial_state_randers: W + unit h-vector
+        # with W = (-0.0, 0.0), and -0.0 + u == u
+        sph, p = Spheroid(a), SurfacePoint(phi, theta)
+        seed = initial_state(sph, None, "h", p, heading)
+        assert seed == initial_state_riemannian(sph, p, heading)
+
 
 class TestHeading:
     def test_benchmark_recovers_heading(self, oblate, rot_wind, bench_state):

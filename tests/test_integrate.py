@@ -474,6 +474,7 @@ class TestConfigValidation:
         [
             {"t_end": 0.0},
             {"t_end": 1.0, "rel_tol": 0.0},
+            {"t_end": 1.0, "rel_tol": 1.0, "abs_tol": 1.0},
             {"t_end": 1.0, "abs_tol": -1.0},
             {"t_end": 1.0, "sample_dt": 2.0},
             {"t_end": 1.0, "max_step": 0.0},

@@ -183,6 +183,6 @@ def test_spheroid_validation():
         Spheroid(0.0)
     with pytest.raises(ValueError):
         Spheroid(-1.0)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, 1e160, 1e-170):  # a * a overflows, underflows
         with pytest.raises(ValueError):
             Spheroid(bad)
