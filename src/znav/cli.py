@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from znav import control
-from znav.control import control_channel, initial_state, wrap_signed
+from znav.control import control_channel, initial_state, wrap_2pi, wrap_signed
 from znav.errors import EmptyData, NavigationError
 from znav.export import (
     PlotSpec,
@@ -100,7 +100,14 @@ def parse_wind(text: str) -> float | None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose parse errors raise ValidationError (exit 2 in main)."""
+    """ArgumentParser whose parse errors raise ValidationError (exit 2 in main).
+
+    A token that starts like a negative number or pi literal is a value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|pi)", re.IGNORECASE)
 
     def error(self, message: str) -> NoReturn:
         raise ValidationError(message)
@@ -164,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative tolerance")
     common.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol,
                         help="absolute tolerance")
-    common.add_argument("--max-step", type=float, default=IntegratorConfig.max_step,
-                        help="step size cap")
     common.add_argument("--sample-dt", type=float, default=IntegratorConfig.sample_dt,
                         help="output grid spacing")
     common.add_argument("--deg", action="store_true", help="plain-number angles are degrees")
@@ -239,8 +244,9 @@ def resolve_problem(cfg: argparse.Namespace) -> Problem:
     parts = cfg.start.split(",")
     if len(parts) != 2:
         raise ValidationError(f"start must be 'phi,theta', got {cfg.start!r}")
+    # the azimuth is wrapped: phi + h u would not move a huge phi
     start = SurfacePoint(
-        parse_angle(parts[0], cfg.deg), parse_angle(parts[1], cfg.deg)
+        wrap_2pi(parse_angle(parts[0], cfg.deg)), parse_angle(parts[1], cfg.deg)
     )
     try:
         # a zero rate (0 or -0.0) is still air, the same flow as --wind none
@@ -253,7 +259,6 @@ def resolve_problem(cfg: argparse.Namespace) -> Problem:
             t_end=cfg.t_end,
             rel_tol=cfg.rel_tol,
             abs_tol=cfg.abs_tol,
-            max_step=cfg.max_step,
             sample_dt=cfg.sample_dt,
         )
     except (ValueError, NavigationError) as exc:  # NotMild, PoleSingularity
@@ -337,9 +342,8 @@ def cmd_geodesic(prob: Problem) -> int:
     heading = _heading(prob, "geodesic")
     segments = _segments(cfg)
     traj = _track(prob, prob.kind, heading)
-    channel = control_channel(prob.sph, prob.flow_wind, traj)
     if cfg.csv:
-        write_csv(prob.sph, traj, channel, cfg.csv)
+        write_csv(prob.sph, traj, control_channel(prob.sph, prob.flow_wind, traj), cfg.csv)
     if cfg.svg:
         if cfg.plot == "polar":
             kind, data = "polar", traj.rows
@@ -420,9 +424,11 @@ def cmd_family(prob: Problem) -> int:
 def cmd_compare(prob: Problem) -> int:
     cfg = prob.cfg
     heading = _heading(prob, "compare")
-    trajs = {kind: _track(prob, kind, heading) for kind in METRIC_KINDS}
+    # the alpha track is only drawn, so it is integrated only for --svg
+    kinds = METRIC_KINDS if cfg.svg else ("h", "randers")
+    trajs = {kind: _track(prob, kind, heading) for kind in kinds}
 
-    n = min(len(t.rows) for t in trajs.values())
+    n = min(len(trajs["randers"].rows), len(trajs["h"].rows))
     rows_f, rows_h = trajs["randers"].rows[:n], trajs["h"].rows[:n]
     cols: dict[str, list[float]] = {"t": [row[0] for row in rows_h]}
     for j, name in enumerate(("phi", "theta", "phi_dot", "theta_dot"), 1):

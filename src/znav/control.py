@@ -21,7 +21,6 @@ from znav.spheroid import (
     SurfacePoint,
     TangentVector,
     metric_components,
-    require_off_pole,
     unit_heading_vector,
 )
 from znav.spray import resolve_flow
@@ -235,29 +234,15 @@ def initial_speed_vs_heading(
 ) -> float:
     """Resulting speed at departure as a function of the chosen heading.
 
-        |v|^2 = 1 + (W1 sin)^2 + 2 W1 sin cos(heading)
-                  + W2^2 h22 - 2 W2 sin(heading) sqrt(h22)
-
-    Over all headings the range of |v| is exactly 2 |W|_h: the wind
-    adds fully downwind and subtracts fully upwind.
+    The speed of the initial_state_randers start.  Over all headings the
+    range of |v| is exactly 2 |W|_h: the wind adds fully downwind and
+    subtracts fully upwind.
 
     Raises:
         PoleSingularity: p0 inside the polar guard band.
         NotMild: wind not mild at p0.
     """
-    require_off_pole(p0.theta)
-    RandersData(sph, wind).mildness_factor(p0)
-    h11, h22 = metric_components(sph, p0.theta)
-    w1, w2 = wind.at(p0)
-    sin_t = math.sqrt(h11)
-    sq = (
-        1.0
-        + (w1 * sin_t) ** 2
-        + 2.0 * w1 * sin_t * math.cos(heading0)
-        + w2 * w2 * h22
-        - 2.0 * w2 * math.sin(heading0) * math.sqrt(h22)
-    )
-    return math.sqrt(max(sq, 0.0))
+    return speed_of(sph, initial_state_randers(sph, wind, p0, heading0))
 
 
 def control_channel(

@@ -56,9 +56,9 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
-# Largest output grid of one track, in sample intervals t_end / sample_dt.
+# Largest horizon t_end and output grid t_end / sample_dt of one track.
 # A track holds at most MAX_GRID + 2 rows, ~200 MB at this size; a larger
-# grid is rejected before any work starts.
+# grid or horizon is rejected before any work starts.
 MAX_GRID = 10**6
 
 
@@ -66,24 +66,21 @@ MAX_GRID = 10**6
 class IntegratorConfig:
     """Tolerances, horizon and output grid for geodesic integration.
 
-    Steps are uncapped by default: the continuous extension samples
-    inside a long step to the step's own accuracy.  A finite max_step
-    caps the step length, e.g. for a tighter conservation budget.
+    The tolerances alone set the step length: the continuous extension
+    samples inside a long step to the step's own accuracy.  The horizon
+    is bounded by MAX_GRID like the grid, so the work of a track is too.
     """
 
     t_end: float
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     sample_dt: float = 0.01
 
     def __post_init__(self):
-        if not 0 < self.t_end < math.inf:
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not 0 < self.t_end <= MAX_GRID:
+            raise ValueError(f"t_end must be in (0, {MAX_GRID}], got {self.t_end}")
         if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < math.inf):
             raise ValueError("rel_tol must be in (0, 1) and abs_tol positive and finite")
-        if not self.max_step > 0:  # inf is allowed: no step cap
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
         if not 0 < self.sample_dt <= self.t_end:
             raise ValueError(
                 f"sample_dt must be in (0, t_end], got {self.sample_dt}"
@@ -138,7 +135,7 @@ def _initial_step(f0, y0, cfg: IntegratorConfig) -> float:
         h = 1e-6
     else:
         h = 1e-2 * d0 / d1
-    return min(h, cfg.t_end, cfg.max_step)
+    return min(h, cfg.t_end)
 
 
 def integrate(
@@ -146,7 +143,8 @@ def integrate(
 ) -> Trajectory:
     """Integrate accelerations rhs from s0 over [0, t_end].
 
-    rhs maps (phi, theta, phi_dot, theta_dot) to the two accelerations.
+    rhs maps (phi, theta, phi_dot, theta_dot) to the two accelerations;
+    the error estimate against cfg's tolerances alone sets each step.
     The trajectory is sampled at multiples of cfg.sample_dt, one row
     (t, phi, theta, phi_dot, theta_dot) per sample, the first row being
     s0 at t = 0; an early pole approach or step underflow truncates the
@@ -174,7 +172,7 @@ def integrate(
     ) = _A
     e1, _, e3, e4, e5, e6, e7 = _E
     d1, _, d3, d4, d5, d6, d7 = _D
-    rel_tol, abs_tol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+    rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     t_end, sample_dt = cfg.t_end, cfg.sample_dt
     theta_lo, theta_hi = POLE_GUARD, math.pi - POLE_GUARD
 
@@ -196,7 +194,7 @@ def integrate(
     t_final = t_end - 1e-12 * max(1.0, t_end)
 
     while t < t_final:
-        h = min(h, max_step, t_end - t)
+        h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             events.append(f"step underflow at t={t}")
             return Trajectory(rows, "step_failure", kind, events)

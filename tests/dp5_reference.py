@@ -71,7 +71,7 @@ def _initial_step(f0, y0, cfg: IntegratorConfig) -> float:
         h = 1e-6
     else:
         h = 1e-2 * d0 / d1
-    return min(h, cfg.t_end, cfg.max_step)
+    return min(h, cfg.t_end)
 
 
 def integrate_reference(
@@ -97,7 +97,7 @@ def integrate_reference(
     t_final = cfg.t_end - 1e-12 * max(1.0, cfg.t_end)
 
     while t < t_final:
-        h = min(h, cfg.max_step, cfg.t_end - t)
+        h = min(h, cfg.t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             events.append(f"step underflow at t={t}")
             return Trajectory(rows, "step_failure", kind, events)

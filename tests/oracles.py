@@ -6,6 +6,7 @@ air; F_rotation_closed is F = alpha + beta specialized to the rotation
 wind; rotation_drift is the dot- and cross-product drift formula for that wind.
 azimuthal_costate and alpha_azimuthal_momentum are the Noether invariants
 of the travel-time and alpha flows under a wind that does not depend on phi.
+initial_speed_closed is the departure speed expanded in the heading.
 csv_cell is the per-cell rule that write_table formats whole rows by.
 """
 import math
@@ -14,6 +15,7 @@ from znav.randers import F_value, RandersData
 from znav.spheroid import (
     NavState,
     Spheroid,
+    SurfacePoint,
     TangentVector,
     metric_components,
     require_off_pole,
@@ -114,6 +116,27 @@ def alpha_azimuthal_momentum(sph: Spheroid, wind: WindField, state: NavState) ->
     a11 = h11 / lam + l1 * l1 / (lam * lam)
     a12 = l1 * l2 / (lam * lam)
     return a11 * state.vel.u + a12 * state.vel.v
+
+
+def initial_speed_closed(
+    sph: Spheroid, wind: WindField, p0: SurfacePoint, heading0: float
+) -> float:
+    """Departure speed |W + unit h-vector at heading0| in closed form.
+
+        |v|^2 = 1 + (W1 sin)^2 + 2 W1 sin cos(heading)
+                  + W2^2 h22 - 2 W2 sin(heading) sqrt(h22)
+    """
+    h11, h22 = metric_components(sph, p0.theta)
+    w1, w2 = wind.at(p0)
+    sin_t = math.sqrt(h11)
+    sq = (
+        1.0
+        + (w1 * sin_t) ** 2
+        + 2.0 * w1 * sin_t * math.cos(heading0)
+        + w2 * w2 * h22
+        - 2.0 * w2 * math.sin(heading0) * math.sqrt(h22)
+    )
+    return math.sqrt(max(sq, 0.0))
 
 
 def csv_cell(value) -> str:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies
 
 import znav
-from znav import make_rhs
+from znav import integrate, make_rhs
 from znav.cli import ValidationError, main, parse_angle
 from tests.conftest import nan_after, read_csv
 
@@ -45,6 +45,42 @@ class TestParseAngle:
         assert parse_angle("60", degrees=True) == pytest.approx(math.pi / 3)
         # pi-literals stay exact radians regardless of the toggle
         assert parse_angle("pi/3", degrees=True) == pytest.approx(math.pi / 3)
+
+
+def _stdout(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one in-process run; stderr is discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--heading", "-pi/8"), ("--heading", "-PI/8"), ("--heading", "-0.5"),
+         ("--heading", "-.5"), ("--start", "-0.0,pi/3"), ("--start", "-pi,pi/3")],
+    )
+    def test_separate_value_reads_as_attached(self, flag, value):
+        base = ["geodesic", *BENCH, "--heading", "0.3", "--t-end", "1"]
+        separate = _stdout([*base, flag, value])
+        assert separate[0] == 0
+        assert separate == _stdout([*base, f"{flag}={value}"])
+
+
+class TestStartAzimuth:
+    def test_full_turn_is_the_same_start(self):
+        runs = [_stdout(["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "1",
+                         "--start", f"{phi},pi/2"]) for phi in ("0", "2pi")]
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    def test_huge_azimuth_is_wrapped(self):
+        code, out = _stdout(["geodesic", "--heading", "0.3", "--t-end", "1",
+                             "--start", "1e308,pi/2"])
+        assert code == 0
+        final_phi = float(out.split("final_phi=")[1].split()[0])
+        assert 0.0 <= final_phi < 2 * math.pi + 2.0
 
 
 class TestGeodesic:
@@ -199,6 +235,8 @@ class TestNonFiniteInput:
             ["indicatrix", "--multipliers", "1,inf"],
             ["geodesic", "--heading", "0.3", "--t-end", "1e308"],
             ["geodesic", "--heading", "0.3", "--t-end", "1e20"],
+            ["geodesic", "--heading", "0.3", "--t-end", "1e308", "--sample-dt", "1e308"],
+            ["geodesic", "--heading", "0.3", "--t-end", "1", "--max-step", "1e-13"],
             ["geodesic", "--heading", "0.3", "--a", "1e160"],
             ["geodesic", "--heading", "0.3", "--rel-tol", "1", "--abs-tol", "1"],
             # rejected before a heading list or a curve is built
@@ -209,7 +247,8 @@ class TestNonFiniteInput:
         ids=["wind-nan", "heading-nan", "report-heading-nan", "family-step-nan",
              "heading-inf", "start-nan", "segments-nan", "segments-tail-nan",
              "family-segments-inf", "multipliers-nan", "multipliers-inf",
-             "t-end-sample-overflow", "t-end-over-grid-budget", "a-square-overflow",
+             "t-end-sample-overflow", "t-end-over-grid-budget", "t-end-over-horizon",
+             "no-step-cap", "a-square-overflow",
              "rel-tol-one", "fan-over-budget", "n-over-grid"],
     )
     def test_rejected(self, argv, capsys):
@@ -266,6 +305,23 @@ class TestCompare:
         assert max(abs(v + 5 / 7) for v in cols["d_phi_dot"]) < 1e-6
         root = ET.parse(tmp_path / "overlay.svg").getroot()
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 3
+
+    @pytest.mark.parametrize("svg, tracks", [(False, 2), (True, 3)])
+    def test_alpha_track_only_for_the_figure(self, svg, tracks, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(rhs, s0, cfg, kind=""):
+            calls.append(kind)
+            return integrate(rhs, s0, cfg, kind=kind)
+
+        monkeypatch.setattr("znav.cli.integrate", counted)
+        argv = ["compare", *BENCH, "--heading", "pi/3", "--t-end", "1",
+                "--csv", str(tmp_path / "diff.csv")]
+        if svg:
+            argv += ["--svg", str(tmp_path / "overlay.svg")]
+        assert _stdout(argv)[0] == 0
+        assert len(calls) == tracks
+        assert ("alpha" in calls) == svg
 
     def test_still_air_flows_coincide(self, capsys):
         code = main(["compare", "--a", "0.75", "--wind", "none",
@@ -473,8 +529,10 @@ class TestParseErrors:
     @pytest.mark.parametrize(
         "argv",
         [["geodesic", "--a", "foo"], ["indicatrix", "--n", "abc"], [],
-         ["geodesic", "--heading", "0", "--warp", "9"], ["orbit"]],
-        ids=["bad-float", "bad-int", "no-command", "unknown-flag", "unknown-command"],
+         ["geodesic", "--heading", "0", "--warp", "9"], ["orbit"],
+         ["geodesic", "--heading", "0", "-x"]],
+        ids=["bad-float", "bad-int", "no-command", "unknown-flag", "unknown-command",
+             "dash-letter"],
     )
     def test_exit_2_without_usage(self, argv, capsys):
         assert main(argv) == 2
@@ -494,12 +552,10 @@ EDGE = ["0", "-0.0", "5e-324", "1e-300", "1e308", "nan", "inf", "-inf",
         "pi/3", "-pi/8", "2pi", "foo", "0.5", "1"]
 COUNTS = ["0", "-1", "1", "2", "3.5", "foo", "1000000000", "1" + "0" * 400]
 # Value pools per option.  The only horizons above 1 drawn are 1e308 and
-# inf, which the grid cap rejects: no sample_dt in the pool is large
-# enough to let them through.
+# inf, which the horizon bound rejects whatever the sample_dt.
 POOLS = {
     "--a": EDGE, "--heading": EDGE, "--heading-start": EDGE, "--heading-step": EDGE,
-    "--t-end": EDGE, "--rel-tol": EDGE, "--abs-tol": EDGE, "--max-step": EDGE,
-    "--sample-dt": [v for v in EDGE if v != "1e308"],
+    "--t-end": EDGE, "--rel-tol": EDGE, "--abs-tol": EDGE, "--sample-dt": EDGE,
     "--start": [f"{p},{t}" for p in ("0", "1e308", "nan") for t in ("pi/2", "1", "0")]
     + ["foo", "1", "-0.0,1e-300"],
     "--wind": ["none", "rotation:0", "rotation:-0.0", "rotation:0.5", "rotation:5e-324",
@@ -543,6 +599,10 @@ class TestTotal:
     @settings(max_examples=200, deadline=timedelta(seconds=5))
     @given(run=edge_runs())
     @example(run=(["geodesic", "--heading", "0.3", "--t-end", "1e308"], None))
+    @example(run=(["geodesic", "--heading", "0.3", "--t-end", "1e308",
+                   "--sample-dt", "1e308"], None))
+    @example(run=(["geodesic", "--heading", "0.3", "--t-end", "1",
+                   "--max-step", "1e-13"], None))
     @example(run=(["geodesic", "--heading", "0.3", "--rel-tol", "1e-300",
                    "--abs-tol", "1e-300", "--t-end", "1"], None))
     @example(run=(["family", "--heading-start", "0", "--heading-step", "1",
@@ -554,12 +614,10 @@ class TestTotal:
             path = tmp_path_factory.mktemp("cfg") / "run.cfg"
             path.write_text(config + "\n")
             argv = [*argv, "--config", str(path)]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+        code, out = _stdout(argv)
         assert code in (0, 2, 3, 4)
         if code == 0:
-            assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE)
+            assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
 
 
 # Every subcommand with its CSV and SVG outputs, short horizons.
