@@ -181,6 +181,20 @@ class TestIntegrate:
             integrate(make_rhs("randers", oblate, rotation_wind(0.5)), s0,
                       IntegratorConfig(t_end=1.0), kind="randers")
 
+    # "inf": the step is uncapped, its length set by the tolerances alone
+    @pytest.mark.parametrize("calls", [pytest.param(2233, id="inf-2233")])
+    def test_benchmark_path_rhs_calls(self, oblate, rot_wind, calls):
+        # machine-independent cost guard on the benchmark randers path;
+        # kind is only a label, so leaving it out costs the same calls
+        s0 = initial_state_randers(
+            oblate, rot_wind, SurfacePoint(0.0, math.pi / 2), math.pi / 3
+        )
+        got = [0]
+        traj = integrate(counting(make_rhs("randers", oblate, rot_wind), got), s0,
+                         IntegratorConfig(t_end=7.0))
+        assert traj.termination == "completed"
+        assert got[0] == calls
+
     def test_benchmark_path_default_config(self, oblate, rot_wind):
         # machine-independent cost guard on the benchmark randers path;
         # the continuous extension keeps F = 1 at the samples between
