@@ -7,6 +7,7 @@ wind; rotation_drift is the dot- and cross-product drift formula for that wind.
 azimuthal_costate and alpha_azimuthal_momentum are the Noether invariants
 of the travel-time and alpha flows under a wind that does not depend on phi.
 initial_speed_closed is the departure speed expanded in the heading.
+position_reference is a tight scipy DOP853 track, the oracle of position error.
 csv_cell is the per-cell rule that write_table formats whole rows by.
 """
 import math
@@ -142,3 +143,22 @@ def initial_speed_closed(
 def csv_cell(value) -> str:
     """One CSV cell: empty for None, repr of an int, repr(float(value)) otherwise."""
     return "" if value is None else repr(value if isinstance(value, int) else float(value))
+
+
+def position_reference(rhs, s0: NavState, times: list[float]) -> list[tuple[float, float]]:
+    """(phi, theta) at each of times along the track of rhs from s0.
+
+    scipy's DOP853 at rtol 1e-13, atol 1e-15: a reference for the
+    position error that conservation drift cannot see, since a track can
+    keep F = 1 and still lag along its geodesic.  times starts at 0.
+    """
+    from scipy.integrate import solve_ivp
+
+    def f(t, y):
+        return [y[2], y[3], *rhs(*y)]
+
+    y0 = [s0.point.phi, s0.point.theta, s0.vel.u, s0.vel.v]
+    sol = solve_ivp(f, (0.0, times[-1]), y0, method="DOP853",
+                    rtol=1e-13, atol=1e-15, t_eval=times)
+    assert sol.success, sol.message
+    return [(float(phi), float(theta)) for phi, theta in zip(sol.y[0], sol.y[1])]

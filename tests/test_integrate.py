@@ -37,7 +37,9 @@ from tests.conftest import (
     HEADINGS, RATES, ROTATION_RATE, SHAPES, axisymmetric_winds, nan_after,
 )
 from tests.dp5_reference import integrate_reference
-from tests.oracles import alpha_azimuthal_momentum, azimuthal_costate
+from tests.oracles import (
+    alpha_azimuthal_momentum, azimuthal_costate, position_reference,
+)
 
 
 def counting(rhs, calls: list[int]):
@@ -271,6 +273,41 @@ class TestIntegrate:
         assert traj.termination == "completed"
         drift = max(abs(F_value(rd, s.point, s.vel) - 1.0) for _, s in traj.samples)
         assert drift <= 1e-6
+
+
+class TestPositionError:
+    """Position error against a tight scipy reference, which F drift cannot see."""
+
+    # The default config's worst |dphi|, |dtheta| over the samples of the
+    # benchmark randers paths, a = 0.75, c = 5/7, start (0, pi/2): the
+    # Dormand-Prince 5(4) stepper's measured errors, rounded up to two digits.
+    @pytest.mark.parametrize(
+        "t_end, heading, bound",
+        [
+            (7.0, 0.3, 5.1e-10),
+            (7.0, math.pi / 3, 4.7e-10),
+            (7.0, 1.3, 3.8e-9),
+            (7.0, 2.5, 1.1e-9),
+            (50.0, 0.3, 1.1e-8),
+            (50.0, math.pi / 3, 2.3e-8),
+            (50.0, 1.3, 2.1e-7),
+            (50.0, 2.5, 6.2e-8),
+        ],
+    )
+    def test_benchmark_paths(self, oblate, rot_wind, t_end, heading, bound):
+        pytest.importorskip("scipy.integrate")
+        rhs = make_rhs("randers", oblate, rot_wind)
+        s0 = initial_state_randers(
+            oblate, rot_wind, SurfacePoint(0.0, math.pi / 2), heading
+        )
+        traj = integrate(rhs, s0, IntegratorConfig(t_end=t_end), kind="randers")
+        assert traj.termination == "completed"
+        ref = position_reference(rhs, s0, [row[0] for row in traj.rows])
+        worst = max(
+            max(abs(phi - ref_phi), abs(theta - ref_theta))
+            for (_, phi, theta, _, _), (ref_phi, ref_theta) in zip(traj.rows, ref)
+        )
+        assert worst <= bound
 
 
 BENCH_CUSTOM_WIND = custom_wind(
