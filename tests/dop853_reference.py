@@ -1,66 +1,70 @@
-"""Reference Dormand-Prince stepping: the list-comprehension form.
+"""Reference DOP853 stepping: the list-comprehension form.
 
-Each stage is built as a list with sum() over the tableau, and the
-accelerations come through a wrapper returning [u, v, acc_u, acc_v].
+Each stage is built as a list of left-to-right sums over the nonzero
+weights of its tableau row, and the accelerations come through a
+wrapper returning [u, v, acc_u, acc_v].  The tableau is scipy's
+(scipy.integrate._ivp.dop853_coefficients), so a mistyped literal in
+znav.integrate changes that module's trajectories and not these.
 znav.integrate.integrate unrolls this loop into scalar arithmetic that
 performs the same float operations in the same order, so the two must
 produce identical sample rows, events and terminations.  Test-only.
 """
 import math
 
+from scipy.integrate._ivp import dop853_coefficients as _dop853
+
 from znav.errors import PoleSingularity
 from znav.integrate import IntegratorConfig, Trajectory
 from znav.spheroid import POLE_GUARD, NavState, require_off_pole
 from znav.spray import RhsFn
 
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_E = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
-_D = (
-    -12715105075 / 11282082432,
-    0.0,
-    87487479700 / 32700410799,
-    -10690763975 / 1880347072,
-    701980252875 / 199316789632,
-    -1453857185 / 822651844,
-    69997945 / 29380423,
-)
+
+def _nonzero(row, n: int) -> list[tuple[int, float]]:
+    """(stage index, weight) for the nonzero weights among the first n."""
+    return [(m, float(row[m])) for m in range(n) if row[m] != 0]
+
+
+# 0-based stages: k[0] is the current derivative, k[12] that of the
+# 8th-order solution (the next step's k[0]), k[13..15] the dense-output ones.
+_STAGES = [_nonzero(_dop853.A[s], s) for s in range(1, 13)]
+_EXTRA = [_nonzero(_dop853.A[s], s) for s in range(13, 16)]
+_E5 = _nonzero(_dop853.E5, 12)
+_E3 = _nonzero(_dop853.E3, 12)
+_D = [_nonzero(row, 16) for row in _dop853.D]
 
 _SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
+_FAC_MIN = 1 / 6
+_FAC_MAX = 3.0
+
+
+def _dot(weights, k, j: int) -> float:
+    """sum of w * k[m][j] over weights, left to right (never sum(), whose
+    float rounding depends on the Python version)."""
+    (m, w), *rest = weights
+    acc = w * k[m][j]
+    for m, w in rest:
+        acc += w * k[m][j]
+    return acc
 
 
 def _dense_rows(y0, y1, k, h: float) -> list[list[float]]:
-    """Per component the continuous-extension rows [y0, dy, b, c, r]."""
+    """Per component the continuous-extension rows [y0, f0, ..., f6]."""
     rows = []
     for j in range(4):
-        dy = y1[j] - y0[j]
-        b = h * k[0][j] - dy
-        c = dy - h * k[6][j] - b
-        r = h * sum(_D[m] * k[m][j] for m in range(7))
-        rows.append([y0[j], dy, b, c, r])
+        f0 = y1[j] - y0[j]
+        f1 = h * k[0][j] - f0
+        f2 = f0 - h * k[12][j] - f1
+        rows.append([y0[j], f0, f1, f2, *(h * _dot(d, k, j) for d in _D)])
     return rows
 
 
 def _dense(rows, tau: float) -> list[float]:
     tau1 = 1.0 - tau
-    return [y + tau * (dy + tau1 * (b + tau * (c + tau1 * r))) for y, dy, b, c, r in rows]
+    return [
+        y + tau * (f0 + tau1 * (f1 + tau * (f2 + tau1 * (
+            f3 + tau * (f4 + tau1 * (f5 + tau * f6))))))
+        for y, f0, f1, f2, f3, f4, f5, f6 in rows
+    ]
 
 
 def _initial_step(f0, y0, cfg: IntegratorConfig) -> float:
@@ -93,7 +97,7 @@ def integrate_reference(
     rows = [(0.0, *y)]
     next_idx = 1
     events: list[str] = []
-    err_prev = 1e-4
+    rejected = False
     t_final = cfg.t_end - 1e-12 * max(1.0, cfg.t_end)
 
     while t < t_final:
@@ -105,14 +109,33 @@ def integrate_reference(
         pole_hit = False
         try:
             k = [k1]
-            for i in range(1, 7):
-                yi = [
-                    y[j] + h * sum(_A[i][m] * k[m][j] for m in range(i))
-                    for j in range(4)
-                ]
-                k.append(f(yi))
-            y_new = yi
-            k_new = k[6]
+            for weights in _STAGES:
+                y_new = [y[j] + h * _dot(weights, k, j) for j in range(4)]
+                k.append(f(y_new))
+
+            sc = [cfg.abs_tol + cfg.rel_tol * max(abs(y[j]), abs(y_new[j]))
+                  for j in range(4)]
+            err5 = err3 = 0.0
+            for j in range(4):
+                e5 = _dot(_E5, k, j) / sc[j]
+                e3 = _dot(_E3, k, j) / sc[j]
+                err5 += e5 * e5
+                err3 += e3 * e3
+            deno = err5 + 0.01 * err3
+            if not math.isfinite(deno):
+                h *= 0.1
+                continue
+            err = h * err5 / (2.0 * math.sqrt(deno)) if deno else 0.0
+            if err > 1.0:
+                h /= min(_FAC_MAX, err ** 0.125 / _SAFETY)
+                rejected = True
+                continue
+
+            ts = next_idx * cfg.sample_dt
+            holds_sample = next_idx <= n_grid and ts <= t + h + 1e-14 * max(1.0, ts)
+            if holds_sample:
+                for weights in _EXTRA:
+                    k.append(f([y[j] + h * _dot(weights, k, j) for j in range(4)]))
         except PoleSingularity:
             pole_hit = True
 
@@ -123,30 +146,12 @@ def integrate_reference(
                 return Trajectory(rows, "pole_proximity", kind, events)
             continue
 
-        err = 0.0
-        try:
-            for j in range(4):
-                e = h * sum(_E[m] * k[m][j] for m in range(7))
-                sc = cfg.abs_tol + cfg.rel_tol * max(abs(y[j]), abs(y_new[j]))
-                err += (e / sc) ** 2
-            err = math.sqrt(err / 4)
-        except OverflowError:
-            err = math.inf
-
-        if not math.isfinite(err):
-            h *= 0.1
-            continue
-        if err > 1.0:
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            continue
-
         stop = None
-        dense = None
+        dense = _dense_rows(y, y_new, k, h) if holds_sample else None
         while next_idx <= n_grid:
             ts = next_idx * cfg.sample_dt
             if ts > t + h + 1e-14 * max(1.0, ts):
                 break
-            dense = dense or _dense_rows(y, y_new, k, h)
             tau = min(max((ts - t) / h, 0.0), 1.0)
             yi = _dense(dense, tau)
             if not (POLE_GUARD < yi[1] < math.pi - POLE_GUARD):
@@ -163,11 +168,10 @@ def integrate_reference(
 
         t += h
         y = y_new
-        k1 = k_new
-        err = max(err, 1e-16)
-        fac = _SAFETY * err ** -0.14 * err_prev ** 0.08
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
-        err_prev = max(err, 1e-4)
+        k1 = k[12]
+        h_new = h / max(_FAC_MIN, min(_FAC_MAX, err ** 0.125 / _SAFETY))
+        h = min(h_new, h) if rejected else h_new
+        rejected = False
 
     if rows[-1][0] < cfg.t_end - 1e-9 * max(1.0, cfg.t_end):
         rows.append((cfg.t_end, *y))
