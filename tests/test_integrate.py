@@ -389,7 +389,6 @@ class TestReferenceStepping:
         assert got.termination == want.termination == "step_failure"
         assert (got.samples, got.events) == (want.samples, want.events)
 
-
     def test_identical_overflowing_3rd_order_estimate(self):
         # a stage-6 spike at rel_tol 2e-152 leaves err5 at 3.3e307 but
         # makes err3 overflow; h err5 / sqrt(4 (err5 + 0.01 err3)) would
@@ -411,6 +410,7 @@ class TestReferenceStepping:
         assert (got.samples, got.termination, got.events) == (
             want.samples, want.termination, want.events
         )
+
 
 def momentum_drift(sph, wind, kind, theta0, heading) -> float:
     """Largest change of the flow's azimuthal momentum along a default-config track, t=5."""
