@@ -362,10 +362,14 @@ def integrate(
             # products, not ** 2, so an overflow gives inf instead of
             # raising; an infinite or NaN sum refuses the step, since an
             # infinite err3 alone would make the norm 0.
-            sp = abs_tol + rel_tol * max(abs(p1), abs(p13))
-            sq = abs_tol + rel_tol * max(abs(q1), abs(q13))
-            su = abs_tol + rel_tol * max(abs(u1), abs(u13))
-            sv = abs_tol + rel_tol * max(abs(v1), abs(v13))
+            x, y = abs(p1), abs(p13)
+            sp = abs_tol + rel_tol * (y if y > x else x)
+            x, y = abs(q1), abs(q13)
+            sq = abs_tol + rel_tol * (y if y > x else x)
+            x, y = abs(u1), abs(u13)
+            su = abs_tol + rel_tol * (y if y > x else x)
+            x, y = abs(v1), abs(v13)
+            sv = abs_tol + rel_tol * (y if y > x else x)
             ep5 = (e5_1 * u1 + e5_6 * u6 + e5_7 * u7 + e5_8 * u8 + e5_9 * u9 + e5_10 * u10
                    + e5_11 * u11 + e5_12 * u12) / sp
             eq5 = (e5_1 * v1 + e5_6 * v6 + e5_7 * v7 + e5_8 * v8 + e5_9 * v9 + e5_10 * v10
@@ -397,7 +401,8 @@ def integrate(
             # the dense output's three extra stages, only for a step
             # that holds a sample
             ts = next_idx * sample_dt
-            holds_sample = next_idx <= n_grid and ts <= t + h + 1e-14 * max(1.0, ts)
+            holds_sample = (next_idx <= n_grid
+                            and ts <= t + h + 1e-14 * (ts if ts > 1.0 else 1.0))
             if holds_sample:
                 p14 = p1 + h * (a14_1 * u1 + a14_7 * u7 + a14_8 * u8 + a14_9 * u9
                                 + a14_10 * u10 + a14_11 * u11 + a14_12 * u12 + a14_13 * u13)
@@ -497,7 +502,11 @@ def integrate(
                        + d6_10 * dv10 + d6_11 * dv11 + d6_12 * dv12 + d6_13 * dv13
                        + d6_14 * dv14 + d6_15 * dv15 + d6_16 * dv16)
             while True:
-                tau = min(max((ts - t) / h, 0.0), 1.0)
+                tau = (ts - t) / h
+                if tau < 0.0:
+                    tau = 0.0
+                elif tau > 1.0:
+                    tau = 1.0
                 tau1 = 1.0 - tau
                 q = q1 + tau * (f0q + tau1 * (f1q + tau * (f2q + tau1 * (
                     f3q + tau * (f4q + tau1 * (f5q + tau * f6q))))))
@@ -516,7 +525,7 @@ def integrate(
                 ))
                 next_idx += 1
                 ts = next_idx * sample_dt
-                if next_idx > n_grid or ts > t + h + 1e-14 * max(1.0, ts):
+                if next_idx > n_grid or ts > t + h + 1e-14 * (ts if ts > 1.0 else 1.0):
                     break
         if not (theta_lo < q13 < theta_hi):
             events.append(f"pole approach at t={t + h}")

@@ -307,13 +307,16 @@ def _randers_rhs(sph: Spheroid, wind: WindField) -> RhsFn:
     """
     jet = wind.jet
     a2 = sph.a * sph.a
+    # closure locals: one cell load each instead of a global and an attribute
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    lo, hi = POLE_GUARD, _THETA_MAX
 
     def rhs_randers(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
-        if not (POLE_GUARD < theta < _THETA_MAX):
+        if not (lo < theta < hi):
             require_off_pole(theta)
         w1, w2, j11, j12, j21, j22 = jet(phi, theta)
-        s = math.sin(theta)
-        co = math.cos(theta)
+        s = sin(theta)
+        co = cos(theta)
         h11 = s * s
         h22 = co * co + a2 * h11
         lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
@@ -326,7 +329,7 @@ def _randers_rhs(sph: Spheroid, wind: WindField) -> RhsFn:
         dh22 = (a2 - 1.0) * dh11
         b = u * w1 * h11 + v * w2 * h22
         yy = u * u * h11 + v * v * h22
-        r = math.sqrt(b * b + lam * yy)
+        r = sqrt(b * b + lam * yy)
         # the two roots of lam F^2 + 2 b F - |y|^2 = 0, without cancellation
         f = (r - b) / lam if b <= 0.0 else yy / (r + b)
         n1 = u / f - w1
@@ -357,13 +360,16 @@ def _alpha_rhs(sph: Spheroid, wind: WindField) -> RhsFn:
     """
     jet = wind.jet
     a2 = sph.a * sph.a
+    # closure locals: one cell load each instead of a global and an attribute
+    sin, cos = math.sin, math.cos
+    lo, hi = POLE_GUARD, _THETA_MAX
 
     def rhs_alpha(phi: float, theta: float, u: float, v: float) -> tuple[float, float]:
-        if not (POLE_GUARD < theta < _THETA_MAX):
+        if not (lo < theta < hi):
             require_off_pole(theta)
         w1, w2, j11, j12, j21, j22 = jet(phi, theta)
-        s = math.sin(theta)
-        co = math.cos(theta)
+        s = sin(theta)
+        co = cos(theta)
         h11 = s * s
         h22 = co * co + a2 * h11
         lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
