@@ -51,6 +51,7 @@ from znav.export import (
 from znav.integrate import (
     FamilyMember,
     IntegratorConfig,
+    StepStats,
     Trajectory,
     classify_path,
     integrate,

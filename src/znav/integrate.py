@@ -1,8 +1,10 @@
 """Adaptive geodesic integration with dense output and pole monitoring.
 
 The DOP853 pair of Prince and Dormand (8th order, with 5th- and
-3rd-order error estimates) under Hairer's step-size controller (Hairer,
-Norsett and Wanner, Solving ODEs I, II.4-II.6).  Accepted steps are
+3rd-order error estimates) as Hairer's dop853.f runs it: a two-phase
+starting step and a step-size controller stabilised by the previous
+step's error (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6,
+and II, IV.2).  Each trajectory counts its steps.  Accepted steps are
 resampled onto a uniform output grid by the pair's 7th-order continuous
 extension, whose three extra rhs calls are spent only on steps that
 hold a sample.  The chart breaks down at the poles, so integration
@@ -93,12 +95,19 @@ _D = (
      -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
 )
 
-# Hairer's controller: the next step is h / fac, fac = err ** (1/8) / 0.9
-# clamped to [1/6, 3] (at most 6-fold growth and 3-fold shrinkage), and a
-# step accepted after a rejection does not grow.
+# Hairer's stabilised controller (dop853.f; Solving ODEs II, IV.2): after
+# an accepted step the next one is h / fac with
+# fac = err ** (1/8 - 0.2 beta) / facold ** beta / 0.9 clamped to [1/6, 3]
+# (at most 6-fold growth and 3-fold shrinkage), where facold is the
+# previous accepted step's err, at least 1e-4.  The facold term damps
+# the step sequence, so fewer steps overshoot and are rejected.  A
+# rejected step shrinks by min(3, err ** (1/8 - 0.2 beta) / 0.9), and the
+# step accepted right after a rejection does not grow.
 _SAFETY = 0.9
 _FAC_MIN = 1 / 6
 _FAC_MAX = 3.0
+_BETA = 0.04
+_EXPO1 = 0.125 - 0.2 * _BETA
 
 # Largest horizon t_end and output grid t_end / sample_dt of one track.
 # A track holds at most MAX_GRID + 2 rows, ~200 MB at this size; a larger
@@ -140,6 +149,20 @@ class IntegratorConfig:
 Row = tuple[float, float, float, float, float]
 
 
+@dataclass(frozen=True)
+class StepStats:
+    """Step counts of one integration.
+
+    accepted steps advanced t; rejected ones failed the error test (or
+    had a non-finite error estimate) and were retried shorter; pole
+    halvings are retries after a stage landed in the pole guard band.
+    """
+
+    accepted: int = 0
+    rejected: int = 0
+    pole_halvings: int = 0
+
+
 @dataclass
 class Trajectory:
     """Uniformly sampled geodesic with a termination record.
@@ -149,13 +172,15 @@ class Trajectory:
     state at t = 0.  phi values accumulate (no wrapping) so winding
     counts are recoverable.  The control channel, the CSV and the
     figures read rows; samples is the same track as (t, NavState)
-    pairs, built from rows on first access and then kept.
+    pairs, built from rows on first access and then kept.  stats counts
+    the steps that produced them.
     """
 
     rows: list[Row]
     termination: str  # "completed" | "pole_proximity" | "step_failure"
     kind: str = ""
     events: list[str] = field(default_factory=list)
+    stats: StepStats = field(default_factory=StepStats)
 
     @cached_property
     def samples(self) -> list[tuple[float, NavState]]:
@@ -170,16 +195,46 @@ class Trajectory:
         return NavState(SurfacePoint(phi, theta), TangentVector(u, v))
 
 
-def _initial_step(f0, y0, cfg: IntegratorConfig) -> float:
-    sc = [cfg.abs_tol + cfg.rel_tol * abs(y0[i]) for i in range(4)]
+def _rms(x, sc) -> float:
+    """Root mean square of x / sc over the four components."""
     # products, not ** 2: a float square that overflows raises OverflowError
-    d0 = math.sqrt(sum((y0[i] / sc[i]) * (y0[i] / sc[i]) for i in range(4)) / 4)
-    d1 = math.sqrt(sum((f0[i] / sc[i]) * (f0[i] / sc[i]) for i in range(4)) / 4)
+    a, b, c, d = (x[i] / sc[i] for i in range(4))
+    return math.sqrt((a * a + b * b + c * c + d * d) / 4)
+
+
+def _initial_step(rhs: RhsFn, y0, f0, cfg: IntegratorConfig) -> float:
+    """Hairer's two-phase starting step (Solving ODEs I, II.4), as scipy's DOP853.
+
+    The first phase, h0 = 0.01 d0 / d1, compares the state y0 with its
+    derivative f0 in the tolerance scale.  The second spends one rhs call
+    at y0 + h0 f0 for the size d2 of the second derivative, and returns
+    the step on which an 8th-order error term would be 0.01, at most
+    100 h0 and t_end.  It keeps h0 when the probe lands in the pole guard
+    band, or when d1 or d2 is not finite (a scale that overflows them).
+    """
+    sc = [cfg.abs_tol + cfg.rel_tol * abs(y0[i]) for i in range(4)]
+    d0 = _rms(y0, sc)
+    d1 = _rms(f0, sc)
     if not (math.isfinite(d0) and math.isfinite(d1)) or d0 < 1e-5 or d1 < 1e-5:
-        h = 1e-6
+        h0 = 1e-6
     else:
-        h = 1e-2 * d0 / d1
-    return min(h, cfg.t_end)
+        h0 = 1e-2 * d0 / d1
+    h0 = min(h0, cfg.t_end)
+    if not math.isfinite(d1):
+        return h0
+    y1 = [y0[i] + h0 * f0[i] for i in range(4)]
+    try:
+        f1 = [y1[2], y1[3], *rhs(*y1)]
+    except PoleSingularity:
+        return h0
+    d2 = _rms([f1[i] - f0[i] for i in range(4)], sc) / h0
+    if not math.isfinite(d2):
+        return h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.125
+    return min(100 * h0, h1, cfg.t_end)
 
 
 def integrate(
@@ -192,7 +247,8 @@ def integrate(
     The trajectory is sampled at multiples of cfg.sample_dt, one row
     (t, phi, theta, phi_dot, theta_dot) per sample, the first row being
     s0 at t = 0; an early pole approach or step underflow truncates the
-    rows and is recorded in the termination tag.
+    rows and is recorded in the termination tag.  stats counts the
+    accepted and rejected steps and the pole-guard halvings.
 
     Raises:
         ValueError: a component of s0 is not finite.
@@ -240,13 +296,15 @@ def integrate(
     # accelerations are the previous step's stage 13 ones (FSAL).
     du1, dv1 = rhs(p1, q1, u1, v1)
     t = 0.0
-    h = _initial_step((u1, v1, du1, dv1), (p1, q1, u1, v1), cfg)
+    h = _initial_step(rhs, (p1, q1, u1, v1), (u1, v1, du1, dv1), cfg)
 
     n_grid = int(math.floor(t_end / sample_dt + 1e-9))
     rows: list[Row] = [(0.0, p1, q1, u1, v1)]
     next_idx = 1
     events: list[str] = []
     rejected = False
+    facold = 1e-4
+    n_accepted = n_rejected = n_halved = 0
     # completion window wider than the underflow floor, so a shrunken
     # final step cannot misreport an essentially finished run
     t_final = t_end - 1e-12 * max(1.0, t_end)
@@ -255,7 +313,8 @@ def integrate(
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             events.append(f"step underflow at t={t}")
-            return Trajectory(rows, "step_failure", kind, events)
+            return Trajectory(rows, "step_failure", kind, events,
+                              StepStats(n_accepted, n_rejected, n_halved))
 
         # Each sum runs left to right over the nonzero weights of its
         # tableau row: the float operations of the list-form loop in
@@ -391,11 +450,14 @@ def integrate(
             deno = err5 + 0.01 * err3
             if not math.isfinite(deno):
                 h *= 0.1
+                n_rejected += 1
                 continue
             err = h * err5 / (2.0 * math.sqrt(deno)) if deno else 0.0
+            fac11 = err ** _EXPO1
             if err > 1.0:
-                h /= min(_FAC_MAX, err ** 0.125 / _SAFETY)
+                h /= min(_FAC_MAX, fac11 / _SAFETY)
                 rejected = True
+                n_rejected += 1
                 continue
 
             # the dense output's three extra stages, only for a step
@@ -439,9 +501,11 @@ def integrate(
                 du16, dv16 = rhs(p16, q16, u16, v16)
         except PoleSingularity:
             h *= 0.5
+            n_halved += 1
             if h < 1e-12 * max(1.0, abs(t)):
                 events.append(f"pole approach at t={t}")
-                return Trajectory(rows, "pole_proximity", kind, events)
+                return Trajectory(rows, "pole_proximity", kind, events,
+                                  StepStats(n_accepted, n_rejected, n_halved))
             continue
 
         # Accepted: emit grid samples inside (t, t+h] from Hairer's
@@ -512,7 +576,8 @@ def integrate(
                     f3q + tau * (f4q + tau1 * (f5q + tau * f6q))))))
                 if not (theta_lo < q < theta_hi):
                     events.append(f"pole approach at t={ts}")
-                    return Trajectory(rows, "pole_proximity", kind, events)
+                    return Trajectory(rows, "pole_proximity", kind, events,
+                                      StepStats(n_accepted, n_rejected, n_halved))
                 rows.append((
                     ts,
                     p1 + tau * (f0p + tau1 * (f1p + tau * (f2p + tau1 * (
@@ -529,18 +594,22 @@ def integrate(
                     break
         if not (theta_lo < q13 < theta_hi):
             events.append(f"pole approach at t={t + h}")
-            return Trajectory(rows, "pole_proximity", kind, events)
+            return Trajectory(rows, "pole_proximity", kind, events,
+                              StepStats(n_accepted, n_rejected, n_halved))
 
         t += h
+        n_accepted += 1
         p1, q1, u1, v1, du1, dv1 = p13, q13, u13, v13, du13, dv13
-        h_new = h / max(_FAC_MIN, min(_FAC_MAX, err ** 0.125 / _SAFETY))
+        h_new = h / max(_FAC_MIN, min(_FAC_MAX, fac11 / facold ** _BETA / _SAFETY))
+        facold = max(err, 1e-4)
         h = min(h_new, h) if rejected else h_new
         rejected = False
 
     if rows[-1][0] < t_end - 1e-9 * max(1.0, t_end):
         # grid did not land on t_end; append the final state explicitly
         rows.append((t_end, p1, q1, u1, v1))
-    return Trajectory(rows, "completed", kind, events)
+    return Trajectory(rows, "completed", kind, events,
+                      StepStats(n_accepted, n_rejected, n_halved))
 
 
 @dataclass

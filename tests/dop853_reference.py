@@ -7,14 +7,16 @@ wrapper returning [u, v, acc_u, acc_v].  The tableau is scipy's
 znav.integrate changes that module's trajectories and not these.
 znav.integrate.integrate unrolls this loop into scalar arithmetic that
 performs the same float operations in the same order, so the two must
-produce identical sample rows, events and terminations.  Test-only.
+produce identical sample rows, events, terminations and step counts.
+The starting step and the step-size controller are written out here
+once more, with their own constants.  Test-only.
 """
 import math
 
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from znav.errors import PoleSingularity
-from znav.integrate import IntegratorConfig, Trajectory
+from znav.integrate import IntegratorConfig, StepStats, Trajectory
 from znav.spheroid import POLE_GUARD, NavState, require_off_pole
 from znav.spray import RhsFn
 
@@ -35,6 +37,8 @@ _D = [_nonzero(row, 16) for row in _dop853.D]
 _SAFETY = 0.9
 _FAC_MIN = 1 / 6
 _FAC_MAX = 3.0
+_BETA = 0.04
+_EXPO1 = 0.125 - 0.2 * _BETA
 
 
 def _dot(weights, k, j: int) -> float:
@@ -67,15 +71,34 @@ def _dense(rows, tau: float) -> list[float]:
     ]
 
 
-def _initial_step(f0, y0, cfg: IntegratorConfig) -> float:
+def _rms(x, sc) -> float:
+    a, b, c, d = (x[i] / sc[i] for i in range(4))
+    return math.sqrt((a * a + b * b + c * c + d * d) / 4)
+
+
+def _initial_step(f, y0, f0, cfg: IntegratorConfig) -> float:
     sc = [cfg.abs_tol + cfg.rel_tol * abs(y0[i]) for i in range(4)]
-    d0 = math.sqrt(sum((y0[i] / sc[i]) * (y0[i] / sc[i]) for i in range(4)) / 4)
-    d1 = math.sqrt(sum((f0[i] / sc[i]) * (f0[i] / sc[i]) for i in range(4)) / 4)
+    d0 = _rms(y0, sc)
+    d1 = _rms(f0, sc)
     if not (math.isfinite(d0) and math.isfinite(d1)) or d0 < 1e-5 or d1 < 1e-5:
-        h = 1e-6
+        h0 = 1e-6
     else:
-        h = 1e-2 * d0 / d1
-    return min(h, cfg.t_end)
+        h0 = 1e-2 * d0 / d1
+    h0 = min(h0, cfg.t_end)
+    if not math.isfinite(d1):
+        return h0
+    try:
+        f1 = f([y0[i] + h0 * f0[i] for i in range(4)])
+    except PoleSingularity:
+        return h0
+    d2 = _rms([f1[i] - f0[i] for i in range(4)], sc) / h0
+    if not math.isfinite(d2):
+        return h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.125
+    return min(100 * h0, h1, cfg.t_end)
 
 
 def integrate_reference(
@@ -91,20 +114,26 @@ def integrate_reference(
     y = [s0.point.phi, s0.point.theta, s0.vel.u, s0.vel.v]
     k1 = f(y)
     t = 0.0
-    h = _initial_step(k1, y, cfg)
+    h = _initial_step(f, y, k1, cfg)
 
     n_grid = int(math.floor(cfg.t_end / cfg.sample_dt + 1e-9))
     rows = [(0.0, *y)]
     next_idx = 1
     events: list[str] = []
     rejected = False
+    facold = 1e-4
+    accepted = rejections = halvings = 0
+
+    def stats() -> StepStats:
+        return StepStats(accepted, rejections, halvings)
+
     t_final = cfg.t_end - 1e-12 * max(1.0, cfg.t_end)
 
     while t < t_final:
         h = min(h, cfg.t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             events.append(f"step underflow at t={t}")
-            return Trajectory(rows, "step_failure", kind, events)
+            return Trajectory(rows, "step_failure", kind, events, stats())
 
         pole_hit = False
         try:
@@ -124,11 +153,14 @@ def integrate_reference(
             deno = err5 + 0.01 * err3
             if not math.isfinite(deno):
                 h *= 0.1
+                rejections += 1
                 continue
             err = h * err5 / (2.0 * math.sqrt(deno)) if deno else 0.0
+            fac11 = err ** _EXPO1
             if err > 1.0:
-                h /= min(_FAC_MAX, err ** 0.125 / _SAFETY)
+                h /= min(_FAC_MAX, fac11 / _SAFETY)
                 rejected = True
+                rejections += 1
                 continue
 
             ts = next_idx * cfg.sample_dt
@@ -141,9 +173,10 @@ def integrate_reference(
 
         if pole_hit:
             h *= 0.5
+            halvings += 1
             if h < 1e-12 * max(1.0, abs(t)):
                 events.append(f"pole approach at t={t}")
-                return Trajectory(rows, "pole_proximity", kind, events)
+                return Trajectory(rows, "pole_proximity", kind, events, stats())
             continue
 
         stop = None
@@ -161,18 +194,20 @@ def integrate_reference(
             next_idx += 1
         if stop is not None:
             events.append(f"pole approach at t={stop}")
-            return Trajectory(rows, "pole_proximity", kind, events)
+            return Trajectory(rows, "pole_proximity", kind, events, stats())
         if not (POLE_GUARD < y_new[1] < math.pi - POLE_GUARD):
             events.append(f"pole approach at t={t + h}")
-            return Trajectory(rows, "pole_proximity", kind, events)
+            return Trajectory(rows, "pole_proximity", kind, events, stats())
 
         t += h
+        accepted += 1
         y = y_new
         k1 = k[12]
-        h_new = h / max(_FAC_MIN, min(_FAC_MAX, err ** 0.125 / _SAFETY))
+        h_new = h / max(_FAC_MIN, min(_FAC_MAX, fac11 / facold ** _BETA / _SAFETY))
+        facold = max(err, 1e-4)
         h = min(h_new, h) if rejected else h_new
         rejected = False
 
     if rows[-1][0] < cfg.t_end - 1e-9 * max(1.0, cfg.t_end):
         rows.append((cfg.t_end, *y))
-    return Trajectory(rows, "completed", kind, events)
+    return Trajectory(rows, "completed", kind, events, stats())

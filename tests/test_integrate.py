@@ -16,6 +16,7 @@ from znav import (
     PoleSingularity,
     RandersData,
     Spheroid,
+    StepStats,
     SurfacePoint,
     TangentVector,
     Trajectory,
@@ -32,7 +33,7 @@ from znav import (
     make_rhs,
     rotation_wind,
 )
-from znav.integrate import MAX_GRID
+from znav.integrate import MAX_GRID, _initial_step
 from tests.conftest import (
     HEADINGS, RATES, ROTATION_RATE, SHAPES, axisymmetric_winds, nan_after,
 )
@@ -106,6 +107,9 @@ class TestIntegrate:
     @settings(max_examples=100, deadline=None)
     @given(a=SHAPES, c=RATES, heading=HEADINGS)
     @example(a=0.75, c=ROTATION_RATE, heading=math.pi / 3)
+    # passes 3e-5 rad from the pole, where the chart's raw phi residual
+    # reads 6.1e-6 and the distance along the parallel 2e-10
+    @example(a=1.7687203756358754, c=-0.5463750705996161, heading=1.5708208581932022)
     def test_wind_carries_the_unperturbed_path(self, a, c, heading):
         """Strongest end-to-end oracle: for the rotation wind the
         time-optimal path is the unperturbed one dragged by the flow,
@@ -116,13 +120,15 @@ class TestIntegrate:
         tf = run(sph, rotation_wind(c), "randers", heading, cfg)
         worst_phi = worst_theta = 0.0
         for (t, phi_h, theta_h, _, _), (_, phi_f, theta_f, _, _) in zip(th.rows, tf.rows):
-            worst_phi = max(worst_phi, abs(phi_f - (phi_h - c * t)))
+            # a phi residual times the parallel's radius sin(theta) is a
+            # distance, which does not blow up near a pole as phi does
+            worst_phi = max(worst_phi, abs(phi_f - (phi_h - c * t)) * math.sin(theta_h))
             worst_theta = max(worst_theta, abs(theta_f - theta_h))
         # theta: 5x the largest residual of ~3000 scanned draws, 1.9e-8 on
-        # a track that passes within ~1e-6 rad of a pole.  phi keeps 1e-6:
-        # near a pole a phi residual is a position error over sin(theta),
-        # and draws within ~1e-4 of due north or south exceed 1e-6
-        assert worst_phi < 1e-6
+        # a track that passes within ~1e-6 rad of a pole.  phi, as a
+        # distance: 25x the largest of ~3000 draws (half of them within
+        # 1e-1 to 1e-10 of due north or south), 4.1e-9
+        assert worst_phi < 1e-7
         assert worst_theta < 1e-7
 
     def test_determinism(self, oblate, rot_wind):
@@ -191,7 +197,7 @@ class TestIntegrate:
                       IntegratorConfig(t_end=1.0), kind="randers")
 
     # "inf": the step is uncapped, its length set by the tolerances alone
-    @pytest.mark.parametrize("calls", [pytest.param(1699, id="inf-1699")])
+    @pytest.mark.parametrize("calls", [pytest.param(1616, id="inf-1616")])
     def test_benchmark_path_rhs_calls(self, oblate, rot_wind, calls):
         # machine-independent cost guard on the benchmark randers path;
         # kind is only a label, so leaving it out costs the same calls
@@ -215,15 +221,46 @@ class TestIntegrate:
         traj = integrate(counting(make_rhs("randers", oblate, rot_wind), got), s0,
                          IntegratorConfig(t_end=7.0), kind="randers")
         assert traj.termination == "completed"
-        assert got[0] == 1699
+        assert got[0] == 1616
         rd = RandersData(oblate, rot_wind)
         drift = max(abs(F_value(rd, s.point, s.vel) - 1.0) for _, s in traj.samples)
         assert drift <= 2e-9
 
+    def test_benchmark_path_step_stats(self, oblate, rot_wind):
+        # machine-independent guard on the step sequence of the benchmark
+        # randers path: the stabilised controller rejects few steps
+        s0 = initial_state_randers(
+            oblate, rot_wind, SurfacePoint(0.0, math.pi / 2), math.pi / 3
+        )
+        traj = integrate(make_rhs("randers", oblate, rot_wind), s0,
+                         IntegratorConfig(t_end=7.0), kind="randers")
+        assert traj.stats == StepStats(accepted=95, rejected=16, pole_halvings=0)
+
+    @pytest.mark.parametrize(
+        "start, heading",
+        [((0.0, math.pi / 2), math.pi / 3), ((1.0, 1.2), 1.0)],
+        ids=["benchmark-start", "off-origin"],
+    )
+    def test_starting_step_matches_scipy(self, oblate, rot_wind, start, heading):
+        # Hairer's two-phase starting step, as scipy's DOP853 picks it; at
+        # the benchmark start phi = 0, so the first phase alone is short
+        integrate_mod = pytest.importorskip("scipy.integrate")
+        rhs = make_rhs("randers", oblate, rot_wind)
+        s0 = initial_state_randers(oblate, rot_wind, SurfacePoint(*start), heading)
+        y0 = (s0.point.phi, s0.point.theta, s0.vel.u, s0.vel.v)
+        cfg = IntegratorConfig(t_end=7.0)
+        got = _initial_step(rhs, y0, (y0[2], y0[3], *rhs(*y0)), cfg)
+        solver = integrate_mod.DOP853(lambda t, y: [y[2], y[3], *rhs(*y)], 0.0, y0,
+                                      t_bound=cfg.t_end, rtol=cfg.rel_tol,
+                                      atol=cfg.abs_tol)
+        # equal in both cases; an ulp of slack for numpy's norm, which may
+        # sum the four squares in another order than left to right
+        assert abs(got - solver.h_abs) <= math.ulp(solver.h_abs)
+
     def test_dense_output_matches_scipy(self, oblate, rot_wind):
-        # one DOP853 step of h = 0.004 (the initial-step estimate here is
-        # 0.0054): the samples inside it come from the same 7th-order
-        # interpolant as scipy's DOP853 dense output
+        # one DOP853 step of h = 0.004 (the starting step here would be
+        # 0.025 but for t_end): the samples inside it come from the same
+        # 7th-order interpolant as scipy's DOP853 dense output
         integrate_mod = pytest.importorskip("scipy.integrate")
         rhs = make_rhs("randers", oblate, rot_wind)
         s0 = initial_state_randers(oblate, rot_wind, SurfacePoint(1.0, 1.2), 1.0)
@@ -231,9 +268,9 @@ class TestIntegrate:
         cfg = IntegratorConfig(t_end=h, sample_dt=h / 4)
         calls = [0]
         traj = integrate(counting(rhs, calls), s0, cfg, kind="randers")
-        # one accepted step, no rejection: the start, 12 stages and the
-        # 3 dense-output stages
-        assert calls[0] == 16
+        # one accepted step, no rejection: the start, the starting-step
+        # probe, 12 stages and the 3 dense-output stages
+        assert calls[0] == 17
 
         def f(t, y):
             return [y[2], y[3], *rhs(*y)]
@@ -327,8 +364,8 @@ BENCH_CUSTOM_WIND = custom_wind(
 class TestReferenceStepping:
     """The unrolled stage loop against the list-comprehension reference."""
 
-    # on the completed tracks the steps (median 0.04-0.06 at 1e-12,
-    # 0.09-0.12 at 1e-9) hold several samples each; the due-north tracks
+    # on the completed tracks the median steps (0.017-0.065 at 1e-12,
+    # 0.038-0.14 at 1e-9) span one sample or more; the due-north tracks
     # end in steps far shorter than the 0.01 sample spacing, most of which
     # hold no sample and skip the three dense-output stages
     @pytest.mark.parametrize("rel_tol", [1e-12, 1e-9])
@@ -347,6 +384,7 @@ class TestReferenceStepping:
             assert got.samples == want.samples
             assert got.termination == want.termination
             assert got.events == want.events
+            assert got.stats == want.stats
             assert got_calls == want_calls
             terminations.add(got.termination)
         assert "completed" in terminations
@@ -364,7 +402,7 @@ class TestReferenceStepping:
         got = integrate(rhs, s0, cfg)
         want = integrate_reference(rhs, s0, cfg)
         assert got.termination == "completed"
-        assert (got.samples, got.events) == (want.samples, want.events)
+        assert (got.samples, got.events, got.stats) == (want.samples, want.events, want.stats)
 
     def test_identical_step_failure(self, oblate):
         def broken(phi, theta, u, v):
@@ -374,8 +412,8 @@ class TestReferenceStepping:
         cfg = IntegratorConfig(t_end=1.0)
         got = integrate(broken, s0, cfg)
         want = integrate_reference(broken, s0, cfg)
-        assert (got.samples, got.termination, got.events) == (
-            want.samples, want.termination, want.events
+        assert (got.samples, got.termination, got.events, got.stats) == (
+            want.samples, want.termination, want.events, want.stats
         )
 
     def test_identical_overflowing_error_norm(self, oblate):
@@ -387,7 +425,7 @@ class TestReferenceStepping:
         got = integrate(rhs, s0, cfg)
         want = integrate_reference(rhs, s0, cfg)
         assert got.termination == want.termination == "step_failure"
-        assert (got.samples, got.events) == (want.samples, want.events)
+        assert (got.samples, got.events, got.stats) == (want.samples, want.events, want.stats)
 
     def test_identical_overflowing_3rd_order_estimate(self):
         # a stage-6 spike at rel_tol 2e-152 leaves err5 at 3.3e307 but
@@ -407,8 +445,8 @@ class TestReferenceStepping:
         got = integrate(spiking(), s0, cfg)
         want = integrate_reference(spiking(), s0, cfg)
         assert got.events == ["step underflow at t=0.0"]
-        assert (got.samples, got.termination, got.events) == (
-            want.samples, want.termination, want.events
+        assert (got.samples, got.termination, got.events, got.stats) == (
+            want.samples, want.termination, want.events, want.stats
         )
 
 
@@ -449,6 +487,8 @@ class TestPoleHandling:
         traj = run(oblate, None, "h", math.pi / 2, IntegratorConfig(t_end=3.0))
         assert traj.termination == "pole_proximity"
         assert classify_path(traj) == "transpolar"
+        # the guard band is found by halving the steps that land in it
+        assert traj.stats.pole_halvings > 0
         assert all(POLE_GUARD < s.point.theta < math.pi - POLE_GUARD
                    for _, s in traj.samples)
 
