@@ -107,8 +107,8 @@ class TestIntegrate:
     @settings(max_examples=100, deadline=None)
     @given(a=SHAPES, c=RATES, heading=HEADINGS)
     @example(a=0.75, c=ROTATION_RATE, heading=math.pi / 3)
-    # passes 3e-5 rad from the pole, where the chart's raw phi residual
-    # reads 6.1e-6 and the distance along the parallel 2e-10
+    # passes 3e-5 rad from the pole: its phi residual reads 1.8e-7 in the
+    # chart and 2.1e-10 as a distance
     @example(a=1.7687203756358754, c=-0.5463750705996161, heading=1.5708208581932022)
     def test_wind_carries_the_unperturbed_path(self, a, c, heading):
         """Strongest end-to-end oracle: for the rotation wind the
@@ -222,19 +222,11 @@ class TestIntegrate:
                          IntegratorConfig(t_end=7.0), kind="randers")
         assert traj.termination == "completed"
         assert got[0] == 1616
+        # and on its step sequence: the stabilised controller rejects few
+        assert traj.stats == StepStats(accepted=95, rejected=16, pole_halvings=0)
         rd = RandersData(oblate, rot_wind)
         drift = max(abs(F_value(rd, s.point, s.vel) - 1.0) for _, s in traj.samples)
         assert drift <= 2e-9
-
-    def test_benchmark_path_step_stats(self, oblate, rot_wind):
-        # machine-independent guard on the step sequence of the benchmark
-        # randers path: the stabilised controller rejects few steps
-        s0 = initial_state_randers(
-            oblate, rot_wind, SurfacePoint(0.0, math.pi / 2), math.pi / 3
-        )
-        traj = integrate(make_rhs("randers", oblate, rot_wind), s0,
-                         IntegratorConfig(t_end=7.0), kind="randers")
-        assert traj.stats == StepStats(accepted=95, rejected=16, pole_halvings=0)
 
     @pytest.mark.parametrize(
         "start, heading",
@@ -404,6 +396,18 @@ class TestReferenceStepping:
         assert got.termination == "completed"
         assert (got.samples, got.events, got.stats) == (want.samples, want.events, want.stats)
 
+    def test_identical_probe_in_guard_band(self, oblate):
+        # 1e-6 rad outside the guard band and heading into it: the
+        # starting-step probe lands in the band, and the first phase's
+        # step of 1e-5 is kept
+        rhs = make_rhs("h", oblate, None)
+        s0 = NavState(SurfacePoint(0.0, 2e-6), TangentVector(0.0, -1.0))
+        cfg = IntegratorConfig(t_end=1.0)
+        got = integrate(rhs, s0, cfg)
+        want = integrate_reference(rhs, s0, cfg)
+        assert got.termination == "pole_proximity"
+        assert (got.samples, got.events, got.stats) == (want.samples, want.events, want.stats)
+
     def test_identical_step_failure(self, oblate):
         def broken(phi, theta, u, v):
             return (math.nan, math.nan)
@@ -428,23 +432,27 @@ class TestReferenceStepping:
         assert (got.samples, got.events, got.stats) == (want.samples, want.events, want.stats)
 
     def test_identical_overflowing_3rd_order_estimate(self):
-        # a stage-6 spike at rel_tol 2e-152 leaves err5 at 3.3e307 but
+        # a stage-6 spike at rel_tol 4e-149 leaves err5 at 4.9e307 but
         # makes err3 overflow; h err5 / sqrt(4 (err5 + 0.01 err3)) would
-        # read 0 and accept the step, so a non-finite sum refuses it
+        # read 0 and accept the step, so a non-finite sum refuses it.  The
+        # track starts at rest, so its starting step is 1e-6, and once the
+        # spiked step is refused it stays at rest
         def spiking():
             calls = [0]
 
             def rhs(phi, theta, u, v):
                 calls[0] += 1
-                return (1e10 if calls[0] == 6 else 0.0, 0.0)
+                # call 1 is the start, call 2 the starting-step probe
+                return (1e10 if calls[0] == 7 else 0.0, 0.0)
 
             return rhs
 
-        s0 = NavState(SurfacePoint(0.5, 1.0), TangentVector(1.0, 0.0))
-        cfg = IntegratorConfig(t_end=0.05, rel_tol=2e-152, abs_tol=1e-300)
+        s0 = NavState(SurfacePoint(0.5, 1.0), TangentVector(0.0, 0.0))
+        cfg = IntegratorConfig(t_end=0.05, rel_tol=4e-149, abs_tol=1e-300)
         got = integrate(spiking(), s0, cfg)
         want = integrate_reference(spiking(), s0, cfg)
-        assert got.events == ["step underflow at t=0.0"]
+        assert got.stats.rejected == 1
+        assert all(row[1:] == (0.5, 1.0, 0.0, 0.0) for row in got.rows)
         assert (got.samples, got.termination, got.events, got.stats) == (
             want.samples, want.termination, want.events, want.stats
         )
