@@ -96,6 +96,23 @@ class TestGeodesic:
         assert len(cols["t"]) == 301
         assert cols["phi_dot"][0] == pytest.approx(-3 / 14, abs=1e-15)
 
+    def test_printed_drift_matches_csv_rows(self, tmp_path):
+        # the geodesic recipe prints max |F - 1| over the rows it writes
+        # to its CSV, recomputed here from the file
+        csv, svg = tmp_path / "path.csv", tmp_path / "path.svg"
+        code, out = _stdout(["geodesic", *BENCH, "--kind", "randers", "--heading", "pi/3",
+                             "--plot", "path3d", "--csv", str(csv), "--svg", str(svg)])
+        assert code == 0
+        cols = read_csv(str(csv))
+        rd = znav.RandersData(znav.Spheroid(0.75), znav.rotation_wind(0.7142857142857143))
+        worst = max(
+            abs(znav.F_value(rd, znav.SurfacePoint(phi, theta), znav.TangentVector(u, v)) - 1.0)
+            for phi, theta, u, v in zip(cols["phi"], cols["theta"], cols["phi_dot"],
+                                        cols["theta_dot"])
+        )
+        assert len(cols["t"]) == 301 and worst > 0.0
+        assert re.search(r"conservation_drift=(\S+)", out).group(1) == f"{worst:.3e}"
+
     def test_svg_kinds(self, tmp_path):
         for plot in ("path3d", "xy", "polar"):
             svg = tmp_path / f"{plot}.svg"
