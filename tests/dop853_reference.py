@@ -9,14 +9,20 @@ znav.integrate.integrate unrolls this loop into scalar arithmetic that
 performs the same float operations in the same order, so the two must
 produce identical sample rows, events, terminations and step counts.
 The starting step and the step-size controller are written out here
-once more, with their own constants.  Test-only.
+once more, with their own constants.  The legs in the polar caps run
+the same way, through the cap helpers of znav.integrate: the chart
+conversions, the wrapped rhs, the chord gate, the closest-approach
+guard test and the unwrapping of phi.  Test-only.
 """
 import math
 
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from znav.errors import PoleSingularity
-from znav.integrate import IntegratorConfig, StepStats, Trajectory
+from znav.integrate import (
+    CAP_IN, CAP_OUT, IntegratorConfig, StepStats, Trajectory, _chord_near_pole, _from_cap,
+    _guard_test, _leave_cap, _polar_rhs, _to_cap, _unwrap,
+)
 from znav.spheroid import POLE_GUARD, NavState, require_off_pole
 from znav.spray import RhsFn
 
@@ -106,107 +112,164 @@ def integrate_reference(
 ) -> Trajectory:
     """Same contract as znav.integrate.integrate for a finite s0."""
     require_off_pole(s0.point.theta)
+    calls = 0
 
-    def f(y):
-        acc = rhs(y[0], y[1], y[2], y[3])
-        return [y[2], y[3], acc[0], acc[1]]
+    def chart_f(g):
+        def f(y):
+            nonlocal calls
+            calls += 1
+            acc = g(y[0], y[1], y[2], y[3])
+            return [y[2], y[3], acc[0], acc[1]]
+        return f
 
     y = [s0.point.phi, s0.point.theta, s0.vel.u, s0.vel.v]
-    k1 = f(y)
+    k1 = chart_f(rhs)(y)
     t = 0.0
-    h = _initial_step(f, y, k1, cfg)
-
     n_grid = int(math.floor(cfg.t_end / cfg.sample_dt + 1e-9))
     rows = [(0.0, *y)]
     next_idx = 1
     events: list[str] = []
-    rejected = False
-    facold = 1e-4
-    accepted = rejections = halvings = 0
+    accepted = rejections = halvings = cap_legs = 0
 
     def stats() -> StepStats:
-        return StepStats(accepted, rejections, halvings)
+        return StepStats(accepted, rejections, halvings, calls, cap_legs)
 
     t_final = cfg.t_end - 1e-12 * max(1.0, cfg.t_end)
-
-    while t < t_final:
-        h = min(h, cfg.t_end - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            events.append(f"step underflow at t={t}")
-            return Trajectory(rows, "step_failure", kind, events, stats())
-
-        pole_hit = False
-        try:
-            k = [k1]
-            for weights in _STAGES:
-                y_new = [y[j] + h * _dot(weights, k, j) for j in range(4)]
-                k.append(f(y_new))
-
-            sc = [cfg.abs_tol + cfg.rel_tol * max(abs(y[j]), abs(y_new[j]))
-                  for j in range(4)]
-            err5 = err3 = 0.0
-            for j in range(4):
-                e5 = _dot(_E5, k, j) / sc[j]
-                e3 = _dot(_E3, k, j) / sc[j]
-                err5 += e5 * e5
-                err3 += e3 * e3
-            deno = err5 + 0.01 * err3
-            if not math.isfinite(deno):
-                h *= 0.1
-                rejections += 1
-                continue
-            err = h * err5 / (2.0 * math.sqrt(deno)) if deno else 0.0
-            fac11 = err ** _EXPO1
-            if err > 1.0:
-                h /= min(_FAC_MAX, fac11 / _SAFETY)
-                rejected = True
-                rejections += 1
-                continue
-
-            ts = next_idx * cfg.sample_dt
-            holds_sample = next_idx <= n_grid and ts <= t + h + 1e-14 * max(1.0, ts)
-            if holds_sample:
-                for weights in _EXTRA:
-                    k.append(f([y[j] + h * _dot(weights, k, j) for j in range(4)]))
-        except PoleSingularity:
-            pole_hit = True
-
-        if pole_hit:
-            h *= 0.5
-            halvings += 1
-            if h < 1e-12 * max(1.0, abs(t)):
-                events.append(f"pole approach at t={t}")
-                return Trajectory(rows, "pole_proximity", kind, events, stats())
-            continue
-
-        stop = None
-        dense = _dense_rows(y, y_new, k, h) if holds_sample else None
-        while next_idx <= n_grid:
-            ts = next_idx * cfg.sample_dt
-            if ts > t + h + 1e-14 * max(1.0, ts):
-                break
-            tau = min(max((ts - t) / h, 0.0), 1.0)
-            yi = _dense(dense, tau)
-            if not (POLE_GUARD < yi[1] < math.pi - POLE_GUARD):
-                stop = ts
-                break
-            rows.append((ts, *yi))
-            next_idx += 1
-        if stop is not None:
-            events.append(f"pole approach at t={stop}")
-            return Trajectory(rows, "pole_proximity", kind, events, stats())
-        if not (POLE_GUARD < y_new[1] < math.pi - POLE_GUARD):
-            events.append(f"pole approach at t={t + h}")
-            return Trajectory(rows, "pole_proximity", kind, events, stats())
-
-        t += h
-        accepted += 1
-        y = y_new
-        k1 = k[12]
-        h_new = h / max(_FAC_MIN, min(_FAC_MAX, fac11 / facold ** _BETA / _SAFETY))
-        facold = max(err, 1e-4)
-        h = min(h_new, h) if rejected else h_new
+    switch = True
+    while switch:
+        # one leg per pass, in the spherical chart or a cap's
+        cap = not CAP_IN <= y[1] <= math.pi - CAP_IN
+        if cap:
+            south = y[1] > math.pi - CAP_IN
+            phi = y[0]
+            branch = [phi]
+            f = chart_f(_polar_rhs(rhs, south, branch))
+            *y, ax, ay = _to_cap(south, *y, k1[2], k1[3])
+            k1 = [y[2], y[3], ax, ay]
+            cap_legs += 1
+        else:
+            f = chart_f(rhs)
+        h = _initial_step(f, y, k1, cfg)
         rejected = False
+        facold = 1e-4
+        switch = False
+
+        while t < t_final:
+            h = min(h, cfg.t_end - t)
+            if h < 1e-14 * max(1.0, abs(t)):
+                events.append(f"step underflow at t={t}")
+                return Trajectory(rows, "step_failure", kind, events, stats())
+
+            pole_hit = False
+            near = None
+            try:
+                k = [k1]
+                for weights in _STAGES:
+                    y_new = [y[j] + h * _dot(weights, k, j) for j in range(4)]
+                    k.append(f(y_new))
+
+                sc = [cfg.abs_tol + cfg.rel_tol * max(abs(y[j]), abs(y_new[j]))
+                      for j in range(4)]
+                err5 = err3 = 0.0
+                for j in range(4):
+                    e5 = _dot(_E5, k, j) / sc[j]
+                    e3 = _dot(_E3, k, j) / sc[j]
+                    err5 += e5 * e5
+                    err3 += e3 * e3
+                deno = err5 + 0.01 * err3
+                if not math.isfinite(deno):
+                    h *= 0.1
+                    rejections += 1
+                    continue
+                err = h * err5 / (2.0 * math.sqrt(deno)) if deno else 0.0
+                fac11 = err ** _EXPO1
+                if err > 1.0:
+                    h /= min(_FAC_MAX, fac11 / _SAFETY)
+                    rejected = True
+                    rejections += 1
+                    continue
+
+                ts = next_idx * cfg.sample_dt
+                holds_sample = next_idx <= n_grid and ts <= t + h + 1e-14 * max(1.0, ts)
+                if cap:
+                    near = _chord_near_pole(y[0], y[1], y_new[0], y_new[1])
+                if holds_sample or near is not None:
+                    for weights in _EXTRA:
+                        k.append(f([y[j] + h * _dot(weights, k, j) for j in range(4)]))
+            except PoleSingularity:
+                pole_hit = True
+
+            if pole_hit:
+                h *= 0.5
+                halvings += 1
+                if h < 1e-12 * max(1.0, abs(t)):
+                    events.append(f"pole approach at t={t}")
+                    return Trajectory(rows, "pole_proximity", kind, events, stats())
+                continue
+
+            dense = _dense_rows(y, y_new, k, h) if holds_sample or near is not None else None
+            if cap:
+                t_stop = math.inf
+                pivot = None
+                if near is not None:
+                    tau_c, phi_c, tau_in = _guard_test(h, dense, near)
+                    if tau_in is not None:
+                        t_stop = t + tau_in * h
+                    pivot = (tau_c, phi_c)
+                while next_idx <= n_grid:
+                    ts = next_idx * cfg.sample_dt
+                    if ts > t + h + 1e-14 * max(1.0, ts) or ts >= t_stop:
+                        break
+                    tau = min(max((ts - t) / h, 0.0), 1.0)
+                    if pivot is not None and tau > pivot[0]:
+                        phi = _unwrap(pivot[1], phi)
+                        pivot = None
+                    phi, *rest = _from_cap(south, *_dense(dense, tau), phi)
+                    rows.append((ts, phi, *rest))
+                    next_idx += 1
+                if t_stop < math.inf:
+                    events.append(f"pole approach at t={t_stop}")
+                    return Trajectory(rows, "pole_proximity", kind, events, stats())
+                if pivot is not None and pivot[0] <= 1.0:
+                    phi = _unwrap(pivot[1], phi)
+                phi = branch[0] = _unwrap(math.atan2(y_new[1], y_new[0]), phi)
+                switch = y_new[0] * y_new[0] + y_new[1] * y_new[1] > CAP_OUT * CAP_OUT
+            else:
+                stop = None
+                while next_idx <= n_grid:
+                    ts = next_idx * cfg.sample_dt
+                    if ts > t + h + 1e-14 * max(1.0, ts):
+                        break
+                    tau = min(max((ts - t) / h, 0.0), 1.0)
+                    yi = _dense(dense, tau)
+                    if not (POLE_GUARD < yi[1] < math.pi - POLE_GUARD):
+                        stop = ts
+                        break
+                    rows.append((ts, *yi))
+                    next_idx += 1
+                if stop is not None:
+                    events.append(f"pole approach at t={stop}")
+                    return Trajectory(rows, "pole_proximity", kind, events, stats())
+                if not (POLE_GUARD < y_new[1] < math.pi - POLE_GUARD):
+                    events.append(f"pole approach at t={t + h}")
+                    return Trajectory(rows, "pole_proximity", kind, events, stats())
+                switch = not CAP_IN <= y_new[1] <= math.pi - CAP_IN
+
+            t += h
+            accepted += 1
+            y = y_new
+            k1 = k[12]
+            h_new = h / max(_FAC_MIN, min(_FAC_MAX, fac11 / facold ** _BETA / _SAFETY))
+            facold = max(err, 1e-4)
+            h = min(h_new, h) if rejected else h_new
+            rejected = False
+            if switch:
+                break
+
+        if cap:
+            *y, ax, ay = _leave_cap(south, *y, k1[2], k1[3], phi)
+            k1 = [y[2], y[3], ax, ay]
+        switch = switch and t < t_final
 
     if rows[-1][0] < cfg.t_end - 1e-9 * max(1.0, cfg.t_end):
         rows.append((cfg.t_end, *y))

@@ -298,6 +298,20 @@ class TestFamily:
         assert code == 0
         assert "classification=transpolar" in out
         assert "classification=circumpolar" in out
+        # the README's t=50 fan: the step sequence, charts included, must
+        # not move a classification
+        assert "counts: circumpolar=6 transpolar=2 failed=0" in out
+
+    @pytest.mark.parametrize("flow", [
+        ["--wind", "none", "--kind", "h"],
+        ["--wind", "rotation:0.7142857142857143", "--kind", "alpha"],
+        ["--wind", "rotation:0.7142857142857143", "--kind", "randers"],
+    ], ids=["h", "alpha", "randers"])
+    def test_readme_t3_fan_counts(self, flow, capsys):
+        code = main(["family", "--a", "0.75", "--start", "0,pi/2", "--heading-start", "0",
+                     "--heading-step", "pi/8", "--heading-count", "16", "--t-end", "3", *flow])
+        assert code == 0
+        assert "counts: circumpolar=14 transpolar=2 failed=0" in capsys.readouterr().out
 
     def test_empty_fan_rejected(self, capsys):
         code = main(["family", *BENCH, "--heading-start", "0",

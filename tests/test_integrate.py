@@ -35,7 +35,7 @@ from znav import (
     rotation_wind,
     wind_norm,
 )
-from znav.integrate import MAX_GRID, _initial_step
+from znav.integrate import CAP_OUT, MAX_GRID, _guard_test, _initial_step, _leave_cap, _to_cap
 from tests.conftest import (
     HEADINGS, RATES, ROTATION_RATE, SHAPES, axisymmetric_winds, nan_after,
 )
@@ -43,6 +43,8 @@ from tests.dop853_reference import integrate_reference
 from tests.oracles import (
     alpha_azimuthal_momentum, azimuthal_costate, position_reference,
 )
+
+integrate_module = importlib.import_module("znav.integrate")
 
 
 def counting(rhs, calls: list[int]):
@@ -211,6 +213,7 @@ class TestIntegrate:
                          IntegratorConfig(t_end=7.0))
         assert traj.termination == "completed"
         assert got[0] == calls
+        assert traj.stats.rhs_calls == calls
 
     def test_benchmark_path_default_config(self, oblate, rot_wind):
         # machine-independent cost guard on the benchmark randers path;
@@ -224,8 +227,11 @@ class TestIntegrate:
                          IntegratorConfig(t_end=7.0), kind="randers")
         assert traj.termination == "completed"
         assert got[0] == 1616
-        # and on its step sequence: the stabilised controller rejects few
-        assert traj.stats == StepStats(accepted=95, rejected=16, pole_halvings=0)
+        # and on its step sequence: the stabilised controller rejects few.
+        # The path comes no nearer than 0.524 rad to a pole, so it runs
+        # in one spherical leg
+        assert traj.stats == StepStats(accepted=95, rejected=16, pole_halvings=0,
+                                       rhs_calls=1616, cap_legs=0)
         rd = RandersData(oblate, rot_wind)
         drift = max(abs(F_value(rd, s.point, s.vel) - 1.0) for _, s in traj.samples)
         assert drift <= 2e-9
@@ -243,7 +249,8 @@ class TestIntegrate:
         s0 = initial_state_randers(oblate, rot_wind, SurfacePoint(*start), heading)
         y0 = (s0.point.phi, s0.point.theta, s0.vel.u, s0.vel.v)
         cfg = IntegratorConfig(t_end=7.0)
-        got = _initial_step(rhs, y0, (y0[2], y0[3], *rhs(*y0)), cfg)
+        got, probes = _initial_step(rhs, y0, (y0[2], y0[3], *rhs(*y0)), cfg)
+        assert probes == 1
         solver = integrate_mod.DOP853(lambda t, y: [y[2], y[3], *rhs(*y)], 0.0, y0,
                                       t_bound=cfg.t_end, rtol=cfg.rel_tol,
                                       atol=cfg.abs_tol)
@@ -264,7 +271,7 @@ class TestIntegrate:
         traj = integrate(counting(rhs, calls), s0, cfg, kind="randers")
         # one accepted step, no rejection: the start, the starting-step
         # probe, 12 stages and the 3 dense-output stages
-        assert calls[0] == 17
+        assert calls[0] == traj.stats.rhs_calls == 17
 
         def f(t, y):
             return [y[2], y[3], *rhs(*y)]
@@ -453,6 +460,27 @@ class TestReferenceStepping:
         if (kind, wind_name) != ("randers", "custom"):
             assert "pole_proximity" in terminations
 
+    @pytest.mark.parametrize("sample_dt", [0.01, 1.0])
+    @pytest.mark.parametrize(
+        "theta0, heading",
+        [(1.0, math.pi / 2 + math.asin(1e-5 / math.sin(1.0))), (math.pi - 0.2, 1.0)],
+        ids=["close-pass", "south-cap-start"],
+    )
+    def test_identical_cap_legs(self, oblate, rot_wind, theta0, heading, sample_dt):
+        # a pass 1e-5 rad from the north pole, whose near-pole steps take
+        # the closest-approach test with or without a sample in them, and
+        # a track that starts in the south cap
+        rhs = make_rhs("randers", oblate, rot_wind)
+        s0 = initial_state(oblate, rot_wind, "randers", SurfacePoint(0.0, theta0), heading)
+        cfg = IntegratorConfig(t_end=4.0, sample_dt=sample_dt)
+        got_calls, want_calls = [0], [0]
+        got = integrate(counting(rhs, got_calls), s0, cfg)
+        want = integrate_reference(counting(rhs, want_calls), s0, cfg)
+        assert got.stats.cap_legs >= 1
+        assert (got.samples, got.termination, got.events, got.stats) == (
+            want.samples, want.termination, want.events, want.stats)
+        assert got_calls == want_calls == [got.stats.rhs_calls]
+
     def test_identical_at_tiny_abs_tol(self, oblate):
         # the start has phi = 0, so the initial-step scale of phi is
         # abs_tol itself and the squared ratios reach ~1e400
@@ -563,8 +591,13 @@ class TestPoleHandling:
         traj = run(oblate, None, "h", math.pi / 2, IntegratorConfig(t_end=3.0))
         assert traj.termination == "pole_proximity"
         assert classify_path(traj) == "transpolar"
-        # the guard band is found by halving the steps that land in it
-        assert traj.stats.pole_halvings > 0
+        # the polar cap's closest-approach test finds where the dense path
+        # enters the guard band; the spherical chart found the same time
+        # by halving the steps that landed in it, 43 times
+        t_stop = float(traj.events[-1].rsplit("=", 1)[1])
+        assert abs(t_stop - 1.3814672600567466) <= 1e-9
+        assert traj.stats.cap_legs == 1 and traj.stats.pole_halvings == 0
+        assert len(traj.rows) == 139 and traj.rows[-1][0] < t_stop
         assert all(POLE_GUARD < s.point.theta < math.pi - POLE_GUARD
                    for _, s in traj.samples)
 
@@ -591,6 +624,109 @@ class TestPoleHandling:
         traj = Trajectory(rows=[], termination="step_failure")
         with pytest.raises(ValueError):
             classify_path(traj)
+
+
+def no_caps(monkeypatch):
+    """Run integrate in the spherical chart alone: no step ends in a cap."""
+    monkeypatch.setattr(integrate_module, "CAP_IN", 0.0)
+
+
+class TestPolarCaps:
+    """Legs in the pole-centred charts of the polar caps."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=strategies.floats(0.3, 2.0), c=RATES, kind=strategies.sampled_from(["h", "alpha", "randers"]),
+           theta0=strategies.floats(0.6, math.pi - 0.6), heading=HEADINGS)
+    @example(a=0.75, c=ROTATION_RATE, kind="randers", theta0=math.pi / 2, heading=math.pi / 3)
+    def test_tracks_outside_the_caps_unchanged(self, a, c, kind, theta0, heading):
+        # a track with no cap leg runs the spherical loop alone: rows,
+        # events and step counts are those of a run without caps
+        sph, wind = Spheroid(a), rotation_wind(c)
+        s0 = initial_state(sph, wind, kind, SurfacePoint(0.0, theta0), heading)
+        rhs, cfg = make_rhs(kind, sph, wind), IntegratorConfig(t_end=3.0)
+        got = integrate(rhs, s0, cfg, kind=kind)
+        if got.stats.cap_legs:
+            assert min(min(row[2], math.pi - row[2]) for row in got.rows) < CAP_OUT
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            no_caps(mp)
+            want = integrate(rhs, s0, cfg, kind=kind)
+        assert (got.rows, got.events, got.termination, got.stats) == (
+            want.rows, want.events, want.termination, want.stats)
+
+    @pytest.mark.parametrize("sample_dt", [0.01, 1.0, 2.0])
+    def test_close_pass_keeps_phi_continuous(self, oblate, rot_wind, sample_dt):
+        # 1e-5 rad from the pole phi sweeps pi in ~2e-5 time units, and the
+        # wind turns it further: between two rows or step ends on either
+        # side of the pass it moves by more than pi, so a principal-value
+        # difference would slip by a whole turn.  The closest-approach
+        # pivot splits the pass.  At sample_dt 1 a row follows the pass
+        # in its step; at 2 none does, and the step's end follows it
+        theta0 = 1.0
+        heading = math.pi / 2 + math.asin(1e-5 / math.sin(theta0))
+        s0 = initial_state(oblate, rot_wind, "randers", SurfacePoint(0.0, theta0), heading)
+        rhs = make_rhs("randers", oblate, rot_wind)
+        traj = integrate(rhs, s0, IntegratorConfig(t_end=2.0, sample_dt=sample_dt))
+        assert traj.termination == "completed" and traj.stats.cap_legs == 1
+        ref = position_reference(rhs, s0, [row[0] for row in traj.rows])
+        assert all(abs(row[1] - ref_phi) < 1.0 for row, (ref_phi, _) in zip(traj.rows, ref))
+        assert abs(traj.rows[-1][1] - ref[-1][0]) < 1e-8
+        # half a turn westward past the pole, and the wind's drag c t
+        assert traj.rows[-1][1] == pytest.approx(-math.pi - 2.0 * ROTATION_RATE, abs=1e-3)
+
+    def test_rhs_sees_continuous_phi(self, oblate):
+        # in a cap the rhs gets phi on the branch of the track's own phi:
+        # a wind written for phi from 10 on sees phi from 10 on, not
+        # atan2's value, also after the pass 9e-3 rad from the pole has
+        # turned phi by more than pi
+        seen = []
+
+        def components(phi, theta):
+            seen.append(phi)
+            return (0.3, 0.0)
+
+        wind = custom_wind(components)
+        s0 = initial_state(oblate, wind, "randers", SurfacePoint(10.0, 1.0), math.pi / 2 - 0.01)
+        traj = integrate(make_rhs("randers", oblate, wind), s0, IntegratorConfig(t_end=2.0))
+        assert traj.stats.cap_legs == 1 and traj.rows[-1][1] > 10.0 + math.pi
+        assert 9.9 < min(seen) and max(seen) < traj.rows[-1][1] + 0.1
+
+    def test_rhs_calls_counted_across_legs(self, oblate, rot_wind):
+        # heading 1.3 from the equator passes ~0.2 rad from the north pole:
+        # a spherical, a cap and a spherical leg, each with its own probe
+        s0 = initial_state_randers(oblate, rot_wind, SurfacePoint(0.0, math.pi / 2), 1.3)
+        got = [0]
+        traj = integrate(counting(make_rhs("randers", oblate, rot_wind), got), s0,
+                         IntegratorConfig(t_end=7.0))
+        assert traj.termination == "completed"
+        assert traj.stats.cap_legs >= 1
+        assert traj.stats.rhs_calls == got[0]
+
+    def test_nan_in_cap_is_not_a_pole_approach(self, oblate):
+        # the acceleration turns NaN 0.3 rad from the pole, inside the cap
+        # that the track enters at 0.5 rad
+        rhs = make_rhs("h", oblate, None)
+
+        def broken(phi, theta, u, v):
+            return (math.nan, math.nan) if theta < 0.3 else rhs(phi, theta, u, v)
+
+        s0 = initial_state(oblate, None, "h", SurfacePoint(0.0, 1.0), math.pi / 2)
+        assert integrate(rhs, s0, IntegratorConfig(t_end=2.0)).stats.cap_legs == 1
+        with pytest.raises(NonFiniteState):
+            integrate(broken, s0, IntegratorConfig(t_end=2.0))
+
+    def test_guard_test_rejects_nan(self):
+        # a NaN distance fails rho > POLE_GUARD like a pole approach would
+        nan_path = tuple((math.nan,) * 8 for _ in range(4))
+        with pytest.raises(NonFiniteState):
+            _guard_test(0.1, nan_path, 0.5)
+
+    @pytest.mark.parametrize("south", [False, True])
+    def test_chart_round_trip(self, south):
+        # state and accelerations through the cap chart and back
+        state = (2.5, math.pi - 0.3 if south else 0.3, 0.7, -0.4, 0.2, 0.9)
+        back = _leave_cap(south, *_to_cap(south, *state), state[0] + 0.1)
+        assert back == pytest.approx(state, rel=1e-13, abs=1e-15)
 
 
 class TestIntegrateFamily:
@@ -625,16 +761,24 @@ class TestIntegrateFamily:
         assert all(m.error is not None for m in members)
 
     def test_non_finite_member_carried(self, oblate, monkeypatch):
-        # the package's integrate function shadows its module of that name
+        # the package's integrate function shadows its module of that name.
+        # The NaN fires once phi passes -0.5, which the westward member
+        # does and the due-north one, with phi 0 before the pole and pi
+        # beyond it, never does
         module = importlib.import_module("znav.integrate")
-        monkeypatch.setattr(module, "make_rhs",
-                            lambda *args: nan_after(make_rhs(*args), 0.5))
+
+        def nan_west(*args):
+            rhs = make_rhs(*args)
+            return lambda phi, theta, u, v: (
+                (math.nan, 0.0) if phi < -0.5 else rhs(phi, theta, u, v))
+
+        monkeypatch.setattr(module, "make_rhs", nan_west)
         members = integrate_family(
-            oblate, None, SurfacePoint(0.0, math.pi / 2), [0.3, math.pi / 2],
+            oblate, None, SurfacePoint(0.0, math.pi / 2), [math.pi - 0.3, math.pi / 2],
             "h", IntegratorConfig(t_end=2.0),
         )
         assert isinstance(members[0].error, NonFiniteState)
-        # due north keeps phi = 0 and reaches the guard band
+        # due north reaches the guard band
         assert members[1].trajectory.termination == "pole_proximity"
 
     def test_empty_fan_rejected(self, oblate, rot_wind):
