@@ -277,6 +277,7 @@ def _initial_step(rhs: RhsFn, y0, f0, cfg: IntegratorConfig) -> tuple[float, int
 # The rows keep phi continuous: each point's atan2 is moved by whole
 # turns to lie within pi of the point before it.
 
+
 def _unwrap(phi: float, ref: float) -> float:
     """phi moved by whole turns to lie within pi of ref."""
     return phi + _TWO_PI * round((ref - phi) / _TWO_PI)
@@ -395,10 +396,10 @@ def _guard_test(h: float, dense, tau: float) -> tuple[float, float, float | None
         if done:
             break
     tau_c = tau
-    x, y = _dense_at(cx, tau_c), _dense_at(cy, tau_c)
-    rho = math.sqrt(x * x + y * y)
+    xc, yc = _dense_at(cx, tau_c), _dense_at(cy, tau_c)
+    rho = math.sqrt(xc * xc + yc * yc)
     if rho > POLE_GUARD:
-        return tau_c, math.atan2(y, x), None
+        return tau_c, math.atan2(yc, xc), None
     if not math.isfinite(rho):
         raise NonFiniteState(f"distance {rho} to the pole is not finite")
     xd, yd = _dense_at(cxd, tau_c), _dense_at(cyd, tau_c)
@@ -417,7 +418,7 @@ def _guard_test(h: float, dense, tau: float) -> tuple[float, float, float | None
         tau = new
         if done:
             break
-    return tau_c, math.atan2(_dense_at(cy, tau_c), _dense_at(cx, tau_c)), tau
+    return tau_c, math.atan2(yc, xc), tau
 
 
 def integrate(

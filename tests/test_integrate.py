@@ -635,7 +635,8 @@ class TestPolarCaps:
     """Legs in the pole-centred charts of the polar caps."""
 
     @settings(max_examples=30, deadline=None)
-    @given(a=strategies.floats(0.3, 2.0), c=RATES, kind=strategies.sampled_from(["h", "alpha", "randers"]),
+    @given(a=strategies.floats(0.3, 2.0), c=RATES,
+           kind=strategies.sampled_from(["h", "alpha", "randers"]),
            theta0=strategies.floats(0.6, math.pi - 0.6), heading=HEADINGS)
     @example(a=0.75, c=ROTATION_RATE, kind="randers", theta0=math.pi / 2, heading=math.pi / 3)
     def test_tracks_outside_the_caps_unchanged(self, a, c, kind, theta0, heading):
