@@ -62,6 +62,18 @@ def run(sph, wind, kind, heading, cfg) -> Trajectory:
     return integrate(make_rhs(kind, sph, wind), s0, cfg, kind=kind)
 
 
+def coast(sample_dt: float, integrator=integrate) -> Trajectory:
+    """Zero acceleration from theta = 1.5 at theta' = -3, to t = 3.
+
+    theta falls linearly and enters the guard band at t = 0.4999997.  The
+    rhs never raises there, as znav's own rhs would, so only the spherical
+    chart's band checks on the samples and the step end can stop it.
+    """
+    s0 = NavState(SurfacePoint(0.0, 1.5), TangentVector(0.0, -3.0))
+    cfg = IntegratorConfig(t_end=3.0, sample_dt=sample_dt)
+    return integrator(lambda phi, theta, u, v: (0.0, 0.0), s0, cfg)
+
+
 class TestIntegrate:
     def test_great_circle_returns_to_start(self, sphere):
         traj = run(sphere, None, "h", 0.0, IntegratorConfig(t_end=2 * math.pi))
@@ -553,6 +565,13 @@ class TestReferenceStepping:
             want.samples, want.termination, want.events, want.stats
         )
 
+    @pytest.mark.parametrize("sample_dt", [0.01, 1.0])
+    def test_identical_coasting_into_the_band(self, sample_dt):
+        # stopped by the sample check (0.01) and by the step-end check (1)
+        got, want = coast(sample_dt), coast(sample_dt, integrate_reference)
+        assert got.termination == want.termination == "pole_proximity"
+        assert (got.samples, got.events, got.stats) == (want.samples, want.events, want.stats)
+
 
 def momentum_drift(sph, wind, kind, theta0, heading) -> float:
     """Largest change of the flow's azimuthal momentum along a default-config track, t=5."""
@@ -600,6 +619,24 @@ class TestPoleHandling:
         assert len(traj.rows) == 139 and traj.rows[-1][0] < t_stop
         assert all(POLE_GUARD < s.point.theta < math.pi - POLE_GUARD
                    for _, s in traj.samples)
+
+    def test_sample_in_band_stops_the_track(self):
+        # the step that crosses the band holds the grid time 0.5; without
+        # the sample check, rows run on to theta = -0.48
+        traj = coast(0.01)
+        assert traj.termination == "pole_proximity"
+        assert traj.events == ["pole approach at t=0.5"]
+        assert len(traj.rows) == 50
+        assert all(row[2] > POLE_GUARD for row in traj.rows)
+
+    def test_step_end_in_band_stops_the_track(self):
+        # no grid time falls in the step that crosses the band, so the
+        # check of the step's end stops it, at the step's end; without it
+        # the track enters a cap at negative rho
+        traj = coast(1.0)
+        assert traj.termination == "pole_proximity"
+        assert traj.events == ["pole approach at t=0.6654010033429189"]
+        assert len(traj.rows) == 1
 
     def test_circumpolar_benchmark_individual(self, oblate, rot_wind):
         traj = run(oblate, rot_wind, "randers", math.pi / 3,
