@@ -430,13 +430,20 @@ def integrate(
     the error estimate against cfg's tolerances alone sets each step.
     The trajectory is sampled at multiples of cfg.sample_dt, one row
     (t, phi, theta, phi_dot, theta_dot) per sample, the first row being
-    s0 at t = 0; an early pole approach or step underflow truncates the
-    rows and is recorded in the termination tag.  The track runs in legs:
-    spherical ones, and cap ones within CAP_IN of a pole (see the module
-    docstring), each started afresh; the rows, the grid and stats carry
-    over, and phi stays continuous across them.  stats counts the
-    accepted and rejected steps, the pole-guard halvings, the rhs calls
-    and the cap legs.
+    s0 at t = 0.  The track runs in legs: spherical ones, and cap ones
+    within CAP_IN of a pole (see the module docstring), each started
+    afresh; the rows, the grid and stats carry over, and phi stays
+    continuous across them.  stats counts the accepted and rejected
+    steps, the pole-guard halvings, the rhs calls and the cap legs.
+
+    A step underflow (step_failure) or a pole approach (pole_proximity)
+    ends the rows early, and one event records its time.  A stage in the
+    guard band halves the step; a step halved below 1e-12 max(1, t)
+    stops the track at the step's start.  A cap step stops where its
+    dense path enters the band.  A spherical step stops at its first
+    sample in the band, else at its end if that is in the band; for an
+    rhs that does not raise in the band, as znav's own does, that time
+    can lag the crossing by up to a step.
 
     Raises:
         ValueError: a component of s0 is not finite.
@@ -489,7 +496,7 @@ def integrate(
     n_grid = int(math.floor(t_end / sample_dt + 1e-9))
     rows: list[Row] = [(0.0, p1, q1, u1, v1)]
     next_idx = 1
-    events: list[str] = []
+    termination, event = "completed", None
     n_accepted = n_rejected = n_halved = n_cap = 0
     # completion window wider than the underflow floor, so a shrunken
     # final step cannot misreport an essentially finished run
@@ -516,21 +523,19 @@ def integrate(
         facold = 1e-4
         rejected = False
         switch = False
-        near = None
 
         while t < t_final:
             h = min(h, t_end - t)
             if h < 1e-14 * max(1.0, abs(t)):
-                events.append(f"step underflow at t={t}")
-                return Trajectory(rows, "step_failure", kind, events,
-                                  StepStats(n_accepted, n_rejected, n_halved, n_calls, n_cap))
+                termination, event = "step_failure", f"step underflow at t={t}"
+                break
 
             # Each sum runs left to right over the nonzero weights of its
             # tableau row: the float operations of the list-form loop in
             # tests/dop853_reference.py, whose trajectories the tests require
             # to match bit for bit.  n_calls counts each call before it is
             # made.  A pole hit in any stage, the three dense-output ones
-            # included, halves the step.
+            # included, halves the step; the halving floor stops the track.
             try:
                 p2 = p1 + h * (a2_1 * u1)
                 q2 = q1 + h * (a2_1 * v1)
@@ -682,13 +687,13 @@ def integrate(
                     n_rejected += 1
                     continue
 
-                # the dense output's three extra stages, only for a step
-                # that holds a sample or, in a cap, passes near the pole
+                # the dense output's three extra stages and the coefficients
+                # of the continuous extension, only for a step that holds a
+                # sample or, in a cap, passes near the pole
                 ts = next_idx * sample_dt
                 holds_sample = (next_idx <= n_grid
                                 and ts <= t + h + 1e-14 * (ts if ts > 1.0 else 1.0))
-                if cap:
-                    near = _chord_near_pole(p1, q1, p13, q13)
+                near = _chord_near_pole(p1, q1, p13, q13) if cap else None
                 if holds_sample or near is not None:
                     p14 = p1 + h * (a14_1 * u1 + a14_7 * u7 + a14_8 * u8 + a14_9 * u9
                                     + a14_10 * u10 + a14_11 * u11 + a14_12 * u12 + a14_13 * u13)
@@ -726,78 +731,77 @@ def integrate(
                                     + a16_9 * dv9 + a16_13 * dv13 + a16_14 * dv14 + a16_15 * dv15)
                     n_calls += 1
                     du16, dv16 = f(p16, q16, u16, v16)
+
+                    # Hairer's continuous extension y1 + tau (f0 + tau1 (f1 +
+                    # tau (f2 + tau1 (f3 + tau (f4 + tau1 (f5 + tau f6)))))),
+                    # tau1 = 1 - tau; float * and + cannot raise here
+                    f0p, f0q, f0u, f0v = p13 - p1, q13 - q1, u13 - u1, v13 - v1
+                    f1p, f1q = h * u1 - f0p, h * v1 - f0q
+                    f1u, f1v = h * du1 - f0u, h * dv1 - f0v
+                    f2p, f2q = f0p - h * u13 - f1p, f0q - h * v13 - f1q
+                    f2u, f2v = f0u - h * du13 - f1u, f0v - h * dv13 - f1v
+                    f3p = h * (d3_1 * u1 + d3_6 * u6 + d3_7 * u7 + d3_8 * u8 + d3_9 * u9
+                               + d3_10 * u10 + d3_11 * u11 + d3_12 * u12 + d3_13 * u13
+                               + d3_14 * u14 + d3_15 * u15 + d3_16 * u16)
+                    f3q = h * (d3_1 * v1 + d3_6 * v6 + d3_7 * v7 + d3_8 * v8 + d3_9 * v9
+                               + d3_10 * v10 + d3_11 * v11 + d3_12 * v12 + d3_13 * v13
+                               + d3_14 * v14 + d3_15 * v15 + d3_16 * v16)
+                    f3u = h * (d3_1 * du1 + d3_6 * du6 + d3_7 * du7 + d3_8 * du8 + d3_9 * du9
+                               + d3_10 * du10 + d3_11 * du11 + d3_12 * du12 + d3_13 * du13
+                               + d3_14 * du14 + d3_15 * du15 + d3_16 * du16)
+                    f3v = h * (d3_1 * dv1 + d3_6 * dv6 + d3_7 * dv7 + d3_8 * dv8 + d3_9 * dv9
+                               + d3_10 * dv10 + d3_11 * dv11 + d3_12 * dv12 + d3_13 * dv13
+                               + d3_14 * dv14 + d3_15 * dv15 + d3_16 * dv16)
+                    f4p = h * (d4_1 * u1 + d4_6 * u6 + d4_7 * u7 + d4_8 * u8 + d4_9 * u9
+                               + d4_10 * u10 + d4_11 * u11 + d4_12 * u12 + d4_13 * u13
+                               + d4_14 * u14 + d4_15 * u15 + d4_16 * u16)
+                    f4q = h * (d4_1 * v1 + d4_6 * v6 + d4_7 * v7 + d4_8 * v8 + d4_9 * v9
+                               + d4_10 * v10 + d4_11 * v11 + d4_12 * v12 + d4_13 * v13
+                               + d4_14 * v14 + d4_15 * v15 + d4_16 * v16)
+                    f4u = h * (d4_1 * du1 + d4_6 * du6 + d4_7 * du7 + d4_8 * du8 + d4_9 * du9
+                               + d4_10 * du10 + d4_11 * du11 + d4_12 * du12 + d4_13 * du13
+                               + d4_14 * du14 + d4_15 * du15 + d4_16 * du16)
+                    f4v = h * (d4_1 * dv1 + d4_6 * dv6 + d4_7 * dv7 + d4_8 * dv8 + d4_9 * dv9
+                               + d4_10 * dv10 + d4_11 * dv11 + d4_12 * dv12 + d4_13 * dv13
+                               + d4_14 * dv14 + d4_15 * dv15 + d4_16 * dv16)
+                    f5p = h * (d5_1 * u1 + d5_6 * u6 + d5_7 * u7 + d5_8 * u8 + d5_9 * u9
+                               + d5_10 * u10 + d5_11 * u11 + d5_12 * u12 + d5_13 * u13
+                               + d5_14 * u14 + d5_15 * u15 + d5_16 * u16)
+                    f5q = h * (d5_1 * v1 + d5_6 * v6 + d5_7 * v7 + d5_8 * v8 + d5_9 * v9
+                               + d5_10 * v10 + d5_11 * v11 + d5_12 * v12 + d5_13 * v13
+                               + d5_14 * v14 + d5_15 * v15 + d5_16 * v16)
+                    f5u = h * (d5_1 * du1 + d5_6 * du6 + d5_7 * du7 + d5_8 * du8 + d5_9 * du9
+                               + d5_10 * du10 + d5_11 * du11 + d5_12 * du12 + d5_13 * du13
+                               + d5_14 * du14 + d5_15 * du15 + d5_16 * du16)
+                    f5v = h * (d5_1 * dv1 + d5_6 * dv6 + d5_7 * dv7 + d5_8 * dv8 + d5_9 * dv9
+                               + d5_10 * dv10 + d5_11 * dv11 + d5_12 * dv12 + d5_13 * dv13
+                               + d5_14 * dv14 + d5_15 * dv15 + d5_16 * dv16)
+                    f6p = h * (d6_1 * u1 + d6_6 * u6 + d6_7 * u7 + d6_8 * u8 + d6_9 * u9
+                               + d6_10 * u10 + d6_11 * u11 + d6_12 * u12 + d6_13 * u13
+                               + d6_14 * u14 + d6_15 * u15 + d6_16 * u16)
+                    f6q = h * (d6_1 * v1 + d6_6 * v6 + d6_7 * v7 + d6_8 * v8 + d6_9 * v9
+                               + d6_10 * v10 + d6_11 * v11 + d6_12 * v12 + d6_13 * v13
+                               + d6_14 * v14 + d6_15 * v15 + d6_16 * v16)
+                    f6u = h * (d6_1 * du1 + d6_6 * du6 + d6_7 * du7 + d6_8 * du8 + d6_9 * du9
+                               + d6_10 * du10 + d6_11 * du11 + d6_12 * du12 + d6_13 * du13
+                               + d6_14 * du14 + d6_15 * du15 + d6_16 * du16)
+                    f6v = h * (d6_1 * dv1 + d6_6 * dv6 + d6_7 * dv7 + d6_8 * dv8 + d6_9 * dv9
+                               + d6_10 * dv10 + d6_11 * dv11 + d6_12 * dv12 + d6_13 * dv13
+                               + d6_14 * dv14 + d6_15 * dv15 + d6_16 * dv16)
             except PoleSingularity:
                 h *= 0.5
                 n_halved += 1
                 if h < 1e-12 * max(1.0, abs(t)):
-                    events.append(f"pole approach at t={t}")
-                    return Trajectory(rows, "pole_proximity", kind, events,
-                                      StepStats(n_accepted, n_rejected, n_halved, n_calls, n_cap))
+                    termination, event = "pole_proximity", f"pole approach at t={t}"
+                    break
                 continue
 
-            # Accepted: grid samples inside (t, t+h] come from Hairer's
-            # continuous extension y1 + tau (f0 + tau1 (f1 + tau (f2 + tau1
-            # (f3 + tau (f4 + tau1 (f5 + tau f6)))))), tau1 = 1 - tau.
-            if holds_sample or near is not None:
-                f0p, f0q, f0u, f0v = p13 - p1, q13 - q1, u13 - u1, v13 - v1
-                f1p, f1q = h * u1 - f0p, h * v1 - f0q
-                f1u, f1v = h * du1 - f0u, h * dv1 - f0v
-                f2p, f2q = f0p - h * u13 - f1p, f0q - h * v13 - f1q
-                f2u, f2v = f0u - h * du13 - f1u, f0v - h * dv13 - f1v
-                f3p = h * (d3_1 * u1 + d3_6 * u6 + d3_7 * u7 + d3_8 * u8 + d3_9 * u9
-                           + d3_10 * u10 + d3_11 * u11 + d3_12 * u12 + d3_13 * u13
-                           + d3_14 * u14 + d3_15 * u15 + d3_16 * u16)
-                f3q = h * (d3_1 * v1 + d3_6 * v6 + d3_7 * v7 + d3_8 * v8 + d3_9 * v9
-                           + d3_10 * v10 + d3_11 * v11 + d3_12 * v12 + d3_13 * v13
-                           + d3_14 * v14 + d3_15 * v15 + d3_16 * v16)
-                f3u = h * (d3_1 * du1 + d3_6 * du6 + d3_7 * du7 + d3_8 * du8 + d3_9 * du9
-                           + d3_10 * du10 + d3_11 * du11 + d3_12 * du12 + d3_13 * du13
-                           + d3_14 * du14 + d3_15 * du15 + d3_16 * du16)
-                f3v = h * (d3_1 * dv1 + d3_6 * dv6 + d3_7 * dv7 + d3_8 * dv8 + d3_9 * dv9
-                           + d3_10 * dv10 + d3_11 * dv11 + d3_12 * dv12 + d3_13 * dv13
-                           + d3_14 * dv14 + d3_15 * dv15 + d3_16 * dv16)
-                f4p = h * (d4_1 * u1 + d4_6 * u6 + d4_7 * u7 + d4_8 * u8 + d4_9 * u9
-                           + d4_10 * u10 + d4_11 * u11 + d4_12 * u12 + d4_13 * u13
-                           + d4_14 * u14 + d4_15 * u15 + d4_16 * u16)
-                f4q = h * (d4_1 * v1 + d4_6 * v6 + d4_7 * v7 + d4_8 * v8 + d4_9 * v9
-                           + d4_10 * v10 + d4_11 * v11 + d4_12 * v12 + d4_13 * v13
-                           + d4_14 * v14 + d4_15 * v15 + d4_16 * v16)
-                f4u = h * (d4_1 * du1 + d4_6 * du6 + d4_7 * du7 + d4_8 * du8 + d4_9 * du9
-                           + d4_10 * du10 + d4_11 * du11 + d4_12 * du12 + d4_13 * du13
-                           + d4_14 * du14 + d4_15 * du15 + d4_16 * du16)
-                f4v = h * (d4_1 * dv1 + d4_6 * dv6 + d4_7 * dv7 + d4_8 * dv8 + d4_9 * dv9
-                           + d4_10 * dv10 + d4_11 * dv11 + d4_12 * dv12 + d4_13 * dv13
-                           + d4_14 * dv14 + d4_15 * dv15 + d4_16 * dv16)
-                f5p = h * (d5_1 * u1 + d5_6 * u6 + d5_7 * u7 + d5_8 * u8 + d5_9 * u9
-                           + d5_10 * u10 + d5_11 * u11 + d5_12 * u12 + d5_13 * u13
-                           + d5_14 * u14 + d5_15 * u15 + d5_16 * u16)
-                f5q = h * (d5_1 * v1 + d5_6 * v6 + d5_7 * v7 + d5_8 * v8 + d5_9 * v9
-                           + d5_10 * v10 + d5_11 * v11 + d5_12 * v12 + d5_13 * v13
-                           + d5_14 * v14 + d5_15 * v15 + d5_16 * v16)
-                f5u = h * (d5_1 * du1 + d5_6 * du6 + d5_7 * du7 + d5_8 * du8 + d5_9 * du9
-                           + d5_10 * du10 + d5_11 * du11 + d5_12 * du12 + d5_13 * du13
-                           + d5_14 * du14 + d5_15 * du15 + d5_16 * du16)
-                f5v = h * (d5_1 * dv1 + d5_6 * dv6 + d5_7 * dv7 + d5_8 * dv8 + d5_9 * dv9
-                           + d5_10 * dv10 + d5_11 * dv11 + d5_12 * dv12 + d5_13 * dv13
-                           + d5_14 * dv14 + d5_15 * dv15 + d5_16 * dv16)
-                f6p = h * (d6_1 * u1 + d6_6 * u6 + d6_7 * u7 + d6_8 * u8 + d6_9 * u9
-                           + d6_10 * u10 + d6_11 * u11 + d6_12 * u12 + d6_13 * u13
-                           + d6_14 * u14 + d6_15 * u15 + d6_16 * u16)
-                f6q = h * (d6_1 * v1 + d6_6 * v6 + d6_7 * v7 + d6_8 * v8 + d6_9 * v9
-                           + d6_10 * v10 + d6_11 * v11 + d6_12 * v12 + d6_13 * v13
-                           + d6_14 * v14 + d6_15 * v15 + d6_16 * v16)
-                f6u = h * (d6_1 * du1 + d6_6 * du6 + d6_7 * du7 + d6_8 * du8 + d6_9 * du9
-                           + d6_10 * du10 + d6_11 * du11 + d6_12 * du12 + d6_13 * du13
-                           + d6_14 * du14 + d6_15 * du15 + d6_16 * du16)
-                f6v = h * (d6_1 * dv1 + d6_6 * dv6 + d6_7 * dv7 + d6_8 * dv8 + d6_9 * dv9
-                           + d6_10 * dv10 + d6_11 * dv11 + d6_12 * dv12 + d6_13 * dv13
-                           + d6_14 * dv14 + d6_15 * dv15 + d6_16 * dv16)
+            # Accepted.  The guard test of a cap step: where the chord
+            # passes near the pole, the dense path's closest approach, and
+            # the time it enters the band.  That point also splits the pass
+            # for the unwrapping of phi, which sweeps up to pi across it.
+            t_stop = math.inf
             if cap:
-                # The guard test: where the chord passes near the pole,
-                # the dense path's closest approach, and the time it
-                # enters the band.  That point also splits the pass for
-                # the unwrapping of phi, which sweeps up to pi across it.
-                t_stop = math.inf
                 last = phi1
                 tau_c = 2.0  # no pivot
                 if near is not None:
@@ -809,78 +813,48 @@ def integrate(
                     ), near)
                     if tau_in is not None:
                         t_stop = t + tau_in * h
-                while holds_sample:
-                    if ts >= t_stop:
-                        break
-                    tau = (ts - t) / h
-                    if tau < 0.0:
-                        tau = 0.0
-                    elif tau > 1.0:
-                        tau = 1.0
+            # Grid samples in (t, t+h] before any band entry; a cap sample
+            # goes to the spherical chart, its phi unwrapped at the pivot.
+            while holds_sample and ts < t_stop:
+                tau = (ts - t) / h
+                if tau < 0.0:
+                    tau = 0.0
+                elif tau > 1.0:
+                    tau = 1.0
+                tau1 = 1.0 - tau
+                p = p1 + tau * (f0p + tau1 * (f1p + tau * (f2p + tau1 * (
+                    f3p + tau * (f4p + tau1 * (f5p + tau * f6p))))))
+                q = q1 + tau * (f0q + tau1 * (f1q + tau * (f2q + tau1 * (
+                    f3q + tau * (f4q + tau1 * (f5q + tau * f6q))))))
+                u = u1 + tau * (f0u + tau1 * (f1u + tau * (f2u + tau1 * (
+                    f3u + tau * (f4u + tau1 * (f5u + tau * f6u))))))
+                v = v1 + tau * (f0v + tau1 * (f1v + tau * (f2v + tau1 * (
+                    f3v + tau * (f4v + tau1 * (f5v + tau * f6v))))))
+                if cap:
                     if tau > tau_c:
                         last = _unwrap(phi_c, last)
                         tau_c = 2.0
-                    tau1 = 1.0 - tau
-                    phi, theta, u, v = _from_cap(
-                        south,
-                        p1 + tau * (f0p + tau1 * (f1p + tau * (f2p + tau1 * (
-                            f3p + tau * (f4p + tau1 * (f5p + tau * f6p)))))),
-                        q1 + tau * (f0q + tau1 * (f1q + tau * (f2q + tau1 * (
-                            f3q + tau * (f4q + tau1 * (f5q + tau * f6q)))))),
-                        u1 + tau * (f0u + tau1 * (f1u + tau * (f2u + tau1 * (
-                            f3u + tau * (f4u + tau1 * (f5u + tau * f6u)))))),
-                        v1 + tau * (f0v + tau1 * (f1v + tau * (f2v + tau1 * (
-                            f3v + tau * (f4v + tau1 * (f5v + tau * f6v)))))),
-                        last,
-                    )
-                    rows.append((ts, phi, theta, u, v))
-                    last = phi
-                    next_idx += 1
-                    ts = next_idx * sample_dt
-                    if next_idx > n_grid or ts > t + h + 1e-14 * (ts if ts > 1.0 else 1.0):
-                        break
-                if t_stop < math.inf:
-                    events.append(f"pole approach at t={t_stop}")
-                    return Trajectory(rows, "pole_proximity", kind, events,
-                                      StepStats(n_accepted, n_rejected, n_halved, n_calls, n_cap))
+                    p, q, u, v = _from_cap(south, p, q, u, v, last)
+                    last = p
+                elif not theta_lo < q < theta_hi:
+                    t_stop = ts
+                    break
+                rows.append((ts, p, q, u, v))
+                next_idx += 1
+                ts = next_idx * sample_dt
+                holds_sample = (next_idx <= n_grid
+                                and ts <= t + h + 1e-14 * (ts if ts > 1.0 else 1.0))
+            if t_stop == math.inf and not (cap or theta_lo < q13 < theta_hi):
+                t_stop = t + h  # a spherical step that ends in the band
+            if t_stop < math.inf:
+                termination, event = "pole_proximity", f"pole approach at t={t_stop}"
+                break
+            if cap:
                 if tau_c <= 1.0:
                     last = _unwrap(phi_c, last)
                 phi1 = branch[0] = _unwrap(math.atan2(q13, p13), last)
                 switch = p13 * p13 + q13 * q13 > cap_out2
             else:
-                if holds_sample:
-                    while True:
-                        tau = (ts - t) / h
-                        if tau < 0.0:
-                            tau = 0.0
-                        elif tau > 1.0:
-                            tau = 1.0
-                        tau1 = 1.0 - tau
-                        q = q1 + tau * (f0q + tau1 * (f1q + tau * (f2q + tau1 * (
-                            f3q + tau * (f4q + tau1 * (f5q + tau * f6q))))))
-                        if not (theta_lo < q < theta_hi):
-                            events.append(f"pole approach at t={ts}")
-                            return Trajectory(rows, "pole_proximity", kind, events,
-                                              StepStats(n_accepted, n_rejected, n_halved,
-                                                        n_calls, n_cap))
-                        rows.append((
-                            ts,
-                            p1 + tau * (f0p + tau1 * (f1p + tau * (f2p + tau1 * (
-                                f3p + tau * (f4p + tau1 * (f5p + tau * f6p)))))),
-                            q,
-                            u1 + tau * (f0u + tau1 * (f1u + tau * (f2u + tau1 * (
-                                f3u + tau * (f4u + tau1 * (f5u + tau * f6u)))))),
-                            v1 + tau * (f0v + tau1 * (f1v + tau * (f2v + tau1 * (
-                                f3v + tau * (f4v + tau1 * (f5v + tau * f6v)))))),
-                        ))
-                        next_idx += 1
-                        ts = next_idx * sample_dt
-                        if next_idx > n_grid or ts > t + h + 1e-14 * (ts if ts > 1.0 else 1.0):
-                            break
-                if not (theta_lo < q13 < theta_hi):
-                    events.append(f"pole approach at t={t + h}")
-                    return Trajectory(rows, "pole_proximity", kind, events,
-                                      StepStats(n_accepted, n_rejected, n_halved, n_calls, n_cap))
                 switch = not cap_lo <= q13 <= cap_hi
 
             t += h
@@ -895,13 +869,14 @@ def integrate(
 
         if cap:
             p1, q1, u1, v1, du1, dv1 = _leave_cap(south, p1, q1, u1, v1, du1, dv1, phi1)
+        # a stop leaves switch False, so it ends the track here
         if not (switch and t < t_final):
             break
 
-    if rows[-1][0] < t_end - 1e-9 * max(1.0, t_end):
+    if event is None and rows[-1][0] < t_end - 1e-9 * max(1.0, t_end):
         # grid did not land on t_end; append the final state explicitly
         rows.append((t_end, p1, q1, u1, v1))
-    return Trajectory(rows, "completed", kind, events,
+    return Trajectory(rows, termination, kind, [] if event is None else [event],
                       StepStats(n_accepted, n_rejected, n_halved, n_calls, n_cap))
 
 
