@@ -387,6 +387,9 @@ def cmd_family(prob: Problem) -> int:
     h0 = parse_angle(cfg.heading_start, cfg.deg)
     dh = parse_angle(cfg.heading_step, cfg.deg)
     headings = [h0 + k * dh for k in range(cfg.heading_count)]
+    if not all(map(math.isfinite, headings)):
+        raise ValidationError(f"fan headings {cfg.heading_start} + k * {cfg.heading_step}"
+                              f" for k < {cfg.heading_count} are not all finite")
     segments = _segments(cfg)
 
     members = integrate_family(prob.sph, prob.wind, prob.start, headings,

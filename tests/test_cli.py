@@ -313,6 +313,17 @@ class TestFamily:
         assert code == 0
         assert "counts: circumpolar=14 transpolar=2 failed=0" in capsys.readouterr().out
 
+    def test_overflowing_heading_rejected_before_work(self, capsys, monkeypatch):
+        # member 2's heading 0 + 2 * 1e308 is inf
+        def no_work(*args, **kwargs):
+            raise AssertionError("integrate_family called on a rejected fan")
+
+        monkeypatch.setattr("znav.cli.integrate_family", no_work)
+        code = main(["family", *BENCH, "--heading-start", "0",
+                     "--heading-step", "1e308", "--heading-count", "3"])
+        assert code == 2
+        assert "are not all finite" in capsys.readouterr().err
+
     def test_empty_fan_rejected(self, capsys):
         code = main(["family", *BENCH, "--heading-start", "0",
                      "--heading-step", "pi/4", "--heading-count", "0"])
