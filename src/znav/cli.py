@@ -45,7 +45,7 @@ from znav.integrate import (
     integrate,
     integrate_family,
 )
-from znav.randers import F_value, RandersData, alpha_term, indicatrix
+from znav.randers import F_value, RandersData, indicatrix
 from znav.spheroid import Spheroid, SurfacePoint, embed_chart, require_off_pole
 from znav.spray import METRIC_KINDS, make_rhs, resolve_flow
 from znav.wind import STILL_AIR, WindField, rotation_wind
@@ -271,11 +271,12 @@ def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
 
     The flow's wind is still air for h, where the h-norm is F.
     """
-    rd = RandersData(prob.sph, prob.flow_wind)
-    norm = alpha_term if prob.kind == "alpha" else F_value
+    terms = RandersData(prob.sph, prob.flow_wind).terms
+    alpha_only = prob.kind == "alpha"
     worst = 0.0
-    for _, state in traj.samples:
-        worst = max(worst, abs(norm(rd, state.point, state.vel) - 1.0))
+    for _, phi, theta, u, v in traj.rows:
+        _, alpha, beta = terms(phi, theta, u, v)
+        worst = max(worst, abs((alpha if alpha_only else alpha + beta) - 1.0))
     return worst
 
 

@@ -32,41 +32,47 @@ class RandersData:
     sph: Spheroid
     wind: WindField
 
+    def terms(self, phi: float, theta: float, u: float, v: float) -> tuple[float, float, float]:
+        """(lam, alpha, beta) at the point (phi, theta) along the vector (u, v).
+
+        The one evaluation of the wind and of h behind every travel-time
+        quantity below.
+
+        Raises:
+            NotMild: lam <= 0 or not a number at the point.
+        """
+        w1, w2 = self.wind.components(phi, theta)
+        h11, h22 = metric_components(self.sph, theta)
+        lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
+        if not lam > 0.0:
+            raise not_mild(phi, theta, lam)
+        cross = u * w2 - v * w1
+        arg = u * u * h11 + h22 * (v * v - h11 * cross * cross)
+        return lam, math.sqrt(max(arg, 0.0)) / lam, -(u * w1 * h11 + v * w2 * h22) / lam
+
     def mildness_factor(self, point: SurfacePoint) -> float:
         """lam = 1 - |W|_h^2 at a point; positive exactly where the wind is mild.
 
         Raises:
             NotMild: lam <= 0 or not a number at the point.
         """
-        w1, w2 = self.wind.at(point)
-        h11, h22 = metric_components(self.sph, point.theta)
-        lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
-        if not lam > 0.0:
-            raise not_mild(point.phi, point.theta, lam)
-        return lam
+        return self.terms(point.phi, point.theta, 0.0, 0.0)[0]
 
 
 def alpha_term(rd: RandersData, point: SurfacePoint, y: TangentVector) -> float:
     """Riemannian part of the travel-time metric (absolutely homogeneous)."""
-    lam = rd.mildness_factor(point)
-    w1, w2 = rd.wind.at(point)
-    h11, h22 = metric_components(rd.sph, point.theta)
-    cross = y.u * w2 - y.v * w1
-    arg = y.u * y.u * h11 + h22 * (y.v * y.v - h11 * cross * cross)
-    return math.sqrt(max(arg, 0.0)) / lam
+    return rd.terms(point.phi, point.theta, y.u, y.v)[1]
 
 
 def beta_term(rd: RandersData, point: SurfacePoint, y: TangentVector) -> float:
     """One-form part of the travel-time metric (linear in y)."""
-    lam = rd.mildness_factor(point)
-    w1, w2 = rd.wind.at(point)
-    h11, h22 = metric_components(rd.sph, point.theta)
-    return -(y.u * w1 * h11 + y.v * w2 * h22) / lam
+    return rd.terms(point.phi, point.theta, y.u, y.v)[2]
 
 
 def F_value(rd: RandersData, point: SurfacePoint, y: TangentVector) -> float:
     """Travel time per unit parameter along y: F = alpha + beta."""
-    return alpha_term(rd, point, y) + beta_term(rd, point, y)
+    _, alpha, beta = rd.terms(point.phi, point.theta, y.u, y.v)
+    return alpha + beta
 
 
 def lagrangian(rd: RandersData, point: SurfacePoint, y: TangentVector) -> float:
