@@ -148,7 +148,6 @@ class TestFValue:
     @pytest.mark.parametrize("value", [F_value, alpha_term, beta_term])
     def test_one_wind_and_metric_evaluation(self, oblate, monkeypatch, value):
         # lam, alpha and beta share one evaluation of the wind and of h
-        # (F_value made 4 of each when every term evaluated its own)
         calls = {"wind": 0, "metric": 0}
 
         def breeze(phi, theta):
@@ -165,14 +164,6 @@ class TestFValue:
         assert calls == {"wind": 1, "metric": 1}
         rd.mildness_factor(SurfacePoint(0.4, 1.3))
         assert calls == {"wind": 2, "metric": 2}
-
-    def test_terms_sum_to_F(self, rd):
-        rng = np.random.default_rng(19)
-        for p, y in zip(random_points(rng, 20), random_vectors(rng, 20)):
-            lam, alpha, beta = rd.terms(p.phi, p.theta, y.u, y.v)
-            assert lam == rd.mildness_factor(p)
-            assert (alpha, beta) == (alpha_term(rd, p, y), beta_term(rd, p, y))
-            assert alpha + beta == F_value(rd, p, y)
 
 
 class TestLagrangian:
