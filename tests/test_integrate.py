@@ -5,6 +5,7 @@ import math
 
 import pytest
 from hypothesis import example, given, settings, strategies
+from scipy.integrate import quad
 
 from znav import (
     F_value,
@@ -619,6 +620,19 @@ class TestPoleHandling:
         assert len(traj.rows) == 139 and traj.rows[-1][0] < t_stop
         assert all(POLE_GUARD < s.point.theta < math.pi - POLE_GUARD
                    for _, s in traj.samples)
+
+    @pytest.mark.parametrize("heading", [math.pi / 2, 3 * math.pi / 2], ids=["north", "south"])
+    @pytest.mark.parametrize("a", [0.3, 0.75, 1.0, 1.7, 2.5])
+    def test_meridian_stops_at_band_entry(self, a, heading):
+        # due north or south from the equator the h track runs down a
+        # meridian at unit speed, so it enters the band after the
+        # meridian's arc length from the equator to POLE_GUARD off the pole
+        traj = run(Spheroid(a), None, "h", heading, IntegratorConfig(t_end=4.0))
+        arc, _ = quad(lambda q: math.sqrt(math.cos(q) ** 2 + a * a * math.sin(q) ** 2),
+                      POLE_GUARD, math.pi / 2, epsabs=0.0, epsrel=1e-13)
+        assert traj.termination == "pole_proximity"
+        t_stop = float(traj.events[-1].rsplit("=", 1)[1])
+        assert abs(t_stop - arc) <= 1e-10
 
     def test_sample_in_band_stops_the_track(self):
         # the step that crosses the band holds the grid time 0.5; without
