@@ -167,6 +167,9 @@ def integrate_reference(
                 for weights in _STAGES:
                     y_new = [y[j] + h * _dot(weights, k, j) for j in range(4)]
                     k.append(f(y_new))
+                # a spherical step that ends in the band is retried like a stage in it
+                if not cap and (y_new[1] <= POLE_GUARD or y_new[1] >= math.pi - POLE_GUARD):
+                    raise PoleSingularity
 
                 sc = [cfg.abs_tol + cfg.rel_tol * max(abs(y[j]), abs(y_new[j]))
                       for j in range(4)]
@@ -235,24 +238,13 @@ def integrate_reference(
                 phi = branch[0] = _unwrap(math.atan2(y_new[1], y_new[0]), phi)
                 switch = y_new[0] * y_new[0] + y_new[1] * y_new[1] > CAP_OUT * CAP_OUT
             else:
-                stop = None
                 while next_idx <= n_grid:
                     ts = next_idx * cfg.sample_dt
                     if ts > t + h + 1e-14 * max(1.0, ts):
                         break
                     tau = min(max((ts - t) / h, 0.0), 1.0)
-                    yi = _dense(dense, tau)
-                    if not (POLE_GUARD < yi[1] < math.pi - POLE_GUARD):
-                        stop = ts
-                        break
-                    rows.append((ts, *yi))
+                    rows.append((ts, *_dense(dense, tau)))
                     next_idx += 1
-                if stop is not None:
-                    events.append(f"pole approach at t={stop}")
-                    return Trajectory(rows, "pole_proximity", kind, events, stats())
-                if not (POLE_GUARD < y_new[1] < math.pi - POLE_GUARD):
-                    events.append(f"pole approach at t={t + h}")
-                    return Trajectory(rows, "pole_proximity", kind, events, stats())
                 switch = not CAP_IN <= y_new[1] <= math.pi - CAP_IN
 
             t += h

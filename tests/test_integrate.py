@@ -63,15 +63,17 @@ def run(sph, wind, kind, heading, cfg) -> Trajectory:
     return integrate(make_rhs(kind, sph, wind), s0, cfg, kind=kind)
 
 
-def coast(sample_dt: float, integrator=integrate) -> Trajectory:
-    """Zero acceleration from theta = 1.5 at theta' = -3, to t = 3.
+def coast(sample_dt: float, integrator=integrate, theta0: float = 1.5, v: float = -3.0,
+          t_end: float = 3.0) -> Trajectory:
+    """Zero acceleration from theta0 at theta' = v, to t_end.
 
-    theta falls linearly and enters the guard band at t = 0.4999997.  The
-    rhs never raises there, as znav's own rhs would, so only the spherical
-    chart's band checks on the samples and the step end can stop it.
+    theta moves linearly; from theta = 1.5 at theta' = -3 it enters the
+    guard band at t = 0.4999997.  The rhs never raises in the band, as
+    znav's own rhs does: the step-end retry alone keeps a spherical step
+    out of it, and the cap's guard test reports the entry.
     """
-    s0 = NavState(SurfacePoint(0.0, 1.5), TangentVector(0.0, -3.0))
-    cfg = IntegratorConfig(t_end=3.0, sample_dt=sample_dt)
+    s0 = NavState(SurfacePoint(0.0, theta0), TangentVector(0.0, v))
+    cfg = IntegratorConfig(t_end=t_end, sample_dt=sample_dt)
     return integrator(lambda phi, theta, u, v: (0.0, 0.0), s0, cfg)
 
 
@@ -568,7 +570,9 @@ class TestReferenceStepping:
 
     @pytest.mark.parametrize("sample_dt", [0.01, 1.0])
     def test_identical_coasting_into_the_band(self, sample_dt):
-        # stopped by the sample check (0.01) and by the step-end check (1)
+        # a spherical step ending in the band is retried and the cap's
+        # guard test stops the track, with (0.01) and without (1) a grid
+        # time in the crossing step
         got, want = coast(sample_dt), coast(sample_dt, integrate_reference)
         assert got.termination == want.termination == "pole_proximity"
         assert (got.samples, got.events, got.stats) == (want.samples, want.events, want.stats)
@@ -634,23 +638,35 @@ class TestPoleHandling:
         t_stop = float(traj.events[-1].rsplit("=", 1)[1])
         assert abs(t_stop - arc) <= 1e-10
 
-    def test_sample_in_band_stops_the_track(self):
-        # the step that crosses the band holds the grid time 0.5; without
-        # the sample check, rows run on to theta = -0.48
-        traj = coast(0.01)
+    @pytest.mark.parametrize("sample_dt, n_rows", [(0.01, 50), (1.0, 1)])
+    @pytest.mark.parametrize("theta0, v, t_stop", [
+        (1.5, -3.0, "0.4999996666666671"),
+        (math.pi - 1.5, 3.0, "0.49999966666666706"),  # pi - 1.5 is rounded
+    ], ids=["north", "south"])
+    def test_coast_stops_at_the_crossing(self, theta0, v, t_stop, sample_dt, n_rows):
+        # the spherical step that would end in the band is halved until it
+        # ends in the cap, whose guard test reports the crossing at
+        # 1.5 - 3 t = POLE_GUARD; the grid time 0.5 lies past it.  Without
+        # the step-end retry, the track runs into the band or past the pole
+        traj = coast(sample_dt, theta0=theta0, v=v)
         assert traj.termination == "pole_proximity"
-        assert traj.events == ["pole approach at t=0.5"]
-        assert len(traj.rows) == 50
-        assert all(row[2] > POLE_GUARD for row in traj.rows)
+        assert traj.events == [f"pole approach at t={t_stop}"]
+        assert traj.stats.cap_legs == 1 and traj.stats.pole_halvings >= 1
+        assert len(traj.rows) == n_rows
+        assert all(POLE_GUARD < row[2] < math.pi - POLE_GUARD for row in traj.rows)
 
-    def test_step_end_in_band_stops_the_track(self):
-        # no grid time falls in the step that crosses the band, so the
-        # check of the step's end stops it, at the step's end; without it
-        # the track enters a cap at negative rho
-        traj = coast(1.0)
+    @settings(max_examples=200, deadline=None)
+    @given(theta0=strategies.floats(0.6, math.pi - 0.6), speed=strategies.floats(0.3, 6.0),
+           south=strategies.booleans(), sample_dt=strategies.sampled_from([0.01, 0.37, 1.0, 2.0]))
+    def test_coast_stops_within_1e9_of_the_crossing(self, theta0, speed, south, sample_dt):
+        # theta0 - speed t reaches POLE_GUARD, or theta0 + speed t reaches
+        # pi - POLE_GUARD, by t = 8.5; each grid finds the same crossing
+        traj = coast(sample_dt, theta0=theta0, v=speed if south else -speed, t_end=10.0)
+        gap = math.pi - POLE_GUARD - theta0 if south else theta0 - POLE_GUARD
         assert traj.termination == "pole_proximity"
-        assert traj.events == ["pole approach at t=0.6654010033429189"]
-        assert len(traj.rows) == 1
+        t_stop = float(traj.events[-1].rsplit("=", 1)[1])
+        assert abs(t_stop - gap / speed) <= 1e-9
+        assert all(POLE_GUARD < row[2] < math.pi - POLE_GUARD for row in traj.rows)
 
     def test_circumpolar_benchmark_individual(self, oblate, rot_wind):
         traj = run(oblate, rot_wind, "randers", math.pi / 3,
