@@ -484,6 +484,16 @@ def cmd_indicatrix(prob: Problem) -> int:
     vecs = indicatrix(rd, prob.start, cfg.n)
     f_vals = [F_value(rd, prob.start, y) for y in vecs]
     residual = max(abs(f - 1.0) for f in f_vals)
+    # the scaled curves, and the figure's range padded as render_svg pads
+    # it, must be finite before any file is written; m * c rounds
+    # monotonically in c for m > 0, so each axis's extremes scale those of c
+    for comps in ([y.u for y in vecs], [y.v for y in vecs]):
+        lo, hi = min(comps), max(comps)
+        lo, hi = min(m * lo for m in mults), max(m * hi for m in mults)
+        pad = 0.05 * (hi - lo) or 1.0
+        if not math.isfinite(hi + pad - (lo - pad)):
+            raise ValidationError(f"multipliers {cfg.multipliers} overflow the indicatrix"
+                                  " curves or their figure's range")
 
     if cfg.csv:
         rows = (

@@ -392,6 +392,25 @@ class TestIndicatrix:
     def test_too_few_samples(self):
         assert main(["indicatrix", *BENCH, "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--multipliers", "1e308", "--svg", "i.svg"],
+        ["--a", "0.3", "--multipliers", "1e308", "--csv", "i.csv"],
+    ], ids=["figure-range", "curve"])
+    def test_overflowing_multiplier_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
+        # the first once drew a polyline of nan points, the second wrote
+        # -inf cells to v; both exited 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["indicatrix", *argv]) == 2
+        assert "overflow the indicatrix" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_large_multiplier_still_runs(self, tmp_path):
+        csv, svg = tmp_path / "i.csv", tmp_path / "i.svg"
+        code = main(["indicatrix", "--a", "0.3", "--multipliers", "1e307",
+                     "--csv", str(csv), "--svg", str(svg)])
+        assert code == 0
+        assert "inf" not in csv.read_text() and "nan" not in svg.read_text()
+
 
 class TestReport:
     def test_benchmark_block(self, capsys):
