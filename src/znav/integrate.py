@@ -17,10 +17,10 @@ sin phi), rho the distance theta or pi - theta to that pole, until rho
 exceeds CAP_OUT.  The one runtime rhs still computes the accelerations
 there (_polar_rhs maps a stage to the spherical chart and back).  A
 track still halts with a pole_proximity record where it enters the
-guard band of POLE_GUARD around a pole; in a cap that entry is found
-on the dense output by closest approach.  Velocity norms are
-monitored, never re-normalized, making conservation drift the primary
-accuracy diagnostic.
+guard band of POLE_GUARD around a pole, always in a cap, where that
+entry is found on the dense output by closest approach.  Velocity
+norms are monitored, never re-normalized, making conservation drift
+the primary accuracy diagnostic.
 """
 import math
 from dataclasses import dataclass, field
@@ -181,7 +181,8 @@ class StepStats:
 
     accepted steps advanced t; rejected ones failed the error test (or
     had a non-finite error estimate) and were retried shorter; pole
-    halvings are retries after a stage landed in the pole guard band.
+    halvings are retries after a stage, or the end of a spherical step,
+    landed in the pole guard band.
     rhs_calls counts every evaluation of the chart's rhs: the start, each
     leg's starting-step probe, the stages and the dense-output stages.
     cap_legs counts the legs run in a polar cap's chart.
@@ -437,13 +438,12 @@ def integrate(
     steps, the pole-guard halvings, the rhs calls and the cap legs.
 
     A step underflow (step_failure) or a pole approach (pole_proximity)
-    ends the rows early, and one event records its time.  A stage in the
-    guard band halves the step; a step halved below 1e-12 max(1, t)
-    stops the track at the step's start.  A cap step stops where its
-    dense path enters the band.  A spherical step stops at its first
-    sample in the band, else at its end if that is in the band; for an
-    rhs that does not raise in the band, as znav's own does, that time
-    can lag the crossing by up to a step.
+    ends the rows early, and one event records its time.  A step with a
+    stage or its end in the guard band is retried at half length, so
+    every approach reaches the band in a cap, whose closest-approach
+    test reports where the dense path enters it; a step halved below
+    1e-12 max(1, t) stops the track at the step's start.  The rule does
+    not rest on the rhs raising in the band, as znav's own does.
 
     Raises:
         ValueError: a component of s0 is not finite.

@@ -1,0 +1,115 @@
+"""Mutation gate: every curated single-line mutant must fail its tests.
+
+Each mutant replaces one line of one file, found by its text without
+the indentation, which the replacement keeps.  On a fresh temporary copy
+of src/, tests/ and pyproject.toml, the script first runs all the
+mutants' test files unmutated, which must pass, and then, per mutant,
+`python -m pytest -x -q` on that mutant's test files, which must fail a
+test.  It exits 1 if a mutant's line is not found exactly once, the
+unmutated run fails, or a mutant survives or breaks collection instead
+of failing a test.
+
+Run it with the test dependencies installed:
+
+    python tests/mutants.py
+
+pytest does not collect this file, whose name does not match test_*.py.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+INTEGRATE = "src/znav/integrate.py"
+CLI = "src/znav/cli.py"
+T_INTEGRATE = ("tests/test_integrate.py",)
+T_CLI = ("tests/test_cli.py",)
+
+# (what the mutant breaks, file, line, replacement, test files)
+MUTANTS = [
+    ("step-end retry of a spherical step", INTEGRATE,
+     "if not cap and (q13 <= theta_lo or q13 >= theta_hi):", "if False:", T_INTEGRATE),
+    ("cap guard stop", INTEGRATE,
+     "t_stop = t + tau_in * h", "pass", T_INTEGRATE),
+    ("band entry, not the closest approach, as the stop time", INTEGRATE,
+     "t_stop = t + tau_in * h", "t_stop = t + tau_c * h", T_INTEGRATE),
+    ("finiteness check of the guard test", INTEGRATE,
+     "if not math.isfinite(rho):", "if False:", T_INTEGRATE),
+    ("per-sample pivot unwrap", INTEGRATE,
+     "if tau > tau_c:", "if False:", T_INTEGRATE),
+    ("step-end pivot unwrap", INTEGRATE,
+     "if tau_c <= 1.0:", "if False:", T_INTEGRATE),
+    ("per-step update of the rhs's phi branch", INTEGRATE,
+     "phi1 = branch[0] = _unwrap(math.atan2(q13, p13), last)",
+     "phi1 = _unwrap(math.atan2(q13, p13), last)", T_INTEGRATE),
+    ("guard band width", "src/znav/spheroid.py",
+     "POLE_GUARD = 1e-6", "POLE_GUARD = 1e-7", T_INTEGRATE),
+    ("refusal of a non-finite error norm", INTEGRATE,
+     "if not math.isfinite(deno):", "if False:", T_INTEGRATE),
+    ("printed conservation drift", CLI,
+     'f"conservation_drift={_conservation_drift(prob, traj):.3e}"',
+     'f"conservation_drift={_conservation_drift(prob, traj) / 2:.3e}"', T_CLI),
+    ("finite-heading check of a fan", CLI,
+     "if not all(map(math.isfinite, headings)):", "if False:", T_CLI),
+    ("finite-range check of the indicatrix", CLI,
+     "if not math.isfinite(hi + pad - (lo - pad)):", "if False:", T_CLI),
+]
+
+
+def mutate(text: str, line: str, replacement: str) -> str:
+    """text with its one line whose stripped form is line replaced."""
+    lines = text.split("\n")
+    hits = [i for i, old in enumerate(lines) if old.strip() == line]
+    if len(hits) != 1:
+        raise SystemExit(f"line {line!r} found {len(hits)} times, not once")
+    old = lines[hits[0]]
+    lines[hits[0]] = old[:len(old) - len(old.lstrip())] + replacement
+    return "\n".join(lines)
+
+
+def run_pytest(tests, path: str | None = None, text: str | None = None) -> tuple[int, str]:
+    """Exit code and first failure (else the summary) of pytest -x on a fresh copy,
+    path's text replaced by text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, Path(tmp) / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        if path is not None:
+            (Path(tmp) / path).write_text(text)
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=tmp, env=env, capture_output=True, text=True)
+    lines = run.stdout.strip().splitlines() or [""]
+    return run.returncode, ([ln for ln in lines if ln.startswith("FAILED")] + lines[-1:])[0]
+
+
+def main() -> int:
+    start = time.perf_counter()
+    mutated = [(what, path, mutate((ROOT / path).read_text(), line, new), tests)
+               for what, path, line, new, tests in MUTANTS]
+    every = sorted({test for *_, tests in MUTANTS for test in tests})
+    code, tail = run_pytest(every)
+    print(f"unmutated: exit {code}: {tail}", flush=True)
+    if code != 0:
+        return 1
+    survivors = []
+    for what, path, text, tests in mutated:
+        t0 = time.perf_counter()
+        code, tail = run_pytest(tests, path, text)
+        verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"ERROR {code}"
+        print(f"{verdict:9} {time.perf_counter() - t0:5.1f} s  {what}: {tail}", flush=True)
+        if code != 1:
+            survivors.append(what)
+    print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed"
+          f" in {time.perf_counter() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
