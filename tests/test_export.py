@@ -1,5 +1,6 @@
 """CSV round-trips and deterministic SVG structure."""
 import math
+import operator
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -20,9 +21,10 @@ from znav import (
     write_csv,
     write_table,
 )
+from tests import export_reference
 from tests.conftest import read_csv
 from tests.oracles import csv_cell
-from znav.export import unwrap_angles
+from znav.export import SEGMENT_COLORS, unwrap_angles
 
 
 @pytest.fixture
@@ -225,6 +227,55 @@ class TestRenderSvg:
         spec = PlotSpec(kind="channel_vs_time", series=(SeriesStyle("x"),))
         with pytest.raises(ValueError):
             render_svg(spec, [])
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+# Columns of a row per plot kind, as in the export module docstring.
+ROW_WIDTH = {"path3d_projection": 4, "polar": 3, "channel_vs_time": 2,
+             "speed_vs_heading": 2, "indicatrix": 2}
+MAGNITUDES = strategies.floats(1e-9, 1e6)
+COORDS = strategies.one_of(MAGNITUDES, MAGNITUDES.map(operator.neg), strategies.just(-0.0))
+LABELS = strategies.text("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789=. -",
+                         max_size=12)
+
+
+@strategies.composite
+def figures(draw):
+    """(spec, data): every kind and view axis, 1-3 series of 1-60 rows, lists or
+    ndarrays, segment boundaries partly on the series' own t values."""
+    kind = draw(strategies.sampled_from(sorted(ROW_WIDTH)))
+    row = strategies.tuples(*[COORDS] * ROW_WIDTH[kind])
+    data = draw(strategies.lists(strategies.lists(row, min_size=1, max_size=60),
+                                 min_size=1, max_size=3))
+    times = [r[0] for rows in data for r in rows]
+    bounds = draw(strategies.lists(
+        strategies.one_of(strategies.sampled_from(times), COORDS), max_size=4))
+    styles = tuple(
+        SeriesStyle(draw(LABELS), draw(strategies.sampled_from(SEGMENT_COLORS)),
+                    draw(strategies.sampled_from(("", "6,3"))))
+        for _ in data
+    )
+    spec = PlotSpec(kind=kind, series=styles, segments=tuple(sorted(set(bounds))) or None,
+                    view_axis=draw(strategies.sampled_from("xyz")))
+    if draw(strategies.booleans()):
+        data = [np.asarray(rows) for rows in data]
+    return spec, data
+
+
+def outcome(render, spec, data):
+    """The rendered text, or the type and message of what render raised."""
+    try:
+        return render(spec, data)
+    except (EmptyData, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(figure=figures())
+def test_render_svg_matches_per_point_reference(figure):
+    spec, data = figure
+    assert outcome(render_svg, spec, data) == outcome(export_reference.render_svg, spec, data)
 
 
 def test_unwrap_angles():
