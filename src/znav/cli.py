@@ -46,7 +46,7 @@ from znav.integrate import (
     integrate_family,
 )
 from znav.randers import F_value, RandersData, indicatrix
-from znav.spheroid import Spheroid, SurfacePoint, embed_chart, require_off_pole
+from znav.spheroid import Spheroid, SurfacePoint, embed_rows, require_off_pole
 from znav.spray import METRIC_KINDS, make_rhs, resolve_flow
 from znav.wind import STILL_AIR, WindField, rotation_wind
 
@@ -280,11 +280,6 @@ def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
     return worst
 
 
-def _path3d_rows(prob: Problem, traj: Trajectory) -> list[tuple[float, ...]]:
-    sph = prob.sph
-    return [(t, *embed_chart(sph, phi, theta)) for t, phi, theta, _, _ in traj.rows]
-
-
 def _float_list(text: str, what: str) -> tuple[float, ...]:
     """Parse comma-separated finite floats; ValidationError otherwise."""
     try:
@@ -349,7 +344,7 @@ def cmd_geodesic(prob: Problem) -> int:
         if cfg.plot == "polar":
             kind, data = "polar", traj.rows
         else:
-            kind, data = "path3d_projection", _path3d_rows(prob, traj)
+            kind, data = "path3d_projection", embed_rows(prob.sph, traj.rows)
         # --plot xy is the path3d projection along z
         spec = PlotSpec(kind=kind,
                         series=(SeriesStyle(label=prob.kind, color="#d62728"),),
@@ -411,7 +406,7 @@ def cmd_family(prob: Problem) -> int:
         if cfg.csv:
             channel = control_channel(prob.sph, prob.flow_wind, traj)
             write_csv(prob.sph, traj, channel, _member_csv_path(cfg.csv, i))
-        data.append(_path3d_rows(prob, traj))
+        data.append(embed_rows(prob.sph, traj.rows))
         styles.append(SeriesStyle(
             label=f"heading={member.heading:.4g}",
             color="#1f77b4" if label == "transpolar" else "#d62728",
@@ -459,7 +454,7 @@ def cmd_compare(prob: Problem) -> int:
             series=tuple(SeriesStyle(label=k, color=palette[k]) for k in trajs),
             view_axis=cfg.view,
         )
-        write_svg(spec, [_path3d_rows(prob, t) for t in trajs.values()], cfg.svg)
+        write_svg(spec, [embed_rows(prob.sph, t.rows) for t in trajs.values()], cfg.svg)
 
     max_dphi = max(abs(v) for v in cols["d_phi"])
     max_dtheta = max(abs(v) for v in cols["d_theta"])

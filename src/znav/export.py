@@ -1,12 +1,15 @@
 """CSV serialization and standalone SVG figures.
 
-write_table is the one CSV writer: floats in shortest round-trip form,
-ints as ints, None as an empty cell.  The trajectory schema of
-write_csv is fixed at twelve columns (times, chart state, embedded
-position, control channel), read from the trajectory's rows.  SVG
-output is deterministic: no timestamps, stable element order, fixed
-coordinate formatting.  3D paths are drawn by orthographic projection
-along a configurable view axis.
+write_table is the one CSV writer: each cell is written as its str,
+which for floats (numpy.float64 included) is the shortest round-trip
+form, for ints the int, and None becomes an empty cell.  The trajectory
+schema of write_csv is fixed at twelve columns (times, chart state,
+embedded position, control channel), read from the trajectory's rows.
+SVG output is deterministic: no timestamps, stable element order, fixed
+coordinate formatting, each polyline's points written in one format
+call.  Labels, colours and dash patterns are written with &, <, > and "
+escaped.  3D paths are drawn by orthographic projection along a
+configurable view axis.
 
 A figure series is a sequence of float rows, one row per point, read
 in plain Python (any sequence of number sequences works, a list of
@@ -25,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from znav.control import ControlRecord, wrap_2pi
 from znav.errors import EmptyData
-from znav.spheroid import Spheroid, embed_chart
+from znav.spheroid import Spheroid, embed_rows
 
 if TYPE_CHECKING:
     from znav.integrate import Trajectory
@@ -61,20 +64,21 @@ MARKER_KINDS = {"channel_vs_time", "indicatrix", "speed_vs_heading"}
 def write_table(columns: Sequence[str], rows: Iterable[Sequence], path: str) -> int:
     """Write a header and one CSV line per row; returns bytes written.
 
-    Cells are floats, written in shortest round-trip form (repr), ints,
-    written as ints, or None, written as an empty cell.  Each row is
-    formatted in one operation.
+    Each cell is written as its str: floats (built-in or numpy.float64)
+    in shortest round-trip form, equal to their repr, ints as ints, and
+    None as an empty cell.  numpy.float32 and numpy integer cells are out
+    of scope.  Each row is formatted in one operation.
 
     Raises:
         ValueError: a row whose length differs from the header's.
         OSError: surfaced with the target path in the message.
     """
-    line = ",".join(["%r"] * len(columns)) + "\n"
+    line = ",".join(["%s"] * len(columns)) + "\n"
     try:
         body = "".join([line % tuple(row) for row in rows])
     except TypeError as exc:  # too few or too many cells for the line
         raise ValueError(f"every row needs {len(columns)} cells: {exc}") from exc
-    # %r prints None as "None", which no int or float repr contains
+    # %s prints None as "None", which no int or float str contains
     data = (",".join(columns) + "\n" + body.replace("None", "")).encode("utf-8")
     try:
         with open(path, "wb") as fh:
@@ -101,10 +105,10 @@ def write_csv(
     by_t = {rec.t: rec for rec in channel}
     gap = (None,) * 4
     rows = []
-    for t, phi, theta, u, v in traj.rows:
+    for (t, phi, theta, u, v), (_, x, y, z) in zip(traj.rows, embed_rows(sph, traj.rows)):
         rec = by_t.get(t)
         ch = gap if rec is None else (rec.heading, rec.course, rec.drift, rec.speed)
-        rows.append((t, wrap_2pi(phi), theta, u, v, *embed_chart(sph, phi, theta), *ch))
+        rows.append((t, wrap_2pi(phi), theta, u, v, x, y, z, *ch))
     return write_table(CSV_COLUMNS, rows, path)
 
 
@@ -159,6 +163,12 @@ def _to_plane(
     return [r[0] for r in rows], [r[1] for r in rows], None
 
 
+def _escape(text: str) -> str:
+    """text with &, <, > and " as XML character references, for attributes and titles."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;"))
+
+
 def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
     """Render series of float rows to a standalone SVG 1.1 document string.
 
@@ -211,24 +221,23 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
         f'fill="white" stroke="#cccccc"/>',
     ]
 
-    def emit_polyline(pts: list[str], color: str, dash: str, label: str) -> None:
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    def emit_polyline(xy: list[float], color: str, dash: str, label: str) -> None:
+        dash_attr = f' stroke-dasharray="{_escape(dash)}"' if dash else ""
+        points = ("%.4f,%.4f " * (len(xy) // 2) % tuple(xy))[:-1]
         parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
-            f'{dash_attr} points="{" ".join(pts)}"><title>{label}</title></polyline>'
+            f'<polyline fill="none" stroke="{_escape(color)}" stroke-width="1.5"'
+            f'{dash_attr} points="{points}"><title>{_escape(label)}</title></polyline>'
         )
 
     for style, (x, y, t) in zip(spec.series, planes):
-        # one "px,py" pixel pair per point, the y axis pointing up
-        pts = [
-            f"{x0 + (a - xmin) * sx:.4f},{size - (y0 + (b - ymin) * sy):.4f}"
-            for a, b in zip(x, y)
-        ]
-        if len(pts) == 1:
-            cx, cy = pts[0].split(",")
+        # pixel coordinates px0, py0, px1, py1, ..., the y axis pointing up
+        xy = [0.0] * (2 * len(x))
+        xy[0::2] = [x0 + (a - xmin) * sx for a in x]
+        xy[1::2] = [size - (y0 + (b - ymin) * sy) for b in y]
+        if len(x) == 1:
             parts.append(
-                f'<circle cx="{cx}" cy="{cy}" r="3" '
-                f'fill="{style.color}"><title>{style.label}</title></circle>'
+                '<circle cx="%.4f" cy="%.4f" r="3" fill="%s"><title>%s</title></circle>'
+                % (xy[0], xy[1], _escape(style.color), _escape(style.label))
             )
             continue
         if spec.segments and t is not None:
@@ -236,13 +245,14 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
             for i in range(len(bounds) - 1):
                 lo, hi = bounds[i], bounds[i + 1]
                 # keep shared boundary points so segments join up
-                seg = [p for p, tk in zip(pts, t) if lo <= tk <= hi]
+                seg = [k for k, tk in enumerate(t) if lo <= tk <= hi]
                 if len(seg) < 2:
                     continue
                 color = SEGMENT_COLORS[i % len(SEGMENT_COLORS)]
-                emit_polyline(seg, color, style.dash, f"{style.label} [{i}]")
+                emit_polyline([c for k in seg for c in xy[2 * k:2 * k + 2]],
+                              color, style.dash, f"{style.label} [{i}]")
         else:
-            emit_polyline(pts, style.color, style.dash, style.label)
+            emit_polyline(xy, style.color, style.dash, style.label)
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

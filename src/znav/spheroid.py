@@ -16,6 +16,7 @@ POLE_GUARD radians around theta in {0, pi}.
 """
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from znav.errors import NonFiniteState, PoleSingularity
 
@@ -101,13 +102,26 @@ def h_norm(sph: Spheroid, point: SurfacePoint, vec: TangentVector) -> float:
 
 def embed(sph: Spheroid, point: SurfacePoint) -> tuple[float, float, float]:
     """Cartesian coordinates of a chart point on the embedded surface."""
-    return embed_chart(sph, point.phi, point.theta)
+    _, x, y, z = embed_rows(sph, [(0.0, point.phi, point.theta)])[0]
+    return x, y, z
 
 
-def embed_chart(sph: Spheroid, phi: float, theta: float) -> tuple[float, float, float]:
-    """embed at the chart coordinates (phi, theta)."""
-    s = math.sin(theta)
-    return s * math.cos(phi), s * math.sin(phi), sph.a * math.cos(theta)
+def embed_rows(
+    sph: Spheroid, rows: Iterable[Sequence[float]]
+) -> list[tuple[float, float, float, float]]:
+    """(t, x, y, z) of each row (t, phi, theta, ...): a track's rows embedded.
+
+    The one place the embedding formula is written; embed maps one point
+    through it.
+    """
+    a = sph.a
+    sin, cos = math.sin, math.cos
+    out = []
+    for r in rows:
+        phi, theta = r[1], r[2]
+        s = sin(theta)
+        out.append((r[0], s * cos(phi), s * sin(phi), a * cos(theta)))
+    return out
 
 
 def clairaut_invariant(sph: Spheroid, state: NavState) -> float:

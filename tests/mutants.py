@@ -26,8 +26,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INTEGRATE = "src/znav/integrate.py"
 CLI = "src/znav/cli.py"
+EXPORT = "src/znav/export.py"
 T_INTEGRATE = ("tests/test_integrate.py",)
 T_CLI = ("tests/test_cli.py",)
+T_EXPORT = ("tests/test_export.py",)
 
 # (what the mutant breaks, file, line, replacement, test files)
 MUTANTS = [
@@ -57,6 +59,19 @@ MUTANTS = [
      "if not all(map(math.isfinite, headings)):", "if False:", T_CLI),
     ("finite-range check of the indicatrix", CLI,
      "if not math.isfinite(hi + pad - (lo - pad)):", "if False:", T_CLI),
+    ("shared boundary point of two time segments", EXPORT,
+     "seg = [k for k, tk in enumerate(t) if lo <= tk <= hi]",
+     "seg = [k for k, tk in enumerate(t) if lo < tk <= hi]", T_EXPORT),
+    ("y-axis flip of a figure", EXPORT,
+     "xy[1::2] = [size - (y0 + (b - ymin) * sy) for b in y]",
+     "xy[1::2] = [y0 + (b - ymin) * sy for b in y]", T_EXPORT),
+    # the row-width check is an except clause: catching no exception disables it
+    ("row-width check of a CSV table", EXPORT,
+     "except TypeError as exc:  # too few or too many cells for the line",
+     "except () as exc:", T_EXPORT),
+    ("escape of < in figure text", EXPORT,
+     'return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")',
+     'return (text.replace("&", "&amp;").replace(">", "&gt;")', T_EXPORT),
 ]
 
 

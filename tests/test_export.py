@@ -104,10 +104,11 @@ class TestWriteCsv:
                 write_table(("a", "b"), [(0.5, 0.5), row], str(tmp_path / "t.csv"))
 
 
-# CSV cells: floats of every magnitude and the edge values, ints of any
-# size and gaps.
+# CSV cells: floats of every magnitude and the edge values, numpy
+# float64 scalars, ints of any size and gaps.
 CELLS = strategies.one_of(
     strategies.floats(),
+    strategies.floats().map(np.float64),
     strategies.sampled_from([-0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]),
     strategies.integers(),
     strategies.none(),
@@ -273,9 +274,30 @@ def outcome(render, spec, data):
 
 @settings(max_examples=200, deadline=None)
 @given(figure=figures())
+# a boundary on a sample: the segments on both sides of it keep that point
+@example(figure=(PlotSpec(kind="path3d_projection", series=(SeriesStyle("a"),), segments=(1.0,)),
+                 [[(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 0.0, 0.0)]]))
 def test_render_svg_matches_per_point_reference(figure):
     spec, data = figure
     assert outcome(render_svg, spec, data) == outcome(export_reference.render_svg, spec, data)
+
+
+def test_style_text_is_escaped():
+    label, color, dash = "t<1 & a>0", 'red" onload="x', '6,3"><x a="'
+    for kind, rows in (("path3d_projection", spiral()), ("speed_vs_heading", [(0.5, 0.5)])):
+        spec = PlotSpec(kind=kind, series=(SeriesStyle(label, color, dash),))
+        root = ET.fromstring(render_svg(spec, [rows]))
+        [shape] = [e for e in root if e.tag in (f"{SVG}polyline", f"{SVG}circle")]
+        assert "onload" not in shape.attrib
+        assert shape.find(f"{SVG}title").text == label
+        assert color in (shape.get("stroke"), shape.get("fill"))
+    assert shape.tag == f"{SVG}circle"  # the lone point's marker
+    path = ET.fromstring(render_svg(
+        PlotSpec(kind="polar", series=(SeriesStyle(label, color, dash),), segments=(0.5,)),
+        [spiral()[:, :3]]))
+    titles = [p.find(f"{SVG}title").text for p in path.iter(f"{SVG}polyline")]
+    assert titles == [f"{label} [0]", f"{label} [1]"]
+    assert {p.get("stroke-dasharray") for p in path.iter(f"{SVG}polyline")} == {dash}
 
 
 def test_unwrap_angles():
