@@ -31,6 +31,7 @@ from znav.control import control_channel, initial_state, wrap_2pi, wrap_signed
 from znav.errors import EmptyData, NavigationError
 from znav.export import (
     PlotSpec,
+    Series,
     SeriesStyle,
     unwrap_angles,
     write_csv,
@@ -39,6 +40,7 @@ from znav.export import (
 )
 from znav.integrate import (
     MAX_GRID,
+    FamilyMember,
     IntegratorConfig,
     Trajectory,
     classify_path,
@@ -366,6 +368,31 @@ def _member_csv_path(base: str, index: int) -> str:
     return f"{stem}_{index:03d}{ext}"
 
 
+def _fan_member(prob: Problem, i: int, member: FamilyMember,
+               counts: dict[str, int]) -> tuple[Series, SeriesStyle] | None:
+    """Print, count and write fan member i; its embedded rows and style, None if it failed.
+
+    The member's trajectory and control channel live only in this call.
+    """
+    traj = member.trajectory
+    error = member.error if traj is None else _step_failure(traj)
+    if error is not None:
+        counts["failed"] += 1
+        print(f"member={i:02d} heading={member.heading:.6g} error={error}")
+        return None
+    label = classify_path(traj)
+    counts[label] += 1
+    print(f"member={i:02d} heading={member.heading:.6g} "
+          f"termination={traj.termination} classification={label}")
+    if prob.cfg.csv:
+        channel = control_channel(prob.sph, prob.flow_wind, traj)
+        write_csv(prob.sph, traj, channel, _member_csv_path(prob.cfg.csv, i))
+    return embed_rows(prob.sph, traj.rows), SeriesStyle(
+        label=f"heading={member.heading:.4g}",
+        color="#1f77b4" if label == "transpolar" else "#d62728",
+    )
+
+
 def cmd_family(prob: Problem) -> int:
     cfg = prob.cfg
     if cfg.heading_start is None or cfg.heading_step is None or cfg.heading_count is None:
@@ -392,25 +419,12 @@ def cmd_family(prob: Problem) -> int:
                                prob.kind, prob.icfg)
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
     data, styles = [], []
-    for i, member in enumerate(members):
-        traj = member.trajectory
-        error = member.error if traj is None else _step_failure(traj)
-        if error is not None:
-            counts["failed"] += 1
-            print(f"member={i:02d} heading={member.heading:.6g} error={error}")
-            continue
-        label = classify_path(traj)
-        counts[label] += 1
-        print(f"member={i:02d} heading={member.heading:.6g} "
-              f"termination={traj.termination} classification={label}")
-        if cfg.csv:
-            channel = control_channel(prob.sph, prob.flow_wind, traj)
-            write_csv(prob.sph, traj, channel, _member_csv_path(cfg.csv, i))
-        data.append(embed_rows(prob.sph, traj.rows))
-        styles.append(SeriesStyle(
-            label=f"heading={member.heading:.4g}",
-            color="#1f77b4" if label == "transpolar" else "#d62728",
-        ))
+    for i in range(len(members)):
+        drawn = _fan_member(prob, i, members[i], counts)
+        members[i] = None  # the member's rows die here: only its embedded copy stays
+        if drawn is not None:
+            data.append(drawn[0])
+            styles.append(drawn[1])
     print(f"counts: circumpolar={counts['circumpolar']} "
           f"transpolar={counts['transpolar']} failed={counts['failed']}")
     if cfg.svg and data:

@@ -43,9 +43,12 @@ def wrap_signed(angle: float) -> float:
     return math.pi if r == -math.pi else r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlRecord:
-    """Per-sample control channel: time, heading, course, drift, speed."""
+    """Per-sample control channel: time, heading, course, drift, speed.
+
+    Slotted, without a __dict__: a long track holds one record per sample.
+    """
 
     t: float
     heading: float

@@ -5,11 +5,14 @@ which for floats (numpy.float64 included) is the shortest round-trip
 form, for ints the int, and None becomes an empty cell.  The trajectory
 schema of write_csv is fixed at twelve columns (times, chart state,
 embedded position, control channel), read from the trajectory's rows.
-SVG output is deterministic: no timestamps, stable element order, fixed
-coordinate formatting, each polyline's points written in one format
-call.  Labels, colours and dash patterns are written with &, <, > and "
-escaped.  3D paths are drawn by orthographic projection along a
-configurable view axis.
+A table is formatted and checked line by line before its file is
+opened, and each file is written from one copy of its text: the CSV
+lines or the rendered SVG document, never a joined or encoded second
+copy.  SVG output is deterministic: no timestamps, stable element
+order, fixed coordinate formatting, each polyline's points written in
+one format call.  Labels, colours and dash patterns are written with
+&, <, > and " escaped.  3D paths are drawn by orthographic projection
+along a configurable view axis.
 
 A figure series is a sequence of float rows, one row per point, read
 in plain Python (any sequence of number sequences works, a list of
@@ -61,13 +64,21 @@ PATH_KINDS = {"path3d_projection", "polar"}
 MARKER_KINDS = {"channel_vs_time", "indicatrix", "speed_vs_heading"}
 
 
+def _utf8_size(text: str) -> int:
+    """Bytes of text in UTF-8; an ASCII text's count is its len, without an encoded copy."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
 def write_table(columns: Sequence[str], rows: Iterable[Sequence], path: str) -> int:
     """Write a header and one CSV line per row; returns bytes written.
 
     Each cell is written as its str: floats (built-in or numpy.float64)
     in shortest round-trip form, equal to their repr, ints as ints, and
     None as an empty cell.  numpy.float32 and numpy integer cells are out
-    of scope.  Each row is formatted in one operation.
+    of scope.  Each row is formatted in one operation.  rows may be a
+    generator: every row is formatted and width-checked into its line
+    before the file is opened, so a bad row writes nothing, and the file
+    is written from those lines, the one copy of its text.
 
     Raises:
         ValueError: a row whose length differs from the header's.
@@ -75,17 +86,18 @@ def write_table(columns: Sequence[str], rows: Iterable[Sequence], path: str) -> 
     """
     line = ",".join(["%s"] * len(columns)) + "\n"
     try:
-        body = "".join([line % tuple(row) for row in rows])
+        # %s prints None as "None", which no int or float str contains
+        lines = [(line % tuple(row)).replace("None", "") for row in rows]
     except TypeError as exc:  # too few or too many cells for the line
         raise ValueError(f"every row needs {len(columns)} cells: {exc}") from exc
-    # %s prints None as "None", which no int or float str contains
-    data = (",".join(columns) + "\n" + body.replace("None", "")).encode("utf-8")
+    header = ",".join(columns) + "\n"
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(header)
+            fh.writelines(lines)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-    return len(data)
+    return _utf8_size(header) + sum(map(_utf8_size, lines))
 
 
 def write_csv(
@@ -97,19 +109,22 @@ def write_csv(
     """Write a sampled trajectory plus its control channel; returns bytes written.
 
     Channel gaps (samples whose record is missing) leave the last four
-    cells empty.  The azimuth is wrapped to [0, 2*pi) on export.
+    cells empty.  The azimuth is wrapped to [0, 2*pi) on export.  The
+    twelve-cell rows are generated one at a time for write_table.
 
     Raises:
         OSError: as write_table.
     """
     by_t = {rec.t: rec for rec in channel}
     gap = (None,) * 4
-    rows = []
-    for (t, phi, theta, u, v), (_, x, y, z) in zip(traj.rows, embed_rows(sph, traj.rows)):
-        rec = by_t.get(t)
-        ch = gap if rec is None else (rec.heading, rec.course, rec.drift, rec.speed)
-        rows.append((t, wrap_2pi(phi), theta, u, v, x, y, z, *ch))
-    return write_table(CSV_COLUMNS, rows, path)
+
+    def rows():
+        for (t, phi, theta, u, v), (_, x, y, z) in zip(traj.rows, embed_rows(sph, traj.rows)):
+            rec = by_t.get(t)
+            ch = gap if rec is None else (rec.heading, rec.course, rec.drift, rec.speed)
+            yield t, wrap_2pi(phi), theta, u, v, x, y, z, *ch
+
+    return write_table(CSV_COLUMNS, rows(), path)
 
 
 @dataclass(frozen=True)
@@ -254,24 +269,27 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
         else:
             emit_polyline(xy, style.color, style.dash, style.label)
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]  # the empty part ends the document with a newline
+    return "\n".join(parts)
 
 
 def write_svg(spec: PlotSpec, data: Sequence[Series], path: str) -> int:
     """Render and write an SVG; returns bytes written.
 
+    The rendered document is the one copy of the file's text: it is
+    written in text mode, not encoded first.
+
     Raises:
         EmptyData: as render_svg.
         OSError: surfaced with the target path in the message.
     """
-    doc = render_svg(spec, data).encode("utf-8")
+    doc = render_svg(spec, data)
     try:
-        with open(path, "wb") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(doc)
     except OSError as exc:
         raise OSError(f"cannot write SVG to {path}: {exc}") from exc
-    return len(doc)
+    return _utf8_size(doc)
 
 
 def unwrap_angles(values: Sequence[float]) -> list[float]:

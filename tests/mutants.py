@@ -27,9 +27,13 @@ ROOT = Path(__file__).resolve().parent.parent
 INTEGRATE = "src/znav/integrate.py"
 CLI = "src/znav/cli.py"
 EXPORT = "src/znav/export.py"
+SPRAY = "src/znav/spray.py"
+CONTROL = "src/znav/control.py"
 T_INTEGRATE = ("tests/test_integrate.py",)
 T_CLI = ("tests/test_cli.py",)
 T_EXPORT = ("tests/test_export.py",)
+T_SPRAY = ("tests/test_spray.py",)
+T_CONTROL = ("tests/test_control.py",)
 
 # (what the mutant breaks, file, line, replacement, test files)
 MUTANTS = [
@@ -55,6 +59,9 @@ MUTANTS = [
     ("printed conservation drift", CLI,
      'f"conservation_drift={_conservation_drift(prob, traj):.3e}"',
      'f"conservation_drift={_conservation_drift(prob, traj) / 2:.3e}"', T_CLI),
+    ("release of a drawn fan member", CLI,
+     "members[i] = None  # the member's rows die here: only its embedded copy stays",
+     "pass", T_CLI),
     ("finite-heading check of a fan", CLI,
      "if not all(map(math.isfinite, headings)):", "if False:", T_CLI),
     ("finite-range check of the indicatrix", CLI,
@@ -72,6 +79,14 @@ MUTANTS = [
     ("escape of < in figure text", EXPORT,
      'return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")',
      'return (text.replace("&", "&amp;").replace(">", "&gt;")', T_EXPORT),
+    ("wind-Jacobian term of the theta costate rate", SPRAY,
+     "pd2 = -f * (q + p1 * j12 + p2 * j22)", "pd2 = -f * (q + p2 * j22)", T_SPRAY),
+    ("costate term of the heading's norm rate", SPRAY,
+     "norm_d = q * v + n1 * pd1 + n2 * pd2", "norm_d = q * v + n2 * pd2", T_SPRAY),
+    ("pi, not -pi, as the wrapped end of a signed angle", CONTROL,
+     "return math.pi if r == -math.pi else r", "return r", T_CONTROL),
+    ("gap skip of an undefined heading or course", CONTROL,
+     "except (ZeroRelativeVelocity, ZeroVelocity):", "except ():", T_CONTROL),
 ]
 
 

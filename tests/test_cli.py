@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: outputs, summaries, exit codes."""
 import contextlib
+import gc
 import io
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from datetime import timedelta
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies
 
 import znav
+import znav.cli
 from znav import integrate, make_rhs
 from znav.cli import ValidationError, main, parse_angle
 from tests.conftest import nan_after, read_csv
@@ -312,6 +315,44 @@ class TestFamily:
                      "--heading-step", "pi/8", "--heading-count", "16", "--t-end", "3", *flow])
         assert code == 0
         assert "counts: circumpolar=14 transpolar=2 failed=0" in capsys.readouterr().out
+
+    def test_figure_drawn_with_no_member_track_alive(self, tmp_path, monkeypatch):
+        # a member's rows are dropped once its line is printed, its CSV
+        # written and its rows embedded: the figure sees only embedded copies
+        argv = ["family", *BENCH, "--heading-start", "0", "--heading-step", "pi/2",
+                "--heading-count", "4", "--t-end", "3"]
+
+        def run(name):
+            return _stdout([*argv, "--csv", str(tmp_path / f"{name}.csv"),
+                            "--svg", str(tmp_path / f"{name}.svg")])
+
+        want = run("free")
+        refs, alive = [], []
+        integrate_family, write_svg = znav.cli.integrate_family, znav.cli.write_svg
+
+        def tracked(*args):
+            members = integrate_family(*args)
+            refs.extend(weakref.ref(member.trajectory) for member in members)
+            return members
+
+        def checked(*args):
+            gc.collect()
+            alive.extend(ref() is not None for ref in refs)
+            return write_svg(*args)
+
+        monkeypatch.setattr("znav.cli.integrate_family", tracked)
+        monkeypatch.setattr("znav.cli.write_svg", checked)
+        assert run("held") == want
+        assert len(refs) == 4 and alive == [False] * 4
+        code, out = want
+        assert code == 0
+        assert out.count("member=") == 4
+        assert "counts: circumpolar=2 transpolar=2 failed=0" in out
+        for suffix in (".svg", *(f"_{i:03d}.csv" for i in range(4))):
+            assert (tmp_path / f"held{suffix}").read_bytes() == \
+                (tmp_path / f"free{suffix}").read_bytes()
+        root = ET.parse(tmp_path / "held.svg").getroot()
+        assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 4
 
     def test_overflowing_heading_rejected_before_work(self, capsys, monkeypatch):
         # member 2's heading 0 + 2 * 1e308 is inf

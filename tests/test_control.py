@@ -401,6 +401,15 @@ class TestControlChannel:
         assert [rec.t for rec in control_channel(oblate, None, traj)] == [0.0, 0.01, 0.03]
 
 
+def test_control_record_has_no_dict():
+    # one record per sample: a slotted record is 81 bytes, not 121
+    rec = ControlRecord(0.0, 1.0, 2.0, 0.5, 1.5)
+    assert not hasattr(rec, "__dict__")
+    assert ControlRecord.__slots__ == ("t", "heading", "course", "drift", "speed")
+    with pytest.raises(AttributeError):
+        rec.speed = 2.0
+
+
 class TestWrap:
     def test_wrap_signed_edges(self):
         assert wrap_signed(math.pi) == math.pi

@@ -1,6 +1,8 @@
 """CSV round-trips and deterministic SVG structure."""
 import math
 import operator
+import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -19,6 +21,7 @@ from znav import (
     make_rhs,
     render_svg,
     write_csv,
+    write_svg,
     write_table,
 )
 from tests import export_reference
@@ -102,6 +105,50 @@ class TestWriteCsv:
         for row in [(1.0,), (1.0, 2.0, 3.0)]:
             with pytest.raises(ValueError, match="2 cells"):
                 write_table(("a", "b"), [(0.5, 0.5), row], str(tmp_path / "t.csv"))
+
+
+    def test_ragged_row_writes_nothing(self, tmp_path):
+        # every line is checked before the file is opened: a bad last row
+        # creates no file and leaves an existing one as it was
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_bytes(b"a,b\nkept\n")
+        for path in (new, old):
+            rows = ((0.5, 0.5) if k < 3 else (1.0,) for k in range(4))
+            with pytest.raises(ValueError, match="2 cells"):
+                write_table(("a", "b"), rows, str(path))
+        assert not new.exists()
+        assert old.read_bytes() == b"a,b\nkept\n"
+
+    def test_table_held_about_once(self, tmp_path):
+        # the formatted lines are the one copy of the file's text: no joined,
+        # replaced or encoded copy of the body on top of them
+        rng = random.Random(7)
+        rows = [tuple(rng.random() for _ in range(12)) for _ in range(20_000)]
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            nbytes = write_table([f"c{j}" for j in range(12)], rows, str(tmp_path / "t.csv"))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert nbytes == (tmp_path / "t.csv").stat().st_size
+        assert peak <= 1.6 * nbytes
+
+    def test_writers_return_utf8_bytes(self, tmp_path):
+        # an ASCII text counts its len; any other its encoded length
+        table, figure = tmp_path / "t.csv", tmp_path / "f.svg"
+        nbytes = write_table(("phi", "θ"), [("é", 1.5), (2, None)], str(table))
+        assert table.read_bytes() == "phi,θ\né,1.5\n2,\n".encode()
+        assert nbytes == table.stat().st_size
+        data = [[(0.0, 0.0), (1.0, 2.0)]]
+        for label in ("t=1", "t=1 — ü"):
+            spec = PlotSpec("indicatrix", (SeriesStyle(label),))
+            nbytes = write_svg(spec, data, str(figure))
+            assert figure.read_bytes() == render_svg(spec, data).encode()
+            assert nbytes == figure.stat().st_size
 
 
 # CSV cells: floats of every magnitude and the edge values, numpy
