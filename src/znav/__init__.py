@@ -61,7 +61,6 @@ from znav.randers import (
     F_value,
     RandersData,
     alpha_term,
-    beta_term,
     indicatrix,
     lagrangian,
 )
@@ -72,7 +71,6 @@ from znav.spheroid import (
     SurfacePoint,
     TangentVector,
     clairaut_invariant,
-    embed,
     h_norm,
     metric_components,
     unit_heading_vector,
@@ -94,7 +92,6 @@ from znav.wind import (
     custom_wind,
     rotation_wind,
     validate_mild,
-    wind_norm,
 )
 
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ from znav.export import (
     PlotSpec,
     Series,
     SeriesStyle,
+    _padded_range,
     unwrap_angles,
     write_csv,
     write_svg,
@@ -372,7 +373,9 @@ def _fan_member(prob: Problem, i: int, member: FamilyMember,
                counts: dict[str, int]) -> tuple[Series, SeriesStyle] | None:
     """Print, count and write fan member i; its embedded rows and style, None if it failed.
 
-    The member's trajectory and control channel live only in this call.
+    The caller hands the member over without binding it to a name, so
+    the member's trajectory and control channel live only in this call:
+    a fan holds one member's rows at a time.
     """
     traj = member.trajectory
     error = member.error if traj is None else _step_failure(traj)
@@ -415,13 +418,12 @@ def cmd_family(prob: Problem) -> int:
                               f" for k < {cfg.heading_count} are not all finite")
     segments = _segments(cfg)
 
-    members = integrate_family(prob.sph, prob.wind, prob.start, headings,
-                               prob.kind, prob.icfg)
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
     data, styles = [], []
-    for i in range(len(members)):
-        drawn = _fan_member(prob, i, members[i], counts)
-        members[i] = None  # the member's rows die here: only its embedded copy stays
+    for i, heading in enumerate(headings):
+        # a one-heading fan, integrated when its member is drawn
+        drawn = _fan_member(prob, i, integrate_family(
+            prob.sph, prob.wind, prob.start, [heading], prob.kind, prob.icfg)[0], counts)
         if drawn is not None:
             data.append(drawn[0])
             styles.append(drawn[1])
@@ -441,26 +443,23 @@ def cmd_compare(prob: Problem) -> int:
     kinds = METRIC_KINDS if cfg.svg else ("h", "randers")
     trajs = {kind: _track(prob, kind, heading) for kind in kinds}
 
-    n = min(len(trajs["randers"].rows), len(trajs["h"].rows))
-    rows_f, rows_h = trajs["randers"].rows[:n], trajs["h"].rows[:n]
-    cols: dict[str, list[float]] = {"t": [row[0] for row in rows_h]}
-    for j, name in enumerate(("phi", "theta", "phi_dot", "theta_dot"), 1):
-        cols[f"d_{name}"] = [rf[j] - rh[j] for rf, rh in zip(rows_f, rows_h)]
+    rows_f, rows_h = trajs["randers"].rows, trajs["h"].rows
     ch_f = control_channel(prob.sph, prob.wind, trajs["randers"])
     ch_h = control_channel(prob.sph, STILL_AIR, trajs["h"])
-    m = min(len(ch_f), len(ch_h), n)
-    for name in ("heading", "course", "drift", "speed"):
-        cols[f"d_{name}"] = [
-            (getattr(rf, name) - getattr(rh, name))
-            if name == "speed"
-            else wrap_signed(getattr(rf, name) - getattr(rh, name))
-            for rf, rh in zip(ch_f[:m], ch_h[:m])
-        ]
+    # one row per time of the shorter track; channel cells empty where
+    # either record is undefined
+    table = []
+    for rf, rh, cf, ch in zip(rows_f, rows_h, ch_f, ch_h):
+        if cf is None or ch is None:
+            dch = (None,) * 4
+        else:
+            dch = (wrap_signed(cf.heading - ch.heading), wrap_signed(cf.course - ch.course),
+                   wrap_signed(cf.drift - ch.drift), cf.speed - ch.speed)
+        table.append((rh[0], rf[1] - rh[1], rf[2] - rh[2], rf[3] - rh[3], rf[4] - rh[4], *dch))
 
     if cfg.csv:
-        # the channel columns stop at the shorter control channel
-        rows = ([c[i] if i < len(c) else None for c in cols.values()] for i in range(n))
-        write_table(list(cols), rows, cfg.csv)
+        write_table(("t", "d_phi", "d_theta", "d_phi_dot", "d_theta_dot",
+                     "d_heading", "d_course", "d_drift", "d_speed"), table, cfg.csv)
     if cfg.svg:
         palette = {"h": "#1f77b4", "alpha": "#2ca02c", "randers": "#d62728"}
         spec = PlotSpec(
@@ -470,8 +469,8 @@ def cmd_compare(prob: Problem) -> int:
         )
         write_svg(spec, [embed_rows(prob.sph, t.rows) for t in trajs.values()], cfg.svg)
 
-    max_dphi = max(abs(v) for v in cols["d_phi"])
-    max_dtheta = max(abs(v) for v in cols["d_theta"])
+    max_dphi = max(abs(row[1]) for row in table)
+    max_dtheta = max(abs(row[2]) for row in table)
     print(f"max_dphi={max_dphi:.3e} max_dtheta={max_dtheta:.3e}")
     if prob.rate is not None:
         res_phi = max(
@@ -498,9 +497,8 @@ def cmd_indicatrix(prob: Problem) -> int:
     # monotonically in c for m > 0, so each axis's extremes scale those of c
     for comps in ([y.u for y in vecs], [y.v for y in vecs]):
         lo, hi = min(comps), max(comps)
-        lo, hi = min(m * lo for m in mults), max(m * hi for m in mults)
-        pad = 0.05 * (hi - lo) or 1.0
-        if not math.isfinite(hi + pad - (lo - pad)):
+        lo, hi = _padded_range(min(m * lo for m in mults), max(m * hi for m in mults))
+        if not math.isfinite(hi - lo):
             raise ValidationError(f"multipliers {cfg.multipliers} overflow the indicatrix"
                                   " curves or their figure's range")
 
@@ -535,16 +533,18 @@ def cmd_report(prob: Problem) -> int:
     cfg = prob.cfg
     traj = _track(prob, prob.kind, _heading(prob, "report"))
     channel = control_channel(prob.sph, prob.flow_wind, traj)
-    if not channel:
-        raise EmptyData("control channel is empty; no defined samples")
+    rec0 = channel[0]  # the departure
+    if rec0 is None:
+        raise EmptyData("departure heading or course undefined")
     if cfg.csv:
         write_csv(prob.sph, traj, channel, cfg.csv)
     if cfg.svg:
-        t = [r.t for r in channel]
+        records = [r for r in channel if r is not None]
+        t = [r.t for r in records]
         curves = {
-            "heading": unwrap_angles([r.heading for r in channel]),
-            "course": unwrap_angles([r.course for r in channel]),
-            "drift": [r.drift for r in channel],
+            "heading": unwrap_angles([r.heading for r in records]),
+            "course": unwrap_angles([r.course for r in records]),
+            "drift": [r.drift for r in records],
         }
         spec = PlotSpec(
             kind="channel_vs_time",
@@ -569,7 +569,6 @@ def cmd_report(prob: Problem) -> int:
         )
         write_svg(spec, [list(zip(hds, speeds))], cfg.speed_svg)
 
-    rec0 = channel[0]
     conv = " (compass azimuth)" if cfg.compass else ""
     drift0 = -rec0.drift if cfg.compass else rec0.drift
     print(f"heading_0 = {_heading_deg(cfg, rec0.heading):.4g} deg{conv}")

@@ -250,14 +250,15 @@ def initial_speed_vs_heading(
 
 def control_channel(
     sph: Spheroid, wind: WindField | None, traj: "Trajectory"
-) -> list[ControlRecord]:
-    """Extract the control channel for every trajectory sample.
+) -> list[ControlRecord | None]:
+    """The control channel of a trajectory: one entry per row of traj.rows.
 
     One pass over traj.rows: per sample one wind evaluation and one
     metric evaluation feed the heading_of, course_of and speed_of
-    formulas.  Samples where an angle is undefined are skipped (gaps),
-    the heading tested first; all angles are wrapped.  Use unwrapped
-    copies downstream for plotting.
+    formulas.  A row where an angle is undefined (the heading tested
+    first) has None for its record (a gap), so entry i always belongs
+    to row i.  All angles are wrapped; use unwrapped copies downstream
+    for plotting.
     """
     components = (wind or STILL_AIR).components  # None is still air
     records = []
@@ -270,6 +271,7 @@ def control_channel(
             heading = _heading(u, v, w1, w2, sqrt_h11, sqrt_h22)
             course = _course(u, v, sqrt_h11, sqrt_h22, speed)
         except (ZeroRelativeVelocity, ZeroVelocity):
+            records.append(None)
             continue
         records.append(ControlRecord(t, heading, course, wrap_signed(heading - course), speed))
     return records

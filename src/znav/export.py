@@ -4,7 +4,8 @@ write_table is the one CSV writer: each cell is written as its str,
 which for floats (numpy.float64 included) is the shortest round-trip
 form, for ints the int, and None becomes an empty cell.  The trajectory
 schema of write_csv is fixed at twelve columns (times, chart state,
-embedded position, control channel), read from the trajectory's rows.
+embedded position, control channel): row i of the file zips row i of
+the trajectory, its embedding and entry i of the control channel.
 A table is formatted and checked line by line before its file is
 opened, and each file is written from one copy of its text: the CSV
 lines or the rendered SVG document, never a joined or encoded second
@@ -103,24 +104,27 @@ def write_table(columns: Sequence[str], rows: Iterable[Sequence], path: str) -> 
 def write_csv(
     sph: Spheroid,
     traj: "Trajectory",
-    channel: Sequence[ControlRecord],
+    channel: Sequence[ControlRecord | None],
     path: str,
 ) -> int:
     """Write a sampled trajectory plus its control channel; returns bytes written.
 
-    Channel gaps (samples whose record is missing) leave the last four
-    cells empty.  The azimuth is wrapped to [0, 2*pi) on export.  The
+    channel has one entry per row of traj.rows, as control_channel
+    returns it; a None entry (a gap) leaves the row's last four cells
+    empty.  The azimuth is wrapped to [0, 2*pi) on export.  The
     twelve-cell rows are generated one at a time for write_table.
 
     Raises:
+        ValueError: channel and traj.rows differ in length; raised while
+            the lines are formatted, so no file is written.
         OSError: as write_table.
     """
-    by_t = {rec.t: rec for rec in channel}
     gap = (None,) * 4
 
     def rows():
-        for (t, phi, theta, u, v), (_, x, y, z) in zip(traj.rows, embed_rows(sph, traj.rows)):
-            rec = by_t.get(t)
+        for (t, phi, theta, u, v), (_, x, y, z), rec in zip(
+            traj.rows, embed_rows(sph, traj.rows), channel, strict=True
+        ):
             ch = gap if rec is None else (rec.heading, rec.course, rec.drift, rec.speed)
             yield t, wrap_2pi(phi), theta, u, v, x, y, z, *ch
 
@@ -178,6 +182,12 @@ def _to_plane(
     return [r[0] for r in rows], [r[1] for r in rows], None
 
 
+def _padded_range(lo: float, hi: float) -> tuple[float, float]:
+    """A figure axis's range: [lo, hi] widened by 5% of its span each way, by 1 if empty."""
+    pad = 0.05 * (hi - lo) or 1.0
+    return lo - pad, hi + pad
+
+
 def _escape(text: str) -> str:
     """text with &, <, > and " as XML character references, for attributes and titles."""
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -211,14 +221,10 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
                 )
 
     planes = [_to_plane(spec, rows) for rows in data]
-    xmin = min(min(x) for x, _, _ in planes if x)
-    xmax = max(max(x) for x, _, _ in planes if x)
-    ymin = min(min(y) for _, y, _ in planes if y)
-    ymax = max(max(y) for _, y, _ in planes if y)
-    pad_x = 0.05 * (xmax - xmin) or 1.0
-    pad_y = 0.05 * (ymax - ymin) or 1.0
-    xmin, xmax = xmin - pad_x, xmax + pad_x
-    ymin, ymax = ymin - pad_y, ymax + pad_y
+    xmin, xmax = _padded_range(min(min(x) for x, _, _ in planes if x),
+                               max(max(x) for x, _, _ in planes if x))
+    ymin, ymax = _padded_range(min(min(y) for _, y, _ in planes if y),
+                               max(max(y) for _, y, _ in planes if y))
 
     size = FIGURE_SIZE
     sx = size / (xmax - xmin)

@@ -64,11 +64,6 @@ def alpha_term(rd: RandersData, point: SurfacePoint, y: TangentVector) -> float:
     return rd.terms(point.phi, point.theta, y.u, y.v)[1]
 
 
-def beta_term(rd: RandersData, point: SurfacePoint, y: TangentVector) -> float:
-    """One-form part of the travel-time metric (linear in y)."""
-    return rd.terms(point.phi, point.theta, y.u, y.v)[2]
-
-
 def F_value(rd: RandersData, point: SurfacePoint, y: TangentVector) -> float:
     """Travel time per unit parameter along y: F = alpha + beta."""
     _, alpha, beta = rd.terms(point.phi, point.theta, y.u, y.v)

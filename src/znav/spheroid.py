@@ -100,19 +100,12 @@ def h_norm(sph: Spheroid, point: SurfacePoint, vec: TangentVector) -> float:
     return math.sqrt(vec.u * vec.u * h11 + vec.v * vec.v * h22)
 
 
-def embed(sph: Spheroid, point: SurfacePoint) -> tuple[float, float, float]:
-    """Cartesian coordinates of a chart point on the embedded surface."""
-    _, x, y, z = embed_rows(sph, [(0.0, point.phi, point.theta)])[0]
-    return x, y, z
-
-
 def embed_rows(
     sph: Spheroid, rows: Iterable[Sequence[float]]
 ) -> list[tuple[float, float, float, float]]:
     """(t, x, y, z) of each row (t, phi, theta, ...): a track's rows embedded.
 
-    The one place the embedding formula is written; embed maps one point
-    through it.
+    The one place the embedding formula is written.
     """
     a = sph.a
     sin, cos = math.sin, math.cos

@@ -91,13 +91,6 @@ def custom_wind(components: ComponentFn) -> WindField:
     return WindField(components=components, jet=jet)
 
 
-def wind_norm(sph: Spheroid, wind: WindField, point: SurfacePoint) -> float:
-    """h-norm of the wind at a point: sqrt((W1)^2 h11 + (W2)^2 h22)."""
-    w1, w2 = wind.at(point)
-    h11, h22 = metric_components(sph, point.theta)
-    return math.sqrt(w1 * w1 * h11 + w2 * w2 * h22)
-
-
 @dataclass(frozen=True)
 class MildnessReport:
     """Outcome of a mildness sweep: the largest sampled norm and where."""

@@ -14,8 +14,8 @@ from znav import (
     custom_wind,
     initial_state_randers,
     rotation_wind,
-    wind_norm,
 )
+from tests.oracles import wind_norm
 
 ROTATION_RATE = 5.0 / 7.0
 

@@ -29,11 +29,18 @@ CLI = "src/znav/cli.py"
 EXPORT = "src/znav/export.py"
 SPRAY = "src/znav/spray.py"
 CONTROL = "src/znav/control.py"
+RANDERS = "src/znav/randers.py"
+WIND = "src/znav/wind.py"
+SPHEROID = "src/znav/spheroid.py"
 T_INTEGRATE = ("tests/test_integrate.py",)
 T_CLI = ("tests/test_cli.py",)
 T_EXPORT = ("tests/test_export.py",)
 T_SPRAY = ("tests/test_spray.py",)
 T_CONTROL = ("tests/test_control.py",)
+T_RANDERS = ("tests/test_randers.py",)
+T_SPHEROID = ("tests/test_spheroid.py",)
+# the variational oracle: the custom-wind jet and the alpha route without spray_numeric
+T_VARIATION = ("tests/test_variation.py",)
 
 # (what the mutant breaks, file, line, replacement, test files)
 MUTANTS = [
@@ -52,20 +59,20 @@ MUTANTS = [
     ("per-step update of the rhs's phi branch", INTEGRATE,
      "phi1 = branch[0] = _unwrap(math.atan2(q13, p13), last)",
      "phi1 = _unwrap(math.atan2(q13, p13), last)", T_INTEGRATE),
-    ("guard band width", "src/znav/spheroid.py",
+    ("guard band width", SPHEROID,
      "POLE_GUARD = 1e-6", "POLE_GUARD = 1e-7", T_INTEGRATE),
     ("refusal of a non-finite error norm", INTEGRATE,
      "if not math.isfinite(deno):", "if False:", T_INTEGRATE),
     ("printed conservation drift", CLI,
      'f"conservation_drift={_conservation_drift(prob, traj):.3e}"',
      'f"conservation_drift={_conservation_drift(prob, traj) / 2:.3e}"', T_CLI),
-    ("release of a drawn fan member", CLI,
-     "members[i] = None  # the member's rows die here: only its embedded copy stays",
-     "pass", T_CLI),
+    ("a drawn fan member kept referenced", CLI,
+     "traj = member.trajectory", "traj = prob.cfg.held = member.trajectory", T_CLI),
     ("finite-heading check of a fan", CLI,
      "if not all(map(math.isfinite, headings)):", "if False:", T_CLI),
     ("finite-range check of the indicatrix", CLI,
-     "if not math.isfinite(hi + pad - (lo - pad)):", "if False:", T_CLI),
+     "if not math.isfinite(hi - lo):", "if False:", T_CLI),
+    ("undefined departure of a report", CLI, "if rec0 is None:", "if False:", T_CLI),
     ("shared boundary point of two time segments", EXPORT,
      "seg = [k for k, tk in enumerate(t) if lo <= tk <= hi]",
      "seg = [k for k, tk in enumerate(t) if lo < tk <= hi]", T_EXPORT),
@@ -76,6 +83,9 @@ MUTANTS = [
     ("row-width check of a CSV table", EXPORT,
      "except TypeError as exc:  # too few or too many cells for the line",
      "except () as exc:", T_EXPORT),
+    ("length check of a CSV's control channel", EXPORT,
+     "traj.rows, embed_rows(sph, traj.rows), channel, strict=True",
+     "traj.rows, embed_rows(sph, traj.rows), channel", T_EXPORT),
     ("escape of < in figure text", EXPORT,
      'return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")',
      'return (text.replace("&", "&amp;").replace(">", "&gt;")', T_EXPORT),
@@ -85,8 +95,27 @@ MUTANTS = [
      "norm_d = q * v + n1 * pd1 + n2 * pd2", "norm_d = q * v + n2 * pd2", T_SPRAY),
     ("pi, not -pi, as the wrapped end of a signed angle", CONTROL,
      "return math.pi if r == -math.pi else r", "return r", T_CONTROL),
-    ("gap skip of an undefined heading or course", CONTROL,
+    ("gap of an undefined heading or course", CONTROL,
      "except (ZeroRelativeVelocity, ZeroVelocity):", "except ():", T_CONTROL),
+    ("None entry of a gap row", CONTROL, "records.append(None)", "pass", T_CONTROL),
+    ("cross term of alpha", RANDERS,
+     "cross = u * w2 - v * w1", "cross = u * w2", T_RANDERS),
+    ("clamp of alpha's rounded radicand", RANDERS,
+     "return lam, math.sqrt(max(arg, 0.0)) / lam, -(u * w1 * h11 + v * w2 * h22) / lam",
+     "return lam, math.sqrt(arg) / lam, -(u * w1 * h11 + v * w2 * h22) / lam", T_RANDERS),
+    ("theta stencil entry of a custom wind's jet", WIND,
+     "q1, q2 = components(phi, theta + WIND_FD_STEP)", "q1, q2 = components(phi, theta)",
+     T_VARIATION),
+    ("factor of a custom wind's central differences", WIND,
+     "k = 0.5 / WIND_FD_STEP", "k = 1.0 / WIND_FD_STEP", T_VARIATION),
+    ("W_1 theta-derivative term of the alpha metric's a12", SPRAY,
+     "a12t = (l1t * l2 + l1 * l2t - 2.0 * l1 * l2 * gt) * il2",
+     "a12t = (l1 * l2t - 2.0 * l1 * l2 * gt) * il2", T_VARIATION),
+    ("cross term of the alpha metric's determinant", SPRAY,
+     "det = a11 * a22 - a12 * a12", "det = a11 * a22", T_VARIATION),
+    ("semiaxis of the embedded z coordinate", SPHEROID,
+     "out.append((r[0], s * cos(phi), s * sin(phi), a * cos(theta)))",
+     "out.append((r[0], s * cos(phi), s * sin(phi), cos(theta)))", T_SPHEROID),
 ]
 
 

@@ -7,7 +7,12 @@ wind; rotation_drift is the dot- and cross-product drift formula for that wind.
 azimuthal_costate and alpha_azimuthal_momentum are the Noether invariants
 of the travel-time and alpha flows under a wind that does not depend on phi.
 initial_speed_closed is the departure speed expanded in the heading.
+wind_norm, beta_term and embed are the h-norm of the wind, the one-form
+part of F and the embedding, one point at a time.
 position_reference is a tight scipy DOP853 track, the oracle of position error.
+travel_time_variations is the variational oracle: a track of a flow
+makes that flow's length functional stationary, so bumping it with both
+ends fixed changes its length only at second order.
 csv_cell is the per-cell rule that write_table formats whole rows by.
 """
 import math
@@ -21,7 +26,26 @@ from znav.spheroid import (
     metric_components,
     require_off_pole,
 )
+from znav.spray import resolve_flow
 from znav.wind import WindField
+
+
+def wind_norm(sph: Spheroid, wind: WindField, point: SurfacePoint) -> float:
+    """h-norm of the wind at a point: sqrt((W1)^2 h11 + (W2)^2 h22)."""
+    w1, w2 = wind.at(point)
+    h11, h22 = metric_components(sph, point.theta)
+    return math.sqrt(w1 * w1 * h11 + w2 * w2 * h22)
+
+
+def beta_term(rd: RandersData, point: SurfacePoint, y: TangentVector) -> float:
+    """One-form part of the travel-time metric (linear in y)."""
+    return rd.terms(point.phi, point.theta, y.u, y.v)[2]
+
+
+def embed(sph: Spheroid, point: SurfacePoint) -> tuple[float, float, float]:
+    """Cartesian coordinates (sin cos phi, sin sin phi, a cos) of a chart point."""
+    s = math.sin(point.theta)
+    return s * math.cos(point.phi), s * math.sin(point.phi), sph.a * math.cos(point.theta)
 
 
 def christoffels(sph: Spheroid, theta: float) -> tuple[float, float, float]:
@@ -162,3 +186,46 @@ def position_reference(rhs, s0: NavState, times: list[float]) -> list[tuple[floa
                     rtol=1e-13, atol=1e-15, t_eval=times)
     assert sol.success, sol.message
     return [(float(phi), float(theta)) for phi, theta in zip(sol.y[0], sol.y[1])]
+
+
+def travel_time_variations(sph: Spheroid, wind: WindField | None, kind: str, rows,
+                           coord: int, k: int, eps: float) -> tuple[float, float]:
+    """First and second variation of a track's length under a bump of one coordinate.
+
+    rows (t, phi, theta, phi_dot, theta_dot) sample the track on a
+    uniform grid of an even number of intervals over [t0, t0 + T].  The
+    coordinate rows[j][coord] (1 phi, 2 theta) is bumped by
+    e sin(k pi (t - t0) / T), its rate by the derivative, so both ends
+    stay fixed.  The length is the composite Simpson integral of the
+    flow's speed along the bumped curve: F = alpha + beta for randers,
+    alpha for alpha, |y|_h for h (F in still air, as spray.resolve_flow
+    reads it).  Returns the central differences at e = +-eps,
+
+        (L(eps) - L(-eps)) / (2 eps),  (L(eps) - 2 L(0) + L(-eps)) / eps^2,
+
+    which vanish and are positive on a geodesic arc free of conjugate
+    points.  Their O(eps^2) error and round-off keep eps near 1e-4.
+    """
+    kind, flow_wind = resolve_flow(kind, wind)
+    terms = RandersData(sph, flow_wind).terms
+    n = len(rows) - 1
+    assert n % 2 == 0, "Simpson needs an even number of intervals"
+    t0 = rows[0][0]
+    span = rows[-1][0] - t0
+    w = k * math.pi / span
+    weights = [1.0, *([4.0, 2.0] * (n // 2))]
+    weights[-1] = 1.0
+
+    def length(e: float) -> float:
+        total = 0.0
+        for weight, row in zip(weights, rows):
+            bumped = list(row)
+            tau = w * (row[0] - t0)
+            bumped[coord] += e * math.sin(tau)
+            bumped[coord + 2] += e * w * math.cos(tau)
+            _, alpha, beta = terms(*bumped[1:])
+            total += weight * (alpha if kind == "alpha" else alpha + beta)
+        return total * span / (3 * n)
+
+    plus, zero, minus = length(eps), length(0.0), length(-eps)
+    return (plus - minus) / (2 * eps), (plus - 2 * zero + minus) / (eps * eps)

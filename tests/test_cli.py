@@ -22,6 +22,10 @@ from tests.conftest import nan_after, read_csv
 
 BENCH = ["--a", "0.75", "--wind", "rotation:0.7142857142857143",
          "--start", "0,pi/2"]
+# Heading 0 into a rotation wind just below 1: the ground speed stays ~5e-13,
+# so the course is undefined on every row of the randers track.
+BECALMED = ["--a", "0.75", "--wind", "rotation:0.9999999999995", "--start", "0,pi/2",
+            "--heading", "0", "--t-end", "0.05"]
 
 
 class TestParseAngle:
@@ -354,6 +358,30 @@ class TestFamily:
         root = ET.parse(tmp_path / "held.svg").getroot()
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 4
 
+    def test_one_member_alive_at_each_csv(self, tmp_path, monkeypatch):
+        # each member is integrated when it is drawn: while member i's CSV
+        # is written, no other member's trajectory exists
+        refs, alive = [], []
+        integrate_family, write_csv = znav.cli.integrate_family, znav.cli.write_csv
+
+        def tracked(*args):
+            members = integrate_family(*args)
+            refs.extend(weakref.ref(member.trajectory) for member in members)
+            return members
+
+        def checked(sph, traj, channel, path):
+            gc.collect()
+            alive.append(sum(ref() is not None and ref() is not traj for ref in refs))
+            return write_csv(sph, traj, channel, path)
+
+        monkeypatch.setattr("znav.cli.integrate_family", tracked)
+        monkeypatch.setattr("znav.cli.write_csv", checked)
+        code, _ = _stdout(["family", *BENCH, "--heading-start", "0", "--heading-step", "pi/2",
+                           "--heading-count", "4", "--t-end", "1",
+                           "--csv", str(tmp_path / "fan.csv")])
+        assert code == 0
+        assert len(refs) == 4 and alive == [0] * 4
+
     def test_overflowing_heading_rejected_before_work(self, capsys, monkeypatch):
         # member 2's heading 0 + 2 * 1e308 is inf
         def no_work(*args, **kwargs):
@@ -405,6 +433,34 @@ class TestCompare:
         assert _stdout(argv)[0] == 0
         assert len(calls) == tracks
         assert ("alpha" in calls) == svg
+
+    def test_becalmed_channel_cells_empty(self, tmp_path):
+        code, _ = _stdout(["compare", *BECALMED, "--csv", str(tmp_path / "diff.csv")])
+        assert code == 0
+        lines = (tmp_path / "diff.csv").read_text().splitlines()
+        assert len(lines) == 1 + 6
+        assert all(line.endswith(",,,,") and ",," not in line[:-4] for line in lines[1:])
+
+    def test_channels_paired_by_row(self, tmp_path, monkeypatch):
+        # a gap on one side empties that row's channel cells only: the
+        # rows after it still pair the records of one time
+        argv = ["compare", *BENCH, "--heading", "pi/3", "--t-end", "0.1"]
+        assert _stdout([*argv, "--csv", str(tmp_path / "whole.csv")])[0] == 0
+        control_channel = znav.cli.control_channel
+
+        def gapped(sph, wind, traj):
+            channel = control_channel(sph, wind, traj)
+            if traj.kind == "randers":
+                channel[3] = None
+            return channel
+
+        monkeypatch.setattr("znav.cli.control_channel", gapped)
+        assert _stdout([*argv, "--csv", str(tmp_path / "gap.csv")])[0] == 0
+        whole = (tmp_path / "whole.csv").read_text().splitlines()
+        gap = (tmp_path / "gap.csv").read_text().splitlines()
+        assert len(gap) == len(whole) == 1 + 11
+        assert gap[4] == ",".join(whole[4].split(",")[:5] + [""] * 4)
+        assert gap[:4] + gap[5:] == whole[:4] + whole[5:]
 
     def test_still_air_flows_coincide(self, capsys):
         code = main(["compare", "--a", "0.75", "--wind", "none",
@@ -487,6 +543,12 @@ class TestReport:
         assert code == 0
         # 60 deg counterclockwise from the parallel is azimuth 030
         assert "heading_0 = 30 deg (compass azimuth)" in out
+
+    def test_undefined_departure_is_numeric_error(self, tmp_path, capsys):
+        code = main(["report", *BECALMED, "--csv", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert "departure heading or course undefined" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_figure_outputs(self, tmp_path):
         code = main(["report", *BENCH, "--heading", "pi/3", "--t-end", "2",

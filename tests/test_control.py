@@ -32,7 +32,6 @@ from znav import (
     metric_components,
     rotation_wind,
     speed_of,
-    wind_norm,
     wrap_signed,
 )
 from znav.control import drift_cos_mildness, drift_cos_velocity
@@ -45,7 +44,7 @@ from tests.conftest import (
     random_mild_states,
     random_points,
 )
-from tests.oracles import initial_speed_closed, rotation_drift
+from tests.oracles import initial_speed_closed, rotation_drift, wind_norm
 
 SQRT3 = math.sqrt(3.0)
 
@@ -55,7 +54,7 @@ BREEZE = custom_wind(
 )
 
 
-def composed_channel(sph, wind, traj) -> list[ControlRecord]:
+def composed_channel(sph, wind, traj) -> list[ControlRecord | None]:
     """The control channel composed from the per-state formulas, sample by sample."""
     records = []
     for t, state in traj.samples:
@@ -63,6 +62,7 @@ def composed_channel(sph, wind, traj) -> list[ControlRecord]:
             heading = heading_of(sph, wind, state)
             course = course_of(sph, state)
         except (ZeroRelativeVelocity, ZeroVelocity):
+            records.append(None)
             continue
         records.append(ControlRecord(
             t, heading, course, wrap_signed(heading - course), speed_of(sph, state)
@@ -384,7 +384,7 @@ class TestControlChannel:
             assert len(traj.rows) == len(traj.samples)
             assert control_channel(sph, wind, traj) == composed_channel(sph, wind, traj)
 
-    def test_gap_rows_skipped_like_composition(self, oblate, rot_wind):
+    def test_gap_rows_are_none_like_composition(self, oblate, rot_wind):
         c = ROTATION_RATE
         rows = [
             (0.0, 0.0, 1.2, 0.3, -0.4),
@@ -396,9 +396,13 @@ class TestControlChannel:
         for wind in (rot_wind, None):
             channel = control_channel(oblate, wind, traj)
             assert channel == composed_channel(oblate, wind, traj)
-        assert [rec.t for rec in control_channel(oblate, rot_wind, traj)] == [0.0, 0.03]
+        # one entry per row, None where an angle is undefined
+        times = [None if rec is None else rec.t
+                 for rec in control_channel(oblate, rot_wind, traj)]
+        assert times == [0.0, None, None, 0.03]
         # in still air the resting row lacks both angles, the heading first
-        assert [rec.t for rec in control_channel(oblate, None, traj)] == [0.0, 0.01, 0.03]
+        times = [None if rec is None else rec.t for rec in control_channel(oblate, None, traj)]
+        assert times == [0.0, 0.01, None, 0.03]
 
 
 def test_control_record_has_no_dict():

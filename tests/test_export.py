@@ -87,19 +87,36 @@ class TestWriteCsv:
         write_csv(oblate, Trajectory(rows=[], termination="completed"), [], str(path))
         assert path.read_text().strip().count("\n") == 0
 
-    def test_channel_gaps_leave_empty_cells(self, oblate, bench_traj, tmp_path):
+    def test_channel_gaps_leave_empty_cells(self, oblate, rot_wind, bench_traj, tmp_path):
         path = tmp_path / "gaps.csv"
-        write_csv(oblate, bench_traj, [], str(path))
-        first_data = path.read_text().split("\n")[1]
-        assert first_data.endswith(",,,,")
+        channel = control_channel(oblate, rot_wind, bench_traj)
+        channel[0] = None  # a gap at the departure row only
+        write_csv(oblate, bench_traj, channel, str(path))
+        lines = path.read_text().split("\n")
+        assert lines[1].endswith(",,,,")
+        assert not lines[2].endswith(",")
+        assert lines[2].split(",")[8:] == [repr(v) for v in (
+            channel[1].heading, channel[1].course, channel[1].drift, channel[1].speed)]
         # the general writer: ints stay ints, None leaves the cell empty
         table = tmp_path / "table.csv"
         write_table(("k", "x", "gap"), [(3, 0.1, None), (4, None, 2.5)], str(table))
         assert table.read_text() == "k,x,gap\n3,0.1,\n4,,2.5\n"
 
     def test_io_error_carries_path(self, oblate, bench_traj):
+        channel = [None] * len(bench_traj.rows)
         with pytest.raises(OSError, match="no/such/dir"):
-            write_csv(oblate, bench_traj, [], "no/such/dir/out.csv")
+            write_csv(oblate, bench_traj, channel, "no/such/dir/out.csv")
+
+    def test_channel_of_another_length_writes_nothing(self, oblate, rot_wind, bench_traj,
+                                                       tmp_path):
+        # the channel is read by position: one entry too few or too many is
+        # refused while the lines are formatted, before the file is opened
+        channel = control_channel(oblate, rot_wind, bench_traj)
+        for wrong in (channel[:-1], [*channel, None]):
+            path = tmp_path / "wrong.csv"
+            with pytest.raises(ValueError):
+                write_csv(oblate, bench_traj, wrong, str(path))
+            assert not path.exists()
 
     def test_ragged_row_rejected(self, tmp_path):
         for row in [(1.0,), (1.0, 2.0, 3.0)]:

@@ -34,7 +34,6 @@ from znav import (
     make_rhs,
     metric_components,
     rotation_wind,
-    wind_norm,
 )
 from znav.integrate import CAP_OUT, MAX_GRID, _guard_test, _initial_step, _leave_cap, _to_cap
 from tests.conftest import (
@@ -42,7 +41,7 @@ from tests.conftest import (
 )
 from tests.dop853_reference import integrate_reference
 from tests.oracles import (
-    alpha_azimuthal_momentum, azimuthal_costate, position_reference,
+    alpha_azimuthal_momentum, azimuthal_costate, position_reference, wind_norm,
 )
 
 integrate_module = importlib.import_module("znav.integrate")

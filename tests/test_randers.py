@@ -13,7 +13,6 @@ from znav import (
     SurfacePoint,
     TangentVector,
     alpha_term,
-    beta_term,
     custom_wind,
     h_norm,
     indicatrix,
@@ -21,7 +20,6 @@ from znav import (
     metric_components,
     rotation_wind,
     unit_heading_vector,
-    wind_norm,
 )
 from tests.conftest import (
     COLATITUDES,
@@ -32,7 +30,7 @@ from tests.conftest import (
     random_points,
     random_vectors,
 )
-from tests.oracles import F_rotation_closed
+from tests.oracles import F_rotation_closed, beta_term, wind_norm
 
 
 @pytest.fixture
@@ -66,6 +64,15 @@ class TestAlphaTerm:
             for k in (-2.0, -0.5, 0.5, 3.0):
                 scaled = alpha_term(rd, p, TangentVector(k * y.u, k * y.v))
                 assert scaled == pytest.approx(abs(k) * base, rel=1e-12, abs=1e-14)
+
+    def test_rounded_negative_radicand_clamped(self):
+        # |W|_h^2 = 1 - 1.1e-16 at this point, still mild, and y across
+        # the wind: the radicand lam |y|^2 + <W, y>^2 rounds to -1.1e-17,
+        # which alpha reads as 0, not as a domain error
+        rd = RandersData(Spheroid(0.75), custom_wind(lambda phi, theta: (1.4426428602054533, 0.0)))
+        lam, alpha, beta = rd.terms(0.0, 0.7658809781559258, 0.0, 0.34751002768217165)
+        assert 0.0 < lam < 2e-16
+        assert alpha == 0.0 and beta == 0.0
 
 
 class TestBetaTerm:

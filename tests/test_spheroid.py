@@ -11,13 +11,13 @@ from znav import (
     SurfacePoint,
     TangentVector,
     clairaut_invariant,
-    embed,
     h_norm,
     metric_components,
     unit_heading_vector,
 )
+from znav.spheroid import embed_rows
 from tests.conftest import random_points
-from tests.oracles import christoffels, riemannian_rhs
+from tests.oracles import christoffels, embed, riemannian_rhs
 
 
 def state(phi, theta, u, v) -> NavState:
@@ -143,6 +143,17 @@ class TestEmbed:
         for p in random_points(rng, 50):
             x, y, z = embed(sph, p)
             assert abs(x * x + y * y + z * z / (a * a) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("a", [0.5, 0.75, 1.7])
+    def test_rows_embedded_as_points(self, a):
+        # embed_rows maps each (t, phi, theta, ...) row to (t, *embed(point))
+        sph = Spheroid(a)
+        rng = np.random.default_rng(11)
+        points = random_points(rng, 50)
+        rows = [(0.1 * k, p.phi, p.theta, 0.5, -0.5) for k, p in enumerate(points)]
+        assert embed_rows(sph, rows) == [
+            (0.1 * k, *embed(sph, p)) for k, p in enumerate(points)
+        ]
 
 
 class TestClairautInvariant:

@@ -30,10 +30,9 @@ from znav import (
     spray_alpha_closed,
     spray_numeric,
     spray_rotation_closed,
-    wind_norm,
 )
 from tests.conftest import ROTATION_RATE, random_mild_states
-from tests.oracles import riemannian_rhs
+from tests.oracles import riemannian_rhs, wind_norm
 
 
 def state(phi, theta, u, v) -> NavState:

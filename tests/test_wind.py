@@ -12,9 +12,9 @@ from znav import (
     custom_wind,
     rotation_wind,
     validate_mild,
-    wind_norm,
 )
 from tests.conftest import ROTATION_RATE, random_points
+from tests.oracles import wind_norm
 
 
 class TestRotationWind:
