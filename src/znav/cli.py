@@ -23,17 +23,17 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
-from typing import NoReturn
+from dataclasses import dataclass, replace
+from typing import Iterator, NoReturn
 
 from znav import control
 from znav.control import control_channel, initial_state, wrap_2pi, wrap_signed
 from znav.errors import EmptyData, NavigationError
 from znav.export import (
     PlotSpec,
-    Series,
     SeriesStyle,
     _padded_range,
+    project,
     unwrap_angles,
     write_csv,
     write_svg,
@@ -369,13 +369,16 @@ def _member_csv_path(base: str, index: int) -> str:
     return f"{stem}_{index:03d}{ext}"
 
 
-def _fan_member(prob: Problem, i: int, member: FamilyMember,
-               counts: dict[str, int]) -> tuple[Series, SeriesStyle] | None:
-    """Print, count and write fan member i; its embedded rows and style, None if it failed.
+def _fan_member(
+    prob: Problem, i: int, member: FamilyMember, counts: dict[str, int]
+) -> tuple[Iterator[tuple[float, float, float, float]], SeriesStyle] | None:
+    """Print, count and write fan member i; its lazy embedding and style for the figure.
 
-    The caller hands the member over without binding it to a name, so
-    the member's trajectory and control channel live only in this call:
-    a fan holds one member's rows at a time.
+    None if the member failed or no figure is drawn.  The caller hands
+    the member over without binding it to a name, so the member's
+    trajectory and control channel live only in this call, and projects
+    the embedding at once, which drops the member's rows: a fan holds
+    one member's rows at a time, and the figure only their projection.
     """
     traj = member.trajectory
     error = member.error if traj is None else _step_failure(traj)
@@ -390,6 +393,8 @@ def _fan_member(prob: Problem, i: int, member: FamilyMember,
     if prob.cfg.csv:
         channel = control_channel(prob.sph, prob.flow_wind, traj)
         write_csv(prob.sph, traj, channel, _member_csv_path(prob.cfg.csv, i))
+    if not prob.cfg.svg:
+        return None
     return embed_rows(prob.sph, traj.rows), SeriesStyle(
         label=f"heading={member.heading:.4g}",
         color="#1f77b4" if label == "transpolar" else "#d62728",
@@ -416,7 +421,10 @@ def cmd_family(prob: Problem) -> int:
     if not all(map(math.isfinite, headings)):
         raise ValidationError(f"fan headings {cfg.heading_start} + k * {cfg.heading_step}"
                               f" for k < {cfg.heading_count} are not all finite")
-    segments = _segments(cfg)
+    # the figure's kind, view axis and segments, all that project reads;
+    # its series styles follow the members' classifications
+    frame = PlotSpec(kind="path3d_projection", series=(SeriesStyle("fan"),),
+                     segments=_segments(cfg), view_axis=cfg.view)
 
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
     data, styles = [], []
@@ -425,14 +433,12 @@ def cmd_family(prob: Problem) -> int:
         drawn = _fan_member(prob, i, integrate_family(
             prob.sph, prob.wind, prob.start, [heading], prob.kind, prob.icfg)[0], counts)
         if drawn is not None:
-            data.append(drawn[0])
+            data.append(project(frame, drawn[0]))
             styles.append(drawn[1])
     print(f"counts: circumpolar={counts['circumpolar']} "
           f"transpolar={counts['transpolar']} failed={counts['failed']}")
-    if cfg.svg and data:
-        spec = PlotSpec(kind="path3d_projection", series=tuple(styles),
-                        segments=segments, view_axis=cfg.view)
-        write_svg(spec, data, cfg.svg)
+    if data:
+        write_svg(replace(frame, series=tuple(styles)), data, cfg.svg)
     return 0 if counts["circumpolar"] + counts["transpolar"] >= 1 else 3
 
 

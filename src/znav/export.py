@@ -7,17 +7,19 @@ schema of write_csv is fixed at twelve columns (times, chart state,
 embedded position, control channel): row i of the file zips row i of
 the trajectory, its embedding and entry i of the control channel.
 A table is formatted and checked line by line before its file is
-opened, and each file is written from one copy of its text: the CSV
-lines or the rendered SVG document, never a joined or encoded second
-copy.  SVG output is deterministic: no timestamps, stable element
-order, fixed coordinate formatting, each polyline's points written in
-one format call.  Labels, colours and dash patterns are written with
-&, <, > and " escaped.  3D paths are drawn by orthographic projection
-along a configurable view axis.
+opened and is written from those lines, the one copy of its text.  An
+SVG document is checked before its file is opened and is written line
+by line as it is rendered, so its text is never held whole; neither
+writer makes a joined or encoded copy.  SVG output is deterministic: no
+timestamps, stable element order, fixed coordinate formatting, each
+polyline's points written in one format call.  Labels, colours and
+dash patterns are written with &, <, > and " escaped.  3D paths are
+drawn by orthographic projection along a configurable view axis.
 
-A figure series is a sequence of float rows, one row per point, read
-in plain Python (any sequence of number sequences works, a list of
-tuples or a 2-D array alike).  The columns depend on the plot kind:
+A figure series is an iterable of float rows, one row per point, read
+once in plain Python (a list of tuples, a generator or a 2-D array
+alike), or a Projected series.  The columns of a row depend on the
+plot kind:
 
     path3d_projection   (t, x, y, z)
     polar               (t, phi, theta), drawn at radius theta; the
@@ -25,10 +27,17 @@ tuples or a 2-D array alike).  The columns depend on the plot kind:
     channel_vs_time,
     speed_vs_heading,
     indicatrix          (x, y)
+
+project is the one projection rule: it maps a series's rows to their
+plane coordinates, plus t where the figure is split in time, as
+array('d') columns (16 or 24 bytes a point).  render_svg projects each
+row series with it and draws a Projected series as it is, so a caller
+that draws many long series (a fan) can project each one as it is made.
 """
 import math
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from znav.control import ControlRecord, wrap_2pi
 from znav.errors import EmptyData
@@ -54,9 +63,6 @@ CSV_COLUMNS = (
 
 # Time-segment palette: red, blue, purple, magenta.
 SEGMENT_COLORS = ("#d62728", "#1f77b4", "#9467bd", "#e377c2")
-
-# One figure series: a float row per point, columns as in the module docstring.
-Series = Sequence[Sequence[float]]
 
 # Width and height of every figure, in SVG user units.
 FIGURE_SIZE = 640
@@ -160,26 +166,47 @@ class PlotSpec:
             raise ValueError(f"view_axis must be x, y or z, got {self.view_axis!r}")
 
 
+class Projected(NamedTuple):
+    """A series in the figure's plane: x, y and t columns, one entry per point.
+
+    t is None unless the figure is a path split in time.
+    """
+
+    x: array
+    y: array
+    t: array | None
+
+
+# One figure series: float rows (columns as in the module docstring) or Projected.
+Series = Iterable[Sequence[float]] | Projected
+
 # (first, second) plane column of a (t, x, y, z) row per view axis
 _PROJECTION = {"z": (1, 2), "x": (2, 3), "y": (1, 3)}
 
 
-def _to_plane(
-    spec: PlotSpec, rows: Series
-) -> tuple[list[float], list[float], list[float] | None]:
-    """Map one series to (px, py, t-or-None) for the requested plot kind."""
-    kind = spec.kind
-    if kind == "path3d_projection":
+def project(spec: PlotSpec, rows: Iterable[Sequence[float]]) -> Projected:
+    """rows mapped to spec's figure plane, in one pass over them.
+
+    Reads only spec's kind, its view axis and whether it is segmented:
+    the t column is kept for a path kind split in time, the one figure
+    that reads it.
+    """
+    x, y = array("d"), array("d")
+    t = array("d") if spec.segments and spec.kind in PATH_KINDS else None
+    if spec.kind == "path3d_projection":
         i, j = _PROJECTION[spec.view_axis]
-        return [r[i] for r in rows], [r[j] for r in rows], [r[0] for r in rows]
-    if kind == "polar":
-        return (
-            [r[2] * math.cos(r[1]) for r in rows],
-            [r[2] * math.sin(r[1]) for r in rows],
-            [r[0] for r in rows],
-        )
-    # channel_vs_time, speed_vs_heading, indicatrix: already planar
-    return [r[0] for r in rows], [r[1] for r in rows], None
+    elif spec.kind == "polar":  # (t, x, y) of the point drawn at radius theta
+        rows = ((r[0], r[2] * math.cos(r[1]), r[2] * math.sin(r[1])) for r in rows)
+        i, j = 1, 2
+    else:  # channel_vs_time, speed_vs_heading, indicatrix: already planar
+        i, j = 0, 1
+    add_x, add_y = x.append, y.append
+    for r in rows:
+        add_x(r[i])
+        add_y(r[j])
+        if t is not None:
+            t.append(r[0])
+    return Projected(x, y, t)
 
 
 def _padded_range(lo: float, hi: float) -> tuple[float, float]:
@@ -194,33 +221,27 @@ def _escape(text: str) -> str:
             .replace('"', "&quot;"))
 
 
-def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
-    """Render series of float rows to a standalone SVG 1.1 document string.
+def _svg_lines(spec: PlotSpec, data: Sequence[Series]) -> Iterator[str]:
+    """The lines of render_svg's document, made one at a time.
 
-    Path kinds refuse series with fewer than two points; marker kinds
-    draw lone points as small circles.  Series are drawn in order; when
-    time segmentation is set, each path series is split at the
-    boundaries and colored through the segment palette, the part after
-    the last boundary included.
-
-    Raises:
-        EmptyData: no data, or a path series with fewer than two points.
+    Every check runs, and every series is projected, before the first
+    line is made.
     """
     if len(data) != len(spec.series):
         raise ValueError(
             f"{len(spec.series)} series styles but {len(data)} data arrays"
         )
-    if all(len(rows) == 0 for rows in data):
+    planes = [s if isinstance(s, Projected) else project(spec, s) for s in data]
+    if all(len(x) == 0 for x, _, _ in planes):
         raise EmptyData(f"no data for {spec.kind} plot")
     if spec.kind in PATH_KINDS:
-        for style, rows in zip(spec.series, data):
-            if len(rows) < 2:
+        for style, (x, _, _) in zip(spec.series, planes):
+            if len(x) < 2:
                 raise EmptyData(
-                    f"series {style.label!r} has {len(rows)} points; "
+                    f"series {style.label!r} has {len(x)} points; "
                     f"{spec.kind} needs at least 2"
                 )
 
-    planes = [_to_plane(spec, rows) for rows in data]
     xmin, xmax = _padded_range(min(min(x) for x, _, _ in planes if x),
                                max(max(x) for x, _, _ in planes if x))
     ymin, ymax = _padded_range(min(min(y) for _, y, _ in planes if y),
@@ -234,21 +255,17 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
     x0 = 0.5 * (size - sx * (xmax - xmin))
     y0 = 0.5 * (size - sy * (ymax - ymin))
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect x="0" y="0" width="{size}" height="{size}" '
-        f'fill="white" stroke="#cccccc"/>',
-    ]
+    yield '<?xml version="1.0" encoding="UTF-8"?>'
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">')
+    yield (f'<rect x="0" y="0" width="{size}" height="{size}" '
+           f'fill="white" stroke="#cccccc"/>')
 
-    def emit_polyline(xy: list[float], color: str, dash: str, label: str) -> None:
+    def polyline(xy: list[float], color: str, dash: str, label: str) -> str:
         dash_attr = f' stroke-dasharray="{_escape(dash)}"' if dash else ""
         points = ("%.4f,%.4f " * (len(xy) // 2) % tuple(xy))[:-1]
-        parts.append(
-            f'<polyline fill="none" stroke="{_escape(color)}" stroke-width="1.5"'
-            f'{dash_attr} points="{points}"><title>{_escape(label)}</title></polyline>'
-        )
+        return (f'<polyline fill="none" stroke="{_escape(color)}" stroke-width="1.5"'
+                f'{dash_attr} points="{points}"><title>{_escape(label)}</title></polyline>')
 
     for style, (x, y, t) in zip(spec.series, planes):
         # pixel coordinates px0, py0, px1, py1, ..., the y axis pointing up
@@ -256,10 +273,8 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
         xy[0::2] = [x0 + (a - xmin) * sx for a in x]
         xy[1::2] = [size - (y0 + (b - ymin) * sy) for b in y]
         if len(x) == 1:
-            parts.append(
-                '<circle cx="%.4f" cy="%.4f" r="3" fill="%s"><title>%s</title></circle>'
-                % (xy[0], xy[1], _escape(style.color), _escape(style.label))
-            )
+            yield ('<circle cx="%.4f" cy="%.4f" r="3" fill="%s"><title>%s</title></circle>'
+                   % (xy[0], xy[1], _escape(style.color), _escape(style.label)))
             continue
         if spec.segments and t is not None:
             bounds = [-math.inf, *spec.segments, math.inf]
@@ -270,32 +285,55 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
                 if len(seg) < 2:
                     continue
                 color = SEGMENT_COLORS[i % len(SEGMENT_COLORS)]
-                emit_polyline([c for k in seg for c in xy[2 * k:2 * k + 2]],
-                              color, style.dash, f"{style.label} [{i}]")
+                yield polyline([c for k in seg for c in xy[2 * k:2 * k + 2]],
+                               color, style.dash, f"{style.label} [{i}]")
         else:
-            emit_polyline(xy, style.color, style.dash, style.label)
+            yield polyline(xy, style.color, style.dash, style.label)
 
-    parts += ["</svg>", ""]  # the empty part ends the document with a newline
-    return "\n".join(parts)
+    yield "</svg>"
+    yield ""  # the empty last line ends the document with a newline
+
+
+def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
+    """Render series to a standalone SVG 1.1 document string.
+
+    Each series of rows is projected with project; a Projected series
+    is drawn as it is.  Path kinds refuse series with fewer than two
+    points; marker kinds draw lone points as small circles.  Series are
+    drawn in order; when time segmentation is set, each path series is
+    split at the boundaries and colored through the segment palette,
+    the part after the last boundary included.
+
+    Raises:
+        EmptyData: no data, or a path series with fewer than two points.
+    """
+    return "\n".join(_svg_lines(spec, data))
 
 
 def write_svg(spec: PlotSpec, data: Sequence[Series], path: str) -> int:
-    """Render and write an SVG; returns bytes written.
+    """Write render_svg's document line by line as it is rendered; returns bytes written.
 
-    The rendered document is the one copy of the file's text: it is
-    written in text mode, not encoded first.
+    The document's text is never held whole: each line is written in
+    text mode as it is made.  The checks run before the file is opened,
+    so a refused figure writes nothing.
 
     Raises:
         EmptyData: as render_svg.
         OSError: surfaced with the target path in the message.
     """
-    doc = render_svg(spec, data)
+    lines = _svg_lines(spec, data)
+    head = next(lines)  # runs the checks
+    nbytes = _utf8_size(head)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(doc)
+            fh.write(head)
+            for line in lines:
+                fh.write("\n")
+                fh.write(line)
+                nbytes += 1 + _utf8_size(line)
     except OSError as exc:
         raise OSError(f"cannot write SVG to {path}: {exc}") from exc
-    return _utf8_size(doc)
+    return nbytes
 
 
 def unwrap_angles(values: Sequence[float]) -> list[float]:

@@ -16,7 +16,7 @@ POLE_GUARD radians around theta in {0, pi}.
 """
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from znav.errors import NonFiniteState, PoleSingularity
 
@@ -102,19 +102,19 @@ def h_norm(sph: Spheroid, point: SurfacePoint, vec: TangentVector) -> float:
 
 def embed_rows(
     sph: Spheroid, rows: Iterable[Sequence[float]]
-) -> list[tuple[float, float, float, float]]:
+) -> Iterator[tuple[float, float, float, float]]:
     """(t, x, y, z) of each row (t, phi, theta, ...): a track's rows embedded.
 
-    The one place the embedding formula is written.
+    Lazy: each row is embedded as it is read, so no list of the
+    embedded rows is made.  The one place the embedding formula is
+    written.
     """
     a = sph.a
     sin, cos = math.sin, math.cos
-    out = []
     for r in rows:
         phi, theta = r[1], r[2]
         s = sin(theta)
-        out.append((r[0], s * cos(phi), s * sin(phi), a * cos(theta)))
-    return out
+        yield r[0], s * cos(phi), s * sin(phi), a * cos(theta)
 
 
 def clairaut_invariant(sph: Spheroid, state: NavState) -> float:

@@ -114,8 +114,17 @@ MUTANTS = [
     ("cross term of the alpha metric's determinant", SPRAY,
      "det = a11 * a22 - a12 * a12", "det = a11 * a22", T_VARIATION),
     ("semiaxis of the embedded z coordinate", SPHEROID,
-     "out.append((r[0], s * cos(phi), s * sin(phi), a * cos(theta)))",
-     "out.append((r[0], s * cos(phi), s * sin(phi), cos(theta)))", T_SPHEROID),
+     "yield r[0], s * cos(phi), s * sin(phi), a * cos(theta)",
+     "yield r[0], s * cos(phi), s * sin(phi), cos(theta)", T_SPHEROID),
+    ("t column of a projected series split in time", EXPORT,
+     't = array("d") if spec.segments and spec.kind in PATH_KINDS else None', "t = None",
+     T_EXPORT),
+    ("plane columns of the view along x", EXPORT,
+     '_PROJECTION = {"z": (1, 2), "x": (2, 3), "y": (1, 3)}',
+     '_PROJECTION = {"z": (1, 2), "x": (3, 2), "y": (1, 3)}', T_EXPORT),
+    ("line separator of a written figure", EXPORT, 'fh.write("\\n")', "pass", T_EXPORT),
+    ("fan members held as embedded rows, not projected", CLI,
+     "data.append(project(frame, drawn[0]))", "data.append(list(drawn[0]))", T_CLI),
 ]
 
 

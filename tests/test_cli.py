@@ -7,8 +7,10 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
+from array import array
 from datetime import timedelta
 
 import pytest
@@ -16,8 +18,9 @@ from hypothesis import example, given, settings, strategies
 
 import znav
 import znav.cli
-from znav import integrate, make_rhs
+from znav import Spheroid, integrate, make_rhs, render_svg
 from znav.cli import ValidationError, main, parse_angle
+from znav.spheroid import embed_rows
 from tests.conftest import nan_after, read_csv
 
 BENCH = ["--a", "0.75", "--wind", "rotation:0.7142857142857143",
@@ -322,7 +325,7 @@ class TestFamily:
 
     def test_figure_drawn_with_no_member_track_alive(self, tmp_path, monkeypatch):
         # a member's rows are dropped once its line is printed, its CSV
-        # written and its rows embedded: the figure sees only embedded copies
+        # written and its rows projected: the figure sees only projections
         argv = ["family", *BENCH, "--heading-start", "0", "--heading-step", "pi/2",
                 "--heading-count", "4", "--t-end", "3"]
 
@@ -381,6 +384,76 @@ class TestFamily:
                            "--csv", str(tmp_path / "fan.csv")])
         assert code == 0
         assert len(refs) == 4 and alive == [0] * 4
+
+    @pytest.mark.parametrize("segments", [[], ["--segments", "1,2"]], ids=["whole", "segmented"])
+    @pytest.mark.parametrize("view", ["x", "y", "z"])
+    def test_members_held_as_projected_columns(self, view, segments, tmp_path, monkeypatch):
+        # each member reaches the figure as array('d') columns of its
+        # projection, with t only where the figure is split in time, and the
+        # figure is the one drawn from the members' embedded rows
+        svg = tmp_path / "fan.svg"
+        argv = ["family", *BENCH, "--heading-start", "0", "--heading-step", "pi/2",
+                "--heading-count", "4", "--t-end", "3", "--view", view, "--svg", str(svg),
+                *segments]
+        rows, received = [], []
+        integrate_family, write_svg = znav.cli.integrate_family, znav.cli.write_svg
+
+        def tracked(*args):
+            members = integrate_family(*args)
+            rows.extend(member.trajectory.rows for member in members)
+            return members
+
+        def checked(spec, data, path):
+            received.append((spec, data))
+            return write_svg(spec, data, path)
+
+        monkeypatch.setattr("znav.cli.integrate_family", tracked)
+        monkeypatch.setattr("znav.cli.write_svg", checked)
+        assert _stdout(argv)[0] == 0
+        [(spec, data)] = received
+        assert len(data) == len(rows) == 4
+        for series, member_rows in zip(data, rows):
+            assert (series.t is not None) == bool(segments)
+            columns = [series.x, series.y, *([series.t] if segments else [])]
+            for column in columns:
+                assert type(column) is array and column.typecode == "d"
+                assert len(column) == len(member_rows)
+        embedded = [list(embed_rows(Spheroid(0.75), r)) for r in rows]
+        assert svg.read_bytes() == render_svg(spec, embedded).encode()
+
+    @pytest.mark.parametrize("segments", [[], ["--segments", "2,4,6"]], ids=["whole", "segmented"])
+    def test_fan_figure_peak_within_six_figures(self, segments, tmp_path, monkeypatch):
+        # members held as projected columns and a figure written line by
+        # line: drawing an 8-member t=10 fan peaks within 6x its SVG.  The
+        # members are integrated before tracing starts, since tracemalloc
+        # slows integrate some 300-fold, and handed out one at a time.
+        svg = tmp_path / "fan.svg"
+        argv = ["family", *BENCH, "--heading-start", "0", "--heading-step", "pi/4",
+                "--heading-count", "8", "--t-end", "10", "--svg", str(svg), *segments]
+        integrate_family, members = znav.cli.integrate_family, {}
+
+        def kept(sph, wind, start, headings, *args):
+            members[headings[0]] = integrate_family(sph, wind, start, headings, *args)
+            return members[headings[0]]
+
+        monkeypatch.setattr("znav.cli.integrate_family", kept)
+        assert _stdout(argv)[0] == 0
+        want = svg.read_bytes()
+        monkeypatch.setattr("znav.cli.integrate_family",
+                            lambda sph, wind, start, headings, *args: members.pop(headings[0]))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            code, _ = _stdout(argv)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert code == 0 and not members
+        assert svg.read_bytes() == want
+        assert peak <= 6 * len(want), f"peak {peak} B for a {len(want)} B figure"
 
     def test_overflowing_heading_rejected_before_work(self, capsys, monkeypatch):
         # member 2's heading 0 + 2 * 1e308 is inf

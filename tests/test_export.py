@@ -27,7 +27,7 @@ from znav import (
 from tests import export_reference
 from tests.conftest import read_csv
 from tests.oracles import csv_cell
-from znav.export import SEGMENT_COLORS, unwrap_angles
+from znav.export import SEGMENT_COLORS, project, unwrap_angles
 
 
 @pytest.fixture
@@ -343,7 +343,10 @@ def outcome(render, spec, data):
                  [[(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 0.0, 0.0)]]))
 def test_render_svg_matches_per_point_reference(figure):
     spec, data = figure
-    assert outcome(render_svg, spec, data) == outcome(export_reference.render_svg, spec, data)
+    want = outcome(export_reference.render_svg, spec, data)
+    assert outcome(render_svg, spec, data) == want
+    # each series projected first, from a one-pass iterator of its rows
+    assert outcome(render_svg, spec, [project(spec, iter(rows)) for rows in data]) == want
 
 
 def test_style_text_is_escaped():

@@ -151,7 +151,7 @@ class TestEmbed:
         rng = np.random.default_rng(11)
         points = random_points(rng, 50)
         rows = [(0.1 * k, p.phi, p.theta, 0.5, -0.5) for k, p in enumerate(points)]
-        assert embed_rows(sph, rows) == [
+        assert list(embed_rows(sph, rows)) == [
             (0.1 * k, *embed(sph, p)) for k, p in enumerate(points)
         ]
 
