@@ -24,13 +24,14 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterator, NoReturn
+from typing import NoReturn
 
 from znav import control
 from znav.control import control_channel, initial_state, wrap_2pi, wrap_signed
 from znav.errors import EmptyData, NavigationError
 from znav.export import (
     PlotSpec,
+    Projected,
     SeriesStyle,
     _padded_range,
     project,
@@ -39,15 +40,7 @@ from znav.export import (
     write_svg,
     write_table,
 )
-from znav.integrate import (
-    MAX_GRID,
-    FamilyMember,
-    IntegratorConfig,
-    Trajectory,
-    classify_path,
-    integrate,
-    integrate_family,
-)
+from znav.integrate import MAX_GRID, IntegratorConfig, Trajectory, classify_path, integrate
 from znav.randers import F_value, RandersData, indicatrix
 from znav.spheroid import Spheroid, SurfacePoint, embed_rows, require_off_pole
 from znav.spray import METRIC_KINDS, make_rhs, resolve_flow
@@ -309,24 +302,19 @@ def _heading(prob: Problem, command: str) -> float:
     return parse_angle(prob.cfg.heading, prob.cfg.deg)
 
 
-def _step_failure(traj: Trajectory) -> NavigationError | None:
-    """The numeric error (exit 3) a step_failure track reports, else None."""
-    if traj.termination != "step_failure":
-        return None
-    return NavigationError(traj.events[-1])
-
-
 def _track(prob: Problem, kind: str, heading: float) -> Trajectory:
     """Seed and integrate one track of the given metric kind.
 
+    The one place where a step_failure track becomes an error.
+
     Raises:
-        NavigationError: the step size underflowed (a step_failure track).
+        NavigationError: the step size underflowed (a step_failure track),
+            or the engine raised one (NonFiniteState, NotMild).
     """
     state0 = initial_state(prob.sph, prob.wind, kind, prob.start, heading)
     traj = integrate(make_rhs(kind, prob.sph, prob.wind), state0, prob.icfg, kind=kind)
-    error = _step_failure(traj)
-    if error is not None:
-        raise error
+    if traj.termination == "step_failure":
+        raise NavigationError(traj.events[-1])
     return traj
 
 
@@ -370,33 +358,34 @@ def _member_csv_path(base: str, index: int) -> str:
 
 
 def _fan_member(
-    prob: Problem, i: int, member: FamilyMember, counts: dict[str, int]
-) -> tuple[Iterator[tuple[float, float, float, float]], SeriesStyle] | None:
-    """Print, count and write fan member i; its lazy embedding and style for the figure.
+    prob: Problem, frame: PlotSpec, i: int, heading: float, counts: dict[str, int]
+) -> tuple[Projected, SeriesStyle] | None:
+    """Run, print, count and write fan member i; its projection and style for the figure.
 
-    None if the member failed or no figure is drawn.  The caller hands
-    the member over without binding it to a name, so the member's
-    trajectory and control channel live only in this call, and projects
-    the embedding at once, which drops the member's rows: a fan holds
-    one member's rows at a time, and the figure only their projection.
+    None if the member failed or no figure is drawn.  A member fails on
+    the NavigationError that _track raises (a step underflow, a
+    non-finite state, a wind that is not mild); any other exception
+    aborts the fan.  The member's trajectory and control channel live
+    only in this call, and the figure keeps only the projection of its
+    rows: a fan holds one member's rows at a time.
     """
-    traj = member.trajectory
-    error = member.error if traj is None else _step_failure(traj)
-    if error is not None:
+    try:
+        traj = _track(prob, prob.kind, heading)  # the one reference to the member's track
+    except NavigationError as error:
         counts["failed"] += 1
-        print(f"member={i:02d} heading={member.heading:.6g} error={error}")
+        print(f"member={i:02d} heading={heading:.6g} error={error}")
         return None
     label = classify_path(traj)
     counts[label] += 1
-    print(f"member={i:02d} heading={member.heading:.6g} "
+    print(f"member={i:02d} heading={heading:.6g} "
           f"termination={traj.termination} classification={label}")
     if prob.cfg.csv:
         channel = control_channel(prob.sph, prob.flow_wind, traj)
         write_csv(prob.sph, traj, channel, _member_csv_path(prob.cfg.csv, i))
     if not prob.cfg.svg:
         return None
-    return embed_rows(prob.sph, traj.rows), SeriesStyle(
-        label=f"heading={member.heading:.4g}",
+    return project(frame, embed_rows(prob.sph, traj.rows)), SeriesStyle(
+        label=f"heading={heading:.4g}",
         color="#1f77b4" if label == "transpolar" else "#d62728",
     )
 
@@ -429,11 +418,9 @@ def cmd_family(prob: Problem) -> int:
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
     data, styles = [], []
     for i, heading in enumerate(headings):
-        # a one-heading fan, integrated when its member is drawn
-        drawn = _fan_member(prob, i, integrate_family(
-            prob.sph, prob.wind, prob.start, [heading], prob.kind, prob.icfg)[0], counts)
+        drawn = _fan_member(prob, frame, i, heading, counts)
         if drawn is not None:
-            data.append(project(frame, drawn[0]))
+            data.append(drawn[0])
             styles.append(drawn[1])
     print(f"counts: circumpolar={counts['circumpolar']} "
           f"transpolar={counts['transpolar']} failed={counts['failed']}")

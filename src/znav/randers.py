@@ -5,8 +5,12 @@ a tangent vector y is measured by the Randers metric F = alpha + beta
 built from the induced metric h and W.  On the spheroid chart, with
 lam = 1 - |W|_h^2,
 
-    alpha = sqrt(u^2 h11 + h22 [v^2 - h11 (u W2 - v W1)^2]) / lam
-    beta  = -(u W1 h11 + v W2 h22) / lam
+    b     = u W1 h11 + v W2 h22            (<W, y>_h)
+    alpha = sqrt(b^2 + lam (u^2 h11 + v^2 h22)) / lam
+    beta  = -b / lam
+
+The radicand is a sum of non-negative terms, so it cannot cancel where
+|W|_h nears 1.
 
 Geodesics of F are the time-optimal paths; its indicatrix {F = 1} is
 the unit h-circle rigidly translated by W (the unit-time destination
@@ -36,7 +40,8 @@ class RandersData:
         """(lam, alpha, beta) at the point (phi, theta) along the vector (u, v).
 
         The one evaluation of the wind and of h behind every travel-time
-        quantity below.
+        quantity below.  alpha's radicand lam |y|_h^2 + <W, y>_h^2 is
+        summed from non-negative terms, as the navigation rhs sums it.
 
         Raises:
             NotMild: lam <= 0 or not a number at the point.
@@ -46,9 +51,8 @@ class RandersData:
         lam = 1.0 - w1 * w1 * h11 - w2 * w2 * h22
         if not lam > 0.0:
             raise not_mild(phi, theta, lam)
-        cross = u * w2 - v * w1
-        arg = u * u * h11 + h22 * (v * v - h11 * cross * cross)
-        return lam, math.sqrt(max(arg, 0.0)) / lam, -(u * w1 * h11 + v * w2 * h22) / lam
+        b = u * w1 * h11 + v * w2 * h22
+        return lam, math.sqrt(b * b + lam * (u * u * h11 + v * v * h22)) / lam, -b / lam
 
     def mildness_factor(self, point: SurfacePoint) -> float:
         """lam = 1 - |W|_h^2 at a point; positive exactly where the wind is mild.

@@ -67,7 +67,13 @@ MUTANTS = [
      'f"conservation_drift={_conservation_drift(prob, traj):.3e}"',
      'f"conservation_drift={_conservation_drift(prob, traj) / 2:.3e}"', T_CLI),
     ("a drawn fan member kept referenced", CLI,
-     "traj = member.trajectory", "traj = prob.cfg.held = member.trajectory", T_CLI),
+     "traj = _track(prob, prob.kind, heading)  # the one reference to the member's track",
+     "traj = prob.cfg.held = _track(prob, prob.kind, heading)", T_CLI),
+    # a member's engine error is an except clause: catching nothing aborts the fan
+    ("failed member of a fan", CLI,
+     "except NavigationError as error:", "except ():", T_CLI),
+    ("step failure of a track as an error", CLI,
+     'if traj.termination == "step_failure":', "if False:", T_CLI),
     ("finite-heading check of a fan", CLI,
      "if not all(map(math.isfinite, headings)):", "if False:", T_CLI),
     ("finite-range check of the indicatrix", CLI,
@@ -98,11 +104,12 @@ MUTANTS = [
     ("gap of an undefined heading or course", CONTROL,
      "except (ZeroRelativeVelocity, ZeroVelocity):", "except ():", T_CONTROL),
     ("None entry of a gap row", CONTROL, "records.append(None)", "pass", T_CONTROL),
-    ("cross term of alpha", RANDERS,
-     "cross = u * w2 - v * w1", "cross = u * w2", T_RANDERS),
-    ("clamp of alpha's rounded radicand", RANDERS,
-     "return lam, math.sqrt(max(arg, 0.0)) / lam, -(u * w1 * h11 + v * w2 * h22) / lam",
-     "return lam, math.sqrt(arg) / lam, -(u * w1 * h11 + v * w2 * h22) / lam", T_RANDERS),
+    ("<W, y>_h term of alpha's radicand", RANDERS,
+     "return lam, math.sqrt(b * b + lam * (u * u * h11 + v * v * h22)) / lam, -b / lam",
+     "return lam, math.sqrt(lam * (u * u * h11 + v * v * h22)) / lam, -b / lam", T_RANDERS),
+    ("lam factor of alpha's radicand", RANDERS,
+     "return lam, math.sqrt(b * b + lam * (u * u * h11 + v * v * h22)) / lam, -b / lam",
+     "return lam, math.sqrt(b * b + (u * u * h11 + v * v * h22)) / lam, -b / lam", T_RANDERS),
     ("theta stencil entry of a custom wind's jet", WIND,
      "q1, q2 = components(phi, theta + WIND_FD_STEP)", "q1, q2 = components(phi, theta)",
      T_VARIATION),
@@ -124,7 +131,8 @@ MUTANTS = [
      '_PROJECTION = {"z": (1, 2), "x": (3, 2), "y": (1, 3)}', T_EXPORT),
     ("line separator of a written figure", EXPORT, 'fh.write("\\n")', "pass", T_EXPORT),
     ("fan members held as embedded rows, not projected", CLI,
-     "data.append(project(frame, drawn[0]))", "data.append(list(drawn[0]))", T_CLI),
+     "return project(frame, embed_rows(prob.sph, traj.rows)), SeriesStyle(",
+     "return list(embed_rows(prob.sph, traj.rows)), SeriesStyle(", T_CLI),
 ]
 
 

@@ -242,6 +242,34 @@ class TestStepFailure:
         assert "member=00 heading=0 error=step underflow at t=" in out
         assert "counts: circumpolar=0 transpolar=0 failed=1" in out
 
+    def test_failed_member_left_out_of_a_fan(self, tmp_path, monkeypatch):
+        # the second rhs made returns NaN, so member 01 underflows at once;
+        # the fan goes on, and the member has no class, CSV or polyline
+        made = []
+
+        def second_nan(*args):
+            made.append(make_rhs(*args))
+            return (lambda *state: (math.nan, math.nan)) if len(made) == 2 else made[-1]
+
+        monkeypatch.setattr("znav.cli.make_rhs", second_nan)
+        # the package's name znav.integrate is the function: patch the module
+        monkeypatch.setattr(sys.modules["znav.integrate"], "make_rhs", second_nan)
+        csv, svg = tmp_path / "fan.csv", tmp_path / "fan.svg"
+        code, out = _stdout(["family", *BENCH, "--heading-start", "0", "--heading-step",
+                             "pi/2", "--heading-count", "4", "--t-end", "3",
+                             "--csv", str(csv), "--svg", str(svg)])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "member=01 heading=1.5708 error=step underflow at t=0.0"
+        for i in (0, 2, 3):
+            assert lines[i].startswith(f"member={i:02d} ")
+            assert "classification=" in lines[i]
+        assert lines[4] == "counts: circumpolar=2 transpolar=1 failed=1"
+        assert sorted(os.listdir(tmp_path)) == ["fan.svg", "fan_000.csv", "fan_002.csv",
+                                               "fan_003.csv"]
+        root = ET.parse(svg).getroot()
+        assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 3
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
@@ -335,19 +363,19 @@ class TestFamily:
 
         want = run("free")
         refs, alive = [], []
-        integrate_family, write_svg = znav.cli.integrate_family, znav.cli.write_svg
+        integrate_track, write_svg = znav.cli.integrate, znav.cli.write_svg
 
-        def tracked(*args):
-            members = integrate_family(*args)
-            refs.extend(weakref.ref(member.trajectory) for member in members)
-            return members
+        def tracked(*args, **kwargs):
+            traj = integrate_track(*args, **kwargs)
+            refs.append(weakref.ref(traj))
+            return traj
 
         def checked(*args):
             gc.collect()
             alive.extend(ref() is not None for ref in refs)
             return write_svg(*args)
 
-        monkeypatch.setattr("znav.cli.integrate_family", tracked)
+        monkeypatch.setattr("znav.cli.integrate", tracked)
         monkeypatch.setattr("znav.cli.write_svg", checked)
         assert run("held") == want
         assert len(refs) == 4 and alive == [False] * 4
@@ -365,19 +393,19 @@ class TestFamily:
         # each member is integrated when it is drawn: while member i's CSV
         # is written, no other member's trajectory exists
         refs, alive = [], []
-        integrate_family, write_csv = znav.cli.integrate_family, znav.cli.write_csv
+        integrate_track, write_csv = znav.cli.integrate, znav.cli.write_csv
 
-        def tracked(*args):
-            members = integrate_family(*args)
-            refs.extend(weakref.ref(member.trajectory) for member in members)
-            return members
+        def tracked(*args, **kwargs):
+            traj = integrate_track(*args, **kwargs)
+            refs.append(weakref.ref(traj))
+            return traj
 
         def checked(sph, traj, channel, path):
             gc.collect()
             alive.append(sum(ref() is not None and ref() is not traj for ref in refs))
             return write_csv(sph, traj, channel, path)
 
-        monkeypatch.setattr("znav.cli.integrate_family", tracked)
+        monkeypatch.setattr("znav.cli.integrate", tracked)
         monkeypatch.setattr("znav.cli.write_csv", checked)
         code, _ = _stdout(["family", *BENCH, "--heading-start", "0", "--heading-step", "pi/2",
                            "--heading-count", "4", "--t-end", "1",
@@ -396,18 +424,18 @@ class TestFamily:
                 "--heading-count", "4", "--t-end", "3", "--view", view, "--svg", str(svg),
                 *segments]
         rows, received = [], []
-        integrate_family, write_svg = znav.cli.integrate_family, znav.cli.write_svg
+        integrate_track, write_svg = znav.cli.integrate, znav.cli.write_svg
 
-        def tracked(*args):
-            members = integrate_family(*args)
-            rows.extend(member.trajectory.rows for member in members)
-            return members
+        def tracked(*args, **kwargs):
+            traj = integrate_track(*args, **kwargs)
+            rows.append(traj.rows)
+            return traj
 
         def checked(spec, data, path):
             received.append((spec, data))
             return write_svg(spec, data, path)
 
-        monkeypatch.setattr("znav.cli.integrate_family", tracked)
+        monkeypatch.setattr("znav.cli.integrate", tracked)
         monkeypatch.setattr("znav.cli.write_svg", checked)
         assert _stdout(argv)[0] == 0
         [(spec, data)] = received
@@ -430,17 +458,17 @@ class TestFamily:
         svg = tmp_path / "fan.svg"
         argv = ["family", *BENCH, "--heading-start", "0", "--heading-step", "pi/4",
                 "--heading-count", "8", "--t-end", "10", "--svg", str(svg), *segments]
-        integrate_family, members = znav.cli.integrate_family, {}
+        integrate_track, members = znav.cli.integrate, {}
 
-        def kept(sph, wind, start, headings, *args):
-            members[headings[0]] = integrate_family(sph, wind, start, headings, *args)
-            return members[headings[0]]
+        def kept(rhs, state0, *args, **kwargs):
+            members[state0] = integrate_track(rhs, state0, *args, **kwargs)
+            return members[state0]
 
-        monkeypatch.setattr("znav.cli.integrate_family", kept)
+        monkeypatch.setattr("znav.cli.integrate", kept)
         assert _stdout(argv)[0] == 0
         want = svg.read_bytes()
-        monkeypatch.setattr("znav.cli.integrate_family",
-                            lambda sph, wind, start, headings, *args: members.pop(headings[0]))
+        monkeypatch.setattr("znav.cli.integrate",
+                            lambda rhs, state0, *args, **kwargs: members.pop(state0))
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -458,9 +486,9 @@ class TestFamily:
     def test_overflowing_heading_rejected_before_work(self, capsys, monkeypatch):
         # member 2's heading 0 + 2 * 1e308 is inf
         def no_work(*args, **kwargs):
-            raise AssertionError("integrate_family called on a rejected fan")
+            raise AssertionError("integrate called on a rejected fan")
 
-        monkeypatch.setattr("znav.cli.integrate_family", no_work)
+        monkeypatch.setattr("znav.cli.integrate", no_work)
         code = main(["family", *BENCH, "--heading-start", "0",
                      "--heading-step", "1e308", "--heading-count", "3"])
         assert code == 2

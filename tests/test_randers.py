@@ -1,9 +1,11 @@
 """Travel-time metric F = alpha + beta, its Lagrangian and indicatrices."""
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings, strategies
 
 from znav import (
     F_value,
@@ -31,6 +33,23 @@ from tests.conftest import (
     random_vectors,
 )
 from tests.oracles import F_rotation_closed, beta_term, wind_norm
+
+
+@strategies.composite
+def near_unit_winds(draw):
+    """(a, theta, W1, W2, u, v): a constant wind of |W|_h^2 = 1 - 10^-k at
+    colatitude theta, k in [0, 15.5], and y of any heading with |y|_h in
+    [1e-3, 1e3]."""
+    a = draw(strategies.floats(0.3, 2.0))
+    theta = draw(COLATITUDES)
+    h11, h22 = metric_components(Spheroid(a), theta)
+    w_norm = math.sqrt(1.0 - 10.0 ** -draw(strategies.floats(0.0, 15.5)))
+    psi, heading = draw(HEADINGS), draw(HEADINGS)
+    y_norm = 10.0 ** draw(strategies.floats(-3.0, 3.0))
+    return (a, theta, w_norm * math.cos(psi) / math.sqrt(h11),
+            w_norm * math.sin(psi) / math.sqrt(h22),
+            y_norm * math.cos(heading) / math.sqrt(h11),
+            y_norm * math.sin(heading) / math.sqrt(h22))
 
 
 @pytest.fixture
@@ -65,14 +84,44 @@ class TestAlphaTerm:
                 scaled = alpha_term(rd, p, TangentVector(k * y.u, k * y.v))
                 assert scaled == pytest.approx(abs(k) * base, rel=1e-12, abs=1e-14)
 
-    def test_rounded_negative_radicand_clamped(self):
+    def test_radicand_summed_near_unit_wind_norm(self):
         # |W|_h^2 = 1 - 1.1e-16 at this point, still mild, and y across
-        # the wind: the radicand lam |y|^2 + <W, y>^2 rounds to -1.1e-17,
-        # which alpha reads as 0, not as a domain error
-        rd = RandersData(Spheroid(0.75), custom_wind(lambda phi, theta: (1.4426428602054533, 0.0)))
-        lam, alpha, beta = rd.terms(0.0, 0.7658809781559258, 0.0, 0.34751002768217165)
+        # the wind, so <W, y>_h = 0 and alpha is |y|_h / sqrt(lam); a
+        # radicand written as a difference cancels to -1.1e-17 here
+        sph = Spheroid(0.75)
+        rd = RandersData(sph, custom_wind(lambda phi, theta: (1.4426428602054533, 0.0)))
+        point, y = SurfacePoint(0.0, 0.7658809781559258), TangentVector(0.0, 0.34751002768217165)
+        lam, alpha, beta = rd.terms(point.phi, point.theta, y.u, y.v)
         assert 0.0 < lam < 2e-16
-        assert alpha == 0.0 and beta == 0.0
+        assert alpha == pytest.approx(h_norm(sph, point, y) / math.sqrt(lam), rel=1e-15)
+        assert beta == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=near_unit_winds())
+    @example(case=(0.75, 0.7658809781559258, 1.4426428602054533, 0.0,
+                   0.0, 0.34751002768217165))
+    def test_alpha_within_rounding_near_unit_wind_norm(self, case):
+        # alpha against lam |y|_h^2 + <W, y>_h^2 summed exactly from the
+        # same floats: within 4 eps of alpha plus the rounding that <W, y>_h
+        # itself carries, |y|_h |W|_h / lam
+        a, theta, w1, w2, u, v = case
+        sph = Spheroid(a)
+        try:
+            lam, alpha, _ = RandersData(sph, custom_wind(lambda phi, th: (w1, w2))).terms(
+                0.0, theta, u, v)
+        except NotMild:  # |W|_h rounded up to 1
+            reject()
+        h11, h22 = metric_components(sph, theta)
+        b = Fraction(u) * Fraction(w1) * Fraction(h11) + Fraction(v) * Fraction(w2) * Fraction(h22)
+        yy = Fraction(u) ** 2 * Fraction(h11) + Fraction(v) ** 2 * Fraction(h22)
+        radicand = b * b + Fraction(lam) * yy
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            root = (decimal.Decimal(radicand.numerator) / radicand.denominator).sqrt()
+            oracle = float(root / decimal.Decimal(lam))
+        y_norm = math.sqrt(u * u * h11 + v * v * h22)
+        w_norm = math.sqrt(w1 * w1 * h11 + w2 * w2 * h22)
+        assert abs(alpha - oracle) <= 4 * math.ulp(1.0) * (oracle + y_norm * w_norm / lam)
 
 
 class TestBetaTerm:
