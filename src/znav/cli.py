@@ -33,7 +33,7 @@ from znav.export import (
     PlotSpec,
     Projected,
     SeriesStyle,
-    _padded_range,
+    _frame,
     project,
     unwrap_angles,
     write_csv,
@@ -465,7 +465,7 @@ def cmd_compare(prob: Problem) -> int:
     max_dphi = max(abs(row[1]) for row in table)
     max_dtheta = max(abs(row[2]) for row in table)
     print(f"max_dphi={max_dphi:.3e} max_dtheta={max_dtheta:.3e}")
-    if prob.rate is not None:
+    if prob.wind is not STILL_AIR:
         res_phi = max(
             abs(rf[1] - (rh[1] - prob.rate * rh[0])) for rf, rh in zip(rows_f, rows_h)
         )
@@ -485,15 +485,18 @@ def cmd_indicatrix(prob: Problem) -> int:
     vecs = indicatrix(rd, prob.start, cfg.n)
     f_vals = [F_value(rd, prob.start, y) for y in vecs]
     residual = max(abs(f - 1.0) for f in f_vals)
-    # the scaled curves, and the figure's range padded as render_svg pads
-    # it, must be finite before any file is written; m * c rounds
-    # monotonically in c for m > 0, so each axis's extremes scale those of c
-    for comps in ([y.u for y in vecs], [y.v for y in vecs]):
-        lo, hi = min(comps), max(comps)
-        lo, hi = _padded_range(min(m * lo for m in mults), max(m * hi for m in mults))
-        if not math.isfinite(hi - lo):
+    # the scaled curves and a requested figure's frame must be finite before any file
+    # is written; m * c rounds monotonically in c for m > 0, so extremes scale c's
+    ext = [op(m * op(c) for m in mults)
+           for c in ([y.u for y in vecs], [y.v for y in vecs]) for op in (min, max)]
+    if not all(map(math.isfinite, ext)):
+        raise ValidationError(f"multipliers {cfg.multipliers} overflow the indicatrix curves")
+    if cfg.svg:
+        try:
+            _frame("indicatrix", *ext)
+        except ValueError as exc:
             raise ValidationError(f"multipliers {cfg.multipliers} overflow the indicatrix"
-                                  " curves or their figure's range")
+                                  " figure's range or scale") from exc
 
     if cfg.csv:
         rows = (

@@ -209,10 +209,26 @@ def project(spec: PlotSpec, rows: Iterable[Sequence[float]]) -> Projected:
     return Projected(x, y, t)
 
 
-def _padded_range(lo: float, hi: float) -> tuple[float, float]:
-    """A figure axis's range: [lo, hi] widened by 5% of its span each way, by 1 if empty."""
-    pad = 0.05 * (hi - lo) or 1.0
-    return lo - pad, hi + pad
+def _frame(kind: str, xlo: float, xhi: float, ylo: float, yhi: float):
+    """(xmin, ymin, sx, sy, x0, y0) of a figure of data in [xlo, xhi] x [ylo, yhi].
+
+    Each range is widened by 5% of its span each way, by 1 if empty, and
+    geometric kinds take equal aspect.  A point (a, b) is drawn at
+    x0 + (a - xmin) sx from the left and y0 + (b - ymin) sy from the bottom.
+
+    Raises:
+        ValueError: a padded range, or a scale after equal aspect, is not finite.
+    """
+    xpad = 0.05 * (xhi - xlo) or 1.0
+    ypad = 0.05 * (yhi - ylo) or 1.0
+    xmin, ymin = xlo - xpad, ylo - ypad
+    xspan, yspan = (xhi + xpad) - xmin, (yhi + ypad) - ymin
+    sx, sy = FIGURE_SIZE / xspan, FIGURE_SIZE / yspan
+    if kind in PATH_KINDS or kind == "indicatrix":
+        sx = sy = min(sx, sy)  # equal aspect for geometric figures
+    if not all(map(math.isfinite, (xspan, yspan, sx, sy))):
+        raise ValueError(f"{kind} data [{xlo:g}, {xhi:g}] x [{ylo:g}, {yhi:g}] has no finite frame")
+    return xmin, ymin, sx, sy, 0.5 * (FIGURE_SIZE - sx * xspan), 0.5 * (FIGURE_SIZE - sy * yspan)
 
 
 def _escape(text: str) -> str:
@@ -242,18 +258,10 @@ def _svg_lines(spec: PlotSpec, data: Sequence[Series]) -> Iterator[str]:
                     f"{spec.kind} needs at least 2"
                 )
 
-    xmin, xmax = _padded_range(min(min(x) for x, _, _ in planes if x),
-                               max(max(x) for x, _, _ in planes if x))
-    ymin, ymax = _padded_range(min(min(y) for _, y, _ in planes if y),
-                               max(max(y) for _, y, _ in planes if y))
-
+    xmin, ymin, sx, sy, x0, y0 = _frame(
+        spec.kind, min(min(x) for x, _, _ in planes if x), max(max(x) for x, _, _ in planes if x),
+        min(min(y) for _, y, _ in planes if y), max(max(y) for _, y, _ in planes if y))
     size = FIGURE_SIZE
-    sx = size / (xmax - xmin)
-    sy = size / (ymax - ymin)
-    if spec.kind in PATH_KINDS or spec.kind == "indicatrix":
-        sx = sy = min(sx, sy)  # equal aspect for geometric figures
-    x0 = 0.5 * (size - sx * (xmax - xmin))
-    y0 = 0.5 * (size - sy * (ymax - ymin))
 
     yield '<?xml version="1.0" encoding="UTF-8"?>'
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -306,6 +314,8 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
 
     Raises:
         EmptyData: no data, or a path series with fewer than two points.
+        ValueError: series and styles differ in number, or the data's
+            padded range or its scale is not finite.
     """
     return "\n".join(_svg_lines(spec, data))
 
@@ -318,7 +328,7 @@ def write_svg(spec: PlotSpec, data: Sequence[Series], path: str) -> int:
     so a refused figure writes nothing.
 
     Raises:
-        EmptyData: as render_svg.
+        EmptyData, ValueError: as render_svg.
         OSError: surfaced with the target path in the message.
     """
     lines = _svg_lines(spec, data)

@@ -183,8 +183,8 @@ class StepStats:
     had a non-finite error estimate) and were retried shorter; pole
     halvings are retries after a stage, or the end of a spherical step,
     landed in the pole guard band.
-    rhs_calls counts every evaluation of the chart's rhs: the start, each
-    leg's starting-step probe, the stages and the dense-output stages.
+    rhs_calls counts every evaluation of the chart's rhs: each leg's start
+    and starting-step probe, the stages and the dense-output stages.
     cap_legs counts the legs run in a polar cap's chart.
     """
 
@@ -284,14 +284,11 @@ def _unwrap(phi: float, ref: float) -> float:
     return phi + _TWO_PI * round((ref - phi) / _TWO_PI)
 
 
-def _to_cap(south: bool, phi, theta, u, v, du, dv):
-    """Spherical state and accelerations -> cap (x, y, x', y', x'', y'')."""
-    rho, rd, rdd = (math.pi - theta, -v, -dv) if south else (theta, v, dv)
+def _to_cap(south: bool, phi, theta, u, v) -> tuple[float, float, float, float]:
+    """Spherical state (phi, theta, u, v) -> cap (x, y, x', y')."""
+    rho, rd = (math.pi - theta, -v) if south else (theta, v)
     c, s = math.cos(phi), math.sin(phi)
-    a = rdd - rho * u * u
-    b = rho * du + 2.0 * rd * u
-    return (rho * c, rho * s, rd * c - rho * u * s, rd * s + rho * u * c,
-            a * c - b * s, a * s + b * c)
+    return rho * c, rho * s, rd * c - rho * u * s, rd * s + rho * u * c
 
 
 def _from_cap(south: bool, x, y, xd, yd, ref: float) -> tuple[float, float, float, float]:
@@ -302,17 +299,6 @@ def _from_cap(south: bool, x, y, xd, yd, ref: float) -> tuple[float, float, floa
     u = (x * yd - y * xd) / rr
     phi = _unwrap(math.atan2(y, x), ref)
     return (phi, math.pi - rho, u, -rd) if south else (phi, rho, u, rd)
-
-
-def _leave_cap(south: bool, x, y, xd, yd, xdd, ydd, ref: float):
-    """Cap state and accelerations -> spherical (phi, theta, u, v, u', v')."""
-    phi, theta, u, v = _from_cap(south, x, y, xd, yd, ref)
-    rho = math.sqrt(x * x + y * y)
-    c, s = x / rho, y / rho
-    rd = -v if south else v
-    rdd = xdd * c + ydd * s + rho * u * u
-    du = (ydd * c - xdd * s - 2.0 * rd * u) / rho
-    return phi, theta, u, v, du, -rdd if south else rdd
 
 
 def _polar_rhs(rhs: RhsFn, south: bool, branch: list[float]) -> RhsFn:
@@ -433,9 +419,9 @@ def integrate(
     (t, phi, theta, phi_dot, theta_dot) per sample, the first row being
     s0 at t = 0.  The track runs in legs: spherical ones, and cap ones
     within CAP_IN of a pole (see the module docstring), each started
-    afresh; the rows, the grid and stats carry over, and phi stays
-    continuous across them.  stats counts the accepted and rejected
-    steps, the pole-guard halvings, the rhs calls and the cap legs.
+    afresh from its own rhs call; only the state, the rows, the grid and
+    stats carry over, and phi stays continuous.  stats counts the accepted
+    and rejected steps, pole-guard halvings, rhs calls and cap legs.
 
     A step underflow (step_failure) or a pole approach (pole_proximity)
     ends the rows early, and one event records its time.  A step with a
@@ -488,10 +474,9 @@ def integrate(
 
     # Stage n (1..16) evaluates the chart's rhs f at pn, qn, un, vn,
     # giving the accelerations dun, dvn; its derivative k_n is (un, vn,
-    # dun, dvn).  Stage 1 is the current state, and its accelerations are
-    # the previous step's stage 13 ones (FSAL).
-    du1, dv1 = rhs(p1, q1, u1, v1)
-    n_calls = 1
+    # dun, dvn).  Stage 1 is the current state; its accelerations are f's
+    # at a leg's start, then the previous step's stage 13 ones (FSAL).
+    n_calls = 0
     t = 0.0
     n_grid = int(math.floor(t_end / sample_dt + 1e-9))
     rows: list[Row] = [(0.0, p1, q1, u1, v1)]
@@ -504,9 +489,9 @@ def integrate(
     cap_lo, cap_hi = CAP_IN, math.pi - CAP_IN
     cap_out2 = CAP_OUT * CAP_OUT
 
-    # One pass per leg: a DOP853 run in one chart from its own starting
-    # step, with facold reset.  In a cap leg (p, q, u, v) are (x, y, x',
-    # y') and phi1 is the continuous phi at the step's start.
+    # One pass per leg: a DOP853 run in one chart from its own rhs call
+    # and starting step, with facold reset.  In a cap leg (p, q, u, v) are
+    # (x, y, x', y') and phi1 is the continuous phi at the step's start.
     while True:
         cap = not cap_lo <= q1 <= cap_hi
         if cap:
@@ -514,12 +499,13 @@ def integrate(
             phi1 = p1
             branch = [phi1]
             f = _polar_rhs(rhs, south, branch)
-            p1, q1, u1, v1, du1, dv1 = _to_cap(south, p1, q1, u1, v1, du1, dv1)
+            p1, q1, u1, v1 = _to_cap(south, p1, q1, u1, v1)
             n_cap += 1
         else:
             f = rhs
+        du1, dv1 = f(p1, q1, u1, v1)
         h, probes = _initial_step(f, (p1, q1, u1, v1), (u1, v1, du1, dv1), cfg)
-        n_calls += probes
+        n_calls += 1 + probes
         facold = 1e-4
         rejected = False
         switch = False
@@ -867,7 +853,7 @@ def integrate(
                 break
 
         if cap:
-            p1, q1, u1, v1, du1, dv1 = _leave_cap(south, p1, q1, u1, v1, du1, dv1, phi1)
+            p1, q1, u1, v1 = _from_cap(south, p1, q1, u1, v1, phi1)
         # a stop leaves switch False, so it ends the track here
         if not (switch and t < t_final):
             break

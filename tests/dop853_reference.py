@@ -21,7 +21,7 @@ from scipy.integrate._ivp import dop853_coefficients as _dop853
 from znav.errors import PoleSingularity
 from znav.integrate import (
     CAP_IN, CAP_OUT, IntegratorConfig, StepStats, Trajectory, _chord_near_pole, _from_cap,
-    _guard_test, _leave_cap, _polar_rhs, _to_cap, _unwrap,
+    _guard_test, _polar_rhs, _to_cap, _unwrap,
 )
 from znav.spheroid import POLE_GUARD, NavState, require_off_pole
 from znav.spray import RhsFn
@@ -123,7 +123,6 @@ def integrate_reference(
         return f
 
     y = [s0.point.phi, s0.point.theta, s0.vel.u, s0.vel.v]
-    k1 = chart_f(rhs)(y)
     t = 0.0
     n_grid = int(math.floor(cfg.t_end / cfg.sample_dt + 1e-9))
     rows = [(0.0, *y)]
@@ -137,18 +136,19 @@ def integrate_reference(
     t_final = cfg.t_end - 1e-12 * max(1.0, cfg.t_end)
     switch = True
     while switch:
-        # one leg per pass, in the spherical chart or a cap's
+        # one leg per pass, in the spherical chart or a cap's, from its
+        # own k1; only the state crosses a chart switch
         cap = not CAP_IN <= y[1] <= math.pi - CAP_IN
         if cap:
             south = y[1] > math.pi - CAP_IN
             phi = y[0]
             branch = [phi]
             f = chart_f(_polar_rhs(rhs, south, branch))
-            *y, ax, ay = _to_cap(south, *y, k1[2], k1[3])
-            k1 = [y[2], y[3], ax, ay]
+            y = list(_to_cap(south, *y))
             cap_legs += 1
         else:
             f = chart_f(rhs)
+        k1 = f(y)
         h = _initial_step(f, y, k1, cfg)
         rejected = False
         facold = 1e-4
@@ -259,8 +259,7 @@ def integrate_reference(
                 break
 
         if cap:
-            *y, ax, ay = _leave_cap(south, *y, k1[2], k1[3], phi)
-            k1 = [y[2], y[3], ax, ay]
+            y = list(_from_cap(south, *y, phi))
         switch = switch and t < t_final
 
     if rows[-1][0] < cfg.t_end - 1e-9 * max(1.0, cfg.t_end):

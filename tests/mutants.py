@@ -61,6 +61,8 @@ MUTANTS = [
      "phi1 = _unwrap(math.atan2(q13, p13), last)", T_INTEGRATE),
     ("guard band width", SPHEROID,
      "POLE_GUARD = 1e-6", "POLE_GUARD = 1e-7", T_INTEGRATE),
+    ("a leg started from the spherical rhs in any chart", INTEGRATE,
+     "du1, dv1 = f(p1, q1, u1, v1)", "du1, dv1 = rhs(p1, q1, u1, v1)", T_INTEGRATE),
     ("refusal of a non-finite error norm", INTEGRATE,
      "if not math.isfinite(deno):", "if False:", T_INTEGRATE),
     ("printed conservation drift", CLI,
@@ -76,12 +78,16 @@ MUTANTS = [
      'if traj.termination == "step_failure":', "if False:", T_CLI),
     ("finite-heading check of a fan", CLI,
      "if not all(map(math.isfinite, headings)):", "if False:", T_CLI),
-    ("finite-range check of the indicatrix", CLI,
-     "if not math.isfinite(hi - lo):", "if False:", T_CLI),
+    ("finite-curve check of the indicatrix", CLI,
+     "if not all(map(math.isfinite, ext)):", "if False:", T_CLI),
+    ("residual line of compare in still air", CLI,
+     "if prob.wind is not STILL_AIR:", "if prob.rate is not None:", T_CLI),
     ("undefined departure of a report", CLI, "if rec0 is None:", "if False:", T_CLI),
     ("shared boundary point of two time segments", EXPORT,
      "seg = [k for k, tk in enumerate(t) if lo <= tk <= hi]",
      "seg = [k for k, tk in enumerate(t) if lo < tk <= hi]", T_EXPORT),
+    ("finite range and scale of a figure's frame", EXPORT,
+     "if not all(map(math.isfinite, (xspan, yspan, sx, sy))):", "if False:", T_EXPORT),
     ("y-axis flip of a figure", EXPORT,
      "xy[1::2] = [size - (y0 + (b - ymin) * sy) for b in y]",
      "xy[1::2] = [y0 + (b - ymin) * sy for b in y]", T_EXPORT),

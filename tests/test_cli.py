@@ -207,15 +207,18 @@ class TestGeodesic:
         assert "termination=completed" in capsys.readouterr().out
 
     def test_zero_rotation_is_still_air(self, tmp_path, capsys):
-        # rotation:0 and rotation:-0.0 run the flow of --wind none
-        winds = ("none", "rotation:0", "rotation:-0.0")
-        for i, wind in enumerate(winds):
-            code = main(["geodesic", "--a", "0.75", "--wind", wind, "--start", "0,pi/2",
-                         "--kind", "alpha", "--heading", "pi/3", "--t-end", "1",
-                         "--csv", str(tmp_path / f"{i}.csv")])
-            assert code == 0
-        csvs = [(tmp_path / f"{i}.csv").read_bytes() for i in range(len(winds))]
-        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+        # rotation:0 and rotation:-0.0 run the flow of --wind none, and
+        # compare prints no wind-drag residuals for any of the three
+        for command in (["geodesic", "--kind", "alpha"], ["compare"]):
+            runs = []
+            for i, wind in enumerate(("none", "rotation:0", "rotation:-0.0")):
+                path = tmp_path / f"{command[0]}{i}.csv"
+                code = main([*command, "--a", "0.75", "--wind", wind, "--start", "0,pi/2",
+                             "--heading", "pi/3", "--t-end", "1", "--csv", str(path)])
+                assert code == 0
+                runs.append((capsys.readouterr().out, path.read_bytes()))
+            assert runs[1] == runs[0] and runs[2] == runs[0]
+            assert "killing_residual" not in runs[0][0]
 
     def test_nan_mid_run_is_numeric_failure(self, monkeypatch, capsys):
         monkeypatch.setattr("znav.cli.make_rhs",
@@ -593,14 +596,27 @@ class TestIndicatrix:
     @pytest.mark.parametrize("argv", [
         ["--multipliers", "1e308", "--svg", "i.svg"],
         ["--a", "0.3", "--multipliers", "1e308", "--csv", "i.csv"],
-    ], ids=["figure-range", "curve"])
+        ["--multipliers", "1e-306", "--svg", "i.svg"],
+        ["--multipliers", "1e-320", "--svg", "i.svg"],
+        ["--multipliers", "1e-306", "--csv", "i.csv", "--svg", "i.svg"],
+        ["--multipliers", "1e-320", "--csv", "i.csv", "--svg", "i.svg"],
+    ], ids=["figure-range", "curve", "figure-scale", "figure-scale-subnormal",
+            "csv-figure-scale", "csv-figure-scale-subnormal"])
     def test_overflowing_multiplier_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
         # the first once drew a polyline of nan points, the second wrote
-        # -inf cells to v; both exited 0
+        # -inf cells to v; both exited 0.  Curves too small for their
+        # figure's scale drew nan points and exited 0 too
         monkeypatch.chdir(tmp_path)
         assert main(["indicatrix", *argv]) == 2
         assert "overflow the indicatrix" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_tiny_multiplier_csv_still_runs(self, tmp_path):
+        # the curves themselves are finite: without a figure they are written
+        csv = tmp_path / "i.csv"
+        assert main(["indicatrix", "--multipliers", "1e-306", "--csv", str(csv)]) == 0
+        cells = [float(c) for line in csv.read_text().split()[1:] for c in line.split(",")]
+        assert len(cells) == 6 * 360 and all(map(math.isfinite, cells))
 
     def test_large_multiplier_still_runs(self, tmp_path):
         csv, svg = tmp_path / "i.csv", tmp_path / "i.svg"
@@ -827,12 +843,14 @@ POOLS = {
                "rotation:1e308", "rotation:nan", "rotation:inf", "rotation:foo", "breeze"],
     "--kind": ["h", "alpha", "randers", "finsler"],
     "--heading-count": COUNTS, "--n": COUNTS + ["3", "36"],
-    "--multipliers": ["1,2", "nan", "1,inf", "-1", "foo", "1e308", "0.5"],
+    "--multipliers": ["1,2", "nan", "1,inf", "-1", "foo", "1e308", "0.5", "1e-306", "1e-320"],
     "--segments": ["0.5", "0.3,0.6", "nan", "0.6,0.3", "foo"],
     "--plot": ["path3d", "xy", "polar", "pie"], "--view": ["x", "y", "z", "q"],
     "--warp": ["9"],
 }
 SWITCHES = ["--deg", "--compass", "-x"]
+# Output flags and their file names, placed in a fresh directory per run.
+OUTPUTS = {"--csv": "out.csv", "--svg": "out.svg"}
 # A valid run of each subcommand that the drawn options then override.
 VALID_BASE = {
     "geodesic": ["--heading", "0.3"], "compare": ["--heading", "0.3"],
@@ -845,12 +863,20 @@ CONFIG_LINES = ["garbage", "warp = 9", "config = x", "deg = y", "deg = off",
 
 @strategies.composite
 def edge_runs(draw):
-    """(argv, config text or None) over the edge alphabet, horizon 1 unless drawn."""
+    """(argv, config text or None) over the edge alphabet, horizon 1 unless drawn.
+
+    Output flags name files relative to the directory the run writes in.
+    """
     command = draw(strategies.sampled_from(sorted(VALID_BASE)))
     argv = [command, *VALID_BASE[command], "--t-end", "1"]
-    for flag in draw(strategies.lists(strategies.sampled_from(sorted(POOLS) + SWITCHES),
-                                      max_size=6)):
-        argv += [flag] if flag in SWITCHES else [flag, draw(strategies.sampled_from(POOLS[flag]))]
+    for flag in draw(strategies.lists(
+            strategies.sampled_from(sorted(POOLS) + SWITCHES + sorted(OUTPUTS)), max_size=6)):
+        if flag in SWITCHES:
+            argv += [flag]
+        elif flag in OUTPUTS:
+            argv += [flag, OUTPUTS[flag]]
+        else:
+            argv += [flag, draw(strategies.sampled_from(POOLS[flag]))]
     entry = strategies.one_of(
         strategies.sampled_from(CONFIG_LINES),
         strategies.sampled_from(sorted(POOLS)).flatmap(
@@ -873,8 +899,13 @@ class TestTotal:
     @example(run=(["family", "--heading-start", "0", "--heading-step", "1",
                    "--heading-count", "0"], None))
     @example(run=(["report", "--t-end", "1"], "heading = 60\ndeg = y"))
+    @example(run=(["indicatrix", "--n", "36", "--multipliers", "1e-306", "--svg", "out.svg"],
+                  None))
     def test_every_input_ends_in_a_documented_exit(self, run, tmp_path_factory):
         argv, config = run
+        outdir = tmp_path_factory.mktemp("out")
+        argv = [str(outdir / arg) if flag in OUTPUTS else arg
+                for flag, arg in zip(["", *argv], argv)]
         if config is not None:
             path = tmp_path_factory.mktemp("cfg") / "run.cfg"
             path.write_text(config + "\n")
@@ -882,7 +913,9 @@ class TestTotal:
         code, out = _stdout(argv)
         assert code in (0, 2, 3, 4)
         if code == 0:
-            assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
+            # neither what it prints nor a file it writes holds a non-finite number
+            for text in [out, *(p.read_text() for p in outdir.iterdir())]:
+                assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE)
 
 
 # Every subcommand with its CSV and SVG outputs, short horizons.

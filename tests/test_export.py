@@ -293,6 +293,28 @@ class TestRenderSvg:
         with pytest.raises(ValueError):
             render_svg(spec, [])
 
+    @pytest.mark.parametrize("kind, rows", [
+        ("indicatrix", [(-1.5e308, -1.0), (1.5e308, 1.0)]),
+        ("channel_vs_time", [(0.0, 1e-310), (1.0, 3e-310)]),
+    ], ids=["range-overflows", "scale-overflows"])
+    def test_unscalable_figure_refused(self, kind, rows, tmp_path):
+        # both once drew nan coordinates: a padded range too wide for a
+        # float, and a span too narrow for a float scale
+        spec = PlotSpec(kind=kind, series=(SeriesStyle("x"),))
+        with pytest.raises(ValueError, match="no finite frame"):
+            render_svg(spec, [rows])
+        with pytest.raises(ValueError):
+            write_svg(spec, [rows], str(tmp_path / "f.svg"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tiny_span_path_still_drawn(self):
+        # equal aspect scales a flat path by its long axis
+        spec = PlotSpec(kind="path3d_projection", series=(SeriesStyle("x"),))
+        doc = render_svg(spec, [[(0.0, 0.0, 1e-310, 0.0), (1.0, 1.0, 3e-310, 0.0)]])
+        points = ET.fromstring(doc).find(f".//{SVG}polyline").get("points")
+        assert [float(v) for xy in points.split() for v in xy.split(",")] == [
+            29.0909, 320.0, 610.9091, 320.0]
+
 
 SVG = "{http://www.w3.org/2000/svg}"
 

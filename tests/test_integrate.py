@@ -35,7 +35,7 @@ from znav import (
     metric_components,
     rotation_wind,
 )
-from znav.integrate import CAP_OUT, MAX_GRID, _guard_test, _initial_step, _leave_cap, _to_cap
+from znav.integrate import CAP_OUT, MAX_GRID, _from_cap, _guard_test, _initial_step, _to_cap
 from tests.conftest import (
     HEADINGS, RATES, ROTATION_RATE, SHAPES, axisymmetric_winds, nan_after,
 )
@@ -769,6 +769,22 @@ class TestPolarCaps:
         assert traj.stats.cap_legs >= 1
         assert traj.stats.rhs_calls == got[0]
 
+    def test_each_leg_starts_from_its_own_rhs_call(self, oblate, rot_wind, monkeypatch):
+        # only the state crosses a chart switch: every leg's stage-1
+        # accelerations are its own chart's rhs at its start, one call per
+        # leg, never the previous chart's transformed
+        starts = []
+
+        def spy(f, y0, f0, cfg):
+            starts.append(tuple(f0) == (y0[2], y0[3], *f(*y0)))
+            return _initial_step(f, y0, f0, cfg)
+
+        monkeypatch.setattr(integrate_module, "_initial_step", spy)
+        s0 = initial_state_randers(oblate, rot_wind, SurfacePoint(0.0, math.pi / 2), 1.3)
+        traj = integrate(make_rhs("randers", oblate, rot_wind), s0, IntegratorConfig(t_end=50.0))
+        assert len(starts) == 2 * traj.stats.cap_legs + 1 and all(starts)
+        assert dataclasses.astuple(traj.stats) == (499, 51, 0, 8168, 18)
+
     def test_nan_in_cap_is_not_a_pole_approach(self, oblate):
         # the acceleration turns NaN 0.3 rad from the pole, inside the cap
         # that the track enters at 0.5 rad
@@ -790,9 +806,9 @@ class TestPolarCaps:
 
     @pytest.mark.parametrize("south", [False, True])
     def test_chart_round_trip(self, south):
-        # state and accelerations through the cap chart and back
-        state = (2.5, math.pi - 0.3 if south else 0.3, 0.7, -0.4, 0.2, 0.9)
-        back = _leave_cap(south, *_to_cap(south, *state), state[0] + 0.1)
+        # the state through the cap chart and back
+        state = (2.5, math.pi - 0.3 if south else 0.3, 0.7, -0.4)
+        back = _from_cap(south, *_to_cap(south, *state), state[0] + 0.1)
         assert back == pytest.approx(state, rel=1e-13, abs=1e-15)
 
 
