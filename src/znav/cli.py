@@ -15,8 +15,9 @@ Angles are radians by default; pi-fraction literals like pi/3 are
 accepted anywhere, --deg switches plain numbers to degrees.  A flat
 key=value config file can be given with --config; its entries are
 parsed as the flags they name, and explicit flags override them.
-Every CSV goes through export.write_table.  Exit codes: 0 ok, 2
-validation, 3 numeric failure, 4 IO.
+Every file goes through export: a CSV through write_table, a figure
+through write_svg.  Exit codes: 0 ok, 2 validation, 3 numeric
+failure, 4 IO.
 """
 import argparse
 import math
@@ -33,7 +34,6 @@ from znav.export import (
     PlotSpec,
     Projected,
     SeriesStyle,
-    _frame,
     project,
     unwrap_angles,
     write_csv,
@@ -485,26 +485,14 @@ def cmd_indicatrix(prob: Problem) -> int:
     vecs = indicatrix(rd, prob.start, cfg.n)
     f_vals = [F_value(rd, prob.start, y) for y in vecs]
     residual = max(abs(f - 1.0) for f in f_vals)
-    # the scaled curves and a requested figure's frame must be finite before any file
-    # is written; m * c rounds monotonically in c for m > 0, so extremes scale c's
+    # the scaled curves must be finite before any file is written; m * c
+    # rounds monotonically in c for m > 0, so extremes scale c's
     ext = [op(m * op(c) for m in mults)
            for c in ([y.u for y in vecs], [y.v for y in vecs]) for op in (min, max)]
     if not all(map(math.isfinite, ext)):
         raise ValidationError(f"multipliers {cfg.multipliers} overflow the indicatrix curves")
-    if cfg.svg:
-        try:
-            _frame("indicatrix", *ext)
-        except ValueError as exc:
-            raise ValidationError(f"multipliers {cfg.multipliers} overflow the indicatrix"
-                                  " figure's range or scale") from exc
 
-    if cfg.csv:
-        rows = (
-            (mult, k, 2.0 * math.pi * k / cfg.n, mult * y.u, mult * y.v, f)
-            for mult in mults
-            for k, (y, f) in enumerate(zip(vecs, f_vals))
-        )
-        write_table(("mult", "k", "heading", "u", "v", "F"), rows, cfg.csv)
+    # the figure goes first: an unscalable one is refused before any file is written
     if cfg.svg:
         data = []
         for mult in mults:
@@ -519,7 +507,18 @@ def cmd_indicatrix(prob: Problem) -> int:
                 for i, m in enumerate(mults)
             ),
         )
-        write_svg(spec, data, cfg.svg)
+        try:
+            write_svg(spec, data, cfg.svg)
+        except ValueError as exc:  # a range or scale of the figure that is not finite
+            raise ValidationError(f"multipliers {cfg.multipliers} overflow the indicatrix"
+                                  " figure's range or scale") from exc
+    if cfg.csv:
+        rows = (
+            (mult, k, 2.0 * math.pi * k / cfg.n, mult * y.u, mult * y.v, f)
+            for mult in mults
+            for k, (y, f) in enumerate(zip(vecs, f_vals))
+        )
+        write_table(("mult", "k", "heading", "u", "v", "F"), rows, cfg.csv)
     print(f"indicatrix_residual={residual:.3e} n={cfg.n} "
           f"multipliers={','.join(f'{m:g}' for m in mults)}")
     return 0

@@ -6,15 +6,17 @@ form, for ints the int, and None becomes an empty cell.  The trajectory
 schema of write_csv is fixed at twelve columns (times, chart state,
 embedded position, control channel): row i of the file zips row i of
 the trajectory, its embedding and entry i of the control channel.
-A table is formatted and checked line by line before its file is
-opened and is written from those lines, the one copy of its text.  An
-SVG document is checked before its file is opened and is written line
-by line as it is rendered, so its text is never held whole; neither
-writer makes a joined or encoded copy.  SVG output is deterministic: no
-timestamps, stable element order, fixed coordinate formatting, each
-polyline's points written in one format call.  Labels, colours and
-dash patterns are written with &, <, > and " escaped.  3D paths are
-drawn by orthographic projection along a configurable view axis.
+_write is the one place a file is opened: it takes the first line
+before it opens the file, so a writer whose checks run before its
+first line writes nothing when it refuses.  A table is formatted and
+checked line by line before its file is opened, and those lines are the
+one copy of its text; an SVG document is written line by line as it is
+rendered, so its text is never held whole.  No joined or encoded copy
+is made.  SVG output is deterministic: no timestamps, stable element
+order, fixed coordinate formatting, each polyline's points written in
+one format call.  Labels, colours and dash patterns are written with
+&, <, > and " escaped.  3D paths are drawn by orthographic projection
+along a configurable view axis.
 
 A figure series is an iterable of float rows, one row per point, read
 once in plain Python (a list of tuples, a generator or a 2-D array
@@ -37,6 +39,7 @@ that draws many long series (a fan) can project each one as it is made.
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from znav.control import ControlRecord, wrap_2pi
@@ -76,6 +79,28 @@ def _utf8_size(text: str) -> int:
     return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
+def _write(path: str, what: str, lines: Iterable[str]) -> int:
+    """Write lines to path as UTF-8 text; returns bytes written.
+
+    The first line is taken before the file is opened: a line source
+    whose checks run before its first line writes nothing when it refuses.
+
+    Raises:
+        OSError: surfaced with what and the target path in the message.
+    """
+    lines = iter(lines)
+    first = next(lines, "")
+    nbytes = 0
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            for line in chain((first,), lines):
+                fh.write(line)
+                nbytes += _utf8_size(line)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+    return nbytes
+
+
 def write_table(columns: Sequence[str], rows: Iterable[Sequence], path: str) -> int:
     """Write a header and one CSV line per row; returns bytes written.
 
@@ -97,14 +122,7 @@ def write_table(columns: Sequence[str], rows: Iterable[Sequence], path: str) -> 
         lines = [(line % tuple(row)).replace("None", "") for row in rows]
     except TypeError as exc:  # too few or too many cells for the line
         raise ValueError(f"every row needs {len(columns)} cells: {exc}") from exc
-    header = ",".join(columns) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header)
-            fh.writelines(lines)
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-    return _utf8_size(header) + sum(map(_utf8_size, lines))
+    return _write(path, "CSV", chain((",".join(columns) + "\n",), lines))
 
 
 def write_csv(
@@ -238,7 +256,7 @@ def _escape(text: str) -> str:
 
 
 def _svg_lines(spec: PlotSpec, data: Sequence[Series]) -> Iterator[str]:
-    """The lines of render_svg's document, made one at a time.
+    """The lines of render_svg's document, each ending in a newline, made one at a time.
 
     Every check runs, and every series is projected, before the first
     line is made.
@@ -250,30 +268,23 @@ def _svg_lines(spec: PlotSpec, data: Sequence[Series]) -> Iterator[str]:
     planes = [s if isinstance(s, Projected) else project(spec, s) for s in data]
     if all(len(x) == 0 for x, _, _ in planes):
         raise EmptyData(f"no data for {spec.kind} plot")
-    if spec.kind in PATH_KINDS:
-        for style, (x, _, _) in zip(spec.series, planes):
-            if len(x) < 2:
-                raise EmptyData(
-                    f"series {style.label!r} has {len(x)} points; "
-                    f"{spec.kind} needs at least 2"
-                )
 
     xmin, ymin, sx, sy, x0, y0 = _frame(
         spec.kind, min(min(x) for x, _, _ in planes if x), max(max(x) for x, _, _ in planes if x),
         min(min(y) for _, y, _ in planes if y), max(max(y) for _, y, _ in planes if y))
     size = FIGURE_SIZE
 
-    yield '<?xml version="1.0" encoding="UTF-8"?>'
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-           f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">')
+           f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n')
     yield (f'<rect x="0" y="0" width="{size}" height="{size}" '
-           f'fill="white" stroke="#cccccc"/>')
+           f'fill="white" stroke="#cccccc"/>\n')
 
     def polyline(xy: list[float], color: str, dash: str, label: str) -> str:
         dash_attr = f' stroke-dasharray="{_escape(dash)}"' if dash else ""
         points = ("%.4f,%.4f " * (len(xy) // 2) % tuple(xy))[:-1]
         return (f'<polyline fill="none" stroke="{_escape(color)}" stroke-width="1.5"'
-                f'{dash_attr} points="{points}"><title>{_escape(label)}</title></polyline>')
+                f'{dash_attr} points="{points}"><title>{_escape(label)}</title></polyline>\n')
 
     for style, (x, y, t) in zip(spec.series, planes):
         # pixel coordinates px0, py0, px1, py1, ..., the y axis pointing up
@@ -281,7 +292,7 @@ def _svg_lines(spec: PlotSpec, data: Sequence[Series]) -> Iterator[str]:
         xy[0::2] = [x0 + (a - xmin) * sx for a in x]
         xy[1::2] = [size - (y0 + (b - ymin) * sy) for b in y]
         if len(x) == 1:
-            yield ('<circle cx="%.4f" cy="%.4f" r="3" fill="%s"><title>%s</title></circle>'
+            yield ('<circle cx="%.4f" cy="%.4f" r="3" fill="%s"><title>%s</title></circle>\n'
                    % (xy[0], xy[1], _escape(style.color), _escape(style.label)))
             continue
         if spec.segments and t is not None:
@@ -298,52 +309,40 @@ def _svg_lines(spec: PlotSpec, data: Sequence[Series]) -> Iterator[str]:
         else:
             yield polyline(xy, style.color, style.dash, style.label)
 
-    yield "</svg>"
-    yield ""  # the empty last line ends the document with a newline
+    yield "</svg>\n"
 
 
 def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
     """Render series to a standalone SVG 1.1 document string.
 
     Each series of rows is projected with project; a Projected series
-    is drawn as it is.  Path kinds refuse series with fewer than two
-    points; marker kinds draw lone points as small circles.  Series are
-    drawn in order; when time segmentation is set, each path series is
-    split at the boundaries and colored through the segment palette,
-    the part after the last boundary included.
+    is drawn as it is.  A series of one point, of any kind, is drawn as
+    a small circle (a track that stops at the pole guard before its
+    first sample is one).  Series are drawn in order; when time
+    segmentation is set, each path series is split at the boundaries
+    and colored through the segment palette, the part after the last
+    boundary included.
 
     Raises:
-        EmptyData: no data, or a path series with fewer than two points.
+        EmptyData: no series has a point.
         ValueError: series and styles differ in number, or the data's
             padded range or its scale is not finite.
     """
-    return "\n".join(_svg_lines(spec, data))
+    return "".join(_svg_lines(spec, data))
 
 
 def write_svg(spec: PlotSpec, data: Sequence[Series], path: str) -> int:
     """Write render_svg's document line by line as it is rendered; returns bytes written.
 
-    The document's text is never held whole: each line is written in
-    text mode as it is made.  The checks run before the file is opened,
-    so a refused figure writes nothing.
+    The document's text is never held whole: _write writes each line as
+    it is made.  The checks run before the first line, so a refused
+    figure writes nothing.
 
     Raises:
-        EmptyData, ValueError: as render_svg.
+        EmptyData, ValueError: as render_svg, before the file is opened.
         OSError: surfaced with the target path in the message.
     """
-    lines = _svg_lines(spec, data)
-    head = next(lines)  # runs the checks
-    nbytes = _utf8_size(head)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(head)
-            for line in lines:
-                fh.write("\n")
-                fh.write(line)
-                nbytes += 1 + _utf8_size(line)
-    except OSError as exc:
-        raise OSError(f"cannot write SVG to {path}: {exc}") from exc
-    return nbytes
+    return _write(path, "SVG", _svg_lines(spec, data))
 
 
 def unwrap_angles(values: Sequence[float]) -> list[float]:

@@ -36,14 +36,13 @@ def _to_plane(
 def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
     """Render series of float rows to a standalone SVG 1.1 document string.
 
-    Path kinds refuse series with fewer than two points; marker kinds
-    draw lone points as small circles.  Series are drawn in order; when
-    time segmentation is set, each path series is split at the
-    boundaries and colored through the segment palette, the part after
-    the last boundary included.
+    A series of one point, of any kind, is drawn as a small circle.
+    Series are drawn in order; when time segmentation is set, each path
+    series is split at the boundaries and colored through the segment
+    palette, the part after the last boundary included.
 
     Raises:
-        EmptyData: no data, or a path series with fewer than two points.
+        EmptyData: no series has a point.
     """
     if len(data) != len(spec.series):
         raise ValueError(
@@ -51,13 +50,6 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
         )
     if all(len(rows) == 0 for rows in data):
         raise EmptyData(f"no data for {spec.kind} plot")
-    if spec.kind in PATH_KINDS:
-        for style, rows in zip(spec.series, data):
-            if len(rows) < 2:
-                raise EmptyData(
-                    f"series {style.label!r} has {len(rows)} points; "
-                    f"{spec.kind} needs at least 2"
-                )
 
     planes = [_to_plane(spec, rows) for rows in data]
     xmin = min(min(x) for x, _, _ in planes if x)

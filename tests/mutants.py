@@ -135,7 +135,15 @@ MUTANTS = [
     ("plane columns of the view along x", EXPORT,
      '_PROJECTION = {"z": (1, 2), "x": (2, 3), "y": (1, 3)}',
      '_PROJECTION = {"z": (1, 2), "x": (3, 2), "y": (1, 3)}', T_EXPORT),
-    ("line separator of a written figure", EXPORT, 'fh.write("\\n")', "pass", T_EXPORT),
+    ("first line of a written file", EXPORT,
+     "for line in chain((first,), lines):", "for line in lines:", T_EXPORT),
+    ("newline that ends a figure", EXPORT, 'yield "</svg>\\n"', 'yield "</svg>"', T_EXPORT),
+    ("lone point of a series drawn as a circle", EXPORT, "if len(x) == 1:", "if False:",
+     T_EXPORT),
+    # the figure refusal is an except clause: catching nothing lets ValueError escape main
+    ("refusal of an unscalable indicatrix figure", CLI,
+     "except ValueError as exc:  # a range or scale of the figure that is not finite",
+     "except () as exc:", T_CLI),
     ("fan members held as embedded rows, not projected", CLI,
      "return project(frame, embed_rows(prob.sph, traj.rows)), SeriesStyle(",
      "return list(embed_rows(prob.sph, traj.rows)), SeriesStyle(", T_CLI),

@@ -29,6 +29,10 @@ BENCH = ["--a", "0.75", "--wind", "rotation:0.7142857142857143",
 # so the course is undefined on every row of the randers track.
 BECALMED = ["--a", "0.75", "--wind", "rotation:0.9999999999995", "--start", "0,pi/2",
             "--heading", "0", "--t-end", "0.05"]
+# 2e-5 from the north pole, heading pi/2 meets the pole guard before its first
+# sample: a valid transpolar track of one row, drawn as a dot.
+LONE_START = ["--a", "0.75", "--start", "0,2e-5"]
+LONE_SUMMARY = "termination=pole_proximity classification=transpolar t_last=0 "
 
 
 class TestParseAngle:
@@ -220,6 +224,23 @@ class TestGeodesic:
             assert runs[1] == runs[0] and runs[2] == runs[0]
             assert "killing_residual" not in runs[0][0]
 
+    @pytest.mark.parametrize("argv, printed, dots", [
+        (["geodesic", "--plot", "path3d"], LONE_SUMMARY, 1),
+        (["geodesic", "--plot", "polar", "--segments", "0.5"], LONE_SUMMARY, 1),
+        (["compare"], "max_dphi=0.000e+00 max_dtheta=0.000e+00", 3),
+    ], ids=["path3d", "polar-segmented", "compare"])
+    def test_track_stopped_before_first_sample_drawn(self, argv, printed, dots, tmp_path):
+        # each exited 3 after writing its CSV: its figure refused a lone point
+        csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+        code, out = _stdout([*argv, *LONE_START, "--heading", "pi/2",
+                             "--csv", str(csv), "--svg", str(svg)])
+        assert code == 0
+        assert printed in out
+        assert len(csv.read_text().splitlines()) == 1 + 1
+        root = ET.parse(svg).getroot()
+        assert len(root.findall("{http://www.w3.org/2000/svg}circle")) == dots
+        assert not root.findall("{http://www.w3.org/2000/svg}polyline")
+
     def test_nan_mid_run_is_numeric_failure(self, monkeypatch, capsys):
         monkeypatch.setattr("znav.cli.make_rhs",
                             lambda *args: nan_after(make_rhs(*args), 0.5))
@@ -330,6 +351,18 @@ class TestFamily:
             assert (tmp_path / f"fan_{i:03d}.csv").exists()
         root = ET.parse(svg).getroot()
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 8
+
+    def test_lone_point_member_drawn(self, tmp_path, capsys):
+        # member 00 stops at the pole guard before its first sample; the fan
+        # once printed its counts and then exited 3 on the figure
+        svg = tmp_path / "fan.svg"
+        code = main(["family", *LONE_START, "--heading-start", "pi/2", "--heading-step", "pi",
+                     "--heading-count", "2", "--t-end", "1", "--svg", str(svg)])
+        assert code == 0
+        assert "counts: circumpolar=1 transpolar=1 failed=0" in capsys.readouterr().out
+        root = ET.parse(svg).getroot()
+        assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 1
+        assert len(root.findall("{http://www.w3.org/2000/svg}circle")) == 1
 
     def test_long_fan_mixes_classes(self, capsys):
         code = main(["family", *BENCH, "--kind", "randers",
@@ -838,7 +871,7 @@ POOLS = {
     "--a": EDGE, "--heading": EDGE, "--heading-start": EDGE, "--heading-step": EDGE,
     "--t-end": EDGE, "--rel-tol": EDGE, "--abs-tol": EDGE, "--sample-dt": EDGE,
     "--start": [f"{p},{t}" for p in ("0", "1e308", "nan") for t in ("pi/2", "1", "0")]
-    + ["foo", "1", "-0.0,1e-300"],
+    + ["foo", "1", "-0.0,1e-300", "0,2e-5"],
     "--wind": ["none", "rotation:0", "rotation:-0.0", "rotation:0.5", "rotation:5e-324",
                "rotation:1e308", "rotation:nan", "rotation:inf", "rotation:foo", "breeze"],
     "--kind": ["h", "alpha", "randers", "finsler"],
@@ -901,6 +934,8 @@ class TestTotal:
     @example(run=(["report", "--t-end", "1"], "heading = 60\ndeg = y"))
     @example(run=(["indicatrix", "--n", "36", "--multipliers", "1e-306", "--svg", "out.svg"],
                   None))
+    @example(run=(["geodesic", "--heading", "pi/2", "--start", "0,2e-5",
+                   "--csv", "out.csv", "--svg", "out.svg"], None))
     def test_every_input_ends_in_a_documented_exit(self, run, tmp_path_factory):
         argv, config = run
         outdir = tmp_path_factory.mktemp("out")
@@ -912,6 +947,9 @@ class TestTotal:
             argv = [*argv, "--config", str(path)]
         code, out = _stdout(argv)
         assert code in (0, 2, 3, 4)
+        if code in (2, 3):
+            # a refused run writes nothing; an IO error (4) may leave files
+            assert list(outdir.iterdir()) == []
         if code == 0:
             # neither what it prints nor a file it writes holds a non-finite number
             for text in [out, *(p.read_text() for p in outdir.iterdir())]:

@@ -265,14 +265,15 @@ class TestRenderSvg:
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 4
 
     def test_single_point_marker_vs_path(self):
-        point = [np.asarray([[0.5, 0.5]])]
-        marker_spec = PlotSpec(kind="speed_vs_heading", series=(SeriesStyle("pt"),))
-        doc = render_both(marker_spec, point)
-        assert "<circle" in doc
-        path_spec = PlotSpec(kind="path3d_projection", series=(SeriesStyle("pt"),))
-        for lone in ([np.asarray([[0.0, 0.5, 0.5, 0.0]])], [[(0.0, 0.5, 0.5, 0.0)]]):
-            with pytest.raises(EmptyData):
-                render_svg(path_spec, lone)
+        # a lone point of any kind is one circle, split in time or not: a
+        # track that stops at the pole guard before its first sample is drawn
+        for kind, row, segments in [("speed_vs_heading", (0.5, 0.5), None),
+                                    ("path3d_projection", (0.0, 0.5, 0.5, 0.0), None),
+                                    ("path3d_projection", (0.0, 0.5, 0.5, 0.0), (1.0,)),
+                                    ("polar", (0.0, 0.5, 0.5), None)]:
+            spec = PlotSpec(kind=kind, series=(SeriesStyle("pt"),), segments=segments)
+            root = ET.fromstring(render_both(spec, [np.asarray([row])]))
+            assert [e.tag for e in root] == [f"{SVG}rect", f"{SVG}circle"]
 
     def test_no_data_refused(self):
         spec = PlotSpec(kind="channel_vs_time", series=(SeriesStyle("x"),))
