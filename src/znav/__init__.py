@@ -56,6 +56,8 @@ from znav.integrate import (
     classify_path,
     integrate,
     integrate_family,
+    iter_family,
+    track,
 )
 from znav.randers import (
     F_value,

@@ -16,8 +16,10 @@ accepted anywhere, --deg switches plain numbers to degrees.  A flat
 key=value config file can be given with --config; its entries are
 parsed as the flags they name, and explicit flags override them.
 Every file goes through export: a CSV through write_table, a figure
-through write_svg.  Exit codes: 0 ok, 2 validation, 3 numeric
-failure, 4 IO.
+through write_svg.  Figures are written before tables (family's member
+CSVs aside), so a refused figure writes no file.  Every track is run
+by integrate.track.  Exit codes: 0 ok, 2 validation, 3 numeric
+failure (an unscalable figure included), 4 IO.
 """
 import argparse
 import math
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import NoReturn
 
 from znav import control
-from znav.control import control_channel, initial_state, wrap_2pi, wrap_signed
+from znav.control import control_channel, wrap_2pi, wrap_signed
 from znav.errors import EmptyData, NavigationError
 from znav.export import (
     PlotSpec,
@@ -40,10 +42,12 @@ from znav.export import (
     write_svg,
     write_table,
 )
-from znav.integrate import MAX_GRID, IntegratorConfig, Trajectory, classify_path, integrate
+from znav.integrate import (
+    MAX_GRID, FamilyMember, IntegratorConfig, Trajectory, classify_path, iter_family, track,
+)
 from znav.randers import F_value, RandersData, indicatrix
 from znav.spheroid import Spheroid, SurfacePoint, embed_rows, require_off_pole
-from znav.spray import METRIC_KINDS, make_rhs, resolve_flow
+from znav.spray import METRIC_KINDS, resolve_flow
 from znav.wind import STILL_AIR, WindField, rotation_wind
 
 
@@ -302,22 +306,6 @@ def _heading(prob: Problem, command: str) -> float:
     return parse_angle(prob.cfg.heading, prob.cfg.deg)
 
 
-def _track(prob: Problem, kind: str, heading: float) -> Trajectory:
-    """Seed and integrate one track of the given metric kind.
-
-    The one place where a step_failure track becomes an error.
-
-    Raises:
-        NavigationError: the step size underflowed (a step_failure track),
-            or the engine raised one (NonFiniteState, NotMild).
-    """
-    state0 = initial_state(prob.sph, prob.wind, kind, prob.start, heading)
-    traj = integrate(make_rhs(kind, prob.sph, prob.wind), state0, prob.icfg, kind=kind)
-    if traj.termination == "step_failure":
-        raise NavigationError(traj.events[-1])
-    return traj
-
-
 def _heading_deg(cfg: argparse.Namespace, angle: float) -> float:
     """Angle for display: degrees, optionally converted to a compass azimuth."""
     deg = math.degrees(angle)
@@ -328,9 +316,7 @@ def cmd_geodesic(prob: Problem) -> int:
     cfg = prob.cfg
     heading = _heading(prob, "geodesic")
     segments = _segments(cfg)
-    traj = _track(prob, prob.kind, heading)
-    if cfg.csv:
-        write_csv(prob.sph, traj, control_channel(prob.sph, prob.flow_wind, traj), cfg.csv)
+    traj = track(prob.sph, prob.wind, prob.kind, prob.start, heading, prob.icfg)
     if cfg.svg:
         if cfg.plot == "polar":
             kind, data = "polar", traj.rows
@@ -341,6 +327,8 @@ def cmd_geodesic(prob: Problem) -> int:
                         series=(SeriesStyle(label=prob.kind, color="#d62728"),),
                         segments=segments, view_axis="z" if cfg.plot == "xy" else cfg.view)
         write_svg(spec, [data], cfg.svg)
+    if cfg.csv:
+        write_csv(prob.sph, traj, control_channel(prob.sph, prob.flow_wind, traj), cfg.csv)
     final = traj.final_state()
     print(
         f"termination={traj.termination} classification={classify_path(traj)} "
@@ -352,40 +340,27 @@ def cmd_geodesic(prob: Problem) -> int:
     return 0
 
 
-def _member_csv_path(base: str, index: int) -> str:
-    stem, ext = os.path.splitext(base)
-    return f"{stem}_{index:03d}{ext}"
-
-
 def _fan_member(
-    prob: Problem, frame: PlotSpec, i: int, heading: float, counts: dict[str, int]
+    prob: Problem, frame: PlotSpec, i: int, member: FamilyMember, counts: dict[str, int]
 ) -> tuple[Projected, SeriesStyle] | None:
-    """Run, print, count and write fan member i; its projection and style for the figure.
-
-    None if the member failed or no figure is drawn.  A member fails on
-    the NavigationError that _track raises (a step underflow, a
-    non-finite state, a wind that is not mild); any other exception
-    aborts the fan.  The member's trajectory and control channel live
-    only in this call, and the figure keeps only the projection of its
-    rows: a fan holds one member's rows at a time.
-    """
-    try:
-        traj = _track(prob, prob.kind, heading)  # the one reference to the member's track
-    except NavigationError as error:
+    """Print, count and write fan member i; its projection and style, or None if not drawn."""
+    traj = member.trajectory
+    if traj is None:
         counts["failed"] += 1
-        print(f"member={i:02d} heading={heading:.6g} error={error}")
+        print(f"member={i:02d} heading={member.heading:.6g} error={member.error}")
         return None
     label = classify_path(traj)
     counts[label] += 1
-    print(f"member={i:02d} heading={heading:.6g} "
+    print(f"member={i:02d} heading={member.heading:.6g} "
           f"termination={traj.termination} classification={label}")
-    if prob.cfg.csv:
+    if prob.cfg.csv:  # out.csv -> out_000.csv, ...
+        stem, ext = os.path.splitext(prob.cfg.csv)
         channel = control_channel(prob.sph, prob.flow_wind, traj)
-        write_csv(prob.sph, traj, channel, _member_csv_path(prob.cfg.csv, i))
+        write_csv(prob.sph, traj, channel, f"{stem}_{i:03d}{ext}")
     if not prob.cfg.svg:
         return None
     return project(frame, embed_rows(prob.sph, traj.rows)), SeriesStyle(
-        label=f"heading={heading:.4g}",
+        label=f"heading={member.heading:.4g}",
         color="#1f77b4" if label == "transpolar" else "#d62728",
     )
 
@@ -416,16 +391,16 @@ def cmd_family(prob: Problem) -> int:
                      segments=_segments(cfg), view_axis=cfg.view)
 
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
-    data, styles = [], []
-    for i, heading in enumerate(headings):
-        drawn = _fan_member(prob, frame, i, heading, counts)
-        if drawn is not None:
-            data.append(drawn[0])
-            styles.append(drawn[1])
+    members = iter_family(prob.sph, prob.wind, prob.start, headings, prob.kind, prob.icfg)
+    # next() hands member i to _fan_member alone, and the figure keeps only its
+    # projection: no name keeps its track alive while the next one is integrated
+    drawn = [_fan_member(prob, frame, i, next(members), counts) for i in range(len(headings))]
+    drawn = [d for d in drawn if d is not None]
     print(f"counts: circumpolar={counts['circumpolar']} "
           f"transpolar={counts['transpolar']} failed={counts['failed']}")
-    if data:
-        write_svg(replace(frame, series=tuple(styles)), data, cfg.svg)
+    if drawn:
+        data, styles = zip(*drawn)
+        write_svg(replace(frame, series=styles), data, cfg.svg)
     return 0 if counts["circumpolar"] + counts["transpolar"] >= 1 else 3
 
 
@@ -434,7 +409,7 @@ def cmd_compare(prob: Problem) -> int:
     heading = _heading(prob, "compare")
     # the alpha track is only drawn, so it is integrated only for --svg
     kinds = METRIC_KINDS if cfg.svg else ("h", "randers")
-    trajs = {kind: _track(prob, kind, heading) for kind in kinds}
+    trajs = {k: track(prob.sph, prob.wind, k, prob.start, heading, prob.icfg) for k in kinds}
 
     rows_f, rows_h = trajs["randers"].rows, trajs["h"].rows
     ch_f = control_channel(prob.sph, prob.wind, trajs["randers"])
@@ -450,9 +425,6 @@ def cmd_compare(prob: Problem) -> int:
                    wrap_signed(cf.drift - ch.drift), cf.speed - ch.speed)
         table.append((rh[0], rf[1] - rh[1], rf[2] - rh[2], rf[3] - rh[3], rf[4] - rh[4], *dch))
 
-    if cfg.csv:
-        write_table(("t", "d_phi", "d_theta", "d_phi_dot", "d_theta_dot",
-                     "d_heading", "d_course", "d_drift", "d_speed"), table, cfg.csv)
     if cfg.svg:
         palette = {"h": "#1f77b4", "alpha": "#2ca02c", "randers": "#d62728"}
         spec = PlotSpec(
@@ -461,6 +433,9 @@ def cmd_compare(prob: Problem) -> int:
             view_axis=cfg.view,
         )
         write_svg(spec, [embed_rows(prob.sph, t.rows) for t in trajs.values()], cfg.svg)
+    if cfg.csv:
+        write_table(("t", "d_phi", "d_theta", "d_phi_dot", "d_theta_dot",
+                     "d_heading", "d_course", "d_drift", "d_speed"), table, cfg.csv)
 
     max_dphi = max(abs(row[1]) for row in table)
     max_dtheta = max(abs(row[2]) for row in table)
@@ -492,7 +467,6 @@ def cmd_indicatrix(prob: Problem) -> int:
     if not all(map(math.isfinite, ext)):
         raise ValidationError(f"multipliers {cfg.multipliers} overflow the indicatrix curves")
 
-    # the figure goes first: an unscalable one is refused before any file is written
     if cfg.svg:
         data = []
         for mult in mults:
@@ -509,7 +483,7 @@ def cmd_indicatrix(prob: Problem) -> int:
         )
         try:
             write_svg(spec, data, cfg.svg)
-        except ValueError as exc:  # a range or scale of the figure that is not finite
+        except EmptyData as exc:  # a range or scale of the figure that is not finite
             raise ValidationError(f"multipliers {cfg.multipliers} overflow the indicatrix"
                                   " figure's range or scale") from exc
     if cfg.csv:
@@ -526,13 +500,11 @@ def cmd_indicatrix(prob: Problem) -> int:
 
 def cmd_report(prob: Problem) -> int:
     cfg = prob.cfg
-    traj = _track(prob, prob.kind, _heading(prob, "report"))
+    traj = track(prob.sph, prob.wind, prob.kind, prob.start, _heading(prob, "report"), prob.icfg)
     channel = control_channel(prob.sph, prob.flow_wind, traj)
     rec0 = channel[0]  # the departure
     if rec0 is None:
         raise EmptyData("departure heading or course undefined")
-    if cfg.csv:
-        write_csv(prob.sph, traj, channel, cfg.csv)
     if cfg.svg:
         records = [r for r in channel if r is not None]
         t = [r.t for r in records]
@@ -563,6 +535,8 @@ def cmd_report(prob: Problem) -> int:
             series=(SeriesStyle(label="initial speed", color="#000000"),),
         )
         write_svg(spec, [list(zip(hds, speeds))], cfg.speed_svg)
+    if cfg.csv:
+        write_csv(prob.sph, traj, channel, cfg.csv)
 
     conv = " (compass azimuth)" if cfg.compass else ""
     drift0 = -rec0.drift if cfg.compass else rec0.drift

@@ -235,7 +235,7 @@ def _frame(kind: str, xlo: float, xhi: float, ylo: float, yhi: float):
     x0 + (a - xmin) sx from the left and y0 + (b - ymin) sy from the bottom.
 
     Raises:
-        ValueError: a padded range, or a scale after equal aspect, is not finite.
+        EmptyData: a padded range, or a scale after equal aspect, is not finite.
     """
     xpad = 0.05 * (xhi - xlo) or 1.0
     ypad = 0.05 * (yhi - ylo) or 1.0
@@ -245,7 +245,7 @@ def _frame(kind: str, xlo: float, xhi: float, ylo: float, yhi: float):
     if kind in PATH_KINDS or kind == "indicatrix":
         sx = sy = min(sx, sy)  # equal aspect for geometric figures
     if not all(map(math.isfinite, (xspan, yspan, sx, sy))):
-        raise ValueError(f"{kind} data [{xlo:g}, {xhi:g}] x [{ylo:g}, {yhi:g}] has no finite frame")
+        raise EmptyData(f"{kind} data [{xlo:g}, {xhi:g}] x [{ylo:g}, {yhi:g}] has no finite frame")
     return xmin, ymin, sx, sy, 0.5 * (FIGURE_SIZE - sx * xspan), 0.5 * (FIGURE_SIZE - sy * yspan)
 
 
@@ -266,12 +266,13 @@ def _svg_lines(spec: PlotSpec, data: Sequence[Series]) -> Iterator[str]:
             f"{len(spec.series)} series styles but {len(data)} data arrays"
         )
     planes = [s if isinstance(s, Projected) else project(spec, s) for s in data]
-    if all(len(x) == 0 for x, _, _ in planes):
+    drawn = [(style, p) for style, p in zip(spec.series, planes) if p.x]  # skip empty series
+    if not drawn:
         raise EmptyData(f"no data for {spec.kind} plot")
 
     xmin, ymin, sx, sy, x0, y0 = _frame(
-        spec.kind, min(min(x) for x, _, _ in planes if x), max(max(x) for x, _, _ in planes if x),
-        min(min(y) for _, y, _ in planes if y), max(max(y) for _, y, _ in planes if y))
+        spec.kind, min(min(p.x) for _, p in drawn), max(max(p.x) for _, p in drawn),
+        min(min(p.y) for _, p in drawn), max(max(p.y) for _, p in drawn))
     size = FIGURE_SIZE
 
     yield '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -286,7 +287,7 @@ def _svg_lines(spec: PlotSpec, data: Sequence[Series]) -> Iterator[str]:
         return (f'<polyline fill="none" stroke="{_escape(color)}" stroke-width="1.5"'
                 f'{dash_attr} points="{points}"><title>{_escape(label)}</title></polyline>\n')
 
-    for style, (x, y, t) in zip(spec.series, planes):
+    for style, (x, y, t) in drawn:
         # pixel coordinates px0, py0, px1, py1, ..., the y axis pointing up
         xy = [0.0] * (2 * len(x))
         xy[0::2] = [x0 + (a - xmin) * sx for a in x]
@@ -316,17 +317,17 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
     """Render series to a standalone SVG 1.1 document string.
 
     Each series of rows is projected with project; a Projected series
-    is drawn as it is.  A series of one point, of any kind, is drawn as
-    a small circle (a track that stops at the pole guard before its
-    first sample is one).  Series are drawn in order; when time
-    segmentation is set, each path series is split at the boundaries
-    and colored through the segment palette, the part after the last
-    boundary included.
+    is drawn as it is.  A series of no point is skipped, and a series of
+    one point, of any kind, is drawn as a small circle (a track that
+    stops at the pole guard before its first sample is one).  Series
+    are drawn in order; when time segmentation is set, each path series
+    is split at the boundaries and colored through the segment palette,
+    the part after the last boundary included.
 
     Raises:
-        EmptyData: no series has a point.
-        ValueError: series and styles differ in number, or the data's
-            padded range or its scale is not finite.
+        EmptyData: no series has a point, or the data's padded range or
+            its scale is not finite.
+        ValueError: series and styles differ in number.
     """
     return "".join(_svg_lines(spec, data))
 

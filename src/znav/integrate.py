@@ -25,9 +25,10 @@ the primary accuracy diagnostic.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 from znav.control import initial_state
-from znav.errors import NonFiniteState, PoleSingularity
+from znav.errors import NavigationError, NonFiniteState, PoleSingularity
 from znav.spheroid import (
     POLE_GUARD, NavState, Spheroid, SurfacePoint, TangentVector, require_off_pole,
 )
@@ -874,34 +875,53 @@ class FamilyMember:
     error: Exception | None = None
 
 
-def integrate_family(
-    sph: Spheroid,
-    wind: WindField | None,
-    start: SurfacePoint,
-    headings: list[float],
-    kind: MetricKind,
-    cfg: IntegratorConfig,
-) -> list[FamilyMember]:
-    """Integrate one geodesic per initial heading from a common start.
+def track(
+    sph: Spheroid, wind: WindField | None, kind: MetricKind, start: SurfacePoint,
+    heading: float, cfg: IntegratorConfig,
+) -> Trajectory:
+    """One track, seeded by control.initial_state and integrated under make_rhs.
 
-    Members are seeded by control.initial_state and integrated one after
-    another in heading order.  Failures are carried per member.
+    The one place where a step_failure track becomes an error.
 
     Raises:
-        ValueError: empty heading list.
+        NavigationError: the step size underflowed (its event is the
+            message), or seeding or the engine raised one.
+        ValueError: unknown metric kind.
+    """
+    state0 = initial_state(sph, wind, kind, start, heading)
+    traj = integrate(make_rhs(kind, sph, wind), state0, cfg, kind=kind)
+    if traj.termination == "step_failure":
+        raise NavigationError(traj.events[-1])
+    return traj
+
+
+def iter_family(
+    sph: Spheroid, wind: WindField | None, start: SurfacePoint, headings: list[float],
+    kind: MetricKind, cfg: IntegratorConfig,
+) -> Iterator[FamilyMember]:
+    """One member per heading, run by track when it is asked for and not kept after.
+
+    A NavigationError becomes the member's error; any other ends the fan.
+    """
+    for heading in headings:
+        try:
+            yield FamilyMember(heading, track(sph, wind, kind, start, heading, cfg))
+        except NavigationError as error:
+            yield FamilyMember(heading, None, error)
+
+
+def integrate_family(
+    sph: Spheroid, wind: WindField | None, start: SurfacePoint, headings: list[float],
+    kind: MetricKind, cfg: IntegratorConfig,
+) -> list[FamilyMember]:
+    """The members of iter_family, each integrated before this returns.
+
+    Raises:
+        ValueError: empty heading list, or an unknown metric kind.
     """
     if not headings:
         raise ValueError("heading fan must not be empty")
-
-    rhs = make_rhs(kind, sph, wind)
-    members = []
-    for heading in headings:
-        try:
-            s0 = initial_state(sph, wind, kind, start, heading)
-            members.append(FamilyMember(heading, integrate(rhs, s0, cfg, kind=kind)))
-        except Exception as exc:  # carried per member, no global abort
-            members.append(FamilyMember(heading, None, exc))
-    return members
+    return list(iter_family(sph, wind, start, headings, kind, cfg))
 
 
 def classify_path(traj: Trajectory) -> str:

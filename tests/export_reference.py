@@ -36,7 +36,8 @@ def _to_plane(
 def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
     """Render series of float rows to a standalone SVG 1.1 document string.
 
-    A series of one point, of any kind, is drawn as a small circle.
+    A series of no point is skipped, and a series of one point, of any
+    kind, is drawn as a small circle.
     Series are drawn in order; when time segmentation is set, each path
     series is split at the boundaries and colored through the segment
     palette, the part after the last boundary included.
@@ -85,6 +86,8 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
         )
 
     for style, (x, y, t) in zip(spec.series, planes):
+        if not x:
+            continue
         # one "px,py" pixel pair per point, the y axis pointing up
         pts = [
             f"{x0 + (a - xmin) * sx:.4f},{size - (y0 + (b - ymin) * sy):.4f}"

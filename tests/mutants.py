@@ -69,12 +69,14 @@ MUTANTS = [
      'f"conservation_drift={_conservation_drift(prob, traj):.3e}"',
      'f"conservation_drift={_conservation_drift(prob, traj) / 2:.3e}"', T_CLI),
     ("a drawn fan member kept referenced", CLI,
-     "traj = _track(prob, prob.kind, heading)  # the one reference to the member's track",
-     "traj = prob.cfg.held = _track(prob, prob.kind, heading)", T_CLI),
-    # a member's engine error is an except clause: catching nothing aborts the fan
-    ("failed member of a fan", CLI,
-     "except NavigationError as error:", "except ():", T_CLI),
-    ("step failure of a track as an error", CLI,
+     "traj = member.trajectory", "traj = prob.cfg.held = member.trajectory", T_CLI),
+    # a member's engine error is an except clause: catching nothing aborts the fan,
+    # and catching everything turns a defect into a member's error
+    ("failed member of a fan", INTEGRATE,
+     "except NavigationError as error:", "except ():", T_INTEGRATE),
+    ("only engine errors carried by a fan member", INTEGRATE,
+     "except NavigationError as error:", "except Exception as error:", T_INTEGRATE),
+    ("step failure of a track as an error", INTEGRATE,
      'if traj.termination == "step_failure":', "if False:", T_CLI),
     ("finite-heading check of a fan", CLI,
      "if not all(map(math.isfinite, headings)):", "if False:", T_CLI),
@@ -140,9 +142,9 @@ MUTANTS = [
     ("newline that ends a figure", EXPORT, 'yield "</svg>\\n"', 'yield "</svg>"', T_EXPORT),
     ("lone point of a series drawn as a circle", EXPORT, "if len(x) == 1:", "if False:",
      T_EXPORT),
-    # the figure refusal is an except clause: catching nothing lets ValueError escape main
+    # the figure refusal is an except clause: catching nothing makes it exit 3, not 2
     ("refusal of an unscalable indicatrix figure", CLI,
-     "except ValueError as exc:  # a range or scale of the figure that is not finite",
+     "except EmptyData as exc:  # a range or scale of the figure that is not finite",
      "except () as exc:", T_CLI),
     ("fan members held as embedded rows, not projected", CLI,
      "return project(frame, embed_rows(prob.sph, traj.rows)), SeriesStyle(",

@@ -21,7 +21,7 @@ import znav.cli
 from znav import Spheroid, integrate, make_rhs, render_svg
 from znav.cli import ValidationError, main, parse_angle
 from znav.spheroid import embed_rows
-from tests.conftest import nan_after, read_csv
+from tests.conftest import ROTATION_RATE, nan_after, read_csv
 
 BENCH = ["--a", "0.75", "--wind", "rotation:0.7142857142857143",
          "--start", "0,pi/2"]
@@ -33,6 +33,9 @@ BECALMED = ["--a", "0.75", "--wind", "rotation:0.9999999999995", "--start", "0,p
 # sample: a valid transpolar track of one row, drawn as a dot.
 LONE_START = ["--a", "0.75", "--start", "0,2e-5"]
 LONE_SUMMARY = "termination=pole_proximity classification=transpolar t_last=0 "
+# The package's name znav.integrate is the function: its module, where
+# every track is seeded and integrated, is reached through sys.modules.
+INTEGRATE = sys.modules["znav.integrate"]
 
 
 class TestParseAngle:
@@ -242,7 +245,7 @@ class TestGeodesic:
         assert not root.findall("{http://www.w3.org/2000/svg}polyline")
 
     def test_nan_mid_run_is_numeric_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr("znav.cli.make_rhs",
+        monkeypatch.setattr(INTEGRATE, "make_rhs",
                             lambda *args: nan_after(make_rhs(*args), 0.5))
         code = main(["geodesic", "--heading", "0.3", "--t-end", "2"])
         assert code == 3
@@ -266,6 +269,21 @@ class TestStepFailure:
         assert "member=00 heading=0 error=step underflow at t=" in out
         assert "counts: circumpolar=0 transpolar=0 failed=1" in out
 
+    def test_library_fan_carries_the_printed_errors(self, capsys):
+        # both members underflow: integrate_family carries, as each member's
+        # error, the NavigationError whose text the CLI prints
+        code = main(["family", "--heading-start", "0", "--heading-step", "1",
+                     "--heading-count", "2", *self.TINY_TOL])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 3
+        members = znav.integrate_family(
+            Spheroid(0.75), None, znav.SurfacePoint(0.0, math.pi / 2), [0.0, 1.0], "randers",
+            znav.IntegratorConfig(t_end=1.0, rel_tol=1e-300, abs_tol=1e-300))
+        assert [m.trajectory for m in members] == [None, None]
+        assert all(type(m.error) is znav.NavigationError for m in members)
+        assert [f"member={i:02d} heading={m.heading:.6g} error={m.error}"
+                for i, m in enumerate(members)] == lines[:2]
+
     def test_failed_member_left_out_of_a_fan(self, tmp_path, monkeypatch):
         # the second rhs made returns NaN, so member 01 underflows at once;
         # the fan goes on, and the member has no class, CSV or polyline
@@ -275,9 +293,7 @@ class TestStepFailure:
             made.append(make_rhs(*args))
             return (lambda *state: (math.nan, math.nan)) if len(made) == 2 else made[-1]
 
-        monkeypatch.setattr("znav.cli.make_rhs", second_nan)
-        # the package's name znav.integrate is the function: patch the module
-        monkeypatch.setattr(sys.modules["znav.integrate"], "make_rhs", second_nan)
+        monkeypatch.setattr(INTEGRATE, "make_rhs", second_nan)
         csv, svg = tmp_path / "fan.csv", tmp_path / "fan.svg"
         code, out = _stdout(["family", *BENCH, "--heading-start", "0", "--heading-step",
                              "pi/2", "--heading-count", "4", "--t-end", "3",
@@ -376,16 +392,23 @@ class TestFamily:
         # not move a classification
         assert "counts: circumpolar=6 transpolar=2 failed=0" in out
 
-    @pytest.mark.parametrize("flow", [
-        ["--wind", "none", "--kind", "h"],
-        ["--wind", "rotation:0.7142857142857143", "--kind", "alpha"],
-        ["--wind", "rotation:0.7142857142857143", "--kind", "randers"],
+    @pytest.mark.parametrize("rate, kind", [
+        (None, "h"), (ROTATION_RATE, "alpha"), (ROTATION_RATE, "randers"),
     ], ids=["h", "alpha", "randers"])
-    def test_readme_t3_fan_counts(self, flow, capsys):
+    def test_readme_t3_fan_counts(self, rate, kind, capsys):
         code = main(["family", "--a", "0.75", "--start", "0,pi/2", "--heading-start", "0",
-                     "--heading-step", "pi/8", "--heading-count", "16", "--t-end", "3", *flow])
+                     "--heading-step", "pi/8", "--heading-count", "16", "--t-end", "3",
+                     "--wind", f"rotation:{rate!r}" if rate else "none", "--kind", kind])
         assert code == 0
-        assert "counts: circumpolar=14 transpolar=2 failed=0" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[16] == "counts: circumpolar=14 transpolar=2 failed=0"
+        # integrate_family runs the CLI's fan path: its members print the CLI's lines
+        members = znav.integrate_family(
+            Spheroid(0.75), rate and znav.rotation_wind(rate), znav.SurfacePoint(0.0, math.pi / 2),
+            [k * (math.pi / 8) for k in range(16)], kind, znav.IntegratorConfig(t_end=3.0))
+        assert [f"member={i:02d} heading={m.heading:.6g} termination={m.trajectory.termination}"
+                f" classification={znav.classify_path(m.trajectory)}"
+                for i, m in enumerate(members)] == lines[:16]
 
     def test_figure_drawn_with_no_member_track_alive(self, tmp_path, monkeypatch):
         # a member's rows are dropped once its line is printed, its CSV
@@ -399,7 +422,7 @@ class TestFamily:
 
         want = run("free")
         refs, alive = [], []
-        integrate_track, write_svg = znav.cli.integrate, znav.cli.write_svg
+        integrate_track, write_svg = INTEGRATE.integrate, znav.cli.write_svg
 
         def tracked(*args, **kwargs):
             traj = integrate_track(*args, **kwargs)
@@ -411,7 +434,7 @@ class TestFamily:
             alive.extend(ref() is not None for ref in refs)
             return write_svg(*args)
 
-        monkeypatch.setattr("znav.cli.integrate", tracked)
+        monkeypatch.setattr(INTEGRATE, "integrate", tracked)
         monkeypatch.setattr("znav.cli.write_svg", checked)
         assert run("held") == want
         assert len(refs) == 4 and alive == [False] * 4
@@ -429,7 +452,7 @@ class TestFamily:
         # each member is integrated when it is drawn: while member i's CSV
         # is written, no other member's trajectory exists
         refs, alive = [], []
-        integrate_track, write_csv = znav.cli.integrate, znav.cli.write_csv
+        integrate_track, write_csv = INTEGRATE.integrate, znav.cli.write_csv
 
         def tracked(*args, **kwargs):
             traj = integrate_track(*args, **kwargs)
@@ -441,7 +464,7 @@ class TestFamily:
             alive.append(sum(ref() is not None and ref() is not traj for ref in refs))
             return write_csv(sph, traj, channel, path)
 
-        monkeypatch.setattr("znav.cli.integrate", tracked)
+        monkeypatch.setattr(INTEGRATE, "integrate", tracked)
         monkeypatch.setattr("znav.cli.write_csv", checked)
         code, _ = _stdout(["family", *BENCH, "--heading-start", "0", "--heading-step", "pi/2",
                            "--heading-count", "4", "--t-end", "1",
@@ -460,7 +483,7 @@ class TestFamily:
                 "--heading-count", "4", "--t-end", "3", "--view", view, "--svg", str(svg),
                 *segments]
         rows, received = [], []
-        integrate_track, write_svg = znav.cli.integrate, znav.cli.write_svg
+        integrate_track, write_svg = INTEGRATE.integrate, znav.cli.write_svg
 
         def tracked(*args, **kwargs):
             traj = integrate_track(*args, **kwargs)
@@ -471,7 +494,7 @@ class TestFamily:
             received.append((spec, data))
             return write_svg(spec, data, path)
 
-        monkeypatch.setattr("znav.cli.integrate", tracked)
+        monkeypatch.setattr(INTEGRATE, "integrate", tracked)
         monkeypatch.setattr("znav.cli.write_svg", checked)
         assert _stdout(argv)[0] == 0
         [(spec, data)] = received
@@ -494,16 +517,16 @@ class TestFamily:
         svg = tmp_path / "fan.svg"
         argv = ["family", *BENCH, "--heading-start", "0", "--heading-step", "pi/4",
                 "--heading-count", "8", "--t-end", "10", "--svg", str(svg), *segments]
-        integrate_track, members = znav.cli.integrate, {}
+        integrate_track, members = INTEGRATE.integrate, {}
 
         def kept(rhs, state0, *args, **kwargs):
             members[state0] = integrate_track(rhs, state0, *args, **kwargs)
             return members[state0]
 
-        monkeypatch.setattr("znav.cli.integrate", kept)
+        monkeypatch.setattr(INTEGRATE, "integrate", kept)
         assert _stdout(argv)[0] == 0
         want = svg.read_bytes()
-        monkeypatch.setattr("znav.cli.integrate",
+        monkeypatch.setattr(INTEGRATE, "integrate",
                             lambda rhs, state0, *args, **kwargs: members.pop(state0))
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -524,7 +547,7 @@ class TestFamily:
         def no_work(*args, **kwargs):
             raise AssertionError("integrate called on a rejected fan")
 
-        monkeypatch.setattr("znav.cli.integrate", no_work)
+        monkeypatch.setattr(INTEGRATE, "integrate", no_work)
         code = main(["family", *BENCH, "--heading-start", "0",
                      "--heading-step", "1e308", "--heading-count", "3"])
         assert code == 2
@@ -562,7 +585,7 @@ class TestCompare:
             calls.append(kind)
             return integrate(rhs, s0, cfg, kind=kind)
 
-        monkeypatch.setattr("znav.cli.integrate", counted)
+        monkeypatch.setattr(INTEGRATE, "integrate", counted)
         argv = ["compare", *BENCH, "--heading", "pi/3", "--t-end", "1",
                 "--csv", str(tmp_path / "diff.csv")]
         if svg:
@@ -819,7 +842,7 @@ class TestConfigFile:
         def no_work(*args, **kwargs):
             raise AssertionError("integrate called on a rejected config")
 
-        monkeypatch.setattr("znav.cli.integrate", no_work)
+        monkeypatch.setattr(INTEGRATE, "integrate", no_work)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"heading = 60\n{line}\n")
         assert main([command, "--config", str(cfg)]) == 2
@@ -862,7 +885,7 @@ class TestParseErrors:
 
 
 # Edge values of a float, angle or count option, and garbage.
-EDGE = ["0", "-0.0", "5e-324", "1e-300", "1e308", "nan", "inf", "-inf",
+EDGE = ["0", "-0.0", "5e-324", "1e-310", "1e-300", "1e308", "nan", "inf", "-inf",
         "pi/3", "-pi/8", "2pi", "foo", "0.5", "1"]
 COUNTS = ["0", "-1", "1", "2", "3.5", "foo", "1000000000", "1" + "0" * 400]
 # Value pools per option.  The only horizons above 1 drawn are 1e308 and
@@ -935,6 +958,10 @@ class TestTotal:
     @example(run=(["indicatrix", "--n", "36", "--multipliers", "1e-306", "--svg", "out.svg"],
                   None))
     @example(run=(["geodesic", "--heading", "pi/2", "--start", "0,2e-5",
+                   "--csv", "out.csv", "--svg", "out.svg"], None))
+    # a heading too small for the channel figure's scale once wrote its
+    # CSV and then raised ValueError out of main
+    @example(run=(["report", "--wind", "none", "--heading", "1e-310", "--t-end", "1",
                    "--csv", "out.csv", "--svg", "out.svg"], None))
     def test_every_input_ends_in_a_documented_exit(self, run, tmp_path_factory):
         argv, config = run

@@ -281,6 +281,12 @@ class TestRenderSvg:
             with pytest.raises(EmptyData):
                 render_svg(spec, empty)
 
+    def test_empty_series_skipped(self):
+        # an empty series beside a drawn one was drawn as <polyline points="">
+        spec = PlotSpec("speed_vs_heading", (SeriesStyle("a"), SeriesStyle("b")))
+        root = ET.fromstring(render_svg(spec, [[], [(0.0, 0.0), (1.0, 1.0)]]))
+        assert len(root.findall(f"{SVG}polyline")) == 1
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PlotSpec(kind="pie_chart", series=(SeriesStyle("x"),))
@@ -300,11 +306,12 @@ class TestRenderSvg:
     ], ids=["range-overflows", "scale-overflows"])
     def test_unscalable_figure_refused(self, kind, rows, tmp_path):
         # both once drew nan coordinates: a padded range too wide for a
-        # float, and a span too narrow for a float scale
+        # float, and a span too narrow for a float scale.  A frame that
+        # cannot be scaled is data the figure cannot draw, as no data is
         spec = PlotSpec(kind=kind, series=(SeriesStyle("x"),))
-        with pytest.raises(ValueError, match="no finite frame"):
+        with pytest.raises(EmptyData, match="no finite frame"):
             render_svg(spec, [rows])
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyData):
             write_svg(spec, [rows], str(tmp_path / "f.svg"))
         assert list(tmp_path.iterdir()) == []
 

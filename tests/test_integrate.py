@@ -864,6 +864,19 @@ class TestIntegrateFamily:
         # due north reaches the guard band
         assert members[1].trajectory.termination == "pole_proximity"
 
+    @pytest.mark.parametrize("where", ["make_rhs", "rhs"])
+    def test_other_errors_end_the_fan(self, oblate, rot_wind, where, monkeypatch):
+        # only a NavigationError is carried per member: a TypeError raised
+        # by make_rhs, or by the rhs it made, ends the fan
+        def fail(*args):
+            raise TypeError(f"{where} failed")
+
+        monkeypatch.setattr(integrate_module, "make_rhs",
+                            fail if where == "make_rhs" else lambda *args: fail)
+        with pytest.raises(TypeError, match=f"{where} failed"):
+            integrate_family(oblate, rot_wind, SurfacePoint(0.0, math.pi / 2), [0.0, 1.0],
+                             "randers", IntegratorConfig(t_end=1.0))
+
     def test_empty_fan_rejected(self, oblate, rot_wind):
         with pytest.raises(ValueError):
             integrate_family(oblate, rot_wind, SurfacePoint(0.0, math.pi / 2),
