@@ -16,16 +16,16 @@ a pole continues in the pole-centred chart (x, y) = rho (cos phi,
 sin phi), rho the distance theta or pi - theta to that pole, until rho
 exceeds CAP_OUT.  The one runtime rhs still computes the accelerations
 there (_polar_rhs maps a stage to the spherical chart and back).  A
-track still halts with a pole_proximity record where it enters the
-guard band of POLE_GUARD around a pole, always in a cap, where that
-entry is found on the dense output by closest approach.  Velocity
+track still halts where it enters the guard band of POLE_GUARD around
+a pole, always in a cap, where that entry is found on the dense output
+by closest approach; its t_stop is the time of that entry.  Velocity
 norms are monitored, never re-normalized, making conservation drift
 the primary accuracy diagnostic.
 """
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Literal
 
 from znav.control import initial_state
 from znav.errors import NavigationError, NonFiniteState, PoleSingularity
@@ -198,22 +198,27 @@ class StepStats:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled geodesic with a termination record.
+    """Uniformly sampled geodesic and where it stopped at the pole, if it did.
 
     rows holds one (t, phi, theta, phi_dot, theta_dot) float tuple per
     sample, with strictly increasing t; the first row is the initial
     state at t = 0.  phi values accumulate (no wrapping) so winding
     counts are recoverable.  The control channel, the CSV and the
     figures read rows; samples is the same track as (t, NavState)
-    pairs, built from rows on first access and then kept.  stats counts
-    the steps that produced them.
+    pairs, built from rows on first access and then kept.  t_stop is the
+    time the track stopped at the pole guard, None for a track that ran
+    to t_end.  stats counts the steps that produced them.
     """
 
     rows: list[Row]
-    termination: str  # "completed" | "pole_proximity" | "step_failure"
     kind: str = ""
-    events: list[str] = field(default_factory=list)
+    t_stop: float | None = None
     stats: StepStats = field(default_factory=StepStats)
+
+    @property
+    def termination(self) -> Literal["completed", "pole_proximity"]:
+        """How the track ended, read from t_stop."""
+        return "completed" if self.t_stop is None else "pole_proximity"
 
     @cached_property
     def samples(self) -> list[tuple[float, NavState]]:
@@ -424,13 +429,13 @@ def integrate(
     stats carry over, and phi stays continuous.  stats counts the accepted
     and rejected steps, pole-guard halvings, rhs calls and cap legs.
 
-    A step underflow (step_failure) or a pole approach (pole_proximity)
-    ends the rows early, and one event records its time.  A step with a
-    stage or its end in the guard band is retried at half length, so
-    every approach reaches the band in a cap, whose closest-approach
-    test reports where the dense path enters it; a step halved below
-    1e-12 max(1, t) stops the track at the step's start.  The rule does
-    not rest on the rhs raising in the band, as znav's own does.
+    A pole approach ends the rows early, and the trajectory's t_stop
+    records its time.  A step with a stage or its end in the guard band
+    is retried at half length, so every approach reaches the band in a
+    cap, whose closest-approach test reports where the dense path enters
+    it; a step halved below 1e-12 max(1, t) stops the track at the
+    step's start.  The rule does not rest on the rhs raising in the
+    band, as znav's own does.
 
     Raises:
         ValueError: a component of s0 is not finite.
@@ -438,6 +443,9 @@ def integrate(
         NonFiniteState: a stage colatitude or a distance to the pole
             turned NaN or infinite mid-run (raised by the rhs through
             spheroid.require_off_pole, or by the cap chart's checks).
+        NavigationError: the step size underflowed below 1e-14 max(1, t),
+            as every step is refused; the message is "step underflow at
+            t=..." with the time reached.
     """
     p1, q1, u1, v1 = s0.point.phi, s0.point.theta, s0.vel.u, s0.vel.v
     if not all(map(math.isfinite, (p1, q1, u1, v1))):
@@ -482,7 +490,7 @@ def integrate(
     n_grid = int(math.floor(t_end / sample_dt + 1e-9))
     rows: list[Row] = [(0.0, p1, q1, u1, v1)]
     next_idx = 1
-    termination, event = "completed", None
+    t_stop = math.inf  # where a pole approach stops the track
     n_accepted = n_rejected = n_halved = n_cap = 0
     # completion window wider than the underflow floor, so a shrunken
     # final step cannot misreport an essentially finished run
@@ -514,8 +522,7 @@ def integrate(
         while t < t_final:
             h = min(h, t_end - t)
             if h < 1e-14 * max(1.0, abs(t)):
-                termination, event = "step_failure", f"step underflow at t={t}"
-                break
+                raise NavigationError(f"step underflow at t={t}")
 
             # Each sum runs left to right over the nonzero weights of its
             # tableau row: the float operations of the list-form loop in
@@ -783,7 +790,7 @@ def integrate(
                 h *= 0.5
                 n_halved += 1
                 if h < 1e-12 * max(1.0, abs(t)):
-                    termination, event = "pole_proximity", f"pole approach at t={t}"
+                    t_stop = t
                     break
                 continue
 
@@ -791,7 +798,6 @@ def integrate(
             # passes near the pole, the dense path's closest approach, and
             # the time it enters the band.  That point also splits the pass
             # for the unwrapping of phi, which sweeps up to pi across it.
-            t_stop = math.inf
             if cap:
                 last = phi1
                 tau_c = 2.0  # no pivot
@@ -833,7 +839,6 @@ def integrate(
                 holds_sample = (next_idx <= n_grid
                                 and ts <= t + h + 1e-14 * (ts if ts > 1.0 else 1.0))
             if t_stop < math.inf:
-                termination, event = "pole_proximity", f"pole approach at t={t_stop}"
                 break
             if cap:
                 if tau_c <= 1.0:
@@ -859,10 +864,10 @@ def integrate(
         if not (switch and t < t_final):
             break
 
-    if event is None and rows[-1][0] < t_end - 1e-9 * max(1.0, t_end):
+    if t_stop == math.inf and rows[-1][0] < t_end - 1e-9 * max(1.0, t_end):
         # grid did not land on t_end; append the final state explicitly
         rows.append((t_end, p1, q1, u1, v1))
-    return Trajectory(rows, termination, kind, [] if event is None else [event],
+    return Trajectory(rows, kind, t_stop if t_stop < math.inf else None,
                       StepStats(n_accepted, n_rejected, n_halved, n_calls, n_cap))
 
 
@@ -872,7 +877,7 @@ class FamilyMember:
 
     heading: float
     trajectory: Trajectory | None
-    error: Exception | None = None
+    error: NavigationError | None = None
 
 
 def track(
@@ -881,18 +886,13 @@ def track(
 ) -> Trajectory:
     """One track, seeded by control.initial_state and integrated under make_rhs.
 
-    The one place where a step_failure track becomes an error.
-
     Raises:
-        NavigationError: the step size underflowed (its event is the
-            message), or seeding or the engine raised one.
+        NavigationError: seeding or the engine raised one, a step
+            underflow included.
         ValueError: unknown metric kind.
     """
     state0 = initial_state(sph, wind, kind, start, heading)
-    traj = integrate(make_rhs(kind, sph, wind), state0, cfg, kind=kind)
-    if traj.termination == "step_failure":
-        raise NavigationError(traj.events[-1])
-    return traj
+    return integrate(make_rhs(kind, sph, wind), state0, cfg, kind=kind)
 
 
 def iter_family(
@@ -924,14 +924,6 @@ def integrate_family(
     return list(iter_family(sph, wind, start, headings, kind, cfg))
 
 
-def classify_path(traj: Trajectory) -> str:
-    """Label a trajectory transpolar (reached the pole guard) or circumpolar.
-
-    Raises:
-        ValueError: trajectory ended in step_failure.
-    """
-    if traj.termination == "pole_proximity":
-        return "transpolar"
-    if traj.termination == "completed":
-        return "circumpolar"
-    raise ValueError(f"cannot classify a {traj.termination} trajectory")
+def classify_path(traj: Trajectory) -> Literal["transpolar", "circumpolar"]:
+    """Label a trajectory transpolar (stopped at the pole guard) or circumpolar."""
+    return "circumpolar" if traj.t_stop is None else "transpolar"

@@ -7,7 +7,8 @@ wrapper returning [u, v, acc_u, acc_v].  The tableau is scipy's
 znav.integrate changes that module's trajectories and not these.
 znav.integrate.integrate unrolls this loop into scalar arithmetic that
 performs the same float operations in the same order, so the two must
-produce identical sample rows, events, terminations and step counts.
+produce identical sample rows, pole-stop times and step counts, and
+raise the same step-underflow error after the same rhs calls.
 The starting step and the step-size controller are written out here
 once more, with their own constants.  The legs in the polar caps run
 the same way, through the cap helpers of znav.integrate: the chart
@@ -18,7 +19,7 @@ import math
 
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
-from znav.errors import PoleSingularity
+from znav.errors import NavigationError, PoleSingularity
 from znav.integrate import (
     CAP_IN, CAP_OUT, IntegratorConfig, StepStats, Trajectory, _chord_near_pole, _from_cap,
     _guard_test, _polar_rhs, _to_cap, _unwrap,
@@ -127,7 +128,6 @@ def integrate_reference(
     n_grid = int(math.floor(cfg.t_end / cfg.sample_dt + 1e-9))
     rows = [(0.0, *y)]
     next_idx = 1
-    events: list[str] = []
     accepted = rejections = halvings = cap_legs = 0
 
     def stats() -> StepStats:
@@ -157,8 +157,7 @@ def integrate_reference(
         while t < t_final:
             h = min(h, cfg.t_end - t)
             if h < 1e-14 * max(1.0, abs(t)):
-                events.append(f"step underflow at t={t}")
-                return Trajectory(rows, "step_failure", kind, events, stats())
+                raise NavigationError(f"step underflow at t={t}")
 
             pole_hit = False
             near = None
@@ -206,8 +205,7 @@ def integrate_reference(
                 h *= 0.5
                 halvings += 1
                 if h < 1e-12 * max(1.0, abs(t)):
-                    events.append(f"pole approach at t={t}")
-                    return Trajectory(rows, "pole_proximity", kind, events, stats())
+                    return Trajectory(rows, kind, t, stats())
                 continue
 
             dense = _dense_rows(y, y_new, k, h) if holds_sample or near is not None else None
@@ -231,8 +229,7 @@ def integrate_reference(
                     rows.append((ts, phi, *rest))
                     next_idx += 1
                 if t_stop < math.inf:
-                    events.append(f"pole approach at t={t_stop}")
-                    return Trajectory(rows, "pole_proximity", kind, events, stats())
+                    return Trajectory(rows, kind, t_stop, stats())
                 if pivot is not None and pivot[0] <= 1.0:
                     phi = _unwrap(pivot[1], phi)
                 phi = branch[0] = _unwrap(math.atan2(y_new[1], y_new[0]), phi)
@@ -264,4 +261,4 @@ def integrate_reference(
 
     if rows[-1][0] < cfg.t_end - 1e-9 * max(1.0, cfg.t_end):
         rows.append((cfg.t_end, *y))
-    return Trajectory(rows, "completed", kind, events, stats())
+    return Trajectory(rows, kind, None, stats())

@@ -48,6 +48,12 @@ MUTANTS = [
      "if not cap and (q13 <= theta_lo or q13 >= theta_hi):", "if False:", T_INTEGRATE),
     ("cap guard stop", INTEGRATE,
      "t_stop = t + tau_in * h", "pass", T_INTEGRATE),
+    ("stop at the halving floor", INTEGRATE, "t_stop = t", "pass", T_INTEGRATE),
+    ("step underflow as an error, not a returned track", INTEGRATE,
+     'raise NavigationError(f"step underflow at t={t}")', "break", T_INTEGRATE),
+    ("transpolar as the label of a stopped track", INTEGRATE,
+     'return "circumpolar" if traj.t_stop is None else "transpolar"',
+     'return "transpolar" if traj.t_stop is None else "circumpolar"', T_INTEGRATE),
     ("band entry, not the closest approach, as the stop time", INTEGRATE,
      "t_stop = t + tau_in * h", "t_stop = t + tau_c * h", T_INTEGRATE),
     ("finiteness check of the guard test", INTEGRATE,
@@ -76,8 +82,6 @@ MUTANTS = [
      "except NavigationError as error:", "except ():", T_INTEGRATE),
     ("only engine errors carried by a fan member", INTEGRATE,
      "except NavigationError as error:", "except Exception as error:", T_INTEGRATE),
-    ("step failure of a track as an error", INTEGRATE,
-     'if traj.termination == "step_failure":', "if False:", T_CLI),
     ("finite-heading check of a fan", CLI,
      "if not all(map(math.isfinite, headings)):", "if False:", T_CLI),
     ("finite-curve check of the indicatrix", CLI,

@@ -392,7 +392,7 @@ class TestControlChannel:
             (0.02, 0.2, 1.3, 0.0, 0.0),  # holds still against it: no ground velocity
             (0.03, 0.3, 1.3, 0.5, 0.2),
         ]
-        traj = Trajectory(rows=rows, termination="completed")
+        traj = Trajectory(rows=rows)
         for wind in (rot_wind, None):
             channel = control_channel(oblate, wind, traj)
             assert channel == composed_channel(oblate, wind, traj)

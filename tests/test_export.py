@@ -84,7 +84,7 @@ class TestWriteCsv:
 
     def test_empty_trajectory_header_only(self, oblate, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv(oblate, Trajectory(rows=[], termination="completed"), [], str(path))
+        write_csv(oblate, Trajectory(rows=[]), [], str(path))
         assert path.read_text().strip().count("\n") == 0
 
     def test_channel_gaps_leave_empty_cells(self, oblate, rot_wind, bench_traj, tmp_path):

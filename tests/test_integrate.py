@@ -12,6 +12,7 @@ from znav import (
     IntegratorConfig,
     POLE_GUARD,
     NavState,
+    NavigationError,
     NonFiniteState,
     STILL_AIR,
     PoleSingularity,
@@ -55,6 +56,20 @@ def counting(rhs, calls: list[int]):
         return rhs(phi, theta, u, v)
 
     return counted
+
+
+def underflow_alike(rhs, s0, cfg) -> str:
+    """The step-underflow message that integrate and integrate_reference both
+    raise, each after the same number of rhs calls."""
+    outcomes = []
+    for engine in (integrate, integrate_reference):
+        calls = [0]
+        with pytest.raises(NavigationError) as info:
+            engine(counting(rhs, calls), s0, cfg)
+        assert type(info.value) is NavigationError
+        outcomes.append((str(info.value), calls[0]))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0][0]
 
 
 def run(sph, wind, kind, heading, cfg) -> Trajectory:
@@ -188,13 +203,14 @@ class TestIntegrate:
             integrate(make_rhs("h", oblate, None), bad, IntegratorConfig(t_end=1.0))
 
     def test_step_failure_on_non_finite_rhs(self, oblate):
+        # an infinite phi acceleration makes every error norm NaN, so every
+        # step is refused until h underflows
         def broken(phi, theta, u, v):
-            return (math.nan, math.nan)
+            return (math.inf, 0.0)
 
         s0 = initial_state_riemannian(oblate, SurfacePoint(0.0, math.pi / 2), 0.0)
-        traj = integrate(broken, s0, IntegratorConfig(t_end=1.0))
-        assert traj.termination == "step_failure"
-        assert traj.samples[0][0] == 0.0
+        cfg = IntegratorConfig(t_end=1.0)
+        assert underflow_alike(broken, s0, cfg) == "step underflow at t=0.0"
 
     @pytest.mark.parametrize(
         "s0",
@@ -463,8 +479,7 @@ class TestReferenceStepping:
             got = integrate(counting(rhs, got_calls), s0, cfg, kind=kind)
             want = integrate_reference(counting(rhs, want_calls), s0, cfg, kind=kind)
             assert got.samples == want.samples
-            assert got.termination == want.termination
-            assert got.events == want.events
+            assert got.t_stop == want.t_stop
             assert got.stats == want.stats
             assert got_calls == want_calls
             terminations.add(got.termination)
@@ -491,8 +506,7 @@ class TestReferenceStepping:
         got = integrate(counting(rhs, got_calls), s0, cfg)
         want = integrate_reference(counting(rhs, want_calls), s0, cfg)
         assert got.stats.cap_legs >= 1
-        assert (got.samples, got.termination, got.events, got.stats) == (
-            want.samples, want.termination, want.events, want.stats)
+        assert (got.samples, got.t_stop, got.stats) == (want.samples, want.t_stop, want.stats)
         assert got_calls == want_calls == [got.stats.rhs_calls]
 
     def test_identical_at_tiny_abs_tol(self, oblate):
@@ -504,7 +518,7 @@ class TestReferenceStepping:
         got = integrate(rhs, s0, cfg)
         want = integrate_reference(rhs, s0, cfg)
         assert got.termination == "completed"
-        assert (got.samples, got.events, got.stats) == (want.samples, want.events, want.stats)
+        assert (got.samples, got.t_stop, got.stats) == (want.samples, want.t_stop, want.stats)
 
     def test_identical_probe_in_guard_band(self, oblate):
         # 1e-6 rad outside the guard band and heading into it: the
@@ -516,7 +530,7 @@ class TestReferenceStepping:
         got = integrate(rhs, s0, cfg)
         want = integrate_reference(rhs, s0, cfg)
         assert got.termination == "pole_proximity"
-        assert (got.samples, got.events, got.stats) == (want.samples, want.events, want.stats)
+        assert (got.samples, got.t_stop, got.stats) == (want.samples, want.t_stop, want.stats)
 
     def test_identical_step_failure(self, oblate):
         def broken(phi, theta, u, v):
@@ -524,11 +538,7 @@ class TestReferenceStepping:
 
         s0 = initial_state_riemannian(oblate, SurfacePoint(0.0, math.pi / 2), 0.0)
         cfg = IntegratorConfig(t_end=1.0)
-        got = integrate(broken, s0, cfg)
-        want = integrate_reference(broken, s0, cfg)
-        assert (got.samples, got.termination, got.events, got.stats) == (
-            want.samples, want.termination, want.events, want.stats
-        )
+        assert underflow_alike(broken, s0, cfg) == "step underflow at t=0.0"
 
     def test_identical_overflowing_error_norm(self, oblate):
         # at tolerances of 1e-300 a squared error ratio overflows; the
@@ -536,10 +546,7 @@ class TestReferenceStepping:
         rhs = make_rhs("h", oblate, None)
         s0 = initial_state_riemannian(oblate, SurfacePoint(0.0, math.pi / 2), 0.3)
         cfg = IntegratorConfig(t_end=1.0, rel_tol=1e-300, abs_tol=1e-300)
-        got = integrate(rhs, s0, cfg)
-        want = integrate_reference(rhs, s0, cfg)
-        assert got.termination == want.termination == "step_failure"
-        assert (got.samples, got.events, got.stats) == (want.samples, want.events, want.stats)
+        assert underflow_alike(rhs, s0, cfg) == "step underflow at t=0.0"
 
     def test_identical_overflowing_3rd_order_estimate(self):
         # a stage-6 spike at rel_tol 4e-149 leaves err5 at 4.9e307 but
@@ -563,9 +570,7 @@ class TestReferenceStepping:
         want = integrate_reference(spiking(), s0, cfg)
         assert got.stats.rejected == 1
         assert all(row[1:] == (0.5, 1.0, 0.0, 0.0) for row in got.rows)
-        assert (got.samples, got.termination, got.events, got.stats) == (
-            want.samples, want.termination, want.events, want.stats
-        )
+        assert (got.samples, got.t_stop, got.stats) == (want.samples, want.t_stop, want.stats)
 
     @pytest.mark.parametrize("sample_dt", [0.01, 1.0])
     def test_identical_coasting_into_the_band(self, sample_dt):
@@ -574,7 +579,7 @@ class TestReferenceStepping:
         # time in the crossing step
         got, want = coast(sample_dt), coast(sample_dt, integrate_reference)
         assert got.termination == want.termination == "pole_proximity"
-        assert (got.samples, got.events, got.stats) == (want.samples, want.events, want.stats)
+        assert (got.samples, got.t_stop, got.stats) == (want.samples, want.t_stop, want.stats)
 
 
 def momentum_drift(sph, wind, kind, theta0, heading) -> float:
@@ -617,10 +622,9 @@ class TestPoleHandling:
         # the polar cap's closest-approach test finds where the dense path
         # enters the guard band; the spherical chart found the same time
         # by halving the steps that landed in it, 43 times
-        t_stop = float(traj.events[-1].rsplit("=", 1)[1])
-        assert abs(t_stop - 1.3814672600567466) <= 1e-9
+        assert abs(traj.t_stop - 1.3814672600567466) <= 1e-9
         assert traj.stats.cap_legs == 1 and traj.stats.pole_halvings == 0
-        assert len(traj.rows) == 139 and traj.rows[-1][0] < t_stop
+        assert len(traj.rows) == 139 and traj.rows[-1][0] < traj.t_stop
         assert all(POLE_GUARD < s.point.theta < math.pi - POLE_GUARD
                    for _, s in traj.samples)
 
@@ -634,8 +638,7 @@ class TestPoleHandling:
         arc, _ = quad(lambda q: math.sqrt(math.cos(q) ** 2 + a * a * math.sin(q) ** 2),
                       POLE_GUARD, math.pi / 2, epsabs=0.0, epsrel=1e-13)
         assert traj.termination == "pole_proximity"
-        t_stop = float(traj.events[-1].rsplit("=", 1)[1])
-        assert abs(t_stop - arc) <= 1e-10
+        assert abs(traj.t_stop - arc) <= 1e-10
 
     @pytest.mark.parametrize("sample_dt, n_rows", [(0.01, 50), (1.0, 1)])
     @pytest.mark.parametrize("theta0, v, t_stop", [
@@ -649,7 +652,7 @@ class TestPoleHandling:
         # the step-end retry, the track runs into the band or past the pole
         traj = coast(sample_dt, theta0=theta0, v=v)
         assert traj.termination == "pole_proximity"
-        assert traj.events == [f"pole approach at t={t_stop}"]
+        assert repr(traj.t_stop) == t_stop
         assert traj.stats.cap_legs == 1 and traj.stats.pole_halvings >= 1
         assert len(traj.rows) == n_rows
         assert all(POLE_GUARD < row[2] < math.pi - POLE_GUARD for row in traj.rows)
@@ -663,9 +666,26 @@ class TestPoleHandling:
         traj = coast(sample_dt, theta0=theta0, v=speed if south else -speed, t_end=10.0)
         gap = math.pi - POLE_GUARD - theta0 if south else theta0 - POLE_GUARD
         assert traj.termination == "pole_proximity"
-        t_stop = float(traj.events[-1].rsplit("=", 1)[1])
-        assert abs(t_stop - gap / speed) <= 1e-9
+        assert abs(traj.t_stop - gap / speed) <= 1e-9
         assert all(POLE_GUARD < row[2] < math.pi - POLE_GUARD for row in traj.rows)
+
+    def test_halving_floor_stops_at_the_step_start(self):
+        # a coast along the equator under an rhs that raises PoleSingularity
+        # past phi = 0.3, as znav's own does in the guard band: each step
+        # reaching past it is halved, and the track creeps up to it until a
+        # step is halved below 1e-12, which stops it at that step's start
+        def wall(phi, theta, u, v):
+            if phi > 0.3:
+                raise PoleSingularity
+            return (0.0, 0.0)
+
+        s0 = NavState(SurfacePoint(0.0, math.pi / 2), TangentVector(1.0, 0.0))
+        cfg = IntegratorConfig(t_end=1.0)
+        got, want = integrate(wall, s0, cfg), integrate_reference(wall, s0, cfg)
+        assert (got.rows, got.t_stop, got.stats) == (want.rows, want.t_stop, want.stats)
+        assert classify_path(got) == "transpolar"
+        assert 0.3 - 1e-11 < got.t_stop < 0.3
+        assert len(got.rows) == 30 and got.stats.pole_halvings > 0
 
     def test_circumpolar_benchmark_individual(self, oblate, rot_wind):
         traj = run(oblate, rot_wind, "randers", math.pi / 3,
@@ -686,11 +706,6 @@ class TestPoleHandling:
         with pytest.raises(NonFiniteState):
             integrate(rhs, s0, IntegratorConfig(t_end=2.0))
 
-    def test_step_failure_not_classifiable(self, oblate):
-        traj = Trajectory(rows=[], termination="step_failure")
-        with pytest.raises(ValueError):
-            classify_path(traj)
-
 
 def no_caps(monkeypatch):
     """Run integrate in the spherical chart alone: no step ends in a cap."""
@@ -707,7 +722,7 @@ class TestPolarCaps:
     @example(a=0.75, c=ROTATION_RATE, kind="randers", theta0=math.pi / 2, heading=math.pi / 3)
     def test_tracks_outside_the_caps_unchanged(self, a, c, kind, theta0, heading):
         # a track with no cap leg runs the spherical loop alone: rows,
-        # events and step counts are those of a run without caps
+        # stop and step counts are those of a run without caps
         sph, wind = Spheroid(a), rotation_wind(c)
         s0 = initial_state(sph, wind, kind, SurfacePoint(0.0, theta0), heading)
         rhs, cfg = make_rhs(kind, sph, wind), IntegratorConfig(t_end=3.0)
@@ -718,8 +733,33 @@ class TestPolarCaps:
         with pytest.MonkeyPatch.context() as mp:
             no_caps(mp)
             want = integrate(rhs, s0, cfg, kind=kind)
-        assert (got.rows, got.events, got.termination, got.stats) == (
-            want.rows, want.events, want.termination, want.stats)
+        assert (got.rows, got.t_stop, got.stats) == (want.rows, want.t_stop, want.stats)
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=strategies.floats(0.3, 2.0), c=RATES,
+           kind=strategies.sampled_from(["h", "alpha", "randers"]),
+           theta0=strategies.floats(0.6, math.pi - 0.6), heading=HEADINGS,
+           tol=strategies.just(None))
+    @example(a=0.75, c=ROTATION_RATE, kind="randers", theta0=math.pi / 2, heading=0.3,
+             tol=1e-300)
+    def test_returned_track_is_classified_by_its_stop(self, a, c, kind, theta0, heading, tol):
+        # a track either runs to t_end or stops at the pole guard at t_stop,
+        # and only the latter is transpolar; a run that cannot step raises
+        sph, wind = Spheroid(a), rotation_wind(c)
+        s0 = initial_state(sph, wind, kind, SurfacePoint(0.0, theta0), heading)
+        cfg = (IntegratorConfig(t_end=3.0) if tol is None
+               else IntegratorConfig(t_end=1.0, rel_tol=tol, abs_tol=tol))
+        try:
+            traj = integrate(make_rhs(kind, sph, wind), s0, cfg, kind=kind)
+        except NavigationError as error:
+            assert tol is not None and str(error) == "step underflow at t=0.0"
+            return
+        assert tol is None
+        assert (classify_path(traj) == "transpolar") == (traj.t_stop is not None)
+        if traj.t_stop is None:
+            assert traj.rows[-1][0] == pytest.approx(cfg.t_end, abs=1e-9)
+        else:
+            assert traj.rows[-1][0] <= traj.t_stop < cfg.t_end
 
     @pytest.mark.parametrize("sample_dt", [0.01, 1.0, 2.0])
     def test_close_pass_keeps_phi_continuous(self, oblate, rot_wind, sample_dt):
