@@ -89,7 +89,7 @@ def parse_angle(text: str, degrees: bool = False) -> float:
 def parse_wind(text: str) -> float | None:
     """Rotation rate of a wind spec 'rotation:C', or None for still air ('none')."""
     t = text.strip().lower()
-    if t in ("none", "0", "zero"):
+    if t == "none":
         return None
     if t.startswith("rotation:"):
         try:
@@ -159,56 +159,60 @@ def _config_tokens(path: str, parser: argparse.ArgumentParser, command: str) -> 
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; each subcommand accepts exactly the options it reads."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key=value config file; flags override")
     common.add_argument("--a", type=float, default=0.75,
                         help="shape parameter of the spheroid (1,1,a)")
     common.add_argument("--wind", default="none", help="wind spec: rotation:C or none")
     common.add_argument("--start", default="0,pi/2", help="start point as phi,theta")
-    common.add_argument("--kind", choices=METRIC_KINDS, default="randers", help="metric kind")
-    common.add_argument("--t-end", type=float, default=3.0, help="integration horizon")
-    common.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol,
-                        help="relative tolerance")
-    common.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol,
-                        help="absolute tolerance")
-    common.add_argument("--sample-dt", type=float, default=IntegratorConfig.sample_dt,
-                        help="output grid spacing")
     common.add_argument("--deg", action="store_true", help="plain-number angles are degrees")
-    common.add_argument("--compass", action="store_true",
-                        help="print azimuths clockwise from north")
     common.add_argument("--csv", help="CSV output path")
     common.add_argument("--svg", help="SVG output path")
+    steps = _Parser(add_help=False)
+    steps.add_argument("--t-end", type=float, default=3.0, help="integration horizon")
+    steps.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol,
+                       help="relative tolerance")
+    steps.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol,
+                       help="absolute tolerance")
+    steps.add_argument("--sample-dt", type=float, default=IntegratorConfig.sample_dt,
+                       help="output grid spacing")
+    kind = _Parser(add_help=False)
+    kind.add_argument("--kind", choices=METRIC_KINDS, default="randers", help="metric kind")
     heading = _Parser(add_help=False)
     heading.add_argument("--heading", help="initial heading angle")
     view = _Parser(add_help=False)
-    view.add_argument("--view", choices=["x", "y", "z"], default="z", help="projection axis")
+    view.add_argument("--view", choices=["x", "y", "z"], default="z",
+                      help="projection axis of a path3d figure")
     segments = _Parser(add_help=False)
-    segments.add_argument("--segments",
-                          help="time boundaries for color segmentation, e.g. 1,2,3")
+    segments.add_argument("--segments", help="time boundaries for color segmentation"
+                          " of the figure, e.g. 1,2,3")
 
     parser = _Parser(
         prog="znav",
         description="Time-optimal navigation on spheroids under mild stationary winds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("geodesic", parents=[common, heading, view, segments],
+    p = sub.add_parser("geodesic", parents=[common, steps, kind, heading, view, segments],
                        help="integrate one geodesic")
-    p.add_argument("--plot", choices=["path3d", "xy", "polar"], default="path3d",
+    p.add_argument("--plot", choices=["path3d", "polar"], default="path3d",
                    help="figure kind for --svg")
-    p = sub.add_parser("family", parents=[common, view, segments],
+    p = sub.add_parser("family", parents=[common, steps, kind, view, segments],
                        help="integrate a fan of headings")
     p.add_argument("--heading-start", help="first heading")
     p.add_argument("--heading-step", help="heading increment")
     p.add_argument("--heading-count", type=int, help="number of members")
-    sub.add_parser("compare", parents=[common, heading, view],
+    sub.add_parser("compare", parents=[common, steps, heading, view],
                    help="h vs alpha vs randers from one heading")
     p = sub.add_parser("indicatrix", parents=[common],
                        help="unit-time destination curves at a point")
     p.add_argument("--n", type=int, default=360, help="samples per curve, 3 to 10**6")
     p.add_argument("--multipliers", default="1,2,3,4",
                    help="curve time multipliers, e.g. 1,2,3,4")
-    p = sub.add_parser("report", parents=[common, heading],
+    p = sub.add_parser("report", parents=[common, steps, kind, heading],
                        help="control channel and departure summary")
+    p.add_argument("--compass", action="store_true",
+                   help="print azimuths clockwise from north")
     p.add_argument("--speed-svg", help="SVG path for the speed-vs-heading curve")
     return parser
 
@@ -231,15 +235,15 @@ class Problem:
 
     sph: Spheroid
     wind: WindField  # STILL_AIR for --wind none and a zero rotation rate
-    flow_wind: WindField  # the wind of the flow that kind runs (spray.resolve_flow)
+    flow_wind: WindField | None  # the flow wind of --kind (spray.resolve_flow); None without it
     rate: float | None  # None for --wind none
     start: SurfacePoint
-    kind: str
-    icfg: IntegratorConfig
+    icfg: IntegratorConfig | None  # None without --t-end and the tolerances
     cfg: argparse.Namespace
 
 
 def resolve_problem(cfg: argparse.Namespace) -> Problem:
+    """Parse and check the options; only those the subcommand declares are read."""
     rate = parse_wind(cfg.wind)
     parts = cfg.start.split(",")
     if len(parts) != 2:
@@ -249,21 +253,17 @@ def resolve_problem(cfg: argparse.Namespace) -> Problem:
         wrap_2pi(parse_angle(parts[0], cfg.deg)), parse_angle(parts[1], cfg.deg)
     )
     try:
-        # a zero rate (0 or -0.0) is still air, the same flow as --wind none
+        # a zero rate (0 or -0.0) is still air, the same flow as --wind none;
+        # a rate rotation_wind accepts is mild everywhere
         wind = STILL_AIR if not rate else rotation_wind(rate)
         require_off_pole(start.theta)
-        flow_wind = resolve_flow(cfg.kind, wind)[1]
+        flow_wind = resolve_flow(cfg.kind, wind)[1] if "kind" in cfg else None
         sph = Spheroid(cfg.a)
-        RandersData(sph, wind).mildness_factor(start)
-        icfg = IntegratorConfig(
-            t_end=cfg.t_end,
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            sample_dt=cfg.sample_dt,
-        )
+        icfg = IntegratorConfig(t_end=cfg.t_end, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                                sample_dt=cfg.sample_dt) if "t_end" in cfg else None
     except (ValueError, NavigationError) as exc:  # NotMild, PoleSingularity
         raise ValidationError(str(exc)) from exc
-    return Problem(sph, wind, flow_wind, rate, start, cfg.kind, icfg, cfg)
+    return Problem(sph, wind, flow_wind, rate, start, icfg, cfg)
 
 
 def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
@@ -272,7 +272,7 @@ def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
     The flow's wind is still air for h, where the h-norm is F.
     """
     terms = RandersData(prob.sph, prob.flow_wind).terms
-    alpha_only = prob.kind == "alpha"
+    alpha_only = prob.cfg.kind == "alpha"
     worst = 0.0
     for _, phi, theta, u, v in traj.rows:
         _, alpha, beta = terms(phi, theta, u, v)
@@ -316,16 +316,14 @@ def cmd_geodesic(prob: Problem) -> int:
     cfg = prob.cfg
     heading = _heading(prob, "geodesic")
     segments = _segments(cfg)
-    traj = track(prob.sph, prob.wind, prob.kind, prob.start, heading, prob.icfg)
+    traj = track(prob.sph, prob.wind, cfg.kind, prob.start, heading, prob.icfg)
     if cfg.svg:
         if cfg.plot == "polar":
             kind, data = "polar", traj.rows
         else:
             kind, data = "path3d_projection", embed_rows(prob.sph, traj.rows)
-        # --plot xy is the path3d projection along z
-        spec = PlotSpec(kind=kind,
-                        series=(SeriesStyle(label=prob.kind, color="#d62728"),),
-                        segments=segments, view_axis="z" if cfg.plot == "xy" else cfg.view)
+        spec = PlotSpec(kind=kind, series=(SeriesStyle(label=cfg.kind, color="#d62728"),),
+                        segments=segments, view_axis=cfg.view)
         write_svg(spec, [data], cfg.svg)
     if cfg.csv:
         write_csv(prob.sph, traj, control_channel(prob.sph, prob.flow_wind, traj), cfg.csv)
@@ -391,7 +389,7 @@ def cmd_family(prob: Problem) -> int:
                      segments=_segments(cfg), view_axis=cfg.view)
 
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
-    members = iter_family(prob.sph, prob.wind, prob.start, headings, prob.kind, prob.icfg)
+    members = iter_family(prob.sph, prob.wind, prob.start, headings, cfg.kind, prob.icfg)
     # next() hands member i to _fan_member alone, and the figure keeps only its
     # projection: no name keeps its track alive while the next one is integrated
     drawn = [_fan_member(prob, frame, i, next(members), counts) for i in range(len(headings))]
@@ -500,7 +498,7 @@ def cmd_indicatrix(prob: Problem) -> int:
 
 def cmd_report(prob: Problem) -> int:
     cfg = prob.cfg
-    traj = track(prob.sph, prob.wind, prob.kind, prob.start, _heading(prob, "report"), prob.icfg)
+    traj = track(prob.sph, prob.wind, cfg.kind, prob.start, _heading(prob, "report"), prob.icfg)
     channel = control_channel(prob.sph, prob.flow_wind, traj)
     rec0 = channel[0]  # the departure
     if rec0 is None:

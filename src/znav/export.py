@@ -118,8 +118,9 @@ def write_table(columns: Sequence[str], rows: Iterable[Sequence], path: str) -> 
     """
     line = ",".join(["%s"] * len(columns)) + "\n"
     try:
-        # %s prints None as "None", which no int or float str contains
-        lines = [(line % tuple(row)).replace("None", "") for row in rows]
+        # %s prints None as "None": a None cell is emptied before the row is formatted
+        lines = [line % (tuple("" if c is None else c for c in row) if None in row else tuple(row))
+                 for row in rows]
     except TypeError as exc:  # too few or too many cells for the line
         raise ValueError(f"every row needs {len(columns)} cells: {exc}") from exc
     return _write(path, "CSV", chain((",".join(columns) + "\n",), lines))

@@ -150,6 +150,11 @@ MUTANTS = [
     ("refusal of an unscalable indicatrix figure", CLI,
      "except EmptyData as exc:  # a range or scale of the figure that is not finite",
      "except () as exc:", T_CLI),
+    ("--view of a geodesic figure left unread", CLI,
+     "segments=segments, view_axis=cfg.view)", 'segments=segments, view_axis="z")', T_CLI),
+    ("--view of a fan figure left unread", CLI,
+     "segments=_segments(cfg), view_axis=cfg.view)", 'segments=_segments(cfg), view_axis="z")',
+     T_CLI),
     ("fan members held as embedded rows, not projected", CLI,
      "return project(frame, embed_rows(prob.sph, traj.rows)), SeriesStyle(",
      "return list(embed_rows(prob.sph, traj.rows)), SeriesStyle(", T_CLI),

@@ -165,8 +165,10 @@ def initial_speed_closed(
 
 
 def csv_cell(value) -> str:
-    """One CSV cell: empty for None, repr of an int, repr(float(value)) otherwise."""
-    return "" if value is None else repr(value if isinstance(value, int) else float(value))
+    """One CSV cell: empty for None, a str as is, repr of an int, repr(float(value)) else."""
+    if value is None or isinstance(value, str):
+        return value or ""
+    return repr(value if isinstance(value, int) else float(value))
 
 
 def position_reference(rhs, s0: NavState, times: list[float]) -> list[tuple[float, float]]:

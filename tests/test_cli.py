@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies
 import znav
 import znav.cli
 from znav import Spheroid, integrate, make_rhs, render_svg
-from znav.cli import ValidationError, main, parse_angle
+from znav.cli import ValidationError, build_parser, main, parse_angle
 from znav.spheroid import embed_rows
 from tests.conftest import ROTATION_RATE, nan_after, read_csv
 
@@ -36,6 +36,8 @@ LONE_SUMMARY = "termination=pole_proximity classification=transpolar t_last=0 "
 # The package's name znav.integrate is the function: its module, where
 # every track is seeded and integrated, is reached through sys.modules.
 INTEGRATE = sys.modules["znav.integrate"]
+# Each subcommand's parser, whose option table is what the subcommand accepts.
+SUBPARSERS = next(a for a in build_parser()._actions if a.dest == "command").choices
 
 
 class TestParseAngle:
@@ -131,16 +133,12 @@ class TestGeodesic:
         assert re.search(r"conservation_drift=(\S+)", out).group(1) == f"{worst:.3e}"
 
     def test_svg_kinds(self, tmp_path):
-        for plot in ("path3d", "xy", "polar"):
+        for plot in ("path3d", "polar"):
             svg = tmp_path / f"{plot}.svg"
             code = main(["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "1",
                          "--svg", str(svg), "--plot", plot, "--view", "x"])
             assert code == 0
             ET.parse(svg)  # well-formed document
-        # xy is the path3d projection along z, whatever --view says
-        main(["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "1",
-              "--svg", str(tmp_path / "z.svg"), "--plot", "path3d", "--view", "z"])
-        assert (tmp_path / "xy.svg").read_bytes() == (tmp_path / "z.svg").read_bytes()
 
     def test_segmented_figure(self, tmp_path):
         svg = tmp_path / "seg.svg"
@@ -191,17 +189,17 @@ class TestGeodesic:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["geodesic", "--heading", "0"],
+            ["geodesic", "--heading", "0", "--t-end", "1"],
             ["family", "--heading-start", "0", "--heading-step", "1",
-             "--heading-count", "1"],
-            ["compare", "--heading", "0"],
+             "--heading-count", "1", "--t-end", "1"],
+            ["compare", "--heading", "0", "--t-end", "1"],
             ["indicatrix"],
-            ["report", "--heading", "0"],
+            ["report", "--heading", "0", "--t-end", "1"],
         ],
         ids=["geodesic", "family", "compare", "indicatrix", "report"],
     )
     def test_io_failure(self, argv, capsys):
-        code = main([*argv, *BENCH, "--t-end", "1", "--csv", "no/such/dir/out.csv"])
+        code = main([*argv, *BENCH, "--csv", "no/such/dir/out.csv"])
         assert code == 4
         err = capsys.readouterr().err
         assert "error[io]: cannot write CSV to no/such/dir/" in err
@@ -854,6 +852,9 @@ class TestConfigFile:
         cfg.write_text("heading = pi/3\nt_end = 1\nn = 3.5\nplot = pie\n")
         assert main(["report", "--config", str(cfg)]) == 0
         assert "heading_0 = 60 deg" in capsys.readouterr().out
+        # indicatrix integrates nothing: its horizon and compass keys are skipped
+        cfg.write_text("t_end = -1\nkind = finsler\ncompass = maybe\n")
+        assert main(["indicatrix", "--config", str(cfg), "--n", "36"]) == 0
 
     def test_undecodable_file(self, tmp_path, capsys):
         cfg = tmp_path / "bin.cfg"
@@ -876,6 +877,23 @@ class TestParseErrors:
         err = capsys.readouterr().err
         assert err.startswith("error[validation]: ")
         assert "usage:" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["indicatrix", "--t-end", "1"],
+        ["compare", "--heading", "0.3", "--kind", "h"],
+        ["geodesic", "--heading", "0.3", "--compass"],
+        ["geodesic", "--heading", "0.3", "--plot", "xy"],
+        ["geodesic", "--heading", "0.3", "--wind", "zero"],
+        ["geodesic", "--heading", "0.3", "--wind", "0"],
+    ], ids=["indicatrix-t-end", "compare-kind", "geodesic-compass", "plot-xy", "wind-zero",
+            "wind-0"])
+    def test_unread_input_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        # each was once accepted and changed nothing, or ran as another spelling
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--csv", "out.csv", "--svg", "out.svg"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[validation]: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -919,12 +937,15 @@ CONFIG_LINES = ["garbage", "warp = 9", "config = x", "deg = y", "deg = off",
 
 @strategies.composite
 def edge_runs(draw):
-    """(argv, config text or None) over the edge alphabet, horizon 1 unless drawn.
+    """(argv, config text or None) over the edge alphabet, horizon 1 unless drawn
+    or the subcommand has none.
 
     Output flags name files relative to the directory the run writes in.
     """
     command = draw(strategies.sampled_from(sorted(VALID_BASE)))
-    argv = [command, *VALID_BASE[command], "--t-end", "1"]
+    argv = [command, *VALID_BASE[command]]
+    if "--t-end" in SUBPARSERS[command]._option_string_actions:
+        argv += ["--t-end", "1"]
     for flag in draw(strategies.lists(
             strategies.sampled_from(sorted(POOLS) + SWITCHES + sorted(OUTPUTS)), max_size=6)):
         if flag in SWITCHES:
@@ -987,8 +1008,6 @@ class TestTotal:
 _NO_NUMPY_RUNS = [
     ["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "1", "--plot", "path3d",
      "--csv", "g.csv", "--svg", "g3d.svg"],
-    ["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "1", "--plot", "xy",
-     "--svg", "gxy.svg"],
     ["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "1", "--plot", "polar",
      "--svg", "gpolar.svg"],
     ["family", *BENCH, "--heading-start", "0", "--heading-step", "pi/2",
@@ -1018,8 +1037,47 @@ def test_runs_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     written = {p.name: p.stat().st_size for p in tmp_path.iterdir()}
     assert sorted(written) == sorted([
-        "g.csv", "g3d.svg", "gxy.svg", "gpolar.svg",
+        "g.csv", "g3d.svg", "gpolar.svg",
         *(f"f_{i:03d}.csv" for i in range(4)), "f.svg",
         "c.csv", "c.svg", "i.csv", "i.svg", "r.csv", "r.svg", "rs.svg",
     ])
     assert all(written.values())
+
+
+# Per option, the tokens after it that make a run differ from the base
+# run's: a switch set, another value or another output path.
+ALTERNATE = {
+    "--a": ["0.5"], "--wind": ["none"], "--start": ["0.3,1"], "--deg": [],
+    "--csv": ["other.csv"], "--svg": ["other.svg"], "--speed-svg": ["speed.svg"],
+    "--t-end": ["0.7"], "--rel-tol": ["1e-6"], "--abs-tol": ["1e-9"], "--sample-dt": ["0.05"],
+    "--kind": ["alpha"], "--heading": ["0.4"], "--view": ["x"], "--segments": ["0.2"],
+    "--plot": ["polar"], "--heading-start": ["0.5"], "--heading-step": ["0.5"],
+    "--heading-count": ["3"], "--n": ["37"], "--multipliers": ["1,2"], "--compass": [],
+}
+
+
+def test_every_accepted_option_is_read(tmp_path, monkeypatch):
+    # a flag a subcommand accepts changes its exit code, what it prints or
+    # the files it writes: none is checked and then ignored.  The base run
+    # has a wind for --kind, a plain-number start for --deg and both outputs
+    unread = []
+    for command, parser in sorted(SUBPARSERS.items()):
+        options = parser._option_string_actions
+        base = [command, *VALID_BASE[command], "--wind", "rotation:0.5", "--start", "0.5,1.2",
+                "--csv", "out.csv", "--svg", "out.svg"]
+        if "--t-end" in options:
+            base += ["--t-end", "0.5"]
+
+        def run(argv, name):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            code, out = _stdout(argv)
+            return code, out, {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+        want = run(base, command)
+        for option in sorted(set(options) - {"-h", "--help", "--config"}):
+            if option not in ALTERNATE:
+                unread.append(f"{command} {option} (no alternate value)")
+            elif run([*base, option, *ALTERNATE[option]], command + option) == want:
+                unread.append(f"{command} {option}")
+    assert not unread, f"accepted but never read: {unread}"
