@@ -29,8 +29,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import NoReturn
 
-from znav import control
-from znav.control import control_channel, wrap_2pi, wrap_signed
+from znav.control import control_channel, initial_state, speed_of, wrap_2pi, wrap_signed
 from znav.errors import EmptyData, NavigationError
 from znav.export import (
     PlotSpec,
@@ -158,6 +157,12 @@ def _config_tokens(path: str, parser: argparse.ArgumentParser, command: str) -> 
     return tokens
 
 
+def _path(text: str) -> str:
+    if not text:  # an empty output path would write nothing
+        raise argparse.ArgumentTypeError("output path must not be empty")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser; each subcommand accepts exactly the options it reads."""
     common = _Parser(add_help=False)
@@ -167,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--wind", default="none", help="wind spec: rotation:C or none")
     common.add_argument("--start", default="0,pi/2", help="start point as phi,theta")
     common.add_argument("--deg", action="store_true", help="plain-number angles are degrees")
-    common.add_argument("--csv", help="CSV output path")
-    common.add_argument("--svg", help="SVG output path")
+    common.add_argument("--csv", type=_path, help="CSV output path")
+    common.add_argument("--svg", type=_path, help="SVG output path")
     steps = _Parser(add_help=False)
     steps.add_argument("--t-end", type=float, default=3.0, help="integration horizon")
     steps.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol,
@@ -213,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="control channel and departure summary")
     p.add_argument("--compass", action="store_true",
                    help="print azimuths clockwise from north")
-    p.add_argument("--speed-svg", help="SVG path for the speed-vs-heading curve")
+    p.add_argument("--speed-svg", type=_path, help="SVG path for the speed-vs-heading curve")
     return parser
 
 
@@ -234,8 +239,7 @@ class Problem:
     """Validated and parsed navigation problem."""
 
     sph: Spheroid
-    wind: WindField  # STILL_AIR for --wind none and a zero rotation rate
-    flow_wind: WindField | None  # the flow wind of --kind (spray.resolve_flow); None without it
+    wind: WindField  # of --kind's flow (spray.resolve_flow), else --wind's; may be STILL_AIR
     rate: float | None  # None for --wind none
     start: SurfacePoint
     icfg: IntegratorConfig | None  # None without --t-end and the tolerances
@@ -257,13 +261,13 @@ def resolve_problem(cfg: argparse.Namespace) -> Problem:
         # a rate rotation_wind accepts is mild everywhere
         wind = STILL_AIR if not rate else rotation_wind(rate)
         require_off_pole(start.theta)
-        flow_wind = resolve_flow(cfg.kind, wind)[1] if "kind" in cfg else None
+        wind = resolve_flow(cfg.kind, wind)[1] if "kind" in cfg else wind
         sph = Spheroid(cfg.a)
         icfg = IntegratorConfig(t_end=cfg.t_end, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                                 sample_dt=cfg.sample_dt) if "t_end" in cfg else None
     except (ValueError, NavigationError) as exc:  # NotMild, PoleSingularity
         raise ValidationError(str(exc)) from exc
-    return Problem(sph, wind, flow_wind, rate, start, icfg, cfg)
+    return Problem(sph, wind, rate, start, icfg, cfg)
 
 
 def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
@@ -271,7 +275,7 @@ def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
 
     The flow's wind is still air for h, where the h-norm is F.
     """
-    terms = RandersData(prob.sph, prob.flow_wind).terms
+    terms = RandersData(prob.sph, prob.wind).terms
     alpha_only = prob.cfg.kind == "alpha"
     worst = 0.0
     for _, phi, theta, u, v in traj.rows:
@@ -292,7 +296,7 @@ def _float_list(text: str, what: str) -> tuple[float, ...]:
 
 
 def _segments(cfg: argparse.Namespace) -> tuple[float, ...] | None:
-    if not cfg.segments:
+    if cfg.segments is None:
         return None
     vals = _float_list(cfg.segments, "segment list")
     if list(vals) != sorted(set(vals)):
@@ -326,7 +330,7 @@ def cmd_geodesic(prob: Problem) -> int:
                         segments=segments, view_axis=cfg.view)
         write_svg(spec, [data], cfg.svg)
     if cfg.csv:
-        write_csv(prob.sph, traj, control_channel(prob.sph, prob.flow_wind, traj), cfg.csv)
+        write_csv(prob.sph, traj, control_channel(prob.sph, prob.wind, traj), cfg.csv)
     final = traj.final_state()
     print(
         f"termination={traj.termination} classification={classify_path(traj)} "
@@ -353,7 +357,7 @@ def _fan_member(
           f"termination={traj.termination} classification={label}")
     if prob.cfg.csv:  # out.csv -> out_000.csv, ...
         stem, ext = os.path.splitext(prob.cfg.csv)
-        channel = control_channel(prob.sph, prob.flow_wind, traj)
+        channel = control_channel(prob.sph, prob.wind, traj)
         write_csv(prob.sph, traj, channel, f"{stem}_{i:03d}{ext}")
     if not prob.cfg.svg:
         return None
@@ -405,23 +409,13 @@ def cmd_family(prob: Problem) -> int:
 def cmd_compare(prob: Problem) -> int:
     cfg = prob.cfg
     heading = _heading(prob, "compare")
-    # the alpha track is only drawn, so it is integrated only for --svg
-    kinds = METRIC_KINDS if cfg.svg else ("h", "randers")
-    trajs = {k: track(prob.sph, prob.wind, k, prob.start, heading, prob.icfg) for k in kinds}
-
+    # each distinct flow of spray.resolve_flow is integrated once (one h track in
+    # still air); the alpha track is only drawn, so it is integrated only for --svg
+    flows = {k: resolve_flow(k, prob.wind) for k in (METRIC_KINDS if cfg.svg else ("h", "randers"))}
+    runs = {(kind, wind): track(prob.sph, wind, kind, prob.start, heading, prob.icfg)
+            for kind, wind in dict.fromkeys(flows.values())}
+    trajs = {k: runs[flow] for k, flow in flows.items()}
     rows_f, rows_h = trajs["randers"].rows, trajs["h"].rows
-    ch_f = control_channel(prob.sph, prob.wind, trajs["randers"])
-    ch_h = control_channel(prob.sph, STILL_AIR, trajs["h"])
-    # one row per time of the shorter track; channel cells empty where
-    # either record is undefined
-    table = []
-    for rf, rh, cf, ch in zip(rows_f, rows_h, ch_f, ch_h):
-        if cf is None or ch is None:
-            dch = (None,) * 4
-        else:
-            dch = (wrap_signed(cf.heading - ch.heading), wrap_signed(cf.course - ch.course),
-                   wrap_signed(cf.drift - ch.drift), cf.speed - ch.speed)
-        table.append((rh[0], rf[1] - rh[1], rf[2] - rh[2], rf[3] - rh[3], rf[4] - rh[4], *dch))
 
     if cfg.svg:
         palette = {"h": "#1f77b4", "alpha": "#2ca02c", "randers": "#d62728"}
@@ -432,11 +426,23 @@ def cmd_compare(prob: Problem) -> int:
         )
         write_svg(spec, [embed_rows(prob.sph, t.rows) for t in trajs.values()], cfg.svg)
     if cfg.csv:
+        # each channel in its flow's wind; one row per time of the shorter
+        # track, channel cells empty where either record is undefined
+        ch_f, ch_h = (control_channel(prob.sph, flows[k][1], trajs[k]) for k in ("randers", "h"))
+        table = []
+        for rf, rh, cf, ch in zip(rows_f, rows_h, ch_f, ch_h):
+            if cf is None or ch is None:
+                dch = (None,) * 4
+            else:
+                dch = (wrap_signed(cf.heading - ch.heading), wrap_signed(cf.course - ch.course),
+                       wrap_signed(cf.drift - ch.drift), cf.speed - ch.speed)
+            table.append((rh[0], rf[1] - rh[1], rf[2] - rh[2], rf[3] - rh[3], rf[4] - rh[4],
+                          *dch))
         write_table(("t", "d_phi", "d_theta", "d_phi_dot", "d_theta_dot",
                      "d_heading", "d_course", "d_drift", "d_speed"), table, cfg.csv)
 
-    max_dphi = max(abs(row[1]) for row in table)
-    max_dtheta = max(abs(row[2]) for row in table)
+    max_dphi = max(abs(rf[1] - rh[1]) for rf, rh in zip(rows_f, rows_h))
+    max_dtheta = max(abs(rf[2] - rh[2]) for rf, rh in zip(rows_f, rows_h))
     print(f"max_dphi={max_dphi:.3e} max_dtheta={max_dtheta:.3e}")
     if prob.wind is not STILL_AIR:
         res_phi = max(
@@ -499,7 +505,7 @@ def cmd_indicatrix(prob: Problem) -> int:
 def cmd_report(prob: Problem) -> int:
     cfg = prob.cfg
     traj = track(prob.sph, prob.wind, cfg.kind, prob.start, _heading(prob, "report"), prob.icfg)
-    channel = control_channel(prob.sph, prob.flow_wind, traj)
+    channel = control_channel(prob.sph, prob.wind, traj)
     rec0 = channel[0]  # the departure
     if rec0 is None:
         raise EmptyData("departure heading or course undefined")
@@ -524,10 +530,9 @@ def cmd_report(prob: Problem) -> int:
     if cfg.speed_svg:
         # numpy.linspace(0, 2*pi, 361), float for float
         hds = [k * (2.0 * math.pi / 360) for k in range(360)] + [2.0 * math.pi]
-        speeds = [
-            control.initial_speed_vs_heading(prob.sph, prob.flow_wind, prob.start, hd)
-            for hd in hds
-        ]
+        # the departure speed of the start that report --heading hd runs
+        speeds = [speed_of(prob.sph, initial_state(prob.sph, prob.wind, cfg.kind, prob.start, hd))
+                  for hd in hds]
         spec = PlotSpec(
             kind="speed_vs_heading",
             series=(SeriesStyle(label="initial speed", color="#000000"),),
@@ -537,7 +542,7 @@ def cmd_report(prob: Problem) -> int:
         write_csv(prob.sph, traj, channel, cfg.csv)
 
     conv = " (compass azimuth)" if cfg.compass else ""
-    drift0 = -rec0.drift if cfg.compass else rec0.drift
+    drift0 = 0.0 - rec0.drift if cfg.compass else rec0.drift  # 0, not -0, for no drift
     print(f"heading_0 = {_heading_deg(cfg, rec0.heading):.4g} deg{conv}")
     print(f"course_0 = {_heading_deg(cfg, rec0.course):.4g} deg{conv}")
     print(f"drift_0 = {math.degrees(drift0):.4g} deg")

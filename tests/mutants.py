@@ -158,6 +158,22 @@ MUTANTS = [
     ("fan members held as embedded rows, not projected", CLI,
      "return project(frame, embed_rows(prob.sph, traj.rows)), SeriesStyle(",
      "return list(embed_rows(prob.sph, traj.rows)), SeriesStyle(", T_CLI),
+    ("compare integrating once per kind, not once per flow", CLI,
+     "for kind, wind in dict.fromkeys(flows.values())}", "for kind, wind in flows.values()}",
+     T_CLI),
+    ("h channel of compare measured in the --wind wind", CLI,
+     'ch_f, ch_h = (control_channel(prob.sph, flows[k][1], trajs[k]) for k in ("randers", "h"))',
+     'ch_f, ch_h = (control_channel(prob.sph, prob.wind, trajs[k]) for k in ("randers", "h"))',
+     T_CLI),
+    ("speed curve seeded as randers whatever --kind says", CLI,
+     "speeds = [speed_of(prob.sph, initial_state(prob.sph, prob.wind, cfg.kind, prob.start, hd))",
+     'speeds = [speed_of(prob.sph, initial_state(prob.sph, prob.wind, "randers", prob.start, hd))',
+     T_CLI),
+    ("refusal of an empty output path", CLI,
+     'raise argparse.ArgumentTypeError("output path must not be empty")', "pass", T_CLI),
+    ("unsigned zero drift in compass mode", CLI,
+     "drift0 = 0.0 - rec0.drift if cfg.compass else rec0.drift  # 0, not -0, for no drift",
+     "drift0 = -rec0.drift if cfg.compass else rec0.drift", T_CLI),
 ]
 
 

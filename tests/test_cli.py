@@ -255,9 +255,14 @@ class TestStepFailure:
     TINY_TOL = ["--rel-tol", "1e-300", "--abs-tol", "1e-300", "--t-end", "1"]
 
     @pytest.mark.parametrize("command", ["geodesic", "compare", "report"])
-    def test_numeric_exit(self, command, capsys):
-        assert main([command, "--heading", "0.3", *self.TINY_TOL]) == 3
-        assert "error[numeric]: step underflow at t=" in capsys.readouterr().err
+    def test_numeric_exit(self, command, tmp_path, monkeypatch, capsys):
+        # in still air and under the benchmark wind: one error line, no file
+        monkeypatch.chdir(tmp_path)
+        for wind in ("none", BENCH[3]):
+            assert main([command, "--wind", wind, "--heading", "0.3", *self.TINY_TOL,
+                         "--csv", "u.csv", "--svg", "u.svg"]) == 3
+            assert capsys.readouterr().err == "error[numeric]: step underflow at t=0.0\n"
+            assert list(tmp_path.iterdir()) == []
 
     def test_family_member_failed(self, capsys):
         code = main(["family", "--heading-start", "0", "--heading-step", "1",
@@ -268,19 +273,27 @@ class TestStepFailure:
         assert "counts: circumpolar=0 transpolar=0 failed=1" in out
 
     def test_library_fan_carries_the_printed_errors(self, capsys):
-        # both members underflow: integrate_family carries, as each member's
-        # error, the NavigationError whose text the CLI prints
-        code = main(["family", "--heading-start", "0", "--heading-step", "1",
-                     "--heading-count", "2", *self.TINY_TOL])
-        lines = capsys.readouterr().out.splitlines()
-        assert code == 3
-        members = znav.integrate_family(
-            Spheroid(0.75), None, znav.SurfacePoint(0.0, math.pi / 2), [0.0, 1.0], "randers",
-            znav.IntegratorConfig(t_end=1.0, rel_tol=1e-300, abs_tol=1e-300))
-        assert [m.trajectory for m in members] == [None, None]
-        assert all(type(m.error) is znav.NavigationError for m in members)
-        assert [f"member={i:02d} heading={m.heading:.6g} error={m.error}"
-                for i, m in enumerate(members)] == lines[:2]
+        # both members underflow, in still air and under the benchmark wind:
+        # integrate_family carries, as each member's error, the
+        # NavigationError whose text the CLI prints
+        for rate in (None, ROTATION_RATE):
+            code = main(["family", "--a", "0.75", "--start", "0,pi/2",
+                         "--wind", f"rotation:{rate!r}" if rate else "none",
+                         "--heading-start", "0", "--heading-step", "1",
+                         "--heading-count", "2", *self.TINY_TOL])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 3
+            assert lines == ["member=00 heading=0 error=step underflow at t=0.0",
+                             "member=01 heading=1 error=step underflow at t=0.0",
+                             "counts: circumpolar=0 transpolar=0 failed=2"]
+            members = znav.integrate_family(
+                Spheroid(0.75), rate and znav.rotation_wind(rate),
+                znav.SurfacePoint(0.0, math.pi / 2), [0.0, 1.0], "randers",
+                znav.IntegratorConfig(t_end=1.0, rel_tol=1e-300, abs_tol=1e-300))
+            assert [m.trajectory for m in members] == [None, None]
+            assert all(type(m.error) is znav.NavigationError for m in members)
+            assert [f"member={i:02d} heading={m.heading:.6g} error={m.error}"
+                    for i, m in enumerate(members)] == lines[:2]
 
     def test_failed_member_left_out_of_a_fan(self, tmp_path, monkeypatch):
         # the second rhs made returns NaN, so member 01 underflows at once;
@@ -347,6 +360,20 @@ class TestNonFiniteInput:
     def test_rejected(self, argv, capsys):
         assert main(argv) == 2
         assert "error[validation]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon, message", [
+        (["--t-end", "1e308", "--sample-dt", "1e308"], "t_end must be in (0, 1000000]"),
+        (["--t-end", "1000", "--sample-dt", "1e-4"], "exceeds the per-track grid"),
+    ], ids=["horizon", "grid"])
+    def test_endless_horizon_exits_at_once(self, horizon, message):
+        # each once ran without end: a fresh process must exit 2 within 10 s,
+        # on its own bound and not on an unknown flag
+        src = os.path.dirname(os.path.dirname(znav.__file__))
+        proc = subprocess.run([sys.executable, "-m", "znav.cli", "geodesic", "--heading", "0.3",
+                               *horizon], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error[validation]: ") and message in proc.stderr
 
 
 class TestFamily:
@@ -572,11 +599,16 @@ class TestCompare:
         assert max(abs(v) for v in cols["d_theta"]) < 1e-6
         # azimuthal rate translates by exactly -c
         assert max(abs(v + 5 / 7) for v in cols["d_phi_dot"]) < 1e-6
+        # each track is measured in its flow's wind: the randers heading,
+        # relative to the medium, is the h heading in still air
+        assert max(abs(v) for v in cols["d_heading"]) < 1e-6
         root = ET.parse(tmp_path / "overlay.svg").getroot()
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 3
 
     @pytest.mark.parametrize("svg, tracks", [(False, 2), (True, 3)])
     def test_alpha_track_only_for_the_figure(self, svg, tracks, tmp_path, monkeypatch):
+        # each distinct flow is integrated once: in still air, however it is
+        # spelled, the three kinds are one h track, drawn three times
         calls = []
 
         def counted(rhs, s0, cfg, kind=""):
@@ -584,13 +616,37 @@ class TestCompare:
             return integrate(rhs, s0, cfg, kind=kind)
 
         monkeypatch.setattr(INTEGRATE, "integrate", counted)
-        argv = ["compare", *BENCH, "--heading", "pi/3", "--t-end", "1",
-                "--csv", str(tmp_path / "diff.csv")]
-        if svg:
-            argv += ["--svg", str(tmp_path / "overlay.svg")]
-        assert _stdout(argv)[0] == 0
-        assert len(calls) == tracks
-        assert ("alpha" in calls) == svg
+        for wind, want in ((BENCH[3], tracks), ("none", 1), ("rotation:0", 1)):
+            calls.clear()
+            argv = ["compare", "--a", "0.75", "--wind", wind, "--start", "0,pi/2",
+                    "--heading", "pi/3", "--t-end", "1", "--csv", str(tmp_path / "diff.csv")]
+            if svg:
+                argv += ["--svg", str(tmp_path / "overlay.svg")]
+            assert _stdout(argv)[0] == 0
+            assert len(calls) == want
+            assert ("alpha" in calls) == (svg and want > 1)
+            if svg:
+                root = ET.parse(tmp_path / "overlay.svg").getroot()
+                points = [line.get("points")
+                          for line in root.findall(".//{http://www.w3.org/2000/svg}polyline")]
+                assert len(points) == 3 and (len(set(points)) == 1) == (want == 1)
+
+    def test_channels_only_for_the_table(self, tmp_path, monkeypatch):
+        # the printed maxima and residuals read the rows: without --csv no
+        # control channel is computed
+        calls = []
+        control_channel = znav.cli.control_channel
+
+        def counted(*args):
+            calls.append(args[2].kind)
+            return control_channel(*args)
+
+        monkeypatch.setattr("znav.cli.control_channel", counted)
+        argv = ["compare", *BENCH, "--heading", "pi/3", "--t-end", "1"]
+        plain = _stdout([*argv, "--svg", str(tmp_path / "overlay.svg")])
+        assert plain[0] == 0 and calls == []
+        assert _stdout([*argv, "--csv", str(tmp_path / "diff.csv")]) == plain
+        assert calls == ["randers", "h"]
 
     def test_becalmed_channel_cells_empty(self, tmp_path):
         code, _ = _stdout(["compare", *BECALMED, "--csv", str(tmp_path / "diff.csv")])
@@ -714,6 +770,40 @@ class TestReport:
         assert code == 0
         # 60 deg counterclockwise from the parallel is azimuth 030
         assert "heading_0 = 30 deg (compass azimuth)" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--wind", "none", "--heading", "0.3"],
+        ["--a", "0.75", "--wind", "rotation:0.7142857142857143", "--heading", "0"],
+    ], ids=["still-air", "upwind"])
+    def test_compass_zero_drift_unsigned(self, argv, capsys):
+        # a zero drift once printed as -0 in compass mode
+        assert main(["report", *argv, "--t-end", "1", "--compass"]) == 0
+        assert "drift_0 = 0 deg\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["h", "alpha", "randers"])
+    def test_speed_curve_is_the_departure_speed_of_its_kind(self, kind, tmp_path, monkeypatch):
+        # the speed curve at heading H is the speed of the start that
+        # report --heading H runs for its --kind, and prints as its speed_0
+        curves, write_svg = [], znav.cli.write_svg
+
+        def captured(spec, data, path):
+            if spec.kind == "speed_vs_heading":
+                curves.extend(data)
+            return write_svg(spec, data, path)
+
+        monkeypatch.setattr("znav.cli.write_svg", captured)
+        argv = ["report", *BENCH, "--kind", kind, "--t-end", "1"]
+        assert _stdout([*argv, "--heading", "0.3",
+                        "--speed-svg", str(tmp_path / "speed.svg")])[0] == 0
+        [curve] = curves
+        sph, wind = Spheroid(0.75), znav.rotation_wind(ROTATION_RATE)
+        start = znav.SurfacePoint(0.0, math.pi / 2)
+        assert len(curve) == 361
+        assert [speed for _, speed in curve] == [
+            znav.speed_of(sph, znav.initial_state(sph, wind, kind, start, hd)) for hd, _ in curve]
+        code, out = _stdout([*argv, "--heading", "60", "--deg"])
+        assert code == 0
+        assert f"speed_0 = {curve[60][1]:.4g}\n" in out
 
     def test_undefined_departure_is_numeric_error(self, tmp_path, capsys):
         code = main(["report", *BECALMED, "--csv", str(tmp_path / "r.csv")])
@@ -895,6 +985,26 @@ class TestParseErrors:
         assert len(err) == 1 and err[0].startswith("error[validation]: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--heading", "0.3", "--csv="],
+        ["geodesic", "--heading", "0.3", "--svg="],
+        ["report", "--heading", "0.3", "--speed-svg="],
+        ["family", "--heading-start", "0", "--heading-step", "1", "--heading-count", "2",
+         "--csv="],
+        ["geodesic", "--heading", "0.3", "--segments=", "--svg", "out.svg"],
+        ["geodesic", "--heading", "0.3", "--config", "../empty.cfg"],
+    ], ids=["csv", "svg", "speed-svg", "family-csv", "segments", "config-csv"])
+    def test_empty_value_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        # each once exited 0: an empty output path wrote nothing, and an
+        # empty segment list was ignored
+        (tmp_path / "empty.cfg").write_text("csv =\n")
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path / "out")
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[validation]: ")
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["geodesic", "--help"])
@@ -918,7 +1028,7 @@ POOLS = {
     "--kind": ["h", "alpha", "randers", "finsler"],
     "--heading-count": COUNTS, "--n": COUNTS + ["3", "36"],
     "--multipliers": ["1,2", "nan", "1,inf", "-1", "foo", "1e308", "0.5", "1e-306", "1e-320"],
-    "--segments": ["0.5", "0.3,0.6", "nan", "0.6,0.3", "foo"],
+    "--segments": ["0.5", "0.3,0.6", "nan", "0.6,0.3", "foo", ""],
     "--plot": ["path3d", "xy", "polar", "pie"], "--view": ["x", "y", "z", "q"],
     "--warp": ["9"],
 }
