@@ -158,15 +158,15 @@ def _config_tokens(path: str, parser: argparse.ArgumentParser, command: str) -> 
 
 
 def _path(text: str) -> str:
-    if not text:  # an empty output path would write nothing
-        raise argparse.ArgumentTypeError("output path must not be empty")
+    if not text:  # an empty path names no file
+        raise argparse.ArgumentTypeError("path must not be empty")
     return text
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser; each subcommand accepts exactly the options it reads."""
     common = _Parser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file; flags override")
+    common.add_argument("--config", type=_path, help="flat key=value config file; flags override")
     common.add_argument("--a", type=float, default=0.75,
                         help="shape parameter of the spheroid (1,1,a)")
     common.add_argument("--wind", default="none", help="wind spec: rotation:C or none")
@@ -226,7 +226,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv; --config file tokens go before the flags, which override them."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
+    if args.config is not None:
         at = argv.index(args.command) + 1
         args = parser.parse_args(
             [*argv[:at], *_config_tokens(args.config, parser, args.command), *argv[at:]]
@@ -240,7 +240,6 @@ class Problem:
 
     sph: Spheroid
     wind: WindField  # of --kind's flow (spray.resolve_flow), else --wind's; may be STILL_AIR
-    rate: float | None  # None for --wind none
     start: SurfacePoint
     icfg: IntegratorConfig | None  # None without --t-end and the tolerances
     cfg: argparse.Namespace
@@ -267,7 +266,7 @@ def resolve_problem(cfg: argparse.Namespace) -> Problem:
                                 sample_dt=cfg.sample_dt) if "t_end" in cfg else None
     except (ValueError, NavigationError) as exc:  # NotMild, PoleSingularity
         raise ValidationError(str(exc)) from exc
-    return Problem(sph, wind, rate, start, icfg, cfg)
+    return Problem(sph, wind, start, icfg, cfg)
 
 
 def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
@@ -276,7 +275,7 @@ def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
     The flow's wind is still air for h, where the h-norm is F.
     """
     terms = RandersData(prob.sph, prob.wind).terms
-    alpha_only = prob.cfg.kind == "alpha"
+    alpha_only = traj.kind == "alpha"
     worst = 0.0
     for _, phi, theta, u, v in traj.rows:
         _, alpha, beta = terms(phi, theta, u, v)
@@ -409,8 +408,8 @@ def cmd_family(prob: Problem) -> int:
 def cmd_compare(prob: Problem) -> int:
     cfg = prob.cfg
     heading = _heading(prob, "compare")
-    # each distinct flow of spray.resolve_flow is integrated once (one h track in
-    # still air); the alpha track is only drawn, so it is integrated only for --svg
+    # each distinct flow of spray.resolve_flow is integrated, and its channel computed,
+    # once (one h flow in still air); the alpha track, only drawn, only for --svg
     flows = {k: resolve_flow(k, prob.wind) for k in (METRIC_KINDS if cfg.svg else ("h", "randers"))}
     runs = {(kind, wind): track(prob.sph, wind, kind, prob.start, heading, prob.icfg)
             for kind, wind in dict.fromkeys(flows.values())}
@@ -428,7 +427,9 @@ def cmd_compare(prob: Problem) -> int:
     if cfg.csv:
         # each channel in its flow's wind; one row per time of the shorter
         # track, channel cells empty where either record is undefined
-        ch_f, ch_h = (control_channel(prob.sph, flows[k][1], trajs[k]) for k in ("randers", "h"))
+        channels = {flow: control_channel(prob.sph, flow[1], runs[flow])
+                    for flow in dict.fromkeys((flows["randers"], flows["h"]))}
+        ch_f, ch_h = channels[flows["randers"]], channels[flows["h"]]
         table = []
         for rf, rh, cf, ch in zip(rows_f, rows_h, ch_f, ch_h):
             if cf is None or ch is None:
@@ -445,9 +446,8 @@ def cmd_compare(prob: Problem) -> int:
     max_dtheta = max(abs(rf[2] - rh[2]) for rf, rh in zip(rows_f, rows_h))
     print(f"max_dphi={max_dphi:.3e} max_dtheta={max_dtheta:.3e}")
     if prob.wind is not STILL_AIR:
-        res_phi = max(
-            abs(rf[1] - (rh[1] - prob.rate * rh[0])) for rf, rh in zip(rows_f, rows_h)
-        )
+        w1 = prob.wind.at(prob.start)[0]  # a rotation wind's drag, the same everywhere
+        res_phi = max(abs(rf[1] - (rh[1] + w1 * rh[0])) for rf, rh in zip(rows_f, rows_h))
         print(f"killing_residual_phi={res_phi:.3e} "
               f"killing_residual_theta={max_dtheta:.3e}")
     return 0

@@ -24,7 +24,7 @@ from znav.spheroid import (
     unit_heading_vector,
 )
 from znav.spray import resolve_flow
-from znav.wind import STILL_AIR, WindField
+from znav.wind import WindField
 
 if TYPE_CHECKING:
     from znav.integrate import Trajectory
@@ -55,10 +55,6 @@ class ControlRecord:
     course: float
     drift: float
     speed: float
-
-
-def _wind_at(wind: WindField | None, point: SurfacePoint) -> tuple[float, float]:
-    return (wind or STILL_AIR).at(point)  # None is still air
 
 
 def initial_state_riemannian(
@@ -110,7 +106,7 @@ def initial_state_alpha(
 
 def initial_state(
     sph: Spheroid,
-    wind: WindField | None,
+    wind: WindField,
     kind: str,
     p0: SurfacePoint,
     heading0: float,
@@ -160,7 +156,7 @@ def speed_of(sph: Spheroid, state: NavState) -> float:
     return _speed(state.vel.u, state.vel.v, h11, h22)
 
 
-def heading_of(sph: Spheroid, wind: WindField | None, state: NavState) -> float:
+def heading_of(sph: Spheroid, wind: WindField, state: NavState) -> float:
     """Heading angle of the velocity relative to the medium, in [0, 2*pi).
 
         cos = (phi_dot - W1) sin(theta),  sin = (W2 - theta_dot) sqrt(h22)
@@ -171,7 +167,7 @@ def heading_of(sph: Spheroid, wind: WindField | None, state: NavState) -> float:
     Raises:
         ZeroRelativeVelocity: velocity relative to the medium vanishes.
     """
-    w1, w2 = _wind_at(wind, state.point)
+    w1, w2 = wind.at(state.point)
     h11, h22 = metric_components(sph, state.point.theta)
     return _heading(state.vel.u, state.vel.v, w1, w2, math.sqrt(h11), math.sqrt(h22))
 
@@ -191,7 +187,7 @@ def course_of(sph: Spheroid, state: NavState) -> float:
     return _course(u, v, math.sqrt(h11), math.sqrt(h22), _speed(u, v, h11, h22))
 
 
-def drift_of(sph: Spheroid, wind: WindField | None, state: NavState) -> float:
+def drift_of(sph: Spheroid, wind: WindField, state: NavState) -> float:
     """Drift angle heading - course, wrapped to (-pi, pi].
 
     Positive drift means the wind pushes the craft counterclockwise off
@@ -203,21 +199,21 @@ def drift_of(sph: Spheroid, wind: WindField | None, state: NavState) -> float:
     return wrap_signed(heading_of(sph, wind, state) - course_of(sph, state))
 
 
-def drift_cos_velocity(sph: Spheroid, wind: WindField | None, state: NavState) -> float:
+def drift_cos_velocity(sph: Spheroid, wind: WindField, state: NavState) -> float:
     """cos(drift) from the dot product of resulting and relative velocities.
 
         [u (u - W1) h11 + v (v - W2) h22] / |v|_h
 
     Assumes unit relative speed (holds on time-optimal states).
     """
-    w1, w2 = _wind_at(wind, state.point)
+    w1, w2 = wind.at(state.point)
     h11, h22 = metric_components(sph, state.point.theta)
     u, v = state.vel.u, state.vel.v
     num = u * (u - w1) * h11 + v * (v - w2) * h22
     return num / speed_of(sph, state)
 
 
-def drift_cos_mildness(sph: Spheroid, wind: WindField | None, state: NavState) -> float:
+def drift_cos_mildness(sph: Spheroid, wind: WindField, state: NavState) -> float:
     """cos(drift) via the mildness factor: (lam + |v|^2) / (2 |v|).
 
     Expanded form, equivalent to the dot-product formula at unit
@@ -225,7 +221,7 @@ def drift_cos_mildness(sph: Spheroid, wind: WindField | None, state: NavState) -
 
         [1 + h11 (u^2 - W1^2) + h22 (v^2 - W2^2)] / (2 |v|_h)
     """
-    w1, w2 = _wind_at(wind, state.point)
+    w1, w2 = wind.at(state.point)
     h11, h22 = metric_components(sph, state.point.theta)
     u, v = state.vel.u, state.vel.v
     num = 1.0 + h11 * (u * u - w1 * w1) + h22 * (v * v - w2 * w2)
@@ -249,7 +245,7 @@ def initial_speed_vs_heading(
 
 
 def control_channel(
-    sph: Spheroid, wind: WindField | None, traj: "Trajectory"
+    sph: Spheroid, wind: WindField, traj: "Trajectory"
 ) -> list[ControlRecord | None]:
     """The control channel of a trajectory: one entry per row of traj.rows.
 
@@ -260,7 +256,7 @@ def control_channel(
     to row i.  All angles are wrapped; use unwrapped copies downstream
     for plotting.
     """
-    components = (wind or STILL_AIR).components  # None is still air
+    components = wind.components
     records = []
     for t, phi, theta, u, v in traj.rows:
         w1, w2 = components(phi, theta)

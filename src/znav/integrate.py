@@ -32,7 +32,7 @@ from znav.errors import NavigationError, NonFiniteState, PoleSingularity
 from znav.spheroid import (
     POLE_GUARD, NavState, Spheroid, SurfacePoint, TangentVector, require_off_pole,
 )
-from znav.spray import MetricKind, RhsFn, make_rhs
+from znav.spray import MetricKind, RhsFn, make_rhs, resolve_flow
 from znav.wind import WindField
 
 # DOP853 tableau (Prince and Dormand 1981, in Hairer's DOP853 form) with
@@ -205,9 +205,10 @@ class Trajectory:
     state at t = 0.  phi values accumulate (no wrapping) so winding
     counts are recoverable.  The control channel, the CSV and the
     figures read rows; samples is the same track as (t, NavState)
-    pairs, built from rows on first access and then kept.  t_stop is the
-    time the track stopped at the pole guard, None for a track that ran
-    to t_end.  stats counts the steps that produced them.
+    pairs, built from rows on first access and then kept.  kind names the
+    flow that ran the track (track resolves it, integrate takes it as
+    given).  t_stop is the time the track stopped at the pole guard, None
+    for a track that ran to t_end.  stats counts the steps behind them.
     """
 
     rows: list[Row]
@@ -881,22 +882,24 @@ class FamilyMember:
 
 
 def track(
-    sph: Spheroid, wind: WindField | None, kind: MetricKind, start: SurfacePoint,
+    sph: Spheroid, wind: WindField, kind: MetricKind, start: SurfacePoint,
     heading: float, cfg: IntegratorConfig,
 ) -> Trajectory:
-    """One track, seeded by control.initial_state and integrated under make_rhs.
+    """One track of the flow spray.resolve_flow(kind, wind), labelled with its kind,
+    seeded by control.initial_state and integrated under make_rhs.
 
     Raises:
         NavigationError: seeding or the engine raised one, a step
             underflow included.
         ValueError: unknown metric kind.
     """
+    kind, wind = resolve_flow(kind, wind)
     state0 = initial_state(sph, wind, kind, start, heading)
     return integrate(make_rhs(kind, sph, wind), state0, cfg, kind=kind)
 
 
 def iter_family(
-    sph: Spheroid, wind: WindField | None, start: SurfacePoint, headings: list[float],
+    sph: Spheroid, wind: WindField, start: SurfacePoint, headings: list[float],
     kind: MetricKind, cfg: IntegratorConfig,
 ) -> Iterator[FamilyMember]:
     """One member per heading, run by track when it is asked for and not kept after.
@@ -911,7 +914,7 @@ def iter_family(
 
 
 def integrate_family(
-    sph: Spheroid, wind: WindField | None, start: SurfacePoint, headings: list[float],
+    sph: Spheroid, wind: WindField, start: SurfacePoint, headings: list[float],
     kind: MetricKind, cfg: IntegratorConfig,
 ) -> list[FamilyMember]:
     """The members of iter_family, each integrated before this returns.

@@ -411,23 +411,23 @@ def _alpha_rhs(sph: Spheroid, wind: WindField) -> RhsFn:
     return rhs_alpha
 
 
-def resolve_flow(kind: str, wind: WindField | None) -> tuple[MetricKind, WindField]:
+def resolve_flow(kind: str, wind: WindField) -> tuple[MetricKind, WindField]:
     """The flow (kind, wind) that a metric kind runs under a wind.
 
-    h is F in still air: kind "h", a None wind and STILL_AIR (by
-    identity) give ("h", STILL_AIR); alpha and randers keep their wind.
+    h is F in still air: kind "h", whose wind is not read, and STILL_AIR
+    (by identity) give ("h", STILL_AIR); alpha and randers keep their wind.
 
     Raises:
         ValueError: unknown metric kind.
     """
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
-    if kind == "h" or wind is None or wind is STILL_AIR:
+    if kind == "h" or wind is STILL_AIR:
         return "h", STILL_AIR
     return kind, wind
 
 
-def make_rhs(kind: MetricKind, sph: Spheroid, wind: WindField | None) -> RhsFn:
+def make_rhs(kind: MetricKind, sph: Spheroid, wind: WindField) -> RhsFn:
     """Build a plain-float acceleration evaluator for the integrator.
 
     Two routes for the flows of resolve_flow: alpha is the Christoffel

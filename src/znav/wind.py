@@ -68,7 +68,7 @@ def rotation_wind(c: float) -> WindField:
 
 
 # The zero wind: the travel-time metric of still air is the induced metric h.
-# spray.resolve_flow reads it, and a None wind, as the h flow.
+# spray.resolve_flow reads it as the h flow.
 STILL_AIR = rotation_wind(0.0)
 
 

@@ -87,7 +87,11 @@ MUTANTS = [
     ("finite-curve check of the indicatrix", CLI,
      "if not all(map(math.isfinite, ext)):", "if False:", T_CLI),
     ("residual line of compare in still air", CLI,
-     "if prob.wind is not STILL_AIR:", "if prob.rate is not None:", T_CLI),
+     "if prob.wind is not STILL_AIR:", "if True:", T_CLI),
+    ("sign of the wind drag in compare's residual", CLI,
+     "res_phi = max(abs(rf[1] - (rh[1] + w1 * rh[0])) for rf, rh in zip(rows_f, rows_h))",
+     "res_phi = max(abs(rf[1] - (rh[1] - w1 * rh[0])) for rf, rh in zip(rows_f, rows_h))",
+     T_CLI),
     ("undefined departure of a report", CLI, "if rec0 is None:", "if False:", T_CLI),
     ("shared boundary point of two time segments", EXPORT,
      "seg = [k for k, tk in enumerate(t) if lo <= tk <= hi]",
@@ -162,15 +166,20 @@ MUTANTS = [
      "for kind, wind in dict.fromkeys(flows.values())}", "for kind, wind in flows.values()}",
      T_CLI),
     ("h channel of compare measured in the --wind wind", CLI,
-     'ch_f, ch_h = (control_channel(prob.sph, flows[k][1], trajs[k]) for k in ("randers", "h"))',
-     'ch_f, ch_h = (control_channel(prob.sph, prob.wind, trajs[k]) for k in ("randers", "h"))',
-     T_CLI),
+     "channels = {flow: control_channel(prob.sph, flow[1], runs[flow])",
+     "channels = {flow: control_channel(prob.sph, prob.wind, runs[flow])", T_CLI),
+    ("compare computing a channel per kind, not per flow", CLI,
+     'for flow in dict.fromkeys((flows["randers"], flows["h"]))}',
+     'for flow in (flows["randers"], flows["h"])}', T_CLI),
+    ("a track labelled with the kind asked for, not the flow it ran", INTEGRATE,
+     "kind, wind = resolve_flow(kind, wind)", "wind = resolve_flow(kind, wind)[1]",
+     T_INTEGRATE),
     ("speed curve seeded as randers whatever --kind says", CLI,
      "speeds = [speed_of(prob.sph, initial_state(prob.sph, prob.wind, cfg.kind, prob.start, hd))",
      'speeds = [speed_of(prob.sph, initial_state(prob.sph, prob.wind, "randers", prob.start, hd))',
      T_CLI),
-    ("refusal of an empty output path", CLI,
-     'raise argparse.ArgumentTypeError("output path must not be empty")', "pass", T_CLI),
+    ("refusal of an empty path", CLI,
+     'raise argparse.ArgumentTypeError("path must not be empty")', "pass", T_CLI),
     ("unsigned zero drift in compass mode", CLI,
      "drift0 = 0.0 - rec0.drift if cfg.compass else rec0.drift  # 0, not -0, for no drift",
      "drift0 = -rec0.drift if cfg.compass else rec0.drift", T_CLI),

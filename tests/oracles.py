@@ -190,7 +190,7 @@ def position_reference(rhs, s0: NavState, times: list[float]) -> list[tuple[floa
     return [(float(phi), float(theta)) for phi, theta in zip(sol.y[0], sol.y[1])]
 
 
-def travel_time_variations(sph: Spheroid, wind: WindField | None, kind: str, rows,
+def travel_time_variations(sph: Spheroid, wind: WindField, kind: str, rows,
                            coord: int, k: int, eps: float) -> tuple[float, float]:
     """First and second variation of a track's length under a bump of one coordinate.
 

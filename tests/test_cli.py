@@ -287,7 +287,7 @@ class TestStepFailure:
                              "member=01 heading=1 error=step underflow at t=0.0",
                              "counts: circumpolar=0 transpolar=0 failed=2"]
             members = znav.integrate_family(
-                Spheroid(0.75), rate and znav.rotation_wind(rate),
+                Spheroid(0.75), znav.rotation_wind(rate) if rate else znav.STILL_AIR,
                 znav.SurfacePoint(0.0, math.pi / 2), [0.0, 1.0], "randers",
                 znav.IntegratorConfig(t_end=1.0, rel_tol=1e-300, abs_tol=1e-300))
             assert [m.trajectory for m in members] == [None, None]
@@ -607,17 +607,25 @@ class TestCompare:
 
     @pytest.mark.parametrize("svg, tracks", [(False, 2), (True, 3)])
     def test_alpha_track_only_for_the_figure(self, svg, tracks, tmp_path, monkeypatch):
-        # each distinct flow is integrated once: in still air, however it is
-        # spelled, the three kinds are one h track, drawn three times
-        calls = []
+        # each distinct flow is integrated, and its channel computed, once: in
+        # still air, however it is spelled, the three kinds are one h track,
+        # drawn three times, with one channel
+        calls, channels = [], []
+        control_channel = znav.cli.control_channel
 
         def counted(rhs, s0, cfg, kind=""):
             calls.append(kind)
             return integrate(rhs, s0, cfg, kind=kind)
 
+        def counted_channel(*args):
+            channels.append(args[2].kind)
+            return control_channel(*args)
+
         monkeypatch.setattr(INTEGRATE, "integrate", counted)
+        monkeypatch.setattr("znav.cli.control_channel", counted_channel)
         for wind, want in ((BENCH[3], tracks), ("none", 1), ("rotation:0", 1)):
             calls.clear()
+            channels.clear()
             argv = ["compare", "--a", "0.75", "--wind", wind, "--start", "0,pi/2",
                     "--heading", "pi/3", "--t-end", "1", "--csv", str(tmp_path / "diff.csv")]
             if svg:
@@ -625,6 +633,7 @@ class TestCompare:
             assert _stdout(argv)[0] == 0
             assert len(calls) == want
             assert ("alpha" in calls) == (svg and want > 1)
+            assert channels == (["randers", "h"] if want > 1 else ["h"])
             if svg:
                 root = ET.parse(tmp_path / "overlay.svg").getroot()
                 points = [line.get("points")
@@ -993,10 +1002,10 @@ class TestParseErrors:
          "--csv="],
         ["geodesic", "--heading", "0.3", "--segments=", "--svg", "out.svg"],
         ["geodesic", "--heading", "0.3", "--config", "../empty.cfg"],
-    ], ids=["csv", "svg", "speed-svg", "family-csv", "segments", "config-csv"])
+        ["geodesic", "--heading", "0.3", "--config="],
+    ], ids=["csv", "svg", "speed-svg", "family-csv", "segments", "config-csv", "config"])
     def test_empty_value_rejected(self, argv, tmp_path, monkeypatch, capsys):
-        # each once exited 0: an empty output path wrote nothing, and an
-        # empty segment list was ignored
+        # an empty path names no file, and an empty segment list no boundary
         (tmp_path / "empty.cfg").write_text("csv =\n")
         (tmp_path / "out").mkdir()
         monkeypatch.chdir(tmp_path / "out")

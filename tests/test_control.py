@@ -11,6 +11,7 @@ from znav import (
     NavState,
     NotMild,
     RandersData,
+    STILL_AIR,
     Spheroid,
     SurfacePoint,
     TangentVector,
@@ -118,7 +119,7 @@ class TestInitialStates:
         for kind, state in want.items():
             assert initial_state(oblate, rot_wind, kind, equator_start, hd) == state
         # without wind every kind starts on the unit h-circle
-        assert initial_state(oblate, None, "randers", equator_start, hd) == want["h"]
+        assert initial_state(oblate, STILL_AIR, "randers", equator_start, hd) == want["h"]
         with pytest.raises(ValueError):
             initial_state(oblate, rot_wind, "finsler", equator_start, hd)
         with pytest.raises(ValueError):
@@ -142,7 +143,7 @@ class TestHeading:
 
     def test_still_air_eastbound(self, oblate, equator_start):
         s = NavState(equator_start, TangentVector(1.0, 0.0))
-        assert heading_of(oblate, None, s) == pytest.approx(0.0, abs=1e-15)
+        assert heading_of(oblate, STILL_AIR, s) == pytest.approx(0.0, abs=1e-15)
 
     def test_round_trip_both_builders(self, oblate, rot_wind):
         rng = np.random.default_rng(31)
@@ -154,7 +155,7 @@ class TestHeading:
                     float(heading), abs=1e-12
                 )
                 sh = initial_state_riemannian(oblate, p, float(heading))
-                assert heading_of(oblate, None, sh) == pytest.approx(
+                assert heading_of(oblate, STILL_AIR, sh) == pytest.approx(
                     float(heading), abs=1e-12
                 )
 
@@ -193,7 +194,7 @@ class TestCourse:
         rng = np.random.default_rng(33)
         for st in random_mild_states(oblate, rotation_wind(0.0), rng, 30):
             assert course_of(oblate, st) == pytest.approx(
-                heading_of(oblate, None, st), abs=1e-12
+                heading_of(oblate, STILL_AIR, st), abs=1e-12
             )
 
     def test_zero_velocity_rejected(self, oblate, equator_start):
@@ -217,7 +218,7 @@ class TestDrift:
     def test_still_air_no_drift(self, oblate):
         rng = np.random.default_rng(34)
         for st in random_mild_states(oblate, rotation_wind(0.0), rng, 20):
-            assert drift_of(oblate, None, st) == pytest.approx(0.0, abs=1e-12)
+            assert drift_of(oblate, STILL_AIR, st) == pytest.approx(0.0, abs=1e-12)
 
     def test_cos_formulas_agree(self, oblate, rot_wind):
         rng = np.random.default_rng(35)
@@ -357,7 +358,7 @@ class TestControlChannel:
         s0 = initial_state_riemannian(oblate, SurfacePoint(0.0, math.pi / 2), math.pi / 3)
         traj = integrate(make_rhs("h", oblate, None), s0,
                          IntegratorConfig(t_end=3.0), kind="h")
-        channel = control_channel(oblate, None, traj)
+        channel = control_channel(oblate, STILL_AIR, traj)
         assert len(channel) == len(traj.samples)
         for rec in channel:
             assert rec.drift == pytest.approx(0.0, abs=1e-12)
@@ -393,7 +394,7 @@ class TestControlChannel:
             (0.03, 0.3, 1.3, 0.5, 0.2),
         ]
         traj = Trajectory(rows=rows)
-        for wind in (rot_wind, None):
+        for wind in (rot_wind, STILL_AIR):
             channel = control_channel(oblate, wind, traj)
             assert channel == composed_channel(oblate, wind, traj)
         # one entry per row, None where an angle is undefined
@@ -401,7 +402,8 @@ class TestControlChannel:
                  for rec in control_channel(oblate, rot_wind, traj)]
         assert times == [0.0, None, None, 0.03]
         # in still air the resting row lacks both angles, the heading first
-        times = [None if rec is None else rec.t for rec in control_channel(oblate, None, traj)]
+        times = [None if rec is None else rec.t
+                 for rec in control_channel(oblate, STILL_AIR, traj)]
         assert times == [0.0, 0.01, None, 0.03]
 
 

@@ -375,6 +375,9 @@ def outcome(render, spec, data):
 # a boundary on a sample: the segments on both sides of it keep that point
 @example(figure=(PlotSpec(kind="path3d_projection", series=(SeriesStyle("a"),), segments=(1.0,)),
                  [[(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 0.0, 0.0)]]))
+# the view along x: its plane columns in the other order transpose the figure
+@example(figure=(PlotSpec(kind="path3d_projection", series=(SeriesStyle("a"),), view_axis="x"),
+                 [[(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0, 3.0), (2.0, 0.0, 2.0, -1.0)]]))
 def test_render_svg_matches_per_point_reference(figure):
     spec, data = figure
     want = outcome(export_reference.render_svg, spec, data)

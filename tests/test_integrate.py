@@ -35,6 +35,7 @@ from znav import (
     make_rhs,
     metric_components,
     rotation_wind,
+    track,
 )
 from znav.integrate import CAP_OUT, MAX_GRID, _from_cap, _guard_test, _initial_step, _to_cap
 from tests.conftest import (
@@ -469,7 +470,7 @@ class TestReferenceStepping:
     @pytest.mark.parametrize("wind_name", ["rotation", "custom", "none"])
     @pytest.mark.parametrize("kind", ["h", "alpha", "randers"])
     def test_identical_trajectories(self, oblate, rot_wind, kind, wind_name, rel_tol):
-        wind = {"rotation": rot_wind, "custom": BENCH_CUSTOM_WIND, "none": None}[wind_name]
+        wind = {"rotation": rot_wind, "custom": BENCH_CUSTOM_WIND, "none": STILL_AIR}[wind_name]
         rhs = make_rhs(kind, oblate, wind)
         cfg = IntegratorConfig(t_end=2.0, rel_tol=rel_tol)
         terminations = set()
@@ -924,18 +925,30 @@ class TestIntegrateFamily:
 
     @pytest.mark.parametrize("kind", ["h", "alpha", "randers"])
     def test_still_air_spellings_run_the_h_flow(self, oblate, kind):
-        # None and STILL_AIR are one still air: every kind runs the h
-        # flow there, sample for sample
+        # kind h reads no wind, and every kind runs the h flow in
+        # STILL_AIR, sample for sample
         cfg = IntegratorConfig(t_end=2.0)
         want = run(oblate, None, "h", 0.7, cfg).samples
-        for wind in (None, STILL_AIR):
-            assert run(oblate, wind, kind, 0.7, cfg).samples == want
+        assert run(oblate, STILL_AIR, kind, 0.7, cfg).samples == want
         fans = [
             [m.trajectory.samples for m in integrate_family(
-                oblate, wind, SurfacePoint(0.0, 1.2), [0.3, 2.0], kind, cfg)]
-            for wind in (None, STILL_AIR)
+                oblate, wind, SurfacePoint(0.0, 1.2), [0.3, 2.0], k, cfg)]
+            for k, wind in (("h", None), (kind, STILL_AIR))
         ]
         assert fans[0] == fans[1]
+
+    @pytest.mark.parametrize("kind, wind", [
+        ("randers", STILL_AIR), ("alpha", STILL_AIR), ("h", rotation_wind(0.5)),
+    ], ids=["randers-still-air", "alpha-still-air", "h-rotation"])
+    def test_track_labelled_with_the_flow_it_ran(self, oblate, kind, wind):
+        # a track's kind is its flow's: randers in still air, or h under
+        # a wind, runs the h flow and says so
+        cfg = IntegratorConfig(t_end=1.0)
+        traj = track(oblate, wind, kind, SurfacePoint(0.0, 1.2), 0.3, cfg)
+        assert traj.kind == "h"
+        assert traj.rows == track(oblate, STILL_AIR, "h", SurfacePoint(0.0, 1.2), 0.3, cfg).rows
+        for m in integrate_family(oblate, wind, SurfacePoint(0.0, 1.2), [0.3], kind, cfg):
+            assert m.trajectory.kind == "h"
 
 
 class TestConfigValidation:

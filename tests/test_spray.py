@@ -382,15 +382,14 @@ class TestGeodesicRhsDispatch:
 
     def test_resolve_flow(self, rot_wind):
         for kind in ("h", "alpha", "randers"):
-            for wind in (None, STILL_AIR):
-                assert resolve_flow(kind, wind) == ("h", STILL_AIR)
+            assert resolve_flow(kind, STILL_AIR) == ("h", STILL_AIR)
         assert resolve_flow("h", rot_wind) == ("h", STILL_AIR)
         for kind in ("alpha", "randers"):
             assert resolve_flow(kind, rot_wind) == (kind, rot_wind)
         # still air is STILL_AIR itself: a zero-rate wind keeps its kind
         zero = rotation_wind(0.0)
         assert resolve_flow("alpha", zero) == ("alpha", zero)
-        for wind in (rot_wind, None):
+        for wind in (rot_wind, STILL_AIR):
             with pytest.raises(ValueError, match="unknown metric kind 'finsler'"):
                 resolve_flow("finsler", wind)
 
