@@ -33,7 +33,6 @@ from znav.control import control_channel, initial_state, speed_of, wrap_2pi, wra
 from znav.errors import EmptyData, NavigationError
 from znav.export import (
     PlotSpec,
-    Projected,
     SeriesStyle,
     project,
     unwrap_angles,
@@ -42,7 +41,7 @@ from znav.export import (
     write_table,
 )
 from znav.integrate import (
-    MAX_GRID, FamilyMember, IntegratorConfig, Trajectory, classify_path, iter_family, track,
+    MAX_GRID, IntegratorConfig, Trajectory, classify_path, iter_family, track,
 )
 from znav.randers import F_value, RandersData, indicatrix
 from znav.spheroid import Spheroid, SurfacePoint, embed_rows, require_off_pole
@@ -325,45 +324,19 @@ def cmd_geodesic(prob: Problem) -> int:
             kind, data = "polar", traj.rows
         else:
             kind, data = "path3d_projection", embed_rows(prob.sph, traj.rows)
-        spec = PlotSpec(kind=kind, series=(SeriesStyle(label=cfg.kind, color="#d62728"),),
+        spec = PlotSpec(kind=kind, series=(SeriesStyle(label=traj.kind, color="#d62728"),),
                         segments=segments, view_axis=cfg.view)
         write_svg(spec, [data], cfg.svg)
     if cfg.csv:
         write_csv(prob.sph, traj, control_channel(prob.sph, prob.wind, traj), cfg.csv)
-    final = traj.final_state()
+    t_last, phi, theta, u, v = traj.rows[-1]
     print(
         f"termination={traj.termination} classification={classify_path(traj)} "
-        f"t_last={traj.rows[-1][0]:.6g} "
-        f"final_phi={final.point.phi:.9g} final_theta={final.point.theta:.9g} "
-        f"final_phi_dot={final.vel.u:.9g} final_theta_dot={final.vel.v:.9g} "
+        f"t_last={t_last:.6g} final_phi={phi:.9g} final_theta={theta:.9g} "
+        f"final_phi_dot={u:.9g} final_theta_dot={v:.9g} "
         f"conservation_drift={_conservation_drift(prob, traj):.3e}"
     )
     return 0
-
-
-def _fan_member(
-    prob: Problem, frame: PlotSpec, i: int, member: FamilyMember, counts: dict[str, int]
-) -> tuple[Projected, SeriesStyle] | None:
-    """Print, count and write fan member i; its projection and style, or None if not drawn."""
-    traj = member.trajectory
-    if traj is None:
-        counts["failed"] += 1
-        print(f"member={i:02d} heading={member.heading:.6g} error={member.error}")
-        return None
-    label = classify_path(traj)
-    counts[label] += 1
-    print(f"member={i:02d} heading={member.heading:.6g} "
-          f"termination={traj.termination} classification={label}")
-    if prob.cfg.csv:  # out.csv -> out_000.csv, ...
-        stem, ext = os.path.splitext(prob.cfg.csv)
-        channel = control_channel(prob.sph, prob.wind, traj)
-        write_csv(prob.sph, traj, channel, f"{stem}_{i:03d}{ext}")
-    if not prob.cfg.svg:
-        return None
-    return project(frame, embed_rows(prob.sph, traj.rows)), SeriesStyle(
-        label=f"heading={member.heading:.4g}",
-        color="#1f77b4" if label == "transpolar" else "#d62728",
-    )
 
 
 def cmd_family(prob: Problem) -> int:
@@ -374,8 +347,9 @@ def cmd_family(prob: Problem) -> int:
         )
     if cfg.heading_count < 1:
         raise ValidationError("heading count must be >= 1")
-    # fan budget: at most MAX_GRID rows over all members, each of at most
-    # t_end / sample_dt + 2 rows; a count is compared, never multiplied
+    # fan budget: at most MAX_GRID rows integrated over all members, each of
+    # at most t_end / sample_dt + 2 rows, and no member's rows outlive the
+    # next member's integration; a count is compared, never multiplied
     if cfg.heading_count > MAX_GRID / (prob.icfg.t_end / prob.icfg.sample_dt + 2):
         raise ValidationError(f"{cfg.heading_count} members of t_end / sample_dt ="
                               f" {prob.icfg.t_end / prob.icfg.sample_dt:g} exceed"
@@ -392,16 +366,34 @@ def cmd_family(prob: Problem) -> int:
                      segments=_segments(cfg), view_axis=cfg.view)
 
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
+    data, styles = [], []
     members = iter_family(prob.sph, prob.wind, prob.start, headings, cfg.kind, prob.icfg)
-    # next() hands member i to _fan_member alone, and the figure keeps only its
-    # projection: no name keeps its track alive while the next one is integrated
-    drawn = [_fan_member(prob, frame, i, next(members), counts) for i in range(len(headings))]
-    drawn = [d for d in drawn if d is not None]
+    # next() and del, not enumerate or zip, whose iterators keep member i while
+    # member i + 1 is integrated; the figure keeps only each member's projection
+    for i in range(len(headings)):
+        member = next(members)
+        traj = member.trajectory
+        if traj is None:
+            counts["failed"] += 1
+            print(f"member={i:02d} heading={member.heading:.6g} error={member.error}")
+        else:
+            label = classify_path(traj)
+            counts[label] += 1
+            print(f"member={i:02d} heading={member.heading:.6g} "
+                  f"termination={traj.termination} classification={label}")
+            if cfg.csv:  # out.csv -> out_000.csv, ...
+                stem, ext = os.path.splitext(cfg.csv)
+                write_csv(prob.sph, traj, control_channel(prob.sph, prob.wind, traj),
+                          f"{stem}_{i:03d}{ext}")
+            if cfg.svg:
+                data.append(project(frame, embed_rows(prob.sph, traj.rows)))
+                color = "#1f77b4" if label == "transpolar" else "#d62728"
+                styles.append(SeriesStyle(label=f"heading={member.heading:.4g}", color=color))
+        del member, traj
     print(f"counts: circumpolar={counts['circumpolar']} "
           f"transpolar={counts['transpolar']} failed={counts['failed']}")
-    if drawn:
-        data, styles = zip(*drawn)
-        write_svg(replace(frame, series=styles), data, cfg.svg)
+    if data:
+        write_svg(replace(frame, series=tuple(styles)), data, cfg.svg)
     return 0 if counts["circumpolar"] + counts["transpolar"] >= 1 else 3
 
 
@@ -413,17 +405,17 @@ def cmd_compare(prob: Problem) -> int:
     flows = {k: resolve_flow(k, prob.wind) for k in (METRIC_KINDS if cfg.svg else ("h", "randers"))}
     runs = {(kind, wind): track(prob.sph, wind, kind, prob.start, heading, prob.icfg)
             for kind, wind in dict.fromkeys(flows.values())}
-    trajs = {k: runs[flow] for k, flow in flows.items()}
-    rows_f, rows_h = trajs["randers"].rows, trajs["h"].rows
+    rows_f, rows_h = runs[flows["randers"]].rows, runs[flows["h"]].rows
 
     if cfg.svg:
         palette = {"h": "#1f77b4", "alpha": "#2ca02c", "randers": "#d62728"}
         spec = PlotSpec(
             kind="path3d_projection",
-            series=tuple(SeriesStyle(label=k, color=palette[k]) for k in trajs),
+            series=tuple(SeriesStyle(label=k, color=palette[k]) for k in flows),
             view_axis=cfg.view,
         )
-        write_svg(spec, [embed_rows(prob.sph, t.rows) for t in trajs.values()], cfg.svg)
+        write_svg(spec, [embed_rows(prob.sph, runs[flow].rows) for flow in flows.values()],
+                  cfg.svg)
     if cfg.csv:
         # each channel in its flow's wind; one row per time of the shorter
         # track, channel cells empty where either record is undefined
@@ -512,11 +504,6 @@ def cmd_report(prob: Problem) -> int:
     if cfg.svg:
         records = [r for r in channel if r is not None]
         t = [r.t for r in records]
-        curves = {
-            "heading": unwrap_angles([r.heading for r in records]),
-            "course": unwrap_angles([r.course for r in records]),
-            "drift": [r.drift for r in records],
-        }
         spec = PlotSpec(
             kind="channel_vs_time",
             series=(
@@ -525,7 +512,9 @@ def cmd_report(prob: Problem) -> int:
                 SeriesStyle(label="drift", color="#1f77b4", dash="6,3"),
             ),
         )
-        data = [list(zip(t, curves[k])) for k in ("heading", "course", "drift")]
+        data = [list(zip(t, unwrap_angles([r.heading for r in records]))),
+                list(zip(t, unwrap_angles([r.course for r in records]))),
+                list(zip(t, [r.drift for r in records]))]
         write_svg(spec, data, cfg.svg)
     if cfg.speed_svg:
         # numpy.linspace(0, 2*pi, 361), float for float

@@ -121,6 +121,7 @@ def initial_state(
         PoleSingularity: p0 inside the polar guard band.
         NotMild: wind not mild at p0.
         ValueError: unknown metric kind.
+        TypeError: a None wind of alpha or randers, as resolve_flow.
     """
     kind, wind = resolve_flow(kind, wind)
     if kind == "alpha":

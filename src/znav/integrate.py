@@ -892,6 +892,7 @@ def track(
         NavigationError: seeding or the engine raised one, a step
             underflow included.
         ValueError: unknown metric kind.
+        TypeError: a None wind of alpha or randers, as resolve_flow.
     """
     kind, wind = resolve_flow(kind, wind)
     state0 = initial_state(sph, wind, kind, start, heading)

@@ -419,11 +419,15 @@ def resolve_flow(kind: str, wind: WindField) -> tuple[MetricKind, WindField]:
 
     Raises:
         ValueError: unknown metric kind.
+        TypeError: a None wind of alpha or randers (still air is STILL_AIR).
     """
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
     if kind == "h" or wind is STILL_AIR:
         return "h", STILL_AIR
+    if wind is None:
+        raise TypeError(f"the wind of a {kind} flow must be a WindField, not None;"
+                        " pass STILL_AIR for still air")
     return kind, wind
 
 
@@ -436,6 +440,7 @@ def make_rhs(kind: MetricKind, sph: Spheroid, wind: WindField) -> RhsFn:
 
     Raises:
         ValueError: unknown metric kind.
+        TypeError: a None wind of alpha or randers, as resolve_flow.
     """
     kind, wind = resolve_flow(kind, wind)
     return (_alpha_rhs if kind == "alpha" else _randers_rhs)(sph, wind)

@@ -160,8 +160,16 @@ MUTANTS = [
      "segments=_segments(cfg), view_axis=cfg.view)", 'segments=_segments(cfg), view_axis="z")',
      T_CLI),
     ("fan members held as embedded rows, not projected", CLI,
-     "return project(frame, embed_rows(prob.sph, traj.rows)), SeriesStyle(",
-     "return list(embed_rows(prob.sph, traj.rows)), SeriesStyle(", T_CLI),
+     "data.append(project(frame, embed_rows(prob.sph, traj.rows)))",
+     "data.append(list(embed_rows(prob.sph, traj.rows)))", T_CLI),
+    ("a fan member's track alive while the next member is integrated", CLI,
+     "del member, traj", "del member", T_CLI),
+    ("a geodesic figure labelled with --kind, not the flow it ran", CLI,
+     'spec = PlotSpec(kind=kind, series=(SeriesStyle(label=traj.kind, color="#d62728"),),',
+     'spec = PlotSpec(kind=kind, series=(SeriesStyle(label=cfg.kind, color="#d62728"),),',
+     T_CLI),
+    ("refusal of a None wind for alpha and randers", SPRAY,
+     "if wind is None:", "if False:", T_SPRAY),
     ("compare integrating once per kind, not once per flow", CLI,
      "for kind, wind in dict.fromkeys(flows.values())}", "for kind, wind in flows.values()}",
      T_CLI),

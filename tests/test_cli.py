@@ -225,6 +225,18 @@ class TestGeodesic:
             assert runs[1] == runs[0] and runs[2] == runs[0]
             assert "killing_residual" not in runs[0][0]
 
+    @pytest.mark.parametrize("kind", ["alpha", "randers"])
+    @pytest.mark.parametrize("wind", ["none", "rotation:0"])
+    def test_still_air_figure_names_the_h_flow(self, wind, kind, tmp_path):
+        # in still air every kind runs the h flow, and the figure's one
+        # series is labelled with the flow that ran, not with --kind
+        svg = tmp_path / "path.svg"
+        code, _ = _stdout(["geodesic", "--wind", wind, "--kind", kind, "--heading", "pi/3",
+                           "--t-end", "1", "--svg", str(svg)])
+        assert code == 0
+        titles = [e.text for e in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}title")]
+        assert titles == ["h"]
+
     @pytest.mark.parametrize("argv, printed, dots", [
         (["geodesic", "--plot", "path3d"], LONE_SUMMARY, 1),
         (["geodesic", "--plot", "polar", "--segments", "0.5"], LONE_SUMMARY, 1),
@@ -475,11 +487,14 @@ class TestFamily:
 
     def test_one_member_alive_at_each_csv(self, tmp_path, monkeypatch):
         # each member is integrated when it is drawn: while member i's CSV
-        # is written, no other member's trajectory exists
-        refs, alive = [], []
+        # is written, no other member's trajectory exists, and no earlier
+        # member's trajectory outlives the start of the next integration
+        refs, alive, held = [], [], []
         integrate_track, write_csv = INTEGRATE.integrate, znav.cli.write_csv
 
         def tracked(*args, **kwargs):
+            gc.collect()
+            held.append(sum(ref() is not None for ref in refs))
             traj = integrate_track(*args, **kwargs)
             refs.append(weakref.ref(traj))
             return traj
@@ -496,6 +511,7 @@ class TestFamily:
                            "--csv", str(tmp_path / "fan.csv")])
         assert code == 0
         assert len(refs) == 4 and alive == [0] * 4
+        assert held == [0] * 4
 
     @pytest.mark.parametrize("segments", [[], ["--segments", "1,2"]], ids=["whole", "segmented"])
     @pytest.mark.parametrize("view", ["x", "y", "z"])

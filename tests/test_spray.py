@@ -23,6 +23,8 @@ from znav import (
     h_norm,
     initial_state,
     integrate,
+    integrate_family,
+    iter_family,
     make_rhs,
     randers_lagrangian,
     resolve_flow,
@@ -30,6 +32,7 @@ from znav import (
     spray_alpha_closed,
     spray_numeric,
     spray_rotation_closed,
+    track,
 )
 from tests.conftest import ROTATION_RATE, random_mild_states
 from tests.oracles import riemannian_rhs, wind_norm
@@ -392,6 +395,25 @@ class TestGeodesicRhsDispatch:
         for wind in (rot_wind, STILL_AIR):
             with pytest.raises(ValueError, match="unknown metric kind 'finsler'"):
                 resolve_flow("finsler", wind)
+
+    @pytest.mark.parametrize("kind", ["alpha", "randers"])
+    def test_none_wind_names_still_air(self, oblate, kind):
+        # a None wind of a flow that reads its wind is refused by name at
+        # resolve_flow, for every entry point that resolves a flow
+        start, cfg = SurfacePoint(0.0, math.pi / 2), IntegratorConfig(t_end=1.0)
+        for call in (
+            lambda: resolve_flow(kind, None),
+            lambda: make_rhs(kind, oblate, None),
+            lambda: initial_state(oblate, None, kind, start, 0.3),
+            lambda: track(oblate, None, kind, start, 0.3, cfg),
+            lambda: next(iter_family(oblate, None, start, [0.3], kind, cfg)),
+            lambda: integrate_family(oblate, None, start, [0.3], kind, cfg),
+        ):
+            with pytest.raises(TypeError, match="pass STILL_AIR for still air"):
+                call()
+        # kind h reads no wind
+        assert resolve_flow("h", None) == ("h", STILL_AIR)
+        assert track(oblate, None, "h", start, 0.3, cfg).kind == "h"
 
 
 class TestWindJet:
