@@ -328,7 +328,7 @@ def cmd_geodesic(prob: Problem) -> int:
                         segments=segments, view_axis=cfg.view)
         write_svg(spec, [data], cfg.svg)
     if cfg.csv:
-        write_csv(prob.sph, traj, control_channel(prob.sph, prob.wind, traj), cfg.csv)
+        write_csv(prob.sph, traj.rows, control_channel(prob.sph, prob.wind, traj.rows), cfg.csv)
     t_last, phi, theta, u, v = traj.rows[-1]
     print(
         f"termination={traj.termination} classification={classify_path(traj)} "
@@ -383,7 +383,7 @@ def cmd_family(prob: Problem) -> int:
                   f"termination={traj.termination} classification={label}")
             if cfg.csv:  # out.csv -> out_000.csv, ...
                 stem, ext = os.path.splitext(cfg.csv)
-                write_csv(prob.sph, traj, control_channel(prob.sph, prob.wind, traj),
+                write_csv(prob.sph, traj.rows, control_channel(prob.sph, prob.wind, traj.rows),
                           f"{stem}_{i:03d}{ext}")
             if cfg.svg:
                 data.append(project(frame, embed_rows(prob.sph, traj.rows)))
@@ -419,7 +419,7 @@ def cmd_compare(prob: Problem) -> int:
     if cfg.csv:
         # each channel in its flow's wind; one row per time of the shorter
         # track, channel cells empty where either record is undefined
-        channels = {flow: control_channel(prob.sph, flow[1], runs[flow])
+        channels = {flow: control_channel(prob.sph, flow[1], runs[flow].rows)
                     for flow in dict.fromkeys((flows["randers"], flows["h"]))}
         ch_f, ch_h = channels[flows["randers"]], channels[flows["h"]]
         table = []
@@ -497,7 +497,7 @@ def cmd_indicatrix(prob: Problem) -> int:
 def cmd_report(prob: Problem) -> int:
     cfg = prob.cfg
     traj = track(prob.sph, prob.wind, cfg.kind, prob.start, _heading(prob, "report"), prob.icfg)
-    channel = control_channel(prob.sph, prob.wind, traj)
+    channel = control_channel(prob.sph, prob.wind, traj.rows)
     rec0 = channel[0]  # the departure
     if rec0 is None:
         raise EmptyData("departure heading or course undefined")
@@ -528,7 +528,7 @@ def cmd_report(prob: Problem) -> int:
         )
         write_svg(spec, [list(zip(hds, speeds))], cfg.speed_svg)
     if cfg.csv:
-        write_csv(prob.sph, traj, channel, cfg.csv)
+        write_csv(prob.sph, traj.rows, channel, cfg.csv)
 
     conv = " (compass azimuth)" if cfg.compass else ""
     drift0 = 0.0 - rec0.drift if cfg.compass else rec0.drift  # 0, not -0, for no drift

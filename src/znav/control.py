@@ -11,12 +11,13 @@ generally) carry a relative velocity of unit h-norm.
 """
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Iterable
 
 from znav.errors import ZeroRelativeVelocity, ZeroVelocity
 from znav.randers import RandersData, alpha_term
 from znav.spheroid import (
     NavState,
+    Row,
     Spheroid,
     SurfacePoint,
     TangentVector,
@@ -25,9 +26,6 @@ from znav.spheroid import (
 )
 from znav.spray import resolve_flow
 from znav.wind import WindField
-
-if TYPE_CHECKING:
-    from znav.integrate import Trajectory
 
 TWO_PI = 2.0 * math.pi
 
@@ -246,20 +244,20 @@ def initial_speed_vs_heading(
 
 
 def control_channel(
-    sph: Spheroid, wind: WindField, traj: "Trajectory"
+    sph: Spheroid, wind: WindField, rows: Iterable[Row]
 ) -> list[ControlRecord | None]:
-    """The control channel of a trajectory: one entry per row of traj.rows.
+    """The control channel of a track's Rows: one entry per row.
 
-    One pass over traj.rows: per sample one wind evaluation and one
-    metric evaluation feed the heading_of, course_of and speed_of
-    formulas.  A row where an angle is undefined (the heading tested
-    first) has None for its record (a gap), so entry i always belongs
-    to row i.  All angles are wrapped; use unwrapped copies downstream
-    for plotting.
+    One pass over rows, so an iterator serves: per row one wind
+    evaluation and one metric evaluation feed the heading_of, course_of
+    and speed_of formulas.  A row where an angle is undefined (the
+    heading tested first) has None for its record (a gap), so entry i
+    always belongs to row i.  All angles are wrapped; use unwrapped
+    copies downstream for plotting.
     """
     components = wind.components
     records = []
-    for t, phi, theta, u, v in traj.rows:
+    for t, phi, theta, u, v in rows:
         w1, w2 = components(phi, theta)
         h11, h22 = metric_components(sph, theta)
         sqrt_h11, sqrt_h22 = math.sqrt(h11), math.sqrt(h22)

@@ -25,7 +25,7 @@ plot kind:
 
     path3d_projection   (t, x, y, z)
     polar               (t, phi, theta), drawn at radius theta; the
-                        rows of a Trajectory serve as they are
+                        Rows of a track serve as they are
     channel_vs_time,
     speed_vs_heading,
     indicatrix          (x, y)
@@ -40,14 +40,11 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from znav.control import ControlRecord, wrap_2pi
 from znav.errors import EmptyData
-from znav.spheroid import Spheroid, embed_rows
-
-if TYPE_CHECKING:
-    from znav.integrate import Trajectory
+from znav.spheroid import Row, Spheroid, embed_rows
 
 CSV_COLUMNS = (
     "t",
@@ -128,32 +125,34 @@ def write_table(columns: Sequence[str], rows: Iterable[Sequence], path: str) -> 
 
 def write_csv(
     sph: Spheroid,
-    traj: "Trajectory",
+    rows: Sequence[Row],
     channel: Sequence[ControlRecord | None],
     path: str,
 ) -> int:
-    """Write a sampled trajectory plus its control channel; returns bytes written.
+    """Write a track's Rows plus their control channel; returns bytes written.
 
-    channel has one entry per row of traj.rows, as control_channel
-    returns it; a None entry (a gap) leaves the row's last four cells
-    empty.  The azimuth is wrapped to [0, 2*pi) on export.  The
-    twelve-cell rows are generated one at a time for write_table.
+    rows is read twice, zipped with its own embedding, so it is a
+    sequence, not an iterator.  channel has one entry per row, as
+    control_channel returns it; a None entry (a gap) leaves the row's
+    last four cells empty.  The azimuth is wrapped to [0, 2*pi) on
+    export.  The twelve-cell rows are generated one at a time for
+    write_table.
 
     Raises:
-        ValueError: channel and traj.rows differ in length; raised while
+        ValueError: channel and rows differ in length; raised while
             the lines are formatted, so no file is written.
         OSError: as write_table.
     """
     gap = (None,) * 4
 
-    def rows():
+    def table():
         for (t, phi, theta, u, v), (_, x, y, z), rec in zip(
-            traj.rows, embed_rows(sph, traj.rows), channel, strict=True
+            rows, embed_rows(sph, rows), channel, strict=True
         ):
             ch = gap if rec is None else (rec.heading, rec.course, rec.drift, rec.speed)
             yield t, wrap_2pi(phi), theta, u, v, x, y, z, *ch
 
-    return write_table(CSV_COLUMNS, rows(), path)
+    return write_table(CSV_COLUMNS, table(), path)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Iterator, Literal
 from znav.control import initial_state
 from znav.errors import NavigationError, NonFiniteState, PoleSingularity
 from znav.spheroid import (
-    POLE_GUARD, NavState, Spheroid, SurfacePoint, TangentVector, require_off_pole,
+    POLE_GUARD, NavState, Row, Spheroid, SurfacePoint, TangentVector, require_off_pole,
 )
 from znav.spray import MetricKind, RhsFn, make_rhs, resolve_flow
 from znav.wind import WindField
@@ -170,10 +170,6 @@ class IntegratorConfig:
                 f"t_end / sample_dt = {self.t_end / self.sample_dt} sample intervals"
                 f" exceeds the per-track grid of {MAX_GRID}"
             )
-
-
-# One sample of a track: (t, phi, theta, phi_dot, theta_dot).
-Row = tuple[float, float, float, float, float]
 
 
 @dataclass(frozen=True)

@@ -100,10 +100,14 @@ def h_norm(sph: Spheroid, point: SurfacePoint, vec: TangentVector) -> float:
     return math.sqrt(vec.u * vec.u * h11 + vec.v * vec.v * h22)
 
 
+# One sample of a track: (t, phi, theta, phi_dot, theta_dot).
+Row = tuple[float, float, float, float, float]
+
+
 def embed_rows(
     sph: Spheroid, rows: Iterable[Sequence[float]]
 ) -> Iterator[tuple[float, float, float, float]]:
-    """(t, x, y, z) of each row (t, phi, theta, ...): a track's rows embedded.
+    """(t, x, y, z) of each row (t, phi, theta, ...): a track's Rows embedded.
 
     Lazy: each row is embedded as it is read, so no list of the
     embedded rows is made.  The one place the embedding formula is

@@ -106,8 +106,8 @@ MUTANTS = [
      "except TypeError as exc:  # too few or too many cells for the line",
      "except () as exc:", T_EXPORT),
     ("length check of a CSV's control channel", EXPORT,
-     "traj.rows, embed_rows(sph, traj.rows), channel, strict=True",
-     "traj.rows, embed_rows(sph, traj.rows), channel", T_EXPORT),
+     "rows, embed_rows(sph, rows), channel, strict=True",
+     "rows, embed_rows(sph, rows), channel", T_EXPORT),
     ("escape of < in figure text", EXPORT,
      'return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")',
      'return (text.replace("&", "&amp;").replace(">", "&gt;")', T_EXPORT),
@@ -174,8 +174,8 @@ MUTANTS = [
      "for kind, wind in dict.fromkeys(flows.values())}", "for kind, wind in flows.values()}",
      T_CLI),
     ("h channel of compare measured in the --wind wind", CLI,
-     "channels = {flow: control_channel(prob.sph, flow[1], runs[flow])",
-     "channels = {flow: control_channel(prob.sph, prob.wind, runs[flow])", T_CLI),
+     "channels = {flow: control_channel(prob.sph, flow[1], runs[flow].rows)",
+     "channels = {flow: control_channel(prob.sph, prob.wind, runs[flow].rows)", T_CLI),
     ("compare computing a channel per kind, not per flow", CLI,
      'for flow in dict.fromkeys((flows["randers"], flows["h"]))}',
      'for flow in (flows["randers"], flows["h"])}', T_CLI),
@@ -191,6 +191,17 @@ MUTANTS = [
     ("unsigned zero drift in compass mode", CLI,
      "drift0 = 0.0 - rec0.drift if cfg.compass else rec0.drift  # 0, not -0, for no drift",
      "drift0 = -rec0.drift if cfg.compass else rec0.drift", T_CLI),
+    ("refusal of a rotation rate that is not a number", CLI,
+     'raise ValidationError(f"bad rotation rate in {text!r}") from exc', "return 0.5", T_CLI),
+    ("refusal of segment boundaries out of order", CLI,
+     "if list(vals) != sorted(set(vals)):", "if False:", T_CLI),
+    ("refusal of a family without all three heading options", CLI,
+     "if cfg.heading_start is None or cfg.heading_step is None or cfg.heading_count is None:",
+     "if False:", T_CLI),
+    ("refusal of a multiplier that is not positive", CLI,
+     "if any(m <= 0 for m in mults):", "if False:", T_CLI),
+    ("first-phase starting step kept when the probe's d2 is not finite", INTEGRATE,
+     "if not math.isfinite(d2):", "if False:", T_INTEGRATE),
 ]
 
 

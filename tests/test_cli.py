@@ -499,10 +499,10 @@ class TestFamily:
             refs.append(weakref.ref(traj))
             return traj
 
-        def checked(sph, traj, channel, path):
+        def checked(sph, rows, channel, path):
             gc.collect()
-            alive.append(sum(ref() is not None and ref() is not traj for ref in refs))
-            return write_csv(sph, traj, channel, path)
+            alive.append(sum(ref() is not None and ref().rows is not rows for ref in refs))
+            return write_csv(sph, rows, channel, path)
 
         monkeypatch.setattr(INTEGRATE, "integrate", tracked)
         monkeypatch.setattr("znav.cli.write_csv", checked)
@@ -633,8 +633,8 @@ class TestCompare:
             calls.append(kind)
             return integrate(rhs, s0, cfg, kind=kind)
 
-        def counted_channel(*args):
-            channels.append(args[2].kind)
+        def counted_channel(*args):  # a channel's flow by its wind: STILL_AIR is the h flow
+            channels.append("h" if args[1] is znav.STILL_AIR else "randers")
             return control_channel(*args)
 
         monkeypatch.setattr(INTEGRATE, "integrate", counted)
@@ -662,8 +662,8 @@ class TestCompare:
         calls = []
         control_channel = znav.cli.control_channel
 
-        def counted(*args):
-            calls.append(args[2].kind)
+        def counted(*args):  # a channel's flow by its wind: STILL_AIR is the h flow
+            calls.append("h" if args[1] is znav.STILL_AIR else "randers")
             return control_channel(*args)
 
         monkeypatch.setattr("znav.cli.control_channel", counted)
@@ -687,9 +687,9 @@ class TestCompare:
         assert _stdout([*argv, "--csv", str(tmp_path / "whole.csv")])[0] == 0
         control_channel = znav.cli.control_channel
 
-        def gapped(sph, wind, traj):
-            channel = control_channel(sph, wind, traj)
-            if traj.kind == "randers":
+        def gapped(sph, wind, rows):
+            channel = control_channel(sph, wind, rows)
+            if wind is not znav.STILL_AIR:  # the randers channel
                 channel[3] = None
             return channel
 
@@ -1029,6 +1029,23 @@ class TestParseErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[validation]: ")
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--heading", "0.3", "--wind", "rotation:abc"],
+        ["geodesic", "--heading", "0.3", "--segments", "2,1", "--csv", "out.csv"],
+        ["family", "--heading-start", "0", "--heading-step", "1", "--csv", "out.csv"],
+        ["indicatrix", "--multipliers", "1,0"],
+        ["indicatrix", "--multipliers", "-1"],
+    ], ids=["rotation-rate", "segment-order", "family-count", "zero-multiplier",
+            "negative-multiplier"])
+    def test_bad_value_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        # each value passes argparse and fails a check of the command's
+        # own; the segment list is refused without an --svg, so not by PlotSpec
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[validation]: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -338,7 +338,7 @@ class TestControlChannel:
             make_rhs("randers", oblate, rot_wind), bench_state,
             IntegratorConfig(t_end=7.0), kind="randers",
         )
-        return traj, control_channel(oblate, rot_wind, traj)
+        return traj, control_channel(oblate, rot_wind, traj.rows)
 
     def test_drift_range_on_benchmark(self, bench_channel):
         _, channel = bench_channel
@@ -358,7 +358,7 @@ class TestControlChannel:
         s0 = initial_state_riemannian(oblate, SurfacePoint(0.0, math.pi / 2), math.pi / 3)
         traj = integrate(make_rhs("h", oblate, None), s0,
                          IntegratorConfig(t_end=3.0), kind="h")
-        channel = control_channel(oblate, STILL_AIR, traj)
+        channel = control_channel(oblate, STILL_AIR, traj.rows)
         assert len(channel) == len(traj.samples)
         for rec in channel:
             assert rec.drift == pytest.approx(0.0, abs=1e-12)
@@ -383,7 +383,10 @@ class TestControlChannel:
                              IntegratorConfig(t_end=2.0), kind="randers")
             assert traj.samples[0][1] == s0
             assert len(traj.rows) == len(traj.samples)
-            assert control_channel(sph, wind, traj) == composed_channel(sph, wind, traj)
+            channel = control_channel(sph, wind, traj.rows)
+            assert channel == composed_channel(sph, wind, traj)
+            # one pass over the rows: an iterator of them gives the same records
+            assert control_channel(sph, wind, iter(traj.rows)) == channel
 
     def test_gap_rows_are_none_like_composition(self, oblate, rot_wind):
         c = ROTATION_RATE
@@ -395,15 +398,15 @@ class TestControlChannel:
         ]
         traj = Trajectory(rows=rows)
         for wind in (rot_wind, STILL_AIR):
-            channel = control_channel(oblate, wind, traj)
+            channel = control_channel(oblate, wind, rows)
             assert channel == composed_channel(oblate, wind, traj)
         # one entry per row, None where an angle is undefined
         times = [None if rec is None else rec.t
-                 for rec in control_channel(oblate, rot_wind, traj)]
+                 for rec in control_channel(oblate, rot_wind, rows)]
         assert times == [0.0, None, None, 0.03]
         # in still air the resting row lacks both angles, the heading first
         times = [None if rec is None else rec.t
-                 for rec in control_channel(oblate, STILL_AIR, traj)]
+                 for rec in control_channel(oblate, STILL_AIR, rows)]
         assert times == [0.0, 0.01, None, 0.03]
 
 

@@ -14,7 +14,6 @@ from znav import (
     IntegratorConfig,
     PlotSpec,
     SeriesStyle,
-    Trajectory,
     control_channel,
     initial_state_randers,
     integrate,
@@ -40,8 +39,8 @@ def bench_traj(oblate, rot_wind, equator_start):
 class TestWriteCsv:
     def test_row_count_and_header(self, oblate, rot_wind, bench_traj, tmp_path):
         path = tmp_path / "bench.csv"
-        channel = control_channel(oblate, rot_wind, bench_traj)
-        nbytes = write_csv(oblate, bench_traj, channel, str(path))
+        channel = control_channel(oblate, rot_wind, bench_traj.rows)
+        nbytes = write_csv(oblate, bench_traj.rows, channel, str(path))
         text = path.read_text()
         lines = text.strip().split("\n")
         assert lines[0] == "t,phi,theta,phi_dot,theta_dot,x,y,z,heading,course,drift,speed"
@@ -50,8 +49,8 @@ class TestWriteCsv:
 
     def test_first_row_initial_conditions(self, oblate, rot_wind, bench_traj, tmp_path):
         path = tmp_path / "bench.csv"
-        channel = control_channel(oblate, rot_wind, bench_traj)
-        write_csv(oblate, bench_traj, channel, str(path))
+        channel = control_channel(oblate, rot_wind, bench_traj.rows)
+        write_csv(oblate, bench_traj.rows, channel, str(path))
         cols = read_csv(str(path))
         assert cols["t"][0] == 0.0
         assert cols["phi_dot"][0] == bench_traj.samples[0][1].vel.u
@@ -61,8 +60,8 @@ class TestWriteCsv:
 
     def test_round_trip_exact(self, oblate, rot_wind, bench_traj, tmp_path):
         path = tmp_path / "bench.csv"
-        channel = control_channel(oblate, rot_wind, bench_traj)
-        write_csv(oblate, bench_traj, channel, str(path))
+        channel = control_channel(oblate, rot_wind, bench_traj.rows)
+        write_csv(oblate, bench_traj.rows, channel, str(path))
         cols = read_csv(str(path))
         for (t, state), t_back, th_back, u_back in zip(
             bench_traj.samples, cols["t"], cols["theta"], cols["phi_dot"]
@@ -78,20 +77,20 @@ class TestWriteCsv:
         # downwind run accumulates phi beyond 2*pi internally
         assert max(abs(s.point.phi) for _, s in traj.samples) > 2 * math.pi
         path = tmp_path / "wrap.csv"
-        write_csv(oblate, traj, control_channel(oblate, rot_wind, traj), str(path))
+        write_csv(oblate, traj.rows, control_channel(oblate, rot_wind, traj.rows), str(path))
         cols = read_csv(str(path))
         assert all(0.0 <= phi < 2 * math.pi for phi in cols["phi"])
 
     def test_empty_trajectory_header_only(self, oblate, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv(oblate, Trajectory(rows=[]), [], str(path))
+        write_csv(oblate, [], [], str(path))
         assert path.read_text().strip().count("\n") == 0
 
     def test_channel_gaps_leave_empty_cells(self, oblate, rot_wind, bench_traj, tmp_path):
         path = tmp_path / "gaps.csv"
-        channel = control_channel(oblate, rot_wind, bench_traj)
+        channel = control_channel(oblate, rot_wind, bench_traj.rows)
         channel[0] = None  # a gap at the departure row only
-        write_csv(oblate, bench_traj, channel, str(path))
+        write_csv(oblate, bench_traj.rows, channel, str(path))
         lines = path.read_text().split("\n")
         assert lines[1].endswith(",,,,")
         assert not lines[2].endswith(",")
@@ -105,17 +104,17 @@ class TestWriteCsv:
     def test_io_error_carries_path(self, oblate, bench_traj):
         channel = [None] * len(bench_traj.rows)
         with pytest.raises(OSError, match="no/such/dir"):
-            write_csv(oblate, bench_traj, channel, "no/such/dir/out.csv")
+            write_csv(oblate, bench_traj.rows, channel, "no/such/dir/out.csv")
 
     def test_channel_of_another_length_writes_nothing(self, oblate, rot_wind, bench_traj,
                                                        tmp_path):
         # the channel is read by position: one entry too few or too many is
         # refused while the lines are formatted, before the file is opened
-        channel = control_channel(oblate, rot_wind, bench_traj)
+        channel = control_channel(oblate, rot_wind, bench_traj.rows)
         for wrong in (channel[:-1], [*channel, None]):
             path = tmp_path / "wrong.csv"
             with pytest.raises(ValueError):
-                write_csv(oblate, bench_traj, wrong, str(path))
+                write_csv(oblate, bench_traj.rows, wrong, str(path))
             assert not path.exists()
 
     def test_ragged_row_rejected(self, tmp_path):

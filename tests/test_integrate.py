@@ -462,6 +462,18 @@ BENCH_CUSTOM_WIND = custom_wind(
 class TestReferenceStepping:
     """The unrolled stage loop against the list-comprehension reference."""
 
+    @pytest.fixture
+    def initial_steps(self, monkeypatch):
+        """(step, probe calls) of each _initial_step call, in call order."""
+        steps = []
+
+        def spy(f, y0, f0, cfg):
+            steps.append(_initial_step(f, y0, f0, cfg))
+            return steps[-1]
+
+        monkeypatch.setattr(integrate_module, "_initial_step", spy)
+        return steps
+
     # on the completed tracks the median steps (0.017-0.065 at 1e-12,
     # 0.038-0.14 at 1e-9) span one sample or more; the due-north tracks
     # end in steps far shorter than the 0.01 sample spacing, most of which
@@ -521,16 +533,38 @@ class TestReferenceStepping:
         assert got.termination == "completed"
         assert (got.samples, got.t_stop, got.stats) == (want.samples, want.t_stop, want.stats)
 
-    def test_identical_probe_in_guard_band(self, oblate):
-        # 1e-6 rad outside the guard band and heading into it: the
-        # starting-step probe lands in the band, and the first phase's
-        # step of 1e-5 is kept
+    def test_identical_probe_in_guard_band(self, oblate, initial_steps):
+        # 1e-5 rad from the pole and heading into it: the first phase's
+        # step, 1.009e-5, takes the starting-step probe 9e-8 past the pole,
+        # inside the band, and the step is kept after that one probe call
         rhs = make_rhs("h", oblate, None)
-        s0 = NavState(SurfacePoint(0.0, 2e-6), TangentVector(0.0, -1.0))
+        s0 = NavState(SurfacePoint(0.0, 1e-5), TangentVector(0.0, -1.0))
         cfg = IntegratorConfig(t_end=1.0)
         got = integrate(rhs, s0, cfg)
         want = integrate_reference(rhs, s0, cfg)
-        assert got.termination == "pole_proximity"
+        assert initial_steps == [(1.0090405622296332e-05, 1)]
+        assert got.t_stop == 9.000000000124035e-06
+        assert (got.samples, got.t_stop, got.stats) == (want.samples, want.t_stop, want.stats)
+
+    def test_identical_overflowing_probe(self, initial_steps):
+        # the starting-step probe, the rhs's second call, reads 1e308: the
+        # size d2 of the second derivative overflows, and the first phase's
+        # step is kept after that one probe call
+        def overflowing():
+            calls = [0]
+
+            def rhs(phi, theta, u, v):
+                calls[0] += 1
+                return (1e308, 1e308) if calls[0] == 2 else (0.0, 0.0)
+
+            return rhs
+
+        s0 = NavState(SurfacePoint(0.5, 1.0), TangentVector(0.3, 0.1))
+        cfg = IntegratorConfig(t_end=1.0)
+        got = integrate(overflowing(), s0, cfg)
+        want = integrate_reference(overflowing(), s0, cfg)
+        assert initial_steps == [(0.03281129051296398, 1)]
+        assert got.termination == "completed"
         assert (got.samples, got.t_stop, got.stats) == (want.samples, want.t_stop, want.stats)
 
     def test_identical_step_failure(self, oblate):
