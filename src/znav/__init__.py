@@ -19,11 +19,6 @@ from znav.control import (
     course_of,
     drift_of,
     heading_of,
-    initial_speed_vs_heading,
-    initial_state,
-    initial_state_alpha,
-    initial_state_randers,
-    initial_state_riemannian,
     speed_of,
     wrap_2pi,
     wrap_signed,
@@ -80,6 +75,11 @@ from znav.spheroid import (
 from znav.spray import (
     SprayCoefficients,
     alpha_lagrangian,
+    initial_speed_vs_heading,
+    initial_state,
+    initial_state_alpha,
+    initial_state_randers,
+    initial_state_riemannian,
     make_rhs,
     randers_lagrangian,
     resolve_flow,

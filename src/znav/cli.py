@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import NoReturn
 
-from znav.control import control_channel, initial_state, speed_of, wrap_2pi, wrap_signed
+from znav.control import control_channel, speed_of, wrap_2pi, wrap_signed
 from znav.errors import EmptyData, NavigationError
 from znav.export import (
     PlotSpec,
@@ -45,7 +45,7 @@ from znav.integrate import (
 )
 from znav.randers import F_value, RandersData, indicatrix
 from znav.spheroid import Spheroid, SurfacePoint, embed_rows, require_off_pole
-from znav.spray import METRIC_KINDS, resolve_flow
+from znav.spray import METRIC_KINDS, initial_state, resolve_flow
 from znav.wind import STILL_AIR, WindField, rotation_wind
 
 

@@ -1,30 +1,19 @@
-"""Heading/state conversions and the control channel along a trajectory.
+"""Heading, course and speed of a state, and the control channel of a track.
 
 Angle conventions: the heading is the angle of the velocity relative to
 the medium, the course the angle of the resulting (ground) velocity,
 both measured counterclockwise from the local parallel, in [0, 2*pi).
 Positive theta-rates point south.  The drift is heading minus course
 wrapped to (-pi, pi]; under a mild wind it stays strictly inside
-(-pi/2, pi/2).  Unit own speed is assumed throughout: states produced
-by the initial-state builders (and geodesics of the travel-time metric
-generally) carry a relative velocity of unit h-norm.
+(-pi/2, pi/2).  Unit own speed is assumed throughout: geodesics of the
+travel-time metric carry a relative velocity of unit h-norm.
 """
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
 from znav.errors import ZeroRelativeVelocity, ZeroVelocity
-from znav.randers import RandersData, alpha_term
-from znav.spheroid import (
-    NavState,
-    Row,
-    Spheroid,
-    SurfacePoint,
-    TangentVector,
-    metric_components,
-    unit_heading_vector,
-)
-from znav.spray import resolve_flow
+from znav.spheroid import NavState, Row, Spheroid, metric_components
 from znav.wind import WindField
 
 TWO_PI = 2.0 * math.pi
@@ -53,78 +42,6 @@ class ControlRecord:
     course: float
     drift: float
     speed: float
-
-
-def initial_state_riemannian(
-    sph: Spheroid, p0: SurfacePoint, heading0: float
-) -> NavState:
-    """Unit-speed start for an unperturbed geodesic at the given heading.
-
-    Raises:
-        PoleSingularity: p0 inside the polar guard band.
-    """
-    return NavState(p0, unit_heading_vector(sph, p0, heading0))
-
-
-def initial_state_randers(
-    sph: Spheroid, wind: WindField, p0: SurfacePoint, heading0: float
-) -> NavState:
-    """Time-optimal start under wind: resulting velocity W + unit h-vector.
-
-        phi_dot(0)   = W1 + cos(heading0) / sin(theta0)
-        theta_dot(0) = W2 - sin(heading0) / sqrt(h22)
-
-    The velocity relative to the medium has unit h-norm and the full
-    velocity has unit travel-time value.
-
-    Raises:
-        PoleSingularity: p0 inside the polar guard band.
-        NotMild: wind not mild at p0.
-    """
-    RandersData(sph, wind).mildness_factor(p0)
-    unit = unit_heading_vector(sph, p0, heading0)
-    w1, w2 = wind.at(p0)
-    return NavState(p0, TangentVector(w1 + unit.u, w2 + unit.v))
-
-
-def initial_state_alpha(
-    sph: Spheroid, wind: WindField, p0: SurfacePoint, heading0: float
-) -> NavState:
-    """Heading vector normalized to unit alpha-length.
-
-    Seeds geodesics of the Riemannian alpha-part so their conserved
-    alpha-speed is 1, mirroring the unit-speed conventions of the other
-    two flows.
-    """
-    rd = RandersData(sph, wind)
-    unit = unit_heading_vector(sph, p0, heading0)
-    scale = alpha_term(rd, p0, unit)
-    return NavState(p0, TangentVector(unit.u / scale, unit.v / scale))
-
-
-def initial_state(
-    sph: Spheroid,
-    wind: WindField,
-    kind: str,
-    p0: SurfacePoint,
-    heading0: float,
-) -> NavState:
-    """Start state of the chosen flow at the given heading.
-
-    Two routes for the flows of spray.resolve_flow, as in spray.make_rhs:
-    alpha starts from the unit alpha-vector, randers and h (its
-    still-air case, W = (-0.0, 0.0)) from W + unit h-vector.
-
-    Raises:
-        PoleSingularity: p0 inside the polar guard band.
-        NotMild: wind not mild at p0.
-        ValueError: unknown metric kind.
-        TypeError: a None wind of alpha or randers, as resolve_flow.
-    """
-    kind, wind = resolve_flow(kind, wind)
-    if kind == "alpha":
-        return initial_state_alpha(sph, wind, p0, heading0)
-    return initial_state_randers(sph, wind, p0, heading0)
 
 
 def _speed(u: float, v: float, h11: float, h22: float) -> float:
@@ -225,22 +142,6 @@ def drift_cos_mildness(sph: Spheroid, wind: WindField, state: NavState) -> float
     u, v = state.vel.u, state.vel.v
     num = 1.0 + h11 * (u * u - w1 * w1) + h22 * (v * v - w2 * w2)
     return num / (2.0 * speed_of(sph, state))
-
-
-def initial_speed_vs_heading(
-    sph: Spheroid, wind: WindField, p0: SurfacePoint, heading0: float
-) -> float:
-    """Resulting speed at departure as a function of the chosen heading.
-
-    The speed of the initial_state_randers start.  Over all headings the
-    range of |v| is exactly 2 |W|_h: the wind adds fully downwind and
-    subtracts fully upwind.
-
-    Raises:
-        PoleSingularity: p0 inside the polar guard band.
-        NotMild: wind not mild at p0.
-    """
-    return speed_of(sph, initial_state_randers(sph, wind, p0, heading0))
 
 
 def control_channel(

@@ -39,7 +39,7 @@ that draws many long series (a fan) can project each one as it is made.
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, tee
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from znav.control import ControlRecord, wrap_2pi
@@ -125,18 +125,17 @@ def write_table(columns: Sequence[str], rows: Iterable[Sequence], path: str) -> 
 
 def write_csv(
     sph: Spheroid,
-    rows: Sequence[Row],
-    channel: Sequence[ControlRecord | None],
+    rows: Iterable[Row],
+    channel: Iterable[ControlRecord | None],
     path: str,
 ) -> int:
     """Write a track's Rows plus their control channel; returns bytes written.
 
-    rows is read twice, zipped with its own embedding, so it is a
-    sequence, not an iterator.  channel has one entry per row, as
-    control_channel returns it; a None entry (a gap) leaves the row's
-    last four cells empty.  The azimuth is wrapped to [0, 2*pi) on
-    export.  The twelve-cell rows are generated one at a time for
-    write_table.
+    rows and channel are each read once, so iterators serve.  channel
+    has one entry per row, as control_channel returns it; a None entry
+    (a gap) leaves the row's last four cells empty.  The azimuth is
+    wrapped to [0, 2*pi) on export.  The twelve-cell rows are generated
+    one at a time for write_table.
 
     Raises:
         ValueError: channel and rows differ in length; raised while
@@ -144,10 +143,11 @@ def write_csv(
         OSError: as write_table.
     """
     gap = (None,) * 4
+    rows, again = tee(rows)
 
     def table():
         for (t, phi, theta, u, v), (_, x, y, z), rec in zip(
-            rows, embed_rows(sph, rows), channel, strict=True
+            rows, embed_rows(sph, again), channel, strict=True
         ):
             ch = gap if rec is None else (rec.heading, rec.course, rec.drift, rec.speed)
             yield t, wrap_2pi(phi), theta, u, v, x, y, z, *ch

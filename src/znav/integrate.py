@@ -27,12 +27,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Literal
 
-from znav.control import initial_state
 from znav.errors import NavigationError, NonFiniteState, PoleSingularity
 from znav.spheroid import (
     POLE_GUARD, NavState, Row, Spheroid, SurfacePoint, TangentVector, require_off_pole,
 )
-from znav.spray import MetricKind, RhsFn, make_rhs, resolve_flow
+from znav.spray import MetricKind, RhsFn, initial_state, make_rhs, resolve_flow
 from znav.wind import WindField
 
 # DOP853 tableau (Prince and Dormand 1981, in Hairer's DOP853 form) with
@@ -882,7 +881,7 @@ def track(
     heading: float, cfg: IntegratorConfig,
 ) -> Trajectory:
     """One track of the flow spray.resolve_flow(kind, wind), labelled with its kind,
-    seeded by control.initial_state and integrated under make_rhs.
+    seeded by spray.initial_state and integrated under make_rhs.
 
     Raises:
         NavigationError: seeding or the engine raised one, a step

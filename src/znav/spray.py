@@ -1,4 +1,4 @@
-"""Spray coefficients and geodesic right-hand sides for h, alpha and F.
+"""Spray coefficients, geodesic right-hand sides and starts for h, alpha and F.
 
 A spray encodes the geodesic equation of a (Finsler or Riemannian)
 metric as accelerations quadratic in velocity:
@@ -31,6 +31,10 @@ The alpha flow is the Christoffel spray of the Riemannian part of F,
 
 with its derivatives built from the same W and dW, for every wind.
 
+initial_state starts each flow on the same two routes: alpha from the
+heading vector of unit alpha-length (initial_state_alpha), randers and
+h from W plus the unit h-vector of the heading (initial_state_randers).
+
 Both routes read W and dW from one WindField.jet call per evaluation:
 the rotation wind and still air hand over an exactly zero dW, a custom
 wind central differences of its components (wind.custom_wind).
@@ -61,7 +65,9 @@ from znav.spheroid import (
     Spheroid,
     SurfacePoint,
     TangentVector,
+    h_norm,
     require_off_pole,
+    unit_heading_vector,
 )
 from znav.wind import STILL_AIR, WindField, not_mild
 
@@ -444,3 +450,91 @@ def make_rhs(kind: MetricKind, sph: Spheroid, wind: WindField) -> RhsFn:
     """
     kind, wind = resolve_flow(kind, wind)
     return (_alpha_rhs if kind == "alpha" else _randers_rhs)(sph, wind)
+
+
+def initial_state_riemannian(
+    sph: Spheroid, p0: SurfacePoint, heading0: float
+) -> NavState:
+    """Unit-speed start for an unperturbed geodesic at the given heading.
+
+    Raises:
+        PoleSingularity: p0 inside the polar guard band.
+    """
+    return NavState(p0, unit_heading_vector(sph, p0, heading0))
+
+
+def initial_state_randers(
+    sph: Spheroid, wind: WindField, p0: SurfacePoint, heading0: float
+) -> NavState:
+    """Time-optimal start under wind: resulting velocity W + unit h-vector.
+
+        phi_dot(0)   = W1 + cos(heading0) / sin(theta0)
+        theta_dot(0) = W2 - sin(heading0) / sqrt(h22)
+
+    The velocity relative to the medium has unit h-norm and the full
+    velocity has unit travel-time value.
+
+    Raises:
+        PoleSingularity: p0 inside the polar guard band.
+        NotMild: wind not mild at p0.
+    """
+    RandersData(sph, wind).mildness_factor(p0)
+    unit = unit_heading_vector(sph, p0, heading0)
+    w1, w2 = wind.at(p0)
+    return NavState(p0, TangentVector(w1 + unit.u, w2 + unit.v))
+
+
+def initial_state_alpha(
+    sph: Spheroid, wind: WindField, p0: SurfacePoint, heading0: float
+) -> NavState:
+    """Heading vector normalized to unit alpha-length.
+
+    Seeds geodesics of the Riemannian alpha-part so their conserved
+    alpha-speed is 1, mirroring the unit-speed conventions of the other
+    two flows.
+    """
+    rd = RandersData(sph, wind)
+    unit = unit_heading_vector(sph, p0, heading0)
+    scale = alpha_term(rd, p0, unit)
+    return NavState(p0, TangentVector(unit.u / scale, unit.v / scale))
+
+
+def initial_state(
+    sph: Spheroid,
+    wind: WindField,
+    kind: str,
+    p0: SurfacePoint,
+    heading0: float,
+) -> NavState:
+    """Start state of the chosen flow at the given heading.
+
+    Two routes for the flows of resolve_flow, as make_rhs:
+    alpha starts from the unit alpha-vector, randers and h (its
+    still-air case, W = (-0.0, 0.0)) from W + unit h-vector.
+
+    Raises:
+        PoleSingularity: p0 inside the polar guard band.
+        NotMild: wind not mild at p0.
+        ValueError: unknown metric kind.
+        TypeError: a None wind of alpha or randers, as resolve_flow.
+    """
+    kind, wind = resolve_flow(kind, wind)
+    if kind == "alpha":
+        return initial_state_alpha(sph, wind, p0, heading0)
+    return initial_state_randers(sph, wind, p0, heading0)
+
+
+def initial_speed_vs_heading(
+    sph: Spheroid, wind: WindField, p0: SurfacePoint, heading0: float
+) -> float:
+    """Resulting speed at departure as a function of the chosen heading.
+
+    The speed of the initial_state_randers start.  Over all headings the
+    range of |v| is exactly 2 |W|_h: the wind adds fully downwind and
+    subtracts fully upwind.
+
+    Raises:
+        PoleSingularity: p0 inside the polar guard band.
+        NotMild: wind not mild at p0.
+    """
+    return h_norm(sph, p0, initial_state_randers(sph, wind, p0, heading0).vel)

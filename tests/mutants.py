@@ -106,8 +106,9 @@ MUTANTS = [
      "except TypeError as exc:  # too few or too many cells for the line",
      "except () as exc:", T_EXPORT),
     ("length check of a CSV's control channel", EXPORT,
-     "rows, embed_rows(sph, rows), channel, strict=True",
-     "rows, embed_rows(sph, rows), channel", T_EXPORT),
+     "rows, embed_rows(sph, again), channel, strict=True",
+     "rows, embed_rows(sph, again), channel", T_EXPORT),
+    ("one pass over a CSV's rows", EXPORT, "rows, again = tee(rows)", "again = rows", T_EXPORT),
     ("escape of < in figure text", EXPORT,
      'return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")',
      'return (text.replace("&", "&amp;").replace(">", "&gt;")', T_EXPORT),
@@ -202,6 +203,16 @@ MUTANTS = [
      "if any(m <= 0 for m in mults):", "if False:", T_CLI),
     ("first-phase starting step kept when the probe's d2 is not finite", INTEGRATE,
      "if not math.isfinite(d2):", "if False:", T_INTEGRATE),
+    ("refusal of a --start without exactly two angles", CLI,
+     "if len(parts) != 2:", "if False:", T_CLI),
+    ("refusal of an unknown view axis", EXPORT,
+     'if self.view_axis not in ("x", "y", "z"):', "if False:", T_EXPORT),
+    ("zero-length chord of a cap step at rest", INTEGRATE,
+     "if not dd > 0.0:", "if False:", T_INTEGRATE),
+    ("wind's phi-rate in a time-optimal start", SPRAY,
+     "return NavState(p0, TangentVector(w1 + unit.u, w2 + unit.v))",
+     "return NavState(p0, TangentVector(unit.u, w2 + unit.v))", T_CONTROL),
+    ("alpha start of the alpha flow", SPRAY, 'if kind == "alpha":', "if False:", T_CONTROL),
 ]
 
 

@@ -1036,8 +1036,10 @@ class TestParseErrors:
         ["family", "--heading-start", "0", "--heading-step", "1", "--csv", "out.csv"],
         ["indicatrix", "--multipliers", "1,0"],
         ["indicatrix", "--multipliers", "-1"],
+        ["geodesic", "--heading", "0.3", "--start", "0", "--csv", "out.csv"],
+        ["geodesic", "--heading", "0.3", "--start", "0,1,2", "--csv", "out.csv"],
     ], ids=["rotation-rate", "segment-order", "family-count", "zero-multiplier",
-            "negative-multiplier"])
+            "negative-multiplier", "start-one-angle", "start-three-angles"])
     def test_bad_value_rejected(self, argv, tmp_path, monkeypatch, capsys):
         # each value passes argparse and fails a check of the command's
         # own; the segment list is refused without an --svg, so not by PlotSpec

@@ -81,6 +81,14 @@ class TestWriteCsv:
         cols = read_csv(str(path))
         assert all(0.0 <= phi < 2 * math.pi for phi in cols["phi"])
 
+    def test_iterators_write_the_list_bytes(self, oblate, rot_wind, bench_traj, tmp_path):
+        # rows are read once, so an iterator of them writes what the list does
+        channel = control_channel(oblate, rot_wind, bench_traj.rows)
+        listed, streamed = tmp_path / "list.csv", tmp_path / "iter.csv"
+        write_csv(oblate, bench_traj.rows, channel, str(listed))
+        write_csv(oblate, iter(bench_traj.rows), iter(channel), str(streamed))
+        assert streamed.read_bytes() == listed.read_bytes()
+
     def test_empty_trajectory_header_only(self, oblate, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv(oblate, [], [], str(path))
@@ -297,6 +305,8 @@ class TestRenderSvg:
             PlotSpec(kind="polar", series=())
         with pytest.raises(ValueError):
             PlotSpec(kind="polar", series=(SeriesStyle("x"),), segments=(2.0, 1.0))
+        with pytest.raises(ValueError):
+            PlotSpec(kind="polar", series=(SeriesStyle("x"),), view_axis="w")
 
     def test_series_data_mismatch(self):
         spec = PlotSpec(kind="channel_vs_time", series=(SeriesStyle("x"),))

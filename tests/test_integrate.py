@@ -873,6 +873,22 @@ class TestPolarCaps:
         with pytest.raises(NonFiniteState):
             integrate(broken, s0, IntegratorConfig(t_end=2.0))
 
+    @pytest.mark.parametrize("theta0", [0.3, 3.0], ids=["north", "south"])
+    def test_resting_state_in_a_cap(self, theta0):
+        # at rest every cap step's chord has zero length, so no chord
+        # passes near the pole: the state stays put, with no division by
+        # the chord's squared length
+        def rest(phi, theta, u, v):
+            return 0.0, 0.0
+
+        s0 = NavState(SurfacePoint(0.5, theta0), TangentVector(0.0, 0.0))
+        cfg = IntegratorConfig(t_end=1.0, sample_dt=0.25)
+        traj = integrate(rest, s0, cfg)
+        assert traj.rows == [(k * 0.25, 0.5, theta0, 0.0, 0.0) for k in range(5)]
+        assert traj.t_stop is None and traj.stats == StepStats(9, 0, 0, 116, 1)
+        want = integrate_reference(rest, s0, cfg)
+        assert (traj.rows, traj.t_stop, traj.stats) == (want.rows, want.t_stop, want.stats)
+
     def test_guard_test_rejects_nan(self):
         # a NaN distance fails rho > POLE_GUARD like a pole approach would
         nan_path = tuple((math.nan,) * 8 for _ in range(4))
