@@ -26,7 +26,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NoReturn
 
 from znav.control import control_channel, speed_of, wrap_2pi, wrap_signed
@@ -254,6 +254,10 @@ def resolve_problem(cfg: argparse.Namespace) -> Problem:
     start = SurfacePoint(
         wrap_2pi(parse_angle(parts[0], cfg.deg)), parse_angle(parts[1], cfg.deg)
     )
+    # each output is a file of its own; family's --csv only stems its members' files
+    outputs = [p for p in (cfg.csv, cfg.svg, getattr(cfg, "speed_svg", None)) if p]
+    if cfg.command != "family" and len({os.path.realpath(p) for p in outputs}) < len(outputs):
+        raise ValidationError(f"two outputs name the same file: {', '.join(outputs)}")
     try:
         # a zero rate (0 or -0.0) is still air, the same flow as --wind none;
         # a rate rotation_wind accepts is mild everywhere
@@ -317,16 +321,12 @@ def _heading_deg(cfg: argparse.Namespace, angle: float) -> float:
 def cmd_geodesic(prob: Problem) -> int:
     cfg = prob.cfg
     heading = _heading(prob, "geodesic")
-    segments = _segments(cfg)
+    spec = PlotSpec("polar" if cfg.plot == "polar" else "path3d_projection",
+                    segments=_segments(cfg), view_axis=cfg.view)
     traj = track(prob.sph, prob.wind, cfg.kind, prob.start, heading, prob.icfg)
     if cfg.svg:
-        if cfg.plot == "polar":
-            kind, data = "polar", traj.rows
-        else:
-            kind, data = "path3d_projection", embed_rows(prob.sph, traj.rows)
-        spec = PlotSpec(kind=kind, series=(SeriesStyle(label=traj.kind, color="#d62728"),),
-                        segments=segments, view_axis=cfg.view)
-        write_svg(spec, [data], cfg.svg)
+        data = traj.rows if spec.kind == "polar" else embed_rows(prob.sph, traj.rows)
+        write_svg(spec, [(SeriesStyle(label=traj.kind, color="#d62728"), data)], cfg.svg)
     if cfg.csv:
         write_csv(prob.sph, traj.rows, control_channel(prob.sph, prob.wind, traj.rows), cfg.csv)
     t_last, phi, theta, u, v = traj.rows[-1]
@@ -360,13 +360,10 @@ def cmd_family(prob: Problem) -> int:
     if not all(map(math.isfinite, headings)):
         raise ValidationError(f"fan headings {cfg.heading_start} + k * {cfg.heading_step}"
                               f" for k < {cfg.heading_count} are not all finite")
-    # the figure's kind, view axis and segments, all that project reads;
-    # its series styles follow the members' classifications
-    frame = PlotSpec(kind="path3d_projection", series=(SeriesStyle("fan"),),
-                     segments=_segments(cfg), view_axis=cfg.view)
+    frame = PlotSpec("path3d_projection", segments=_segments(cfg), view_axis=cfg.view)
 
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
-    data, styles = [], []
+    figure = []
     members = iter_family(prob.sph, prob.wind, prob.start, headings, cfg.kind, prob.icfg)
     # next() and del, not enumerate or zip, whose iterators keep member i while
     # member i + 1 is integrated; the figure keeps only each member's projection
@@ -386,14 +383,14 @@ def cmd_family(prob: Problem) -> int:
                 write_csv(prob.sph, traj.rows, control_channel(prob.sph, prob.wind, traj.rows),
                           f"{stem}_{i:03d}{ext}")
             if cfg.svg:
-                data.append(project(frame, embed_rows(prob.sph, traj.rows)))
                 color = "#1f77b4" if label == "transpolar" else "#d62728"
-                styles.append(SeriesStyle(label=f"heading={member.heading:.4g}", color=color))
+                figure.append((SeriesStyle(label=f"heading={member.heading:.4g}", color=color),
+                               project(frame, embed_rows(prob.sph, traj.rows))))
         del member, traj
     print(f"counts: circumpolar={counts['circumpolar']} "
           f"transpolar={counts['transpolar']} failed={counts['failed']}")
-    if data:
-        write_svg(replace(frame, series=tuple(styles)), data, cfg.svg)
+    if figure:
+        write_svg(frame, figure, cfg.svg)
     return 0 if counts["circumpolar"] + counts["transpolar"] >= 1 else 3
 
 
@@ -409,13 +406,9 @@ def cmd_compare(prob: Problem) -> int:
 
     if cfg.svg:
         palette = {"h": "#1f77b4", "alpha": "#2ca02c", "randers": "#d62728"}
-        spec = PlotSpec(
-            kind="path3d_projection",
-            series=tuple(SeriesStyle(label=k, color=palette[k]) for k in flows),
-            view_axis=cfg.view,
-        )
-        write_svg(spec, [embed_rows(prob.sph, runs[flow].rows) for flow in flows.values()],
-                  cfg.svg)
+        write_svg(PlotSpec("path3d_projection", view_axis=cfg.view),
+                  [(SeriesStyle(label=k, color=palette[k]), embed_rows(prob.sph, runs[flow].rows))
+                   for k, flow in flows.items()], cfg.svg)
     if cfg.csv:
         # each channel in its flow's wind; one row per time of the shorter
         # track, channel cells empty where either record is undefined
@@ -464,21 +457,14 @@ def cmd_indicatrix(prob: Problem) -> int:
         raise ValidationError(f"multipliers {cfg.multipliers} overflow the indicatrix curves")
 
     if cfg.svg:
-        data = []
-        for mult in mults:
+        palette = ("#1f77b4", "#d62728", "#9467bd", "#e377c2")
+        curves = []
+        for i, mult in enumerate(mults):
             pts = [(mult * y.u, mult * y.v) for y in vecs]
             pts.append(pts[0])  # close the curve
-            data.append(pts)
-        palette = ("#1f77b4", "#d62728", "#9467bd", "#e377c2")
-        spec = PlotSpec(
-            kind="indicatrix",
-            series=tuple(
-                SeriesStyle(label=f"t={m:g}", color=palette[i % len(palette)])
-                for i, m in enumerate(mults)
-            ),
-        )
+            curves.append((SeriesStyle(label=f"t={mult:g}", color=palette[i % len(palette)]), pts))
         try:
-            write_svg(spec, data, cfg.svg)
+            write_svg(PlotSpec("indicatrix"), curves, cfg.svg)
         except EmptyData as exc:  # a range or scale of the figure that is not finite
             raise ValidationError(f"multipliers {cfg.multipliers} overflow the indicatrix"
                                   " figure's range or scale") from exc
@@ -504,29 +490,23 @@ def cmd_report(prob: Problem) -> int:
     if cfg.svg:
         records = [r for r in channel if r is not None]
         t = [r.t for r in records]
-        spec = PlotSpec(
-            kind="channel_vs_time",
-            series=(
-                SeriesStyle(label="heading", color="#000000"),
-                SeriesStyle(label="course", color="#d62728"),
-                SeriesStyle(label="drift", color="#1f77b4", dash="6,3"),
-            ),
-        )
-        data = [list(zip(t, unwrap_angles([r.heading for r in records]))),
-                list(zip(t, unwrap_angles([r.course for r in records]))),
-                list(zip(t, [r.drift for r in records]))]
-        write_svg(spec, data, cfg.svg)
+        write_svg(PlotSpec("channel_vs_time"), [
+            (SeriesStyle(label="heading", color="#000000"),
+             zip(t, unwrap_angles([r.heading for r in records]))),
+            (SeriesStyle(label="course", color="#d62728"),
+             zip(t, unwrap_angles([r.course for r in records]))),
+            (SeriesStyle(label="drift", color="#1f77b4", dash="6,3"),
+             zip(t, [r.drift for r in records])),
+        ], cfg.svg)
     if cfg.speed_svg:
         # numpy.linspace(0, 2*pi, 361), float for float
         hds = [k * (2.0 * math.pi / 360) for k in range(360)] + [2.0 * math.pi]
         # the departure speed of the start that report --heading hd runs
         speeds = [speed_of(prob.sph, initial_state(prob.sph, prob.wind, cfg.kind, prob.start, hd))
                   for hd in hds]
-        spec = PlotSpec(
-            kind="speed_vs_heading",
-            series=(SeriesStyle(label="initial speed", color="#000000"),),
-        )
-        write_svg(spec, [list(zip(hds, speeds))], cfg.speed_svg)
+        write_svg(PlotSpec("speed_vs_heading"),
+                  [(SeriesStyle(label="initial speed", color="#000000"), list(zip(hds, speeds)))],
+                  cfg.speed_svg)
     if cfg.csv:
         write_csv(prob.sph, traj.rows, channel, cfg.csv)
 

@@ -18,10 +18,11 @@ one format call.  Labels, colours and dash patterns are written with
 &, <, > and " escaped.  3D paths are drawn by orthographic projection
 along a configurable view axis.
 
-A figure series is an iterable of float rows, one row per point, read
-once in plain Python (a list of tuples, a generator or a 2-D array
-alike), or a Projected series.  The columns of a row depend on the
-plot kind:
+A figure is a PlotSpec, its frame, plus (SeriesStyle, series) pairs,
+each style drawn with the data it travels with.  A series is an
+iterable of float rows, one row per point, read once in plain Python
+(a list of tuples, a generator or a 2-D array alike), or a Projected
+series.  The columns of a row depend on the plot kind:
 
     path3d_projection   (t, x, y, z)
     polar               (t, phi, theta), drawn at radius theta; the
@@ -166,18 +167,18 @@ class SeriesStyle:
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """Figure request: kind, per-series styling, optional time segmentation."""
+    """A figure's frame: its kind, optional time segmentation and a path3d view axis.
+
+    These are all that project reads; each series brings its own SeriesStyle.
+    """
 
     kind: str
-    series: tuple[SeriesStyle, ...]
     segments: tuple[float, ...] | None = None
     view_axis: str = "z"
 
     def __post_init__(self):
         if self.kind not in PATH_KINDS | MARKER_KINDS:
             raise ValueError(f"unknown plot kind {self.kind!r}")
-        if not self.series:
-            raise ValueError("plot needs at least one series")
         if self.segments is not None and list(self.segments) != sorted(set(self.segments)):
             raise ValueError("segment boundaries must be strictly increasing")
         if self.view_axis not in ("x", "y", "z"):
@@ -255,18 +256,14 @@ def _escape(text: str) -> str:
             .replace('"', "&quot;"))
 
 
-def _svg_lines(spec: PlotSpec, data: Sequence[Series]) -> Iterator[str]:
+def _svg_lines(spec: PlotSpec, series: Sequence[tuple[SeriesStyle, Series]]) -> Iterator[str]:
     """The lines of render_svg's document, each ending in a newline, made one at a time.
 
     Every check runs, and every series is projected, before the first
     line is made.
     """
-    if len(data) != len(spec.series):
-        raise ValueError(
-            f"{len(spec.series)} series styles but {len(data)} data arrays"
-        )
-    planes = [s if isinstance(s, Projected) else project(spec, s) for s in data]
-    drawn = [(style, p) for style, p in zip(spec.series, planes) if p.x]  # skip empty series
+    planes = [(style, s if isinstance(s, Projected) else project(spec, s)) for style, s in series]
+    drawn = [(style, p) for style, p in planes if p.x]  # skip empty series
     if not drawn:
         raise EmptyData(f"no data for {spec.kind} plot")
 
@@ -313,13 +310,14 @@ def _svg_lines(spec: PlotSpec, data: Sequence[Series]) -> Iterator[str]:
     yield "</svg>\n"
 
 
-def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
-    """Render series to a standalone SVG 1.1 document string.
+def render_svg(spec: PlotSpec, series: Sequence[tuple[SeriesStyle, Series]]) -> str:
+    """Render (style, series) pairs in spec's frame to a standalone SVG 1.1 document string.
 
     Each series of rows is projected with project; a Projected series
-    is drawn as it is.  A series of no point is skipped, and a series of
-    one point, of any kind, is drawn as a small circle (a track that
-    stops at the pole guard before its first sample is one).  Series
+    is drawn as it is.  Each series is drawn in the style it is paired
+    with.  A series of no point is skipped, and a series of one point,
+    of any kind, is drawn as a small circle (a track that stops at the
+    pole guard before its first sample is one).  Series
     are drawn in order; when time segmentation is set, each path series
     is split at the boundaries and colored through the segment palette,
     the part after the last boundary included.
@@ -327,12 +325,11 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
     Raises:
         EmptyData: no series has a point, or the data's padded range or
             its scale is not finite.
-        ValueError: series and styles differ in number.
     """
-    return "".join(_svg_lines(spec, data))
+    return "".join(_svg_lines(spec, series))
 
 
-def write_svg(spec: PlotSpec, data: Sequence[Series], path: str) -> int:
+def write_svg(spec: PlotSpec, series: Sequence[tuple[SeriesStyle, Series]], path: str) -> int:
     """Write render_svg's document line by line as it is rendered; returns bytes written.
 
     The document's text is never held whole: _write writes each line as
@@ -340,10 +337,10 @@ def write_svg(spec: PlotSpec, data: Sequence[Series], path: str) -> int:
     figure writes nothing.
 
     Raises:
-        EmptyData, ValueError: as render_svg, before the file is opened.
+        EmptyData: as render_svg, before the file is opened.
         OSError: surfaced with the target path in the message.
     """
-    return _write(path, "SVG", _svg_lines(spec, data))
+    return _write(path, "SVG", _svg_lines(spec, series))
 
 
 def unwrap_angles(values: Sequence[float]) -> list[float]:

@@ -9,7 +9,7 @@ import math
 from typing import Sequence
 
 from znav.errors import EmptyData
-from znav.export import FIGURE_SIZE, PATH_KINDS, SEGMENT_COLORS, PlotSpec, Series
+from znav.export import FIGURE_SIZE, PATH_KINDS, SEGMENT_COLORS, PlotSpec, Series, SeriesStyle
 
 # (first, second) plane column of a (t, x, y, z) row per view axis
 _PROJECTION = {"z": (1, 2), "x": (2, 3), "y": (1, 3)}
@@ -33,8 +33,8 @@ def _to_plane(
     return [r[0] for r in rows], [r[1] for r in rows], None
 
 
-def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
-    """Render series of float rows to a standalone SVG 1.1 document string.
+def render_svg(spec: PlotSpec, series: Sequence[tuple[SeriesStyle, Series]]) -> str:
+    """Render (style, float rows) pairs to a standalone SVG 1.1 document string.
 
     A series of no point is skipped, and a series of one point, of any
     kind, is drawn as a small circle.
@@ -45,10 +45,7 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
     Raises:
         EmptyData: no series has a point.
     """
-    if len(data) != len(spec.series):
-        raise ValueError(
-            f"{len(spec.series)} series styles but {len(data)} data arrays"
-        )
+    data = [rows for _, rows in series]
     if all(len(rows) == 0 for rows in data):
         raise EmptyData(f"no data for {spec.kind} plot")
 
@@ -85,7 +82,7 @@ def render_svg(spec: PlotSpec, data: Sequence[Series]) -> str:
             f'{dash_attr} points="{" ".join(pts)}"><title>{label}</title></polyline>'
         )
 
-    for style, (x, y, t) in zip(spec.series, planes):
+    for (style, _), (x, y, t) in zip(series, planes):
         if not x:
             continue
         # one "px,py" pixel pair per point, the y axis pointing up

@@ -156,19 +156,19 @@ MUTANTS = [
      "except EmptyData as exc:  # a range or scale of the figure that is not finite",
      "except () as exc:", T_CLI),
     ("--view of a geodesic figure left unread", CLI,
-     "segments=segments, view_axis=cfg.view)", 'segments=segments, view_axis="z")', T_CLI),
-    ("--view of a fan figure left unread", CLI,
      "segments=_segments(cfg), view_axis=cfg.view)", 'segments=_segments(cfg), view_axis="z")',
      T_CLI),
+    ("--view of a fan figure left unread", CLI,
+     'frame = PlotSpec("path3d_projection", segments=_segments(cfg), view_axis=cfg.view)',
+     'frame = PlotSpec("path3d_projection", segments=_segments(cfg), view_axis="z")', T_CLI),
     ("fan members held as embedded rows, not projected", CLI,
-     "data.append(project(frame, embed_rows(prob.sph, traj.rows)))",
-     "data.append(list(embed_rows(prob.sph, traj.rows)))", T_CLI),
+     "project(frame, embed_rows(prob.sph, traj.rows))))",
+     "list(embed_rows(prob.sph, traj.rows))))", T_CLI),
     ("a fan member's track alive while the next member is integrated", CLI,
      "del member, traj", "del member", T_CLI),
     ("a geodesic figure labelled with --kind, not the flow it ran", CLI,
-     'spec = PlotSpec(kind=kind, series=(SeriesStyle(label=traj.kind, color="#d62728"),),',
-     'spec = PlotSpec(kind=kind, series=(SeriesStyle(label=cfg.kind, color="#d62728"),),',
-     T_CLI),
+     'write_svg(spec, [(SeriesStyle(label=traj.kind, color="#d62728"), data)], cfg.svg)',
+     'write_svg(spec, [(SeriesStyle(label=cfg.kind, color="#d62728"), data)], cfg.svg)', T_CLI),
     ("refusal of a None wind for alpha and randers", SPRAY,
      "if wind is None:", "if False:", T_SPRAY),
     ("compare integrating once per kind, not once per flow", CLI,
@@ -213,6 +213,22 @@ MUTANTS = [
      "return NavState(p0, TangentVector(w1 + unit.u, w2 + unit.v))",
      "return NavState(p0, TangentVector(unit.u, w2 + unit.v))", T_CONTROL),
     ("alpha start of the alpha flow", SPRAY, 'if kind == "alpha":', "if False:", T_CONTROL),
+    ("each overlay track drawn in the h colour", CLI,
+     "[(SeriesStyle(label=k, color=palette[k]), embed_rows(prob.sph, runs[flow].rows))",
+     '[(SeriesStyle(label=k, color=palette["h"]), embed_rows(prob.sph, runs[flow].rows))',
+     T_CLI),
+    ("drift of the channel figure drawn solid", CLI,
+     '(SeriesStyle(label="drift", color="#1f77b4", dash="6,3"),',
+     '(SeriesStyle(label="drift", color="#1f77b4", dash=""),', T_CLI),
+    ("every indicatrix curve in the first colour", CLI,
+     'curves.append((SeriesStyle(label=f"t={mult:g}", color=palette[i % len(palette)]), pts))',
+     'curves.append((SeriesStyle(label=f"t={mult:g}", color=palette[0]), pts))', T_CLI),
+    ("fan colours of the two classes swapped", CLI,
+     'color = "#1f77b4" if label == "transpolar" else "#d62728"',
+     'color = "#1f77b4" if label == "circumpolar" else "#d62728"', T_CLI),
+    ("refusal of two outputs of one file", CLI,
+     'if cfg.command != "family" and len({os.path.realpath(p) for p in outputs}) < len(outputs):',
+     "if False:", T_CLI),
 ]
 
 

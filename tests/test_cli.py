@@ -531,22 +531,23 @@ class TestFamily:
             rows.append(traj.rows)
             return traj
 
-        def checked(spec, data, path):
-            received.append((spec, data))
-            return write_svg(spec, data, path)
+        def checked(spec, series, path):
+            received.append((spec, series))
+            return write_svg(spec, series, path)
 
         monkeypatch.setattr(INTEGRATE, "integrate", tracked)
         monkeypatch.setattr("znav.cli.write_svg", checked)
         assert _stdout(argv)[0] == 0
-        [(spec, data)] = received
-        assert len(data) == len(rows) == 4
-        for series, member_rows in zip(data, rows):
+        [(spec, pairs)] = received
+        assert len(pairs) == len(rows) == 4
+        for (_, series), member_rows in zip(pairs, rows):
             assert (series.t is not None) == bool(segments)
             columns = [series.x, series.y, *([series.t] if segments else [])]
             for column in columns:
                 assert type(column) is array and column.typecode == "d"
                 assert len(column) == len(member_rows)
-        embedded = [list(embed_rows(Spheroid(0.75), r)) for r in rows]
+        embedded = [(style, list(embed_rows(Spheroid(0.75), r)))
+                    for (style, _), r in zip(pairs, rows)]
         assert svg.read_bytes() == render_svg(spec, embedded).encode()
 
     @pytest.mark.parametrize("segments", [[], ["--segments", "2,4,6"]], ids=["whole", "segmented"])
@@ -811,10 +812,10 @@ class TestReport:
         # report --heading H runs for its --kind, and prints as its speed_0
         curves, write_svg = [], znav.cli.write_svg
 
-        def captured(spec, data, path):
+        def captured(spec, series, path):
             if spec.kind == "speed_vs_heading":
-                curves.extend(data)
-            return write_svg(spec, data, path)
+                curves.extend(rows for _, rows in series)
+            return write_svg(spec, series, path)
 
         monkeypatch.setattr("znav.cli.write_svg", captured)
         argv = ["report", *BENCH, "--kind", kind, "--t-end", "1"]
@@ -843,6 +844,37 @@ class TestReport:
         assert code == 0
         assert (tmp_path / "channel.svg").exists()
         assert (tmp_path / "speed.svg").exists()
+
+
+@pytest.mark.parametrize("argv, flag, styles", [
+    (["compare", "--heading", "pi/3", "--t-end", "2"], "--svg",
+     [("h", "#1f77b4", None), ("alpha", "#2ca02c", None), ("randers", "#d62728", None)]),
+    (["report", "--heading", "pi/3", "--t-end", "2"], "--svg",
+     [("heading", "#000000", None), ("course", "#d62728", None), ("drift", "#1f77b4", "6,3")]),
+    (["indicatrix", "--n", "12", "--multipliers", "1,2,3,4,5"], "--svg",
+     [(f"t={m}", color, None) for m, color in
+      enumerate(("#1f77b4", "#d62728", "#9467bd", "#e377c2", "#1f77b4"), 1)]),
+    (["report", "--heading", "pi/3", "--t-end", "2"], "--speed-svg",
+     [("initial speed", "#000000", None)]),
+    (["family", "--heading-start", "0", "--heading-step", "pi/2", "--heading-count", "4",
+      "--t-end", "3"], "--svg", None),
+], ids=["overlay", "channel", "indicatrix", "speed", "fan"])
+def test_each_series_keeps_its_style(argv, flag, styles, tmp_path):
+    # each figure's polylines, in order, carry the title, stroke and dash of
+    # the series they draw; a fan member is blue if it printed transpolar
+    svg = tmp_path / "figure.svg"
+    code, out = _stdout([argv[0], *BENCH, *argv[1:], flag, str(svg)])
+    assert code == 0
+    polylines = ET.parse(svg).getroot().findall(".//{http://www.w3.org/2000/svg}polyline")
+    drawn = [(p.find("{http://www.w3.org/2000/svg}title").text, p.get("stroke"),
+              p.get("stroke-dasharray")) for p in polylines]
+    if styles is None:
+        classes = re.findall(r"classification=(\w+)", out)
+        assert sorted(classes) == ["circumpolar"] * 2 + ["transpolar"] * 2
+        assert [stroke for _, stroke, _ in drawn] == [
+            "#1f77b4" if c == "transpolar" else "#d62728" for c in classes]
+    else:
+        assert drawn == styles
 
 
 class TestConfigFile:
@@ -1045,6 +1077,20 @@ class TestParseErrors:
         # own; the segment list is refused without an --svg, so not by PlotSpec
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[validation]: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--heading", "pi/3", "--svg", "same", "--csv", "same"],
+        ["report", "--heading", "pi/3", "--svg", "r", "--speed-svg", "r"],
+        ["compare", "--heading", "pi/3", "--svg", "./c", "--csv", "c"],
+        ["indicatrix", "--svg", "i", "--csv", "{cwd}/i"],
+    ], ids=["geodesic", "report", "compare-dot", "indicatrix-absolute"])
+    def test_outputs_name_different_files(self, argv, tmp_path, monkeypatch, capsys):
+        # each once exited 0 with its last output written over the others
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], *BENCH, *(a.format(cwd=tmp_path) for a in argv[1:])]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[validation]: ")
         assert list(tmp_path.iterdir()) == []

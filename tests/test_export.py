@@ -167,9 +167,9 @@ class TestWriteCsv:
         nbytes = write_table(("phi", "θ"), [("é", 1.5), (2, None)], str(table))
         assert table.read_bytes() == "phi,θ\né,1.5\n2,\n".encode()
         assert nbytes == table.stat().st_size
-        data = [[(0.0, 0.0), (1.0, 2.0)]]
+        spec = PlotSpec("indicatrix")
         for label in ("t=1", "t=1 — ü"):
-            spec = PlotSpec("indicatrix", (SeriesStyle(label),))
+            data = [(SeriesStyle(label), [(0.0, 0.0), (1.0, 2.0)])]
             nbytes = write_svg(spec, data, str(figure))
             assert figure.read_bytes() == render_svg(spec, data).encode()
             assert nbytes == figure.stat().st_size
@@ -206,10 +206,10 @@ def test_write_table_matches_cell_rule(rows, tmp_path_factory):
     assert nbytes == len(want.encode())
 
 
-def render_both(spec, arrays):
+def render_both(spec, series):
     """render_svg of ndarray series, checked against the same series as float-row lists."""
-    doc = render_svg(spec, arrays)
-    assert render_svg(spec, [a.tolist() for a in arrays]) == doc
+    doc = render_svg(spec, series)
+    assert render_svg(spec, [(style, a.tolist()) for style, a in series]) == doc
     return doc
 
 
@@ -221,27 +221,21 @@ def spiral(n=50, turns=2.0):
 
 class TestRenderSvg:
     def test_deterministic(self):
-        spec = PlotSpec(kind="path3d_projection", series=(SeriesStyle("a", "#d62728"),))
-        data = [spiral()]
+        spec = PlotSpec(kind="path3d_projection")
+        data = [(SeriesStyle("a", "#d62728"), spiral())]
         assert render_both(spec, data) == render_svg(spec, data)
 
     def test_valid_xml_and_member_count(self):
-        spec = PlotSpec(
-            kind="path3d_projection",
-            series=tuple(SeriesStyle(f"m{i}", "#d62728") for i in range(16)),
-        )
-        doc = render_both(spec, [spiral(turns=0.5 + 0.1 * i) for i in range(16)])
+        spec = PlotSpec(kind="path3d_projection")
+        doc = render_both(spec, [(SeriesStyle(f"m{i}", "#d62728"), spiral(turns=0.5 + 0.1 * i))
+                                 for i in range(16)])
         root = ET.fromstring(doc)
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 16
 
     def test_time_segmentation_splits_series(self):
-        spec = PlotSpec(
-            kind="path3d_projection",
-            series=(SeriesStyle("path", "#000000"),),
-            segments=(1.0, 2.0, 3.0),
-        )
-        doc = render_both(spec, [spiral(n=400)])
+        spec = PlotSpec(kind="path3d_projection", segments=(1.0, 2.0, 3.0))
+        doc = render_both(spec, [(SeriesStyle("path", "#000000"), spiral(n=400))])
         root = ET.fromstring(doc)
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 3
@@ -249,29 +243,25 @@ class TestRenderSvg:
         assert colors == ["#d62728", "#1f77b4", "#9467bd"]
 
     def test_view_axis_projection(self):
-        spec_z = PlotSpec(kind="path3d_projection", series=(SeriesStyle("a"),))
-        spec_x = PlotSpec(kind="path3d_projection", series=(SeriesStyle("a"),),
-                          view_axis="x")
-        data = [spiral()]
+        spec_z = PlotSpec(kind="path3d_projection")
+        spec_x = PlotSpec(kind="path3d_projection", view_axis="x")
+        data = [(SeriesStyle("a"), spiral())]
         assert render_both(spec_z, data) != render_both(spec_x, data)
 
     def test_polar_kind(self):
         t = np.linspace(0.0, 3.0, 40)
-        data = [np.column_stack([t, 2 * t, 1.0 + 0.2 * np.sin(t)])]
-        spec = PlotSpec(kind="polar", series=(SeriesStyle("sol", "#d62728"),))
+        data = [(SeriesStyle("sol", "#d62728"), np.column_stack([t, 2 * t, 1.0 + 0.2 * np.sin(t)]))]
+        spec = PlotSpec(kind="polar")
         assert "<polyline" in render_both(spec, data)
 
     def test_indicatrix_nest(self):
         curves = []
         ang = np.linspace(0, 2 * math.pi, 90)
         for mult in (1, 2, 3, 4):
-            curves.append(np.column_stack([
+            curves.append((SeriesStyle(f"t={mult}"), np.column_stack([
                 mult * (np.cos(ang) - 0.7), mult * np.sin(ang)
-            ]))
-        spec = PlotSpec(
-            kind="indicatrix",
-            series=tuple(SeriesStyle(f"t={m}") for m in (1, 2, 3, 4)),
-        )
+            ])))
+        spec = PlotSpec(kind="indicatrix")
         root = ET.fromstring(render_both(spec, curves))
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 4
 
@@ -282,36 +272,31 @@ class TestRenderSvg:
                                     ("path3d_projection", (0.0, 0.5, 0.5, 0.0), None),
                                     ("path3d_projection", (0.0, 0.5, 0.5, 0.0), (1.0,)),
                                     ("polar", (0.0, 0.5, 0.5), None)]:
-            spec = PlotSpec(kind=kind, series=(SeriesStyle("pt"),), segments=segments)
-            root = ET.fromstring(render_both(spec, [np.asarray([row])]))
+            spec = PlotSpec(kind=kind, segments=segments)
+            root = ET.fromstring(render_both(spec, [(SeriesStyle("pt"), np.asarray([row]))]))
             assert [e.tag for e in root] == [f"{SVG}rect", f"{SVG}circle"]
 
     def test_no_data_refused(self):
-        spec = PlotSpec(kind="channel_vs_time", series=(SeriesStyle("x"),))
-        for empty in ([np.zeros((0, 2))], [[]]):
+        spec = PlotSpec(kind="channel_vs_time")
+        # no series, or series of no point
+        for empty in ([], [(SeriesStyle("x"), np.zeros((0, 2)))], [(SeriesStyle("x"), [])]):
             with pytest.raises(EmptyData):
                 render_svg(spec, empty)
 
     def test_empty_series_skipped(self):
         # an empty series beside a drawn one was drawn as <polyline points="">
-        spec = PlotSpec("speed_vs_heading", (SeriesStyle("a"), SeriesStyle("b")))
-        root = ET.fromstring(render_svg(spec, [[], [(0.0, 0.0), (1.0, 1.0)]]))
+        spec = PlotSpec("speed_vs_heading")
+        root = ET.fromstring(render_svg(spec, [(SeriesStyle("a"), []),
+                                               (SeriesStyle("b"), [(0.0, 0.0), (1.0, 1.0)])]))
         assert len(root.findall(f"{SVG}polyline")) == 1
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            PlotSpec(kind="pie_chart", series=(SeriesStyle("x"),))
+            PlotSpec(kind="pie_chart")
         with pytest.raises(ValueError):
-            PlotSpec(kind="polar", series=())
+            PlotSpec(kind="polar", segments=(2.0, 1.0))
         with pytest.raises(ValueError):
-            PlotSpec(kind="polar", series=(SeriesStyle("x"),), segments=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            PlotSpec(kind="polar", series=(SeriesStyle("x"),), view_axis="w")
-
-    def test_series_data_mismatch(self):
-        spec = PlotSpec(kind="channel_vs_time", series=(SeriesStyle("x"),))
-        with pytest.raises(ValueError):
-            render_svg(spec, [])
+            PlotSpec(kind="polar", view_axis="w")
 
     @pytest.mark.parametrize("kind, rows", [
         ("indicatrix", [(-1.5e308, -1.0), (1.5e308, 1.0)]),
@@ -321,17 +306,18 @@ class TestRenderSvg:
         # both once drew nan coordinates: a padded range too wide for a
         # float, and a span too narrow for a float scale.  A frame that
         # cannot be scaled is data the figure cannot draw, as no data is
-        spec = PlotSpec(kind=kind, series=(SeriesStyle("x"),))
+        spec, series = PlotSpec(kind=kind), [(SeriesStyle("x"), rows)]
         with pytest.raises(EmptyData, match="no finite frame"):
-            render_svg(spec, [rows])
+            render_svg(spec, series)
         with pytest.raises(EmptyData):
-            write_svg(spec, [rows], str(tmp_path / "f.svg"))
+            write_svg(spec, series, str(tmp_path / "f.svg"))
         assert list(tmp_path.iterdir()) == []
 
     def test_tiny_span_path_still_drawn(self):
         # equal aspect scales a flat path by its long axis
-        spec = PlotSpec(kind="path3d_projection", series=(SeriesStyle("x"),))
-        doc = render_svg(spec, [[(0.0, 0.0, 1e-310, 0.0), (1.0, 1.0, 3e-310, 0.0)]])
+        spec = PlotSpec(kind="path3d_projection")
+        doc = render_svg(spec, [(SeriesStyle("x"), [(0.0, 0.0, 1e-310, 0.0),
+                                                    (1.0, 1.0, 3e-310, 0.0)])])
         points = ET.fromstring(doc).find(f".//{SVG}polyline").get("points")
         assert [float(v) for xy in points.split() for v in xy.split(",")] == [
             29.0909, 320.0, 610.9091, 320.0]
@@ -350,8 +336,8 @@ LABELS = strategies.text("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz01
 
 @strategies.composite
 def figures(draw):
-    """(spec, data): every kind and view axis, 1-3 series of 1-60 rows, lists or
-    ndarrays, segment boundaries partly on the series' own t values."""
+    """(spec, series): every kind and view axis, 1-3 styled series of 1-60 rows, lists
+    or ndarrays, segment boundaries partly on the series' own t values."""
     kind = draw(strategies.sampled_from(sorted(ROW_WIDTH)))
     row = strategies.tuples(*[COORDS] * ROW_WIDTH[kind])
     data = draw(strategies.lists(strategies.lists(row, min_size=1, max_size=60),
@@ -359,16 +345,16 @@ def figures(draw):
     times = [r[0] for rows in data for r in rows]
     bounds = draw(strategies.lists(
         strategies.one_of(strategies.sampled_from(times), COORDS), max_size=4))
-    styles = tuple(
+    styles = [
         SeriesStyle(draw(LABELS), draw(strategies.sampled_from(SEGMENT_COLORS)),
                     draw(strategies.sampled_from(("", "6,3"))))
         for _ in data
-    )
-    spec = PlotSpec(kind=kind, series=styles, segments=tuple(sorted(set(bounds))) or None,
+    ]
+    spec = PlotSpec(kind=kind, segments=tuple(sorted(set(bounds))) or None,
                     view_axis=draw(strategies.sampled_from("xyz")))
     if draw(strategies.booleans()):
         data = [np.asarray(rows) for rows in data]
-    return spec, data
+    return spec, list(zip(styles, data))
 
 
 def outcome(render, spec, data):
@@ -382,32 +368,35 @@ def outcome(render, spec, data):
 @settings(max_examples=200, deadline=None)
 @given(figure=figures())
 # a boundary on a sample: the segments on both sides of it keep that point
-@example(figure=(PlotSpec(kind="path3d_projection", series=(SeriesStyle("a"),), segments=(1.0,)),
-                 [[(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 0.0, 0.0)]]))
+@example(figure=(PlotSpec(kind="path3d_projection", segments=(1.0,)),
+                 [(SeriesStyle("a"),
+                   [(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 0.0, 0.0)])]))
 # the view along x: its plane columns in the other order transpose the figure
-@example(figure=(PlotSpec(kind="path3d_projection", series=(SeriesStyle("a"),), view_axis="x"),
-                 [[(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0, 3.0), (2.0, 0.0, 2.0, -1.0)]]))
+@example(figure=(PlotSpec(kind="path3d_projection", view_axis="x"),
+                 [(SeriesStyle("a"),
+                   [(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0, 3.0), (2.0, 0.0, 2.0, -1.0)])]))
 def test_render_svg_matches_per_point_reference(figure):
-    spec, data = figure
-    want = outcome(export_reference.render_svg, spec, data)
-    assert outcome(render_svg, spec, data) == want
+    spec, series = figure
+    want = outcome(export_reference.render_svg, spec, series)
+    assert outcome(render_svg, spec, series) == want
     # each series projected first, from a one-pass iterator of its rows
-    assert outcome(render_svg, spec, [project(spec, iter(rows)) for rows in data]) == want
+    assert outcome(render_svg, spec,
+                   [(style, project(spec, iter(rows))) for style, rows in series]) == want
 
 
 def test_style_text_is_escaped():
     label, color, dash = "t<1 & a>0", 'red" onload="x', '6,3"><x a="'
     for kind, rows in (("path3d_projection", spiral()), ("speed_vs_heading", [(0.5, 0.5)])):
-        spec = PlotSpec(kind=kind, series=(SeriesStyle(label, color, dash),))
-        root = ET.fromstring(render_svg(spec, [rows]))
+        root = ET.fromstring(render_svg(PlotSpec(kind=kind),
+                                        [(SeriesStyle(label, color, dash), rows)]))
         [shape] = [e for e in root if e.tag in (f"{SVG}polyline", f"{SVG}circle")]
         assert "onload" not in shape.attrib
         assert shape.find(f"{SVG}title").text == label
         assert color in (shape.get("stroke"), shape.get("fill"))
     assert shape.tag == f"{SVG}circle"  # the lone point's marker
     path = ET.fromstring(render_svg(
-        PlotSpec(kind="polar", series=(SeriesStyle(label, color, dash),), segments=(0.5,)),
-        [spiral()[:, :3]]))
+        PlotSpec(kind="polar", segments=(0.5,)),
+        [(SeriesStyle(label, color, dash), spiral()[:, :3])]))
     titles = [p.find(f"{SVG}title").text for p in path.iter(f"{SVG}polyline")]
     assert titles == [f"{label} [0]", f"{label} [1]"]
     assert {p.get("stroke-dasharray") for p in path.iter(f"{SVG}polyline")} == {dash}
