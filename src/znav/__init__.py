@@ -58,7 +58,6 @@ from znav.randers import (
     F_value,
     RandersData,
     alpha_term,
-    indicatrix,
     lagrangian,
 )
 from znav.spheroid import (
@@ -75,6 +74,7 @@ from znav.spheroid import (
 from znav.spray import (
     SprayCoefficients,
     alpha_lagrangian,
+    indicatrix,
     initial_speed_vs_heading,
     initial_state,
     initial_state_alpha,

@@ -26,7 +26,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import NoReturn
 
 from znav.control import control_channel, speed_of, wrap_2pi, wrap_signed
@@ -43,10 +42,10 @@ from znav.export import (
 from znav.integrate import (
     MAX_GRID, IntegratorConfig, Trajectory, classify_path, iter_family, track,
 )
-from znav.randers import F_value, RandersData, indicatrix
+from znav.randers import F_value, RandersData
 from znav.spheroid import Spheroid, SurfacePoint, embed_rows, require_off_pole
-from znav.spray import METRIC_KINDS, initial_state, resolve_flow
-from znav.wind import STILL_AIR, WindField, rotation_wind
+from znav.spray import METRIC_KINDS, indicatrix, initial_state, resolve_flow
+from znav.wind import STILL_AIR, rotation_wind
 
 
 class ValidationError(Exception):
@@ -159,6 +158,8 @@ def _config_tokens(path: str, parser: argparse.ArgumentParser, command: str) -> 
 def _path(text: str) -> str:
     if not text:  # an empty path names no file
         raise argparse.ArgumentTypeError("path must not be empty")
+    if "\0" in text:  # no file system takes one in a name
+        raise argparse.ArgumentTypeError("path must not hold a NUL byte")
     return text
 
 
@@ -233,25 +234,20 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-@dataclass
-class Problem:
-    """Validated and parsed navigation problem."""
+def resolve_problem(cfg: argparse.Namespace) -> None:
+    """Parse and check the options onto cfg; only those the subcommand declares are read.
 
-    sph: Spheroid
-    wind: WindField  # of --kind's flow (spray.resolve_flow), else --wind's; may be STILL_AIR
-    start: SurfacePoint
-    icfg: IntegratorConfig | None  # None without --t-end and the tolerances
-    cfg: argparse.Namespace
-
-
-def resolve_problem(cfg: argparse.Namespace) -> Problem:
-    """Parse and check the options; only those the subcommand declares are read."""
+    Sets cfg.sph (Spheroid), cfg.wind (WindField of --kind's flow by
+    spray.resolve_flow, else of --wind; may be STILL_AIR), cfg.start
+    (SurfacePoint), cfg.steps (IntegratorConfig; None without --t-end)
+    and, where the subcommand declares --heading, cfg.heading (radians).
+    """
     rate = parse_wind(cfg.wind)
     parts = cfg.start.split(",")
     if len(parts) != 2:
         raise ValidationError(f"start must be 'phi,theta', got {cfg.start!r}")
     # the azimuth is wrapped: phi + h u would not move a huge phi
-    start = SurfacePoint(
+    cfg.start = SurfacePoint(
         wrap_2pi(parse_angle(parts[0], cfg.deg)), parse_angle(parts[1], cfg.deg)
     )
     # each output is a file of its own; family's --csv only stems its members' files
@@ -261,23 +257,26 @@ def resolve_problem(cfg: argparse.Namespace) -> Problem:
     try:
         # a zero rate (0 or -0.0) is still air, the same flow as --wind none;
         # a rate rotation_wind accepts is mild everywhere
-        wind = STILL_AIR if not rate else rotation_wind(rate)
-        require_off_pole(start.theta)
-        wind = resolve_flow(cfg.kind, wind)[1] if "kind" in cfg else wind
-        sph = Spheroid(cfg.a)
-        icfg = IntegratorConfig(t_end=cfg.t_end, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                                sample_dt=cfg.sample_dt) if "t_end" in cfg else None
+        cfg.wind = STILL_AIR if not rate else rotation_wind(rate)
+        require_off_pole(cfg.start.theta)
+        cfg.wind = resolve_flow(cfg.kind, cfg.wind)[1] if "kind" in cfg else cfg.wind
+        cfg.sph = Spheroid(cfg.a)
+        cfg.steps = IntegratorConfig(t_end=cfg.t_end, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                                     sample_dt=cfg.sample_dt) if "t_end" in cfg else None
     except (ValueError, NavigationError) as exc:  # NotMild, PoleSingularity
         raise ValidationError(str(exc)) from exc
-    return Problem(sph, wind, start, icfg, cfg)
+    if "heading" in cfg:
+        if cfg.heading is None:
+            raise ValidationError(f"{cfg.command} needs --heading")
+        cfg.heading = parse_angle(cfg.heading, cfg.deg)
 
 
-def _conservation_drift(prob: Problem, traj: Trajectory) -> float:
+def _conservation_drift(cfg: argparse.Namespace, traj: Trajectory) -> float:
     """Largest deviation of the conserved speed (alpha- or F-norm) from 1.
 
     The flow's wind is still air for h, where the h-norm is F.
     """
-    terms = RandersData(prob.sph, prob.wind).terms
+    terms = RandersData(cfg.sph, cfg.wind).terms
     alpha_only = traj.kind == "alpha"
     worst = 0.0
     for _, phi, theta, u, v in traj.rows:
@@ -306,10 +305,10 @@ def _segments(cfg: argparse.Namespace) -> tuple[float, ...] | None:
     return vals
 
 
-def _heading(prob: Problem, command: str) -> float:
-    if prob.cfg.heading is None:
-        raise ValidationError(f"{command} needs --heading")
-    return parse_angle(prob.cfg.heading, prob.cfg.deg)
+def _member_csv(csv: str, i: int) -> str:
+    """family's i-th member file of the --csv stem: out.csv -> out_000.csv, ..."""
+    stem, ext = os.path.splitext(csv)
+    return f"{stem}_{i:03d}{ext}"
 
 
 def _heading_deg(cfg: argparse.Namespace, angle: float) -> float:
@@ -318,29 +317,26 @@ def _heading_deg(cfg: argparse.Namespace, angle: float) -> float:
     return (90.0 - deg) % 360.0 if cfg.compass else deg
 
 
-def cmd_geodesic(prob: Problem) -> int:
-    cfg = prob.cfg
-    heading = _heading(prob, "geodesic")
+def cmd_geodesic(cfg: argparse.Namespace) -> int:
     spec = PlotSpec("polar" if cfg.plot == "polar" else "path3d_projection",
                     segments=_segments(cfg), view_axis=cfg.view)
-    traj = track(prob.sph, prob.wind, cfg.kind, prob.start, heading, prob.icfg)
+    traj = track(cfg.sph, cfg.wind, cfg.kind, cfg.start, cfg.heading, cfg.steps)
     if cfg.svg:
-        data = traj.rows if spec.kind == "polar" else embed_rows(prob.sph, traj.rows)
+        data = traj.rows if spec.kind == "polar" else embed_rows(cfg.sph, traj.rows)
         write_svg(spec, [(SeriesStyle(label=traj.kind, color="#d62728"), data)], cfg.svg)
     if cfg.csv:
-        write_csv(prob.sph, traj.rows, control_channel(prob.sph, prob.wind, traj.rows), cfg.csv)
+        write_csv(cfg.sph, traj.rows, control_channel(cfg.sph, cfg.wind, traj.rows), cfg.csv)
     t_last, phi, theta, u, v = traj.rows[-1]
     print(
         f"termination={traj.termination} classification={classify_path(traj)} "
         f"t_last={t_last:.6g} final_phi={phi:.9g} final_theta={theta:.9g} "
         f"final_phi_dot={u:.9g} final_theta_dot={v:.9g} "
-        f"conservation_drift={_conservation_drift(prob, traj):.3e}"
+        f"conservation_drift={_conservation_drift(cfg, traj):.3e}"
     )
     return 0
 
 
-def cmd_family(prob: Problem) -> int:
-    cfg = prob.cfg
+def cmd_family(cfg: argparse.Namespace) -> int:
     if cfg.heading_start is None or cfg.heading_step is None or cfg.heading_count is None:
         raise ValidationError(
             "family needs --heading-start, --heading-step and --heading-count"
@@ -350,9 +346,9 @@ def cmd_family(prob: Problem) -> int:
     # fan budget: at most MAX_GRID rows integrated over all members, each of
     # at most t_end / sample_dt + 2 rows, and no member's rows outlive the
     # next member's integration; a count is compared, never multiplied
-    if cfg.heading_count > MAX_GRID / (prob.icfg.t_end / prob.icfg.sample_dt + 2):
+    if cfg.heading_count > MAX_GRID / (cfg.steps.t_end / cfg.steps.sample_dt + 2):
         raise ValidationError(f"{cfg.heading_count} members of t_end / sample_dt ="
-                              f" {prob.icfg.t_end / prob.icfg.sample_dt:g} exceed"
+                              f" {cfg.steps.t_end / cfg.steps.sample_dt:g} exceed"
                               f" the fan budget of {MAX_GRID} rows")
     h0 = parse_angle(cfg.heading_start, cfg.deg)
     dh = parse_angle(cfg.heading_step, cfg.deg)
@@ -361,10 +357,22 @@ def cmd_family(prob: Problem) -> int:
         raise ValidationError(f"fan headings {cfg.heading_start} + k * {cfg.heading_step}"
                               f" for k < {cfg.heading_count} are not all finite")
     frame = PlotSpec("path3d_projection", segments=_segments(cfg), view_axis=cfg.view)
+    if cfg.csv and cfg.svg:
+        # only the member whose index --svg's name (or the name of the file it
+        # resolves to) spells can be that file: one realpath, not one per member
+        svg = os.path.realpath(cfg.svg)
+        stem, ext = os.path.splitext(os.path.basename(cfg.csv))
+        width = len(f"{cfg.heading_count - 1:03d}")  # digits of the last member's index
+        for name in {os.path.basename(cfg.svg), os.path.basename(svg)}:
+            m = re.fullmatch(f"{re.escape(stem)}_([0-9]{{3,{width}}}){re.escape(ext)}", name)
+            if m and int(m[1]) < cfg.heading_count:
+                member = _member_csv(cfg.csv, int(m[1]))
+                if os.path.realpath(member) == svg:
+                    raise ValidationError(f"two outputs name the same file: {cfg.svg}, {member}")
 
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
     figure = []
-    members = iter_family(prob.sph, prob.wind, prob.start, headings, cfg.kind, prob.icfg)
+    members = iter_family(cfg.sph, cfg.wind, cfg.start, headings, cfg.kind, cfg.steps)
     # next() and del, not enumerate or zip, whose iterators keep member i while
     # member i + 1 is integrated; the figure keeps only each member's projection
     for i in range(len(headings)):
@@ -378,14 +386,13 @@ def cmd_family(prob: Problem) -> int:
             counts[label] += 1
             print(f"member={i:02d} heading={member.heading:.6g} "
                   f"termination={traj.termination} classification={label}")
-            if cfg.csv:  # out.csv -> out_000.csv, ...
-                stem, ext = os.path.splitext(cfg.csv)
-                write_csv(prob.sph, traj.rows, control_channel(prob.sph, prob.wind, traj.rows),
-                          f"{stem}_{i:03d}{ext}")
+            if cfg.csv:
+                write_csv(cfg.sph, traj.rows, control_channel(cfg.sph, cfg.wind, traj.rows),
+                          _member_csv(cfg.csv, i))
             if cfg.svg:
                 color = "#1f77b4" if label == "transpolar" else "#d62728"
                 figure.append((SeriesStyle(label=f"heading={member.heading:.4g}", color=color),
-                               project(frame, embed_rows(prob.sph, traj.rows))))
+                               project(frame, embed_rows(cfg.sph, traj.rows))))
         del member, traj
     print(f"counts: circumpolar={counts['circumpolar']} "
           f"transpolar={counts['transpolar']} failed={counts['failed']}")
@@ -394,25 +401,23 @@ def cmd_family(prob: Problem) -> int:
     return 0 if counts["circumpolar"] + counts["transpolar"] >= 1 else 3
 
 
-def cmd_compare(prob: Problem) -> int:
-    cfg = prob.cfg
-    heading = _heading(prob, "compare")
+def cmd_compare(cfg: argparse.Namespace) -> int:
     # each distinct flow of spray.resolve_flow is integrated, and its channel computed,
     # once (one h flow in still air); the alpha track, only drawn, only for --svg
-    flows = {k: resolve_flow(k, prob.wind) for k in (METRIC_KINDS if cfg.svg else ("h", "randers"))}
-    runs = {(kind, wind): track(prob.sph, wind, kind, prob.start, heading, prob.icfg)
+    flows = {k: resolve_flow(k, cfg.wind) for k in (METRIC_KINDS if cfg.svg else ("h", "randers"))}
+    runs = {(kind, wind): track(cfg.sph, wind, kind, cfg.start, cfg.heading, cfg.steps)
             for kind, wind in dict.fromkeys(flows.values())}
     rows_f, rows_h = runs[flows["randers"]].rows, runs[flows["h"]].rows
 
     if cfg.svg:
         palette = {"h": "#1f77b4", "alpha": "#2ca02c", "randers": "#d62728"}
         write_svg(PlotSpec("path3d_projection", view_axis=cfg.view),
-                  [(SeriesStyle(label=k, color=palette[k]), embed_rows(prob.sph, runs[flow].rows))
+                  [(SeriesStyle(label=k, color=palette[k]), embed_rows(cfg.sph, runs[flow].rows))
                    for k, flow in flows.items()], cfg.svg)
     if cfg.csv:
         # each channel in its flow's wind; one row per time of the shorter
         # track, channel cells empty where either record is undefined
-        channels = {flow: control_channel(prob.sph, flow[1], runs[flow].rows)
+        channels = {flow: control_channel(cfg.sph, flow[1], runs[flow].rows)
                     for flow in dict.fromkeys((flows["randers"], flows["h"]))}
         ch_f, ch_h = channels[flows["randers"]], channels[flows["h"]]
         table = []
@@ -430,24 +435,23 @@ def cmd_compare(prob: Problem) -> int:
     max_dphi = max(abs(rf[1] - rh[1]) for rf, rh in zip(rows_f, rows_h))
     max_dtheta = max(abs(rf[2] - rh[2]) for rf, rh in zip(rows_f, rows_h))
     print(f"max_dphi={max_dphi:.3e} max_dtheta={max_dtheta:.3e}")
-    if prob.wind is not STILL_AIR:
-        w1 = prob.wind.at(prob.start)[0]  # a rotation wind's drag, the same everywhere
+    if cfg.wind is not STILL_AIR:
+        w1 = cfg.wind.at(cfg.start)[0]  # a rotation wind's drag, the same everywhere
         res_phi = max(abs(rf[1] - (rh[1] + w1 * rh[0])) for rf, rh in zip(rows_f, rows_h))
         print(f"killing_residual_phi={res_phi:.3e} "
               f"killing_residual_theta={max_dtheta:.3e}")
     return 0
 
 
-def cmd_indicatrix(prob: Problem) -> int:
-    cfg = prob.cfg
+def cmd_indicatrix(cfg: argparse.Namespace) -> int:
     if not 3 <= cfg.n <= MAX_GRID:
         raise ValidationError(f"--n must be in [3, {MAX_GRID}], got {cfg.n}")
     mults = _float_list(cfg.multipliers, "multipliers")
     if any(m <= 0 for m in mults):
         raise ValidationError("multipliers must be positive")
-    rd = RandersData(prob.sph, prob.wind)
-    vecs = indicatrix(rd, prob.start, cfg.n)
-    f_vals = [F_value(rd, prob.start, y) for y in vecs]
+    rd = RandersData(cfg.sph, cfg.wind)
+    vecs = indicatrix(rd, cfg.start, cfg.n)
+    f_vals = [F_value(rd, cfg.start, y) for y in vecs]
     residual = max(abs(f - 1.0) for f in f_vals)
     # the scaled curves must be finite before any file is written; m * c
     # rounds monotonically in c for m > 0, so extremes scale c's
@@ -480,10 +484,9 @@ def cmd_indicatrix(prob: Problem) -> int:
     return 0
 
 
-def cmd_report(prob: Problem) -> int:
-    cfg = prob.cfg
-    traj = track(prob.sph, prob.wind, cfg.kind, prob.start, _heading(prob, "report"), prob.icfg)
-    channel = control_channel(prob.sph, prob.wind, traj.rows)
+def cmd_report(cfg: argparse.Namespace) -> int:
+    traj = track(cfg.sph, cfg.wind, cfg.kind, cfg.start, cfg.heading, cfg.steps)
+    channel = control_channel(cfg.sph, cfg.wind, traj.rows)
     rec0 = channel[0]  # the departure
     if rec0 is None:
         raise EmptyData("departure heading or course undefined")
@@ -502,13 +505,13 @@ def cmd_report(prob: Problem) -> int:
         # numpy.linspace(0, 2*pi, 361), float for float
         hds = [k * (2.0 * math.pi / 360) for k in range(360)] + [2.0 * math.pi]
         # the departure speed of the start that report --heading hd runs
-        speeds = [speed_of(prob.sph, initial_state(prob.sph, prob.wind, cfg.kind, prob.start, hd))
+        speeds = [speed_of(cfg.sph, initial_state(cfg.sph, cfg.wind, cfg.kind, cfg.start, hd))
                   for hd in hds]
         write_svg(PlotSpec("speed_vs_heading"),
                   [(SeriesStyle(label="initial speed", color="#000000"), list(zip(hds, speeds)))],
                   cfg.speed_svg)
     if cfg.csv:
-        write_csv(prob.sph, traj.rows, channel, cfg.csv)
+        write_csv(cfg.sph, traj.rows, channel, cfg.csv)
 
     conv = " (compass azimuth)" if cfg.compass else ""
     drift0 = 0.0 - rec0.drift if cfg.compass else rec0.drift  # 0, not -0, for no drift
@@ -531,8 +534,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        prob = resolve_problem(args)
-        return _COMMANDS[args.command](prob)
+        resolve_problem(args)
+        return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)
         return 2

@@ -19,13 +19,7 @@ locus).
 import math
 from dataclasses import dataclass
 
-from znav.spheroid import (
-    Spheroid,
-    SurfacePoint,
-    TangentVector,
-    metric_components,
-    unit_heading_vector,
-)
+from znav.spheroid import Spheroid, SurfacePoint, TangentVector, metric_components
 from znav.wind import WindField, not_mild
 
 
@@ -78,26 +72,3 @@ def lagrangian(rd: RandersData, point: SurfacePoint, y: TangentVector) -> float:
     """Energy form F^2 / 2 whose extremals are the time-optimal paths."""
     f = F_value(rd, point, y)
     return 0.5 * f * f
-
-
-def indicatrix(rd: RandersData, point: SurfacePoint, n: int) -> list[TangentVector]:
-    """Sample the unit-time destination locus {F = 1} at a point.
-
-    Returns n vectors W + u_k, where u_k is the unit h-vector at
-    heading 2*pi*k/n; each satisfies F = 1 by construction (the wind
-    translates the h-unit circle rigidly).
-
-    Raises:
-        ValueError: n < 3.
-        NotMild: wind not mild at the point.
-        PoleSingularity: point inside the polar guard band.
-    """
-    if n < 3:
-        raise ValueError(f"need at least 3 samples, got {n}")
-    rd.mildness_factor(point)
-    w1, w2 = rd.wind.at(point)
-    out = []
-    for k in range(n):
-        unit = unit_heading_vector(rd.sph, point, 2.0 * math.pi * k / n)
-        out.append(TangentVector(w1 + unit.u, w2 + unit.v))
-    return out

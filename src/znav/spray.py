@@ -55,7 +55,7 @@ tests/oracles.py holds the Christoffel spray of h.
 """
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, get_args
+from typing import Callable, Iterable, Literal, get_args
 
 from znav.errors import DegenerateHessian
 from znav.randers import RandersData, alpha_term, lagrangian
@@ -463,6 +463,16 @@ def initial_state_riemannian(
     return NavState(p0, unit_heading_vector(sph, p0, heading0))
 
 
+def _departures(
+    sph: Spheroid, wind: WindField, p0: SurfacePoint, headings: Iterable[float]
+) -> list[TangentVector]:
+    """W + the unit h-vector at p0 per heading; mildness is checked and W read once."""
+    RandersData(sph, wind).mildness_factor(p0)
+    w1, w2 = wind.at(p0)
+    units = (unit_heading_vector(sph, p0, heading) for heading in headings)
+    return [TangentVector(w1 + u.u, w2 + u.v) for u in units]
+
+
 def initial_state_randers(
     sph: Spheroid, wind: WindField, p0: SurfacePoint, heading0: float
 ) -> NavState:
@@ -478,10 +488,24 @@ def initial_state_randers(
         PoleSingularity: p0 inside the polar guard band.
         NotMild: wind not mild at p0.
     """
-    RandersData(sph, wind).mildness_factor(p0)
-    unit = unit_heading_vector(sph, p0, heading0)
-    w1, w2 = wind.at(p0)
-    return NavState(p0, TangentVector(w1 + unit.u, w2 + unit.v))
+    return NavState(p0, _departures(sph, wind, p0, (heading0,))[0])
+
+
+def indicatrix(rd: RandersData, point: SurfacePoint, n: int) -> list[TangentVector]:
+    """Sample the unit-time destination locus {F = 1} at a point.
+
+    Returns n vectors W + u_k, the initial_state_randers velocities at
+    heading 2*pi*k/n; each satisfies F = 1 by construction (the wind
+    translates the h-unit circle rigidly).
+
+    Raises:
+        ValueError: n < 3.
+        NotMild: wind not mild at the point.
+        PoleSingularity: point inside the polar guard band.
+    """
+    if n < 3:
+        raise ValueError(f"need at least 3 samples, got {n}")
+    return _departures(rd.sph, rd.wind, point, (2.0 * math.pi * k / n for k in range(n)))
 
 
 def initial_state_alpha(

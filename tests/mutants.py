@@ -72,10 +72,10 @@ MUTANTS = [
     ("refusal of a non-finite error norm", INTEGRATE,
      "if not math.isfinite(deno):", "if False:", T_INTEGRATE),
     ("printed conservation drift", CLI,
-     'f"conservation_drift={_conservation_drift(prob, traj):.3e}"',
-     'f"conservation_drift={_conservation_drift(prob, traj) / 2:.3e}"', T_CLI),
+     'f"conservation_drift={_conservation_drift(cfg, traj):.3e}"',
+     'f"conservation_drift={_conservation_drift(cfg, traj) / 2:.3e}"', T_CLI),
     ("a drawn fan member kept referenced", CLI,
-     "traj = member.trajectory", "traj = prob.cfg.held = member.trajectory", T_CLI),
+     "traj = member.trajectory", "traj = cfg.held = member.trajectory", T_CLI),
     # a member's engine error is an except clause: catching nothing aborts the fan,
     # and catching everything turns a defect into a member's error
     ("failed member of a fan", INTEGRATE,
@@ -87,7 +87,7 @@ MUTANTS = [
     ("finite-curve check of the indicatrix", CLI,
      "if not all(map(math.isfinite, ext)):", "if False:", T_CLI),
     ("residual line of compare in still air", CLI,
-     "if prob.wind is not STILL_AIR:", "if True:", T_CLI),
+     "if cfg.wind is not STILL_AIR:", "if True:", T_CLI),
     ("sign of the wind drag in compare's residual", CLI,
      "res_phi = max(abs(rf[1] - (rh[1] + w1 * rh[0])) for rf, rh in zip(rows_f, rows_h))",
      "res_phi = max(abs(rf[1] - (rh[1] - w1 * rh[0])) for rf, rh in zip(rows_f, rows_h))",
@@ -162,8 +162,8 @@ MUTANTS = [
      'frame = PlotSpec("path3d_projection", segments=_segments(cfg), view_axis=cfg.view)',
      'frame = PlotSpec("path3d_projection", segments=_segments(cfg), view_axis="z")', T_CLI),
     ("fan members held as embedded rows, not projected", CLI,
-     "project(frame, embed_rows(prob.sph, traj.rows))))",
-     "list(embed_rows(prob.sph, traj.rows))))", T_CLI),
+     "project(frame, embed_rows(cfg.sph, traj.rows))))",
+     "list(embed_rows(cfg.sph, traj.rows))))", T_CLI),
     ("a fan member's track alive while the next member is integrated", CLI,
      "del member, traj", "del member", T_CLI),
     ("a geodesic figure labelled with --kind, not the flow it ran", CLI,
@@ -175,8 +175,8 @@ MUTANTS = [
      "for kind, wind in dict.fromkeys(flows.values())}", "for kind, wind in flows.values()}",
      T_CLI),
     ("h channel of compare measured in the --wind wind", CLI,
-     "channels = {flow: control_channel(prob.sph, flow[1], runs[flow].rows)",
-     "channels = {flow: control_channel(prob.sph, prob.wind, runs[flow].rows)", T_CLI),
+     "channels = {flow: control_channel(cfg.sph, flow[1], runs[flow].rows)",
+     "channels = {flow: control_channel(cfg.sph, cfg.wind, runs[flow].rows)", T_CLI),
     ("compare computing a channel per kind, not per flow", CLI,
      'for flow in dict.fromkeys((flows["randers"], flows["h"]))}',
      'for flow in (flows["randers"], flows["h"])}', T_CLI),
@@ -184,8 +184,8 @@ MUTANTS = [
      "kind, wind = resolve_flow(kind, wind)", "wind = resolve_flow(kind, wind)[1]",
      T_INTEGRATE),
     ("speed curve seeded as randers whatever --kind says", CLI,
-     "speeds = [speed_of(prob.sph, initial_state(prob.sph, prob.wind, cfg.kind, prob.start, hd))",
-     'speeds = [speed_of(prob.sph, initial_state(prob.sph, prob.wind, "randers", prob.start, hd))',
+     "speeds = [speed_of(cfg.sph, initial_state(cfg.sph, cfg.wind, cfg.kind, cfg.start, hd))",
+     'speeds = [speed_of(cfg.sph, initial_state(cfg.sph, cfg.wind, "randers", cfg.start, hd))',
      T_CLI),
     ("refusal of an empty path", CLI,
      'raise argparse.ArgumentTypeError("path must not be empty")', "pass", T_CLI),
@@ -210,12 +210,12 @@ MUTANTS = [
     ("zero-length chord of a cap step at rest", INTEGRATE,
      "if not dd > 0.0:", "if False:", T_INTEGRATE),
     ("wind's phi-rate in a time-optimal start", SPRAY,
-     "return NavState(p0, TangentVector(w1 + unit.u, w2 + unit.v))",
-     "return NavState(p0, TangentVector(unit.u, w2 + unit.v))", T_CONTROL),
+     "return [TangentVector(w1 + u.u, w2 + u.v) for u in units]",
+     "return [TangentVector(u.u, w2 + u.v) for u in units]", (*T_CONTROL, *T_RANDERS)),
     ("alpha start of the alpha flow", SPRAY, 'if kind == "alpha":', "if False:", T_CONTROL),
     ("each overlay track drawn in the h colour", CLI,
-     "[(SeriesStyle(label=k, color=palette[k]), embed_rows(prob.sph, runs[flow].rows))",
-     '[(SeriesStyle(label=k, color=palette["h"]), embed_rows(prob.sph, runs[flow].rows))',
+     "[(SeriesStyle(label=k, color=palette[k]), embed_rows(cfg.sph, runs[flow].rows))",
+     '[(SeriesStyle(label=k, color=palette["h"]), embed_rows(cfg.sph, runs[flow].rows))',
      T_CLI),
     ("drift of the channel figure drawn solid", CLI,
      '(SeriesStyle(label="drift", color="#1f77b4", dash="6,3"),',
@@ -229,6 +229,11 @@ MUTANTS = [
     ("refusal of two outputs of one file", CLI,
      'if cfg.command != "family" and len({os.path.realpath(p) for p in outputs}) < len(outputs):',
      "if False:", T_CLI),
+    ("refusal of a run without --heading", CLI, "if cfg.heading is None:", "if False:", T_CLI),
+    ("refusal of a path holding a NUL byte", CLI,
+     'if "\\0" in text:  # no file system takes one in a name', "if False:", T_CLI),
+    ("refusal of a fan figure over a member CSV", CLI,
+     "if os.path.realpath(member) == svg:", "if False:", T_CLI),
 ]
 
 

@@ -33,6 +33,9 @@ BECALMED = ["--a", "0.75", "--wind", "rotation:0.9999999999995", "--start", "0,p
 # sample: a valid transpolar track of one row, drawn as a dot.
 LONE_START = ["--a", "0.75", "--start", "0,2e-5"]
 LONE_SUMMARY = "termination=pole_proximity classification=transpolar t_last=0 "
+# A two-member fan of horizon 1, writing out_000.csv and out_001.csv for --csv out.csv.
+FAN2 = ["family", "--heading-start", "0", "--heading-step", "pi/2", "--heading-count", "2",
+        "--t-end", "1"]
 # The package's name znav.integrate is the function: its module, where
 # every track is seeded and integrated, is reached through sys.modules.
 INTEGRATE = sys.modules["znav.integrate"]
@@ -404,6 +407,14 @@ class TestFamily:
             assert (tmp_path / f"fan_{i:03d}.csv").exists()
         root = ET.parse(svg).getroot()
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 8
+
+    def test_figure_may_take_the_stem_name(self, tmp_path, monkeypatch, capsys):
+        # --csv names no file of its own, so --svg may take its name
+        monkeypatch.chdir(tmp_path)
+        assert main([*FAN2, "--csv", "out.csv", "--svg", "out.csv"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.csv", "out_000.csv", "out_001.csv"]
+        ET.parse(tmp_path / "out.csv")  # the figure
 
     def test_lone_point_member_drawn(self, tmp_path, capsys):
         # member 00 stops at the pole guard before its first sample; the fan
@@ -1051,10 +1062,16 @@ class TestParseErrors:
         ["geodesic", "--heading", "0.3", "--segments=", "--svg", "out.svg"],
         ["geodesic", "--heading", "0.3", "--config", "../empty.cfg"],
         ["geodesic", "--heading", "0.3", "--config="],
-    ], ids=["csv", "svg", "speed-svg", "family-csv", "segments", "config-csv", "config"])
+        ["geodesic", "--heading", "0.3", "--csv", "a\0b"],
+        ["geodesic", "--heading", "0.3", "--config", "../nul.cfg"],
+        ["geodesic", "--heading", "0.3", "--config", "a\0b"],
+    ], ids=["csv", "svg", "speed-svg", "family-csv", "segments", "config-csv", "config",
+            "nul-csv", "nul-config-csv", "nul-config"])
     def test_empty_value_rejected(self, argv, tmp_path, monkeypatch, capsys):
-        # an empty path names no file, and an empty segment list no boundary
+        # an empty path, or one holding a NUL byte, names no file, and an
+        # empty segment list no boundary
         (tmp_path / "empty.cfg").write_text("csv =\n")
+        (tmp_path / "nul.cfg").write_text("csv = a\0b\n")
         (tmp_path / "out").mkdir()
         monkeypatch.chdir(tmp_path / "out")
         assert main(argv) == 2
@@ -1086,7 +1103,10 @@ class TestParseErrors:
         ["report", "--heading", "pi/3", "--svg", "r", "--speed-svg", "r"],
         ["compare", "--heading", "pi/3", "--svg", "./c", "--csv", "c"],
         ["indicatrix", "--svg", "i", "--csv", "{cwd}/i"],
-    ], ids=["geodesic", "report", "compare-dot", "indicatrix-absolute"])
+        [*FAN2, "--csv", "out.csv", "--svg", "out_000.csv"],
+        [*FAN2, "--csv", "out.csv", "--svg", "./out_001.csv"],
+    ], ids=["geodesic", "report", "compare-dot", "indicatrix-absolute", "family-member",
+            "family-member-dot"])
     def test_outputs_name_different_files(self, argv, tmp_path, monkeypatch, capsys):
         # each once exited 0 with its last output written over the others
         monkeypatch.chdir(tmp_path)

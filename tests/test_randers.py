@@ -18,6 +18,7 @@ from znav import (
     custom_wind,
     h_norm,
     indicatrix,
+    initial_state_randers,
     lagrangian,
     metric_components,
     rotation_wind,
@@ -269,14 +270,17 @@ class TestIndicatrix:
     @settings(max_examples=200, deadline=None)
     @given(a=SHAPES, c=RATES, theta=COLATITUDES, heading=HEADINGS)
     def test_translated_circle_is_unit_time(self, a, c, theta, heading):
-        # 360 indicatrix samples plus W + the unit h-vector at the drawn heading
+        # 360 indicatrix samples plus the time-optimal start at the drawn heading
         rd = RandersData(Spheroid(a), rotation_wind(c))
         p = SurfacePoint(0.3, theta)
-        w1, w2 = rd.wind.at(p)
-        unit = unit_heading_vector(rd.sph, p, heading)
-        vecs = [*indicatrix(rd, p, 360), TangentVector(w1 + unit.u, w2 + unit.v)]
-        worst = max(abs(F_value(rd, p, y) - 1.0) for y in vecs)
+        vecs = indicatrix(rd, p, 360)
+        start = initial_state_randers(rd.sph, rd.wind, p, heading).vel
+        worst = max(abs(F_value(rd, p, y) - 1.0) for y in [*vecs, start])
         assert worst < 1e-9
+        # each sample is the start at its heading, float for float
+        for k in (0, 1, 90, 359):
+            heading_k = 2.0 * math.pi * k / 360
+            assert vecs[k] == initial_state_randers(rd.sph, rd.wind, p, heading_k).vel
 
     def test_offset_equals_wind_norm(self, oblate, rot_wind, rd):
         # the curve centroid is the wind vector itself
