@@ -240,7 +240,11 @@ def resolve_problem(cfg: argparse.Namespace) -> None:
     Sets cfg.sph (Spheroid), cfg.wind (WindField of --kind's flow by
     spray.resolve_flow, else of --wind; may be STILL_AIR), cfg.start
     (SurfacePoint), cfg.steps (IntegratorConfig; None without --t-end)
-    and, where the subcommand declares --heading, cfg.heading (radians).
+    and, where the subcommand declares the option, cfg.heading (radians),
+    cfg.headings (family's fan, radians), cfg.mults (indicatrix's
+    multipliers) and cfg.segments (increasing boundaries, or None).
+    This is the one place a run is refused before any work: last, each
+    file the run names must be a file of its own.
     """
     rate = parse_wind(cfg.wind)
     parts = cfg.start.split(",")
@@ -250,10 +254,6 @@ def resolve_problem(cfg: argparse.Namespace) -> None:
     cfg.start = SurfacePoint(
         wrap_2pi(parse_angle(parts[0], cfg.deg)), parse_angle(parts[1], cfg.deg)
     )
-    # each output is a file of its own; family's --csv only stems its members' files
-    outputs = [p for p in (cfg.csv, cfg.svg, getattr(cfg, "speed_svg", None)) if p]
-    if cfg.command != "family" and len({os.path.realpath(p) for p in outputs}) < len(outputs):
-        raise ValidationError(f"two outputs name the same file: {', '.join(outputs)}")
     try:
         # a zero rate (0 or -0.0) is still air, the same flow as --wind none;
         # a rate rotation_wind accepts is mild everywhere
@@ -269,6 +269,47 @@ def resolve_problem(cfg: argparse.Namespace) -> None:
         if cfg.heading is None:
             raise ValidationError(f"{cfg.command} needs --heading")
         cfg.heading = parse_angle(cfg.heading, cfg.deg)
+    if "heading_count" in cfg:
+        if cfg.heading_start is None or cfg.heading_step is None or cfg.heading_count is None:
+            raise ValidationError(
+                "family needs --heading-start, --heading-step and --heading-count"
+            )
+        if cfg.heading_count < 1:
+            raise ValidationError("heading count must be >= 1")
+        # fan budget: at most MAX_GRID rows integrated over all members, each of
+        # at most t_end / sample_dt + 2 rows, and no member's rows outlive the
+        # next member's integration; a count is compared, never multiplied
+        if cfg.heading_count > MAX_GRID / (cfg.steps.t_end / cfg.steps.sample_dt + 2):
+            raise ValidationError(f"{cfg.heading_count} members of t_end / sample_dt ="
+                                  f" {cfg.steps.t_end / cfg.steps.sample_dt:g} exceed"
+                                  f" the fan budget of {MAX_GRID} rows")
+        h0 = parse_angle(cfg.heading_start, cfg.deg)
+        dh = parse_angle(cfg.heading_step, cfg.deg)
+        cfg.headings = [h0 + k * dh for k in range(cfg.heading_count)]
+        if not all(map(math.isfinite, cfg.headings)):
+            raise ValidationError(f"fan headings {cfg.heading_start} + k * {cfg.heading_step}"
+                                  f" for k < {cfg.heading_count} are not all finite")
+    if "n" in cfg:
+        if not 3 <= cfg.n <= MAX_GRID:
+            raise ValidationError(f"--n must be in [3, {MAX_GRID}], got {cfg.n}")
+        cfg.mults = _float_list(cfg.multipliers, "multipliers")
+        if any(m <= 0 for m in cfg.mults):
+            raise ValidationError("multipliers must be positive")
+    if "segments" in cfg and cfg.segments is not None:
+        cfg.segments = _float_list(cfg.segments, "segment list")
+        if list(cfg.segments) != sorted(set(cfg.segments)):
+            raise ValidationError("segment boundaries must be strictly increasing")
+    # each file the run names is one of its own; family's --csv names no
+    # file but the stem of its members' files
+    csvs = [cfg.csv]
+    if cfg.csv and "heading_count" in cfg:
+        csvs = [_member_csv(cfg.csv, i) for i in range(cfg.heading_count)]
+    seen = {}
+    for name in filter(None, (cfg.config, *csvs, cfg.svg, getattr(cfg, "speed_svg", None))):
+        real = os.path.realpath(name)
+        if real in seen:
+            raise ValidationError(f"two outputs name the same file: {seen[real]}, {name}")
+        seen[real] = name
 
 
 def _conservation_drift(cfg: argparse.Namespace, traj: Trajectory) -> float:
@@ -296,15 +337,6 @@ def _float_list(text: str, what: str) -> tuple[float, ...]:
     return vals
 
 
-def _segments(cfg: argparse.Namespace) -> tuple[float, ...] | None:
-    if cfg.segments is None:
-        return None
-    vals = _float_list(cfg.segments, "segment list")
-    if list(vals) != sorted(set(vals)):
-        raise ValidationError("segment boundaries must be strictly increasing")
-    return vals
-
-
 def _member_csv(csv: str, i: int) -> str:
     """family's i-th member file of the --csv stem: out.csv -> out_000.csv, ..."""
     stem, ext = os.path.splitext(csv)
@@ -318,10 +350,10 @@ def _heading_deg(cfg: argparse.Namespace, angle: float) -> float:
 
 
 def cmd_geodesic(cfg: argparse.Namespace) -> int:
-    spec = PlotSpec("polar" if cfg.plot == "polar" else "path3d_projection",
-                    segments=_segments(cfg), view_axis=cfg.view)
     traj = track(cfg.sph, cfg.wind, cfg.kind, cfg.start, cfg.heading, cfg.steps)
     if cfg.svg:
+        spec = PlotSpec("polar" if cfg.plot == "polar" else "path3d_projection",
+                        segments=cfg.segments, view_axis=cfg.view or "z")
         data = traj.rows if spec.kind == "polar" else embed_rows(cfg.sph, traj.rows)
         write_svg(spec, [(SeriesStyle(label=traj.kind, color="#d62728"), data)], cfg.svg)
     if cfg.csv:
@@ -337,45 +369,13 @@ def cmd_geodesic(cfg: argparse.Namespace) -> int:
 
 
 def cmd_family(cfg: argparse.Namespace) -> int:
-    if cfg.heading_start is None or cfg.heading_step is None or cfg.heading_count is None:
-        raise ValidationError(
-            "family needs --heading-start, --heading-step and --heading-count"
-        )
-    if cfg.heading_count < 1:
-        raise ValidationError("heading count must be >= 1")
-    # fan budget: at most MAX_GRID rows integrated over all members, each of
-    # at most t_end / sample_dt + 2 rows, and no member's rows outlive the
-    # next member's integration; a count is compared, never multiplied
-    if cfg.heading_count > MAX_GRID / (cfg.steps.t_end / cfg.steps.sample_dt + 2):
-        raise ValidationError(f"{cfg.heading_count} members of t_end / sample_dt ="
-                              f" {cfg.steps.t_end / cfg.steps.sample_dt:g} exceed"
-                              f" the fan budget of {MAX_GRID} rows")
-    h0 = parse_angle(cfg.heading_start, cfg.deg)
-    dh = parse_angle(cfg.heading_step, cfg.deg)
-    headings = [h0 + k * dh for k in range(cfg.heading_count)]
-    if not all(map(math.isfinite, headings)):
-        raise ValidationError(f"fan headings {cfg.heading_start} + k * {cfg.heading_step}"
-                              f" for k < {cfg.heading_count} are not all finite")
-    frame = PlotSpec("path3d_projection", segments=_segments(cfg), view_axis=cfg.view)
-    if cfg.csv and cfg.svg:
-        # only the member whose index --svg's name (or the name of the file it
-        # resolves to) spells can be that file: one realpath, not one per member
-        svg = os.path.realpath(cfg.svg)
-        stem, ext = os.path.splitext(os.path.basename(cfg.csv))
-        width = len(f"{cfg.heading_count - 1:03d}")  # digits of the last member's index
-        for name in {os.path.basename(cfg.svg), os.path.basename(svg)}:
-            m = re.fullmatch(f"{re.escape(stem)}_([0-9]{{3,{width}}}){re.escape(ext)}", name)
-            if m and int(m[1]) < cfg.heading_count:
-                member = _member_csv(cfg.csv, int(m[1]))
-                if os.path.realpath(member) == svg:
-                    raise ValidationError(f"two outputs name the same file: {cfg.svg}, {member}")
-
+    frame = PlotSpec("path3d_projection", segments=cfg.segments, view_axis=cfg.view or "z")
     counts = {"circumpolar": 0, "transpolar": 0, "failed": 0}
     figure = []
-    members = iter_family(cfg.sph, cfg.wind, cfg.start, headings, cfg.kind, cfg.steps)
+    members = iter_family(cfg.sph, cfg.wind, cfg.start, cfg.headings, cfg.kind, cfg.steps)
     # next() and del, not enumerate or zip, whose iterators keep member i while
     # member i + 1 is integrated; the figure keeps only each member's projection
-    for i in range(len(headings)):
+    for i in range(len(cfg.headings)):
         member = next(members)
         traj = member.trajectory
         if traj is None:
@@ -411,7 +411,7 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
 
     if cfg.svg:
         palette = {"h": "#1f77b4", "alpha": "#2ca02c", "randers": "#d62728"}
-        write_svg(PlotSpec("path3d_projection", view_axis=cfg.view),
+        write_svg(PlotSpec("path3d_projection", view_axis=cfg.view or "z"),
                   [(SeriesStyle(label=k, color=palette[k]), embed_rows(cfg.sph, runs[flow].rows))
                    for k, flow in flows.items()], cfg.svg)
     if cfg.csv:
@@ -444,18 +444,13 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
 
 
 def cmd_indicatrix(cfg: argparse.Namespace) -> int:
-    if not 3 <= cfg.n <= MAX_GRID:
-        raise ValidationError(f"--n must be in [3, {MAX_GRID}], got {cfg.n}")
-    mults = _float_list(cfg.multipliers, "multipliers")
-    if any(m <= 0 for m in mults):
-        raise ValidationError("multipliers must be positive")
     rd = RandersData(cfg.sph, cfg.wind)
     vecs = indicatrix(rd, cfg.start, cfg.n)
     f_vals = [F_value(rd, cfg.start, y) for y in vecs]
     residual = max(abs(f - 1.0) for f in f_vals)
     # the scaled curves must be finite before any file is written; m * c
     # rounds monotonically in c for m > 0, so extremes scale c's
-    ext = [op(m * op(c) for m in mults)
+    ext = [op(m * op(c) for m in cfg.mults)
            for c in ([y.u for y in vecs], [y.v for y in vecs]) for op in (min, max)]
     if not all(map(math.isfinite, ext)):
         raise ValidationError(f"multipliers {cfg.multipliers} overflow the indicatrix curves")
@@ -463,7 +458,7 @@ def cmd_indicatrix(cfg: argparse.Namespace) -> int:
     if cfg.svg:
         palette = ("#1f77b4", "#d62728", "#9467bd", "#e377c2")
         curves = []
-        for i, mult in enumerate(mults):
+        for i, mult in enumerate(cfg.mults):
             pts = [(mult * y.u, mult * y.v) for y in vecs]
             pts.append(pts[0])  # close the curve
             curves.append((SeriesStyle(label=f"t={mult:g}", color=palette[i % len(palette)]), pts))
@@ -475,12 +470,12 @@ def cmd_indicatrix(cfg: argparse.Namespace) -> int:
     if cfg.csv:
         rows = (
             (mult, k, 2.0 * math.pi * k / cfg.n, mult * y.u, mult * y.v, f)
-            for mult in mults
+            for mult in cfg.mults
             for k, (y, f) in enumerate(zip(vecs, f_vals))
         )
         write_table(("mult", "k", "heading", "u", "v", "F"), rows, cfg.csv)
     print(f"indicatrix_residual={residual:.3e} n={cfg.n} "
-          f"multipliers={','.join(f'{m:g}' for m in mults)}")
+          f"multipliers={','.join(f'{m:g}' for m in cfg.mults)}")
     return 0
 
 

@@ -83,7 +83,7 @@ MUTANTS = [
     ("only engine errors carried by a fan member", INTEGRATE,
      "except NavigationError as error:", "except Exception as error:", T_INTEGRATE),
     ("finite-heading check of a fan", CLI,
-     "if not all(map(math.isfinite, headings)):", "if False:", T_CLI),
+     "if not all(map(math.isfinite, cfg.headings)):", "if False:", T_CLI),
     ("finite-curve check of the indicatrix", CLI,
      "if not all(map(math.isfinite, ext)):", "if False:", T_CLI),
     ("residual line of compare in still air", CLI,
@@ -156,11 +156,11 @@ MUTANTS = [
      "except EmptyData as exc:  # a range or scale of the figure that is not finite",
      "except () as exc:", T_CLI),
     ("--view of a geodesic figure left unread", CLI,
-     "segments=_segments(cfg), view_axis=cfg.view)", 'segments=_segments(cfg), view_axis="z")',
+     'segments=cfg.segments, view_axis=cfg.view or "z")', 'segments=cfg.segments, view_axis="z")',
      T_CLI),
     ("--view of a fan figure left unread", CLI,
-     'frame = PlotSpec("path3d_projection", segments=_segments(cfg), view_axis=cfg.view)',
-     'frame = PlotSpec("path3d_projection", segments=_segments(cfg), view_axis="z")', T_CLI),
+     'frame = PlotSpec("path3d_projection", segments=cfg.segments, view_axis=cfg.view or "z")',
+     'frame = PlotSpec("path3d_projection", segments=cfg.segments, view_axis="z")', T_CLI),
     ("fan members held as embedded rows, not projected", CLI,
      "project(frame, embed_rows(cfg.sph, traj.rows))))",
      "list(embed_rows(cfg.sph, traj.rows))))", T_CLI),
@@ -195,12 +195,12 @@ MUTANTS = [
     ("refusal of a rotation rate that is not a number", CLI,
      'raise ValidationError(f"bad rotation rate in {text!r}") from exc', "return 0.5", T_CLI),
     ("refusal of segment boundaries out of order", CLI,
-     "if list(vals) != sorted(set(vals)):", "if False:", T_CLI),
+     "if list(cfg.segments) != sorted(set(cfg.segments)):", "if False:", T_CLI),
     ("refusal of a family without all three heading options", CLI,
      "if cfg.heading_start is None or cfg.heading_step is None or cfg.heading_count is None:",
      "if False:", T_CLI),
     ("refusal of a multiplier that is not positive", CLI,
-     "if any(m <= 0 for m in mults):", "if False:", T_CLI),
+     "if any(m <= 0 for m in cfg.mults):", "if False:", T_CLI),
     ("first-phase starting step kept when the probe's d2 is not finite", INTEGRATE,
      "if not math.isfinite(d2):", "if False:", T_INTEGRATE),
     ("refusal of a --start without exactly two angles", CLI,
@@ -226,14 +226,12 @@ MUTANTS = [
     ("fan colours of the two classes swapped", CLI,
      'color = "#1f77b4" if label == "transpolar" else "#d62728"',
      'color = "#1f77b4" if label == "circumpolar" else "#d62728"', T_CLI),
-    ("refusal of two outputs of one file", CLI,
-     'if cfg.command != "family" and len({os.path.realpath(p) for p in outputs}) < len(outputs):',
-     "if False:", T_CLI),
+    ("refusal of two files of a run that are one", CLI, "if real in seen:", "if False:", T_CLI),
     ("refusal of a run without --heading", CLI, "if cfg.heading is None:", "if False:", T_CLI),
     ("refusal of a path holding a NUL byte", CLI,
      'if "\\0" in text:  # no file system takes one in a name', "if False:", T_CLI),
-    ("refusal of a fan figure over a member CSV", CLI,
-     "if os.path.realpath(member) == svg:", "if False:", T_CLI),
+    ("a fan's member files left out of the files its run names", CLI,
+     'if cfg.csv and "heading_count" in cfg:', "if False:", T_CLI),
 ]
 
 
