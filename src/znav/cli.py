@@ -187,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     heading = _Parser(add_help=False)
     heading.add_argument("--heading", help="initial heading angle")
     view = _Parser(add_help=False)
-    view.add_argument("--view", choices=["x", "y", "z"], default="z",
-                      help="projection axis of a path3d figure")
+    view.add_argument("--view", choices=["x", "y", "z"],
+                      help="projection axis of a path3d figure (default z)")
     segments = _Parser(add_help=False)
     segments.add_argument("--segments", help="time boundaries for color segmentation"
                           " of the figure, e.g. 1,2,3")
@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("geodesic", parents=[common, steps, kind, heading, view, segments],
                        help="integrate one geodesic")
-    p.add_argument("--plot", choices=["path3d", "polar"], default="path3d",
-                   help="figure kind for --svg")
+    p.add_argument("--plot", choices=["path3d", "polar"],
+                   help="figure kind for --svg (default path3d)")
     p = sub.add_parser("family", parents=[common, steps, kind, view, segments],
                        help="integrate a fan of headings")
     p.add_argument("--heading-start", help="first heading")
@@ -299,6 +299,12 @@ def resolve_problem(cfg: argparse.Namespace) -> None:
         cfg.segments = _float_list(cfg.segments, "segment list")
         if list(cfg.segments) != sorted(set(cfg.segments)):
             raise ValidationError("segment boundaries must be strictly increasing")
+    # a figure option without the figure it shapes would change nothing
+    for option in ("plot", "view", "segments"):
+        if getattr(cfg, option, None) is not None and not cfg.svg:
+            raise ValidationError(f"--{option} needs --svg")
+    if getattr(cfg, "plot", None) == "polar" and cfg.view is not None:
+        raise ValidationError("--view needs a path3d figure, not --plot polar")
     # each file the run names is one of its own; family's --csv names no
     # file but the stem of its members' files
     csvs = [cfg.csv]

@@ -230,6 +230,10 @@ MUTANTS = [
     ("refusal of a run without --heading", CLI, "if cfg.heading is None:", "if False:", T_CLI),
     ("refusal of a path holding a NUL byte", CLI,
      'if "\\0" in text:  # no file system takes one in a name', "if False:", T_CLI),
+    ("refusal of a figure option without --svg", CLI,
+     "if getattr(cfg, option, None) is not None and not cfg.svg:", "if False:", T_CLI),
+    ("refusal of --view for a polar figure", CLI,
+     'if getattr(cfg, "plot", None) == "polar" and cfg.view is not None:', "if False:", T_CLI),
     ("a fan's member files left out of the files its run names", CLI,
      'if cfg.csv and "heading_count" in cfg:', "if False:", T_CLI),
 ]

@@ -12,6 +12,7 @@ import weakref
 import xml.etree.ElementTree as ET
 from array import array
 from datetime import timedelta
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies
@@ -136,10 +137,10 @@ class TestGeodesic:
         assert re.search(r"conservation_drift=(\S+)", out).group(1) == f"{worst:.3e}"
 
     def test_svg_kinds(self, tmp_path):
-        for plot in ("path3d", "polar"):
+        for plot, view in (("path3d", ["--view", "x"]), ("polar", [])):
             svg = tmp_path / f"{plot}.svg"
             code = main(["geodesic", *BENCH, "--heading", "pi/3", "--t-end", "1",
-                         "--svg", str(svg), "--plot", plot, "--view", "x"])
+                         "--svg", str(svg), "--plot", plot, *view])
             assert code == 0
             ET.parse(svg)  # well-formed document
 
@@ -1081,7 +1082,8 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("argv", [
         ["geodesic", "--heading", "0.3", "--wind", "rotation:abc"],
-        ["geodesic", "--heading", "0.3", "--segments", "2,1", "--csv", "out.csv"],
+        ["geodesic", "--heading", "0.3", "--segments", "2,1", "--csv", "out.csv",
+         "--svg", "out.svg"],
         ["family", "--heading-start", "0", "--heading-step", "1", "--csv", "out.csv"],
         ["indicatrix", "--multipliers", "1,0"],
         ["indicatrix", "--multipliers", "-1"],
@@ -1091,7 +1093,8 @@ class TestParseErrors:
             "negative-multiplier", "start-one-angle", "start-three-angles"])
     def test_bad_value_rejected(self, argv, tmp_path, monkeypatch, capsys):
         # each value passes argparse and fails a check of the command's
-        # own; the segment list is refused without an --svg, so not by PlotSpec
+        # own; the segment list is refused before its track is integrated,
+        # so not by PlotSpec, which is built only after it
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
@@ -1114,6 +1117,51 @@ class TestParseErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[validation]: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, links", [
+        (["geodesic", "--config", "run.cfg", "--csv", "run.cfg"], {}),
+        ([*FAN2, "--csv", "out.csv", "--svg", "fig.svg"], {"out_000.csv": "fig.svg"}),
+        ([*FAN2, "--csv", "out.csv"], {"out_001.csv": "out_000.csv"}),
+    ], ids=["config-as-csv", "member-linked-to-figure", "member-linked-to-member"])
+    def test_files_of_a_run_are_distinct(self, argv, links, tmp_path, monkeypatch, capsys):
+        # each once exited 0 with one file written over another: the config
+        # by the track CSV, the member CSVs by the figure, member 0 by member 1
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("heading = 0.3\nt_end = 0.5\n")
+        for name, target in links.items():
+            (tmp_path / name).symlink_to(target)
+
+        def files():
+            return {p.name: os.readlink(p) if p.is_symlink() else p.read_bytes()
+                    for p in tmp_path.iterdir()}
+
+        before = files()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[validation]: ")
+        assert files() == before
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--heading", "0.3", "--plot", "path3d", "--csv", "out.csv"],
+        ["geodesic", "--heading", "0.3", "--view", "x"],
+        ["geodesic", "--heading", "0.3", "--segments", "1,2", "--csv", "out.csv"],
+        [*FAN2, "--view", "y", "--csv", "out.csv"],
+        [*FAN2, "--segments", "0.5"],
+        ["compare", "--heading", "0.3", "--view", "z", "--csv", "out.csv"],
+        ["geodesic", "--heading", "0.3", "--plot", "polar", "--view", "x", "--svg", "out.svg"],
+        ["geodesic", "--heading", "0.3", "--config", "../view.cfg", "--csv", "out.csv"],
+    ], ids=["plot", "view", "segments", "family-view", "family-segments", "compare-view",
+            "polar-view", "config-view"])
+    def test_figure_option_needs_its_figure(self, argv, tmp_path, monkeypatch, capsys):
+        # each was accepted and changed nothing: no figure is drawn without
+        # --svg, and a polar figure has no view axis
+        (tmp_path / "view.cfg").write_text("view = x\n")
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path / "out")
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[validation]: ")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1279,12 +1327,14 @@ ALTERNATE = {
 def test_every_accepted_option_is_read(tmp_path, monkeypatch):
     # a flag a subcommand accepts changes its exit code, what it prints or
     # the files it writes: none is checked and then ignored.  The base run
-    # has a wind for --kind, a plain-number start for --deg and both outputs
+    # has a wind for --kind, a plain-number start for --deg and a CSV, and
+    # runs with and without a figure, which the figure options shape
     unread = []
-    for command, parser in sorted(SUBPARSERS.items()):
+    for (command, parser), figure in product(sorted(SUBPARSERS.items()),
+                                              (["--svg", "out.svg"], [])):
         options = parser._option_string_actions
         base = [command, *VALID_BASE[command], "--wind", "rotation:0.5", "--start", "0.5,1.2",
-                "--csv", "out.csv", "--svg", "out.svg"]
+                "--csv", "out.csv", *figure]
         if "--t-end" in options:
             base += ["--t-end", "0.5"]
 
@@ -1294,10 +1344,11 @@ def test_every_accepted_option_is_read(tmp_path, monkeypatch):
             code, out = _stdout(argv)
             return code, out, {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
 
-        want = run(base, command)
+        case = f"{command}{'-svg' if figure else ''}"
+        want = run(base, case)
         for option in sorted(set(options) - {"-h", "--help", "--config"}):
             if option not in ALTERNATE:
-                unread.append(f"{command} {option} (no alternate value)")
-            elif run([*base, option, *ALTERNATE[option]], command + option) == want:
-                unread.append(f"{command} {option}")
+                unread.append(f"{case} {option} (no alternate value)")
+            elif run([*base, option, *ALTERNATE[option]], case + option) == want:
+                unread.append(f"{case} {option}")
     assert not unread, f"accepted but never read: {unread}"
