@@ -18,8 +18,10 @@ parsed as the flags they name, and explicit flags override them.
 Every file goes through export: a CSV through write_table, a figure
 through write_svg.  Figures are written before tables (family's member
 CSVs aside), so a refused figure writes no file.  Every track is run
-by integrate.track.  Exit codes: 0 ok, 2 validation, 3 numeric
-failure (an unscalable figure included), 4 IO.
+by integrate.track.  resolve_problem checks every option value and
+every file a run names before any work, so a command only runs.  Exit
+codes: 0 ok, 2 validation, 3 numeric failure (an unscalable figure
+included), 4 IO.
 """
 import argparse
 import math

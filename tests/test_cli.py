@@ -992,7 +992,8 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "command, line",
         [("geodesic", "view = q"), ("geodesic", "plot = pie"), ("report", "deg = y"),
-         ("report", "config = other.cfg"), ("report", "help = yes")],
+         ("report", "config = other.cfg"), ("report", "help = yes"),
+         ("geodesic", "view = x")],
     )
     def test_bad_entry_rejected_before_work(self, command, line, tmp_path, capsys,
                                             monkeypatch):
@@ -1089,12 +1090,22 @@ class TestParseErrors:
         ["indicatrix", "--multipliers", "-1"],
         ["geodesic", "--heading", "0.3", "--start", "0", "--csv", "out.csv"],
         ["geodesic", "--heading", "0.3", "--start", "0,1,2", "--csv", "out.csv"],
+        ["geodesic", "--heading", "0.3", "--plot", "path3d", "--csv", "out.csv"],
+        ["geodesic", "--heading", "0.3", "--view", "x"],
+        ["geodesic", "--heading", "0.3", "--segments", "1,2", "--csv", "out.csv"],
+        [*FAN2, "--view", "y", "--csv", "out.csv"],
+        [*FAN2, "--segments", "0.5"],
+        ["compare", "--heading", "0.3", "--view", "z", "--csv", "out.csv"],
+        ["geodesic", "--heading", "0.3", "--plot", "polar", "--view", "x", "--svg", "out.svg"],
     ], ids=["rotation-rate", "segment-order", "family-count", "zero-multiplier",
-            "negative-multiplier", "start-one-angle", "start-three-angles"])
+            "negative-multiplier", "start-one-angle", "start-three-angles", "plot-without-svg",
+            "view-without-svg", "segments-without-svg", "family-view-without-svg",
+            "family-segments-without-svg", "compare-view-without-svg", "polar-view"])
     def test_bad_value_rejected(self, argv, tmp_path, monkeypatch, capsys):
         # each value passes argparse and fails a check of the command's
         # own; the segment list is refused before its track is integrated,
-        # so not by PlotSpec, which is built only after it
+        # so not by PlotSpec, which is built only after it.  A figure option
+        # without --svg, or a view axis of a polar figure, shapes no figure
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
@@ -1140,28 +1151,6 @@ class TestParseErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[validation]: ")
         assert files() == before
-
-    @pytest.mark.parametrize("argv", [
-        ["geodesic", "--heading", "0.3", "--plot", "path3d", "--csv", "out.csv"],
-        ["geodesic", "--heading", "0.3", "--view", "x"],
-        ["geodesic", "--heading", "0.3", "--segments", "1,2", "--csv", "out.csv"],
-        [*FAN2, "--view", "y", "--csv", "out.csv"],
-        [*FAN2, "--segments", "0.5"],
-        ["compare", "--heading", "0.3", "--view", "z", "--csv", "out.csv"],
-        ["geodesic", "--heading", "0.3", "--plot", "polar", "--view", "x", "--svg", "out.svg"],
-        ["geodesic", "--heading", "0.3", "--config", "../view.cfg", "--csv", "out.csv"],
-    ], ids=["plot", "view", "segments", "family-view", "family-segments", "compare-view",
-            "polar-view", "config-view"])
-    def test_figure_option_needs_its_figure(self, argv, tmp_path, monkeypatch, capsys):
-        # each was accepted and changed nothing: no figure is drawn without
-        # --svg, and a polar figure has no view axis
-        (tmp_path / "view.cfg").write_text("view = x\n")
-        (tmp_path / "out").mkdir()
-        monkeypatch.chdir(tmp_path / "out")
-        assert main(argv) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error[validation]: ")
-        assert list((tmp_path / "out").iterdir()) == []
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
