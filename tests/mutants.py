@@ -7,7 +7,11 @@ mutants' test files unmutated, which must pass, and then, per mutant,
 `python -m pytest -x -q` on that mutant's test files, which must fail a
 test.  It exits 1 if a mutant's line is not found exactly once, the
 unmutated run fails, or a mutant survives or breaks collection instead
-of failing a test.
+of failing a test.  The unmutated run draws its hypothesis seed at
+random and, if it fails, prints pytest's whole output, hypothesis's
+falsifying example included, and the seed that replays its draws (a
+drawn wind's coefficients do not show in the example); a mutant prints
+one line.
 
 Run it with the test dependencies installed:
 
@@ -16,6 +20,7 @@ Run it with the test dependencies installed:
 pytest does not collect this file, whose name does not match test_*.py.
 """
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -250,9 +255,9 @@ def mutate(text: str, line: str, replacement: str) -> str:
     return "\n".join(lines)
 
 
-def run_pytest(tests, path: str | None = None, text: str | None = None) -> tuple[int, str]:
-    """Exit code and first failure (else the summary) of pytest -x on a fresh copy,
-    path's text replaced by text."""
+def run_pytest(tests, path: str | None = None,
+               text: str | None = None) -> subprocess.CompletedProcess:
+    """pytest -x run on a fresh copy, path's text replaced by text."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, Path(tmp) / name,
@@ -261,11 +266,15 @@ def run_pytest(tests, path: str | None = None, text: str | None = None) -> tuple
         if path is not None:
             (Path(tmp) / path).write_text(text)
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        run = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=tmp, env=env, capture_output=True, text=True)
+
+
+def first_failure(run: subprocess.CompletedProcess) -> str:
+    """The first FAILED line of pytest's output, else its last line."""
     lines = run.stdout.strip().splitlines() or [""]
-    return run.returncode, ([ln for ln in lines if ln.startswith("FAILED")] + lines[-1:])[0]
+    return ([ln for ln in lines if ln.startswith("FAILED")] + lines[-1:])[0]
 
 
 def main() -> int:
@@ -273,16 +282,21 @@ def main() -> int:
     mutated = [(what, path, mutate((ROOT / path).read_text(), line, new), tests)
                for what, path, line, new, tests in MUTANTS]
     every = sorted({test for *_, tests in MUTANTS for test in tests})
-    code, tail = run_pytest(every)
-    print(f"unmutated: exit {code}: {tail}", flush=True)
-    if code != 0:
+    seed = random.randrange(2**32)
+    run = run_pytest([f"--hypothesis-seed={seed}", *every])
+    print(f"unmutated: exit {run.returncode}: {first_failure(run)}", flush=True)
+    if run.returncode != 0:
+        print(run.stdout + run.stderr)
+        print(f"replay: python -m pytest --hypothesis-seed={seed} {' '.join(every)}")
         return 1
     survivors = []
     for what, path, text, tests in mutated:
         t0 = time.perf_counter()
-        code, tail = run_pytest(tests, path, text)
+        run = run_pytest(tests, path, text)
+        code = run.returncode
         verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"ERROR {code}"
-        print(f"{verdict:9} {time.perf_counter() - t0:5.1f} s  {what}: {tail}", flush=True)
+        print(f"{verdict:9} {time.perf_counter() - t0:5.1f} s  {what}: {first_failure(run)}",
+              flush=True)
         if code != 1:
             survivors.append(what)
     print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed"

@@ -5,21 +5,28 @@ relative output names.  One sha256 covers its exit code, stdout, stderr
 and every file left in the directory (sorted name plus bytes); beside it
 stand its rhs calls and accepted and rejected steps, summed over the
 run's tracks from Trajectory.stats.  tests/manifest.json holds them, and
-the test names each run whose digest or counts changed.  A change that
-moves an output or the work behind it on purpose rewrites the file:
+the test names each run whose digest or counts changed.  Every figure a
+run leaves must parse, each polyline holding two or more finite x,y
+pairs.  Run as a script, the file makes the same check on the standard
+library alone and exits 1 with the test's message, else 0; a change
+that moves an output or the work behind it on purpose rewrites the
+file with --update:
 
+    python tests/test_manifest.py
     python tests/test_manifest.py --update
 """
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
+from xml.etree import ElementTree
 
 if __name__ == "__main__":  # a script run from a checkout imports the package from src/
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -42,7 +49,7 @@ FAN2 = ["family", "--heading-start", "0", "--heading-step", "pi/2", "--heading-c
 TINY_TOL = ["--rel-tol", "1e-300", "--abs-tol", "1e-300", "--t-end", "1"]
 
 # name: argv.  The README figure recipes with --csv added come first, then
-# edge and refused runs; run.cfg is the one config file, written before its run.
+# edge and refused runs; a config file of CONFIGS is written before each run naming it.
 RUNS = {
     "fan_h": ["family", *FAN, "--wind", "none", "--kind", "h",
               "--svg", "fan_h.svg", "--csv", "fan_h.csv"],
@@ -97,8 +104,22 @@ RUNS = {
     "empty_config": ["geodesic", "--heading", "0.3", "--config="],
     "pole_start": ["geodesic", "--start", "0,0", "--heading", "0.3"],
     "wind_not_mild": ["geodesic", "--wind", "rotation:2", "--heading", "0.3"],
+    "geodesic_negative_heading": ["geodesic", *S, "--heading", "-pi/8", "--csv", "path_neg.csv"],
+    "config_clobber": ["geodesic", "--config", "run.cfg", "--csv", "run.cfg"],
+    "view_without_svg": ["geodesic", "--heading", "0.3", "--view", "x"],
+    "nul_config_line": ["geodesic", "--heading", "0.3", "--config", "nul.cfg"],
 }
-CONFIG = "heading = 0.3\nt_end = 0.5\n"
+CONFIGS = {"run.cfg": "heading = 0.3\nt_end = 0.5\n", "nul.cfg": "csv = a\0b\n"}
+
+
+def check_svg(path: Path) -> None:
+    """Raise unless the figure parses and each polyline has 2+ finite x,y pairs."""
+    for line in ElementTree.parse(path).getroot().iter("{http://www.w3.org/2000/svg}polyline"):
+        points = line.get("points")
+        pairs = [pair.split(",") for pair in points.split(" ")]
+        if len(pairs) < 2 or any(len(xy) != 2 for xy in pairs) \
+                or not all(math.isfinite(float(v)) for xy in pairs for v in xy):
+            raise ValueError(f"{path.name}: bad points {points[:80]!r}")
 
 
 def run_entry(argv: list[str]) -> dict:
@@ -117,13 +138,15 @@ def run_entry(argv: list[str]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            if "run.cfg" in argv:
-                Path("run.cfg").write_text(CONFIG)
+            for name in CONFIGS.keys() & argv:
+                Path(name).write_text(CONFIGS[name])
             with mock.patch.object(INTEGRATE, "integrate", counted), \
                     contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = znav.cli.main(argv)
             parts = [str(code).encode(), out.getvalue().encode(), err.getvalue().encode()]
             for name in sorted(os.listdir()):
+                if name.endswith(".svg"):
+                    check_svg(Path(name))
                 parts += [name.encode(), Path(name).read_bytes()]
         finally:
             os.chdir(cwd)
@@ -138,21 +161,32 @@ def manifest() -> dict:
             "runs": {name: run_entry(argv) for name, argv in RUNS.items()}}
 
 
-def test_every_run_matches_the_manifest():
+def mismatch() -> str:
+    """A message naming each run that differs from the manifest, or '' if none does."""
     want = json.loads(MANIFEST.read_text())
     got = manifest()
     changed = [f"{name}: {want['runs'].get(name)} -> {got['runs'].get(name)}"
                for name in sorted(want["runs"].keys() | got["runs"].keys())
                if want["runs"].get(name) != got["runs"].get(name)]
-    assert not changed, (
+    if not changed:
+        return ""
+    return (
         f"{len(changed)} run(s) differ from {MANIFEST.name}, generated on Python"
         f" {want['python']}, here Python {got['python']}; rewrite it with"
         " python tests/test_manifest.py --update if the change is meant:\n"
         + "\n".join(changed))
 
 
+def test_every_run_matches_the_manifest():
+    message = mismatch()
+    assert not message, message
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--update"]:
-        sys.exit("usage: python tests/test_manifest.py --update")
-    MANIFEST.write_text(json.dumps(manifest(), indent=1) + "\n")
-    print(f"wrote {MANIFEST} for {len(RUNS)} runs")
+    if sys.argv[1:] == ["--update"]:
+        MANIFEST.write_text(json.dumps(manifest(), indent=1) + "\n")
+        print(f"wrote {MANIFEST} for {len(RUNS)} runs")
+    elif message := mismatch():
+        sys.exit(message)
+    else:
+        print(f"{len(RUNS)} runs match {MANIFEST.name}")
