@@ -177,12 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", type=_path, help="CSV output path")
     common.add_argument("--svg", type=_path, help="SVG output path")
     steps = _Parser(add_help=False)
+    # a NamedTuple's class attributes are its field accessors, not their defaults
+    defaults = IntegratorConfig._field_defaults
     steps.add_argument("--t-end", type=float, default=3.0, help="integration horizon")
-    steps.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol,
+    steps.add_argument("--rel-tol", type=float, default=defaults["rel_tol"],
                        help="relative tolerance")
-    steps.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol,
+    steps.add_argument("--abs-tol", type=float, default=defaults["abs_tol"],
                        help="absolute tolerance")
-    steps.add_argument("--sample-dt", type=float, default=IntegratorConfig.sample_dt,
+    steps.add_argument("--sample-dt", type=float, default=defaults["sample_dt"],
                        help="output grid spacing")
     kind = _Parser(add_help=False)
     kind.add_argument("--kind", choices=METRIC_KINDS, default="randers", help="metric kind")

@@ -9,8 +9,7 @@ wrapped to (-pi, pi]; under a mild wind it stays strictly inside
 travel-time metric carry a relative velocity of unit h-norm.
 """
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from znav.errors import ZeroRelativeVelocity, ZeroVelocity
 from znav.spheroid import NavState, Row, Spheroid, metric_components
@@ -30,11 +29,10 @@ def wrap_signed(angle: float) -> float:
     return math.pi if r == -math.pi else r
 
 
-@dataclass(frozen=True, slots=True)
-class ControlRecord:
+class ControlRecord(NamedTuple):
     """Per-sample control channel: time, heading, course, drift, speed.
 
-    Slotted, without a __dict__: a long track holds one record per sample.
+    A tuple, without a __dict__: a long track holds one record per sample.
     """
 
     t: float

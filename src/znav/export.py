@@ -39,7 +39,6 @@ that draws many long series (a fan) can project each one as it is made.
 """
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import chain, tee
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -156,8 +155,7 @@ def write_csv(
     return write_table(CSV_COLUMNS, table(), path)
 
 
-@dataclass(frozen=True)
-class SeriesStyle:
+class SeriesStyle(NamedTuple):
     """Label, stroke color and dash pattern ('' for solid) of one series."""
 
     label: str
@@ -165,24 +163,30 @@ class SeriesStyle:
     dash: str = ""
 
 
-@dataclass(frozen=True)
-class PlotSpec:
+# The fields of PlotSpec, which checks them as it is constructed.
+class _PlotSpecFields(NamedTuple):
+    kind: str
+    segments: tuple[float, ...] | None = None
+    view_axis: str = "z"
+
+
+class PlotSpec(_PlotSpecFields):
     """A figure's frame: its kind, optional time segmentation and a path3d view axis.
 
     These are all that project reads; each series brings its own SeriesStyle.
     """
 
-    kind: str
-    segments: tuple[float, ...] | None = None
-    view_axis: str = "z"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in PATH_KINDS | MARKER_KINDS:
             raise ValueError(f"unknown plot kind {self.kind!r}")
         if self.segments is not None and list(self.segments) != sorted(set(self.segments)):
             raise ValueError("segment boundaries must be strictly increasing")
         if self.view_axis not in ("x", "y", "z"):
             raise ValueError(f"view_axis must be x, y or z, got {self.view_axis!r}")
+        return self
 
 
 class Projected(NamedTuple):

@@ -23,9 +23,8 @@ norms are monitored, never re-normalized, making conservation drift
 the primary accuracy diagnostic.
 """
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from znav.errors import NavigationError, NonFiniteState, PoleSingularity
 from znav.spheroid import (
@@ -141,8 +140,15 @@ _NEWTON_ITERS = 12
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+# The fields of IntegratorConfig, which checks them as it is constructed.
+class _IntegratorConfigFields(NamedTuple):
+    t_end: float
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-13
+    sample_dt: float = 0.01
+
+
+class IntegratorConfig(_IntegratorConfigFields):
     """Tolerances, horizon and output grid for geodesic integration.
 
     The tolerances alone set the step length: the continuous extension
@@ -150,12 +156,10 @@ class IntegratorConfig:
     is bounded by MAX_GRID like the grid, so the work of a track is too.
     """
 
-    t_end: float
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    sample_dt: float = 0.01
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.t_end <= MAX_GRID:
             raise ValueError(f"t_end must be in (0, {MAX_GRID}], got {self.t_end}")
         if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < math.inf):
@@ -169,10 +173,10 @@ class IntegratorConfig:
                 f"t_end / sample_dt = {self.t_end / self.sample_dt} sample intervals"
                 f" exceeds the per-track grid of {MAX_GRID}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class StepStats:
+class StepStats(NamedTuple):
     """Step counts of one integration.
 
     accepted steps advanced t; rejected ones failed the error test (or
@@ -191,7 +195,6 @@ class StepStats:
     cap_legs: int = 0
 
 
-@dataclass
 class Trajectory:
     """Uniformly sampled geodesic and where it stopped at the pole, if it did.
 
@@ -206,10 +209,14 @@ class Trajectory:
     for a track that ran to t_end.  stats counts the steps behind them.
     """
 
-    rows: list[Row]
-    kind: str = ""
-    t_stop: float | None = None
-    stats: StepStats = field(default_factory=StepStats)
+    def __init__(
+        self, rows: list[Row], kind: str = "", t_stop: float | None = None,
+        stats: StepStats = StepStats(),
+    ):
+        self.rows = rows
+        self.kind = kind
+        self.t_stop = t_stop
+        self.stats = stats
 
     @property
     def termination(self) -> Literal["completed", "pole_proximity"]:
@@ -867,8 +874,7 @@ def integrate(
                       StepStats(n_accepted, n_rejected, n_halved, n_calls, n_cap))
 
 
-@dataclass
-class FamilyMember:
+class FamilyMember(NamedTuple):
     """One heading of a fan: its trajectory, or the error that stopped it."""
 
     heading: float

@@ -17,14 +17,13 @@ the unit h-circle rigidly translated by W (the unit-time destination
 locus).
 """
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from znav.spheroid import Spheroid, SurfacePoint, TangentVector, metric_components
 from znav.wind import WindField, not_mild
 
 
-@dataclass(frozen=True)
-class RandersData:
+class RandersData(NamedTuple):
     """A spheroid-wind pair defining a travel-time metric."""
 
     sph: Spheroid

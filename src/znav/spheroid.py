@@ -15,8 +15,7 @@ the poles; operations that divide by sin(theta) enforce a guard band of
 POLE_GUARD radians around theta in {0, pi}.
 """
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from znav.errors import NonFiniteState, PoleSingularity
 
@@ -24,8 +23,12 @@ from znav.errors import NonFiniteState, PoleSingularity
 POLE_GUARD = 1e-6
 
 
-@dataclass(frozen=True)
-class Spheroid:
+# The fields of Spheroid, which checks them as it is constructed.
+class _SpheroidFields(NamedTuple):
+    a: float
+
+
+class Spheroid(_SpheroidFields):
     """Ellipsoid of revolution with semiaxes (1, 1, a).
 
     Oblate for 0 < a < 1, prolate for a > 1, round sphere for a = 1.
@@ -33,9 +36,10 @@ class Spheroid:
     caller's concern.
     """
 
-    a: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # h22 holds a * a: its overflow (a = 1e160) or underflow would
         # otherwise surface later as a non-mild wind
         if not (self.a > 0 and 0 < self.a * self.a < math.inf):
@@ -43,10 +47,10 @@ class Spheroid:
                 f"shape parameter a must be positive with a positive finite square,"
                 f" got {self.a}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
+class SurfacePoint(NamedTuple):
     """Chart point: azimuth phi (radians), colatitude theta (radians).
 
     phi is kept unwrapped internally so winding counts survive long
@@ -57,16 +61,14 @@ class SurfacePoint:
     theta: float
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(NamedTuple):
     """Coordinate-basis tangent vector: u = d(phi)/dt, v = d(theta)/dt."""
 
     u: float
     v: float
 
 
-@dataclass(frozen=True)
-class NavState:
+class NavState(NamedTuple):
     """Position plus angular velocity; the geodesic ODE state."""
 
     point: SurfacePoint

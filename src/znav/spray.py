@@ -54,8 +54,7 @@ where D = L_uu L_vv - L_uv^2 is the velocity-Hessian determinant.
 tests/oracles.py holds the Christoffel spray of h.
 """
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, get_args
+from typing import Callable, Iterable, Literal, NamedTuple, get_args
 
 from znav.errors import DegenerateHessian
 from znav.randers import RandersData, alpha_term, lagrangian
@@ -87,8 +86,7 @@ Lagrangian = Callable[[float, float, float, float], float]
 RhsFn = Callable[[float, float, float, float], tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class SprayCoefficients:
+class SprayCoefficients(NamedTuple):
     """Spray pair (G, H) at one state; geodesic accelerations are -2*(G, H)."""
 
     G: float

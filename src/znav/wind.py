@@ -7,8 +7,7 @@ must dominate the flow for time-optimal paths to exist in every
 direction.
 """
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from znav.errors import NotMild
 from znav.spheroid import POLE_GUARD, Spheroid, SurfacePoint, metric_components
@@ -22,8 +21,7 @@ JetFn = Callable[[float, float], tuple[float, float, float, float, float, float]
 WIND_FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class WindField:
+class WindField(NamedTuple):
     """Stationary vector field in the coordinate basis (d/dphi, d/dtheta).
 
     components maps (phi, theta) to (W1, W2).  jet maps (phi, theta) to
@@ -91,8 +89,7 @@ def custom_wind(components: ComponentFn) -> WindField:
     return WindField(components=components, jet=jet)
 
 
-@dataclass(frozen=True)
-class MildnessReport:
+class MildnessReport(NamedTuple):
     """Outcome of a mildness sweep: the largest sampled norm and where."""
 
     max_norm: float

@@ -44,6 +44,7 @@ T_SPRAY = ("tests/test_spray.py",)
 T_CONTROL = ("tests/test_control.py",)
 T_RANDERS = ("tests/test_randers.py",)
 T_SPHEROID = ("tests/test_spheroid.py",)
+T_RECORDS = ("tests/test_records.py",)
 # the variational oracle: the custom-wind jet and the alpha route without spray_numeric
 T_VARIATION = ("tests/test_variation.py",)
 
@@ -210,8 +211,9 @@ MUTANTS = [
      "if not math.isfinite(d2):", "if False:", T_INTEGRATE),
     ("refusal of a --start without exactly two angles", CLI,
      "if len(parts) != 2:", "if False:", T_CLI),
-    ("refusal of an unknown view axis", EXPORT,
+    ("PlotSpec.__new__'s refusal of an unknown view axis", EXPORT,
      'if self.view_axis not in ("x", "y", "z"):', "if False:", T_EXPORT),
+    ("a __dict__ on every Spheroid", SPHEROID, "__slots__ = ()", "pass", T_RECORDS),
     ("zero-length chord of a cap step at rest", INTEGRATE,
      "if not dd > 0.0:", "if False:", T_INTEGRATE),
     ("wind's phi-rate in a time-optimal start", SPRAY,

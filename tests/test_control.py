@@ -411,10 +411,11 @@ class TestControlChannel:
 
 
 def test_control_record_has_no_dict():
-    # one record per sample: a slotted record is 81 bytes, not 121
+    # one record per sample: a named tuple without a __dict__ is 80 bytes
     rec = ControlRecord(0.0, 1.0, 2.0, 0.5, 1.5)
     assert not hasattr(rec, "__dict__")
-    assert ControlRecord.__slots__ == ("t", "heading", "course", "drift", "speed")
+    assert ControlRecord._fields == ("t", "heading", "course", "drift", "speed")
+    assert ControlRecord.__slots__ == ()
     with pytest.raises(AttributeError):
         rec.speed = 2.0
 
