@@ -178,6 +178,10 @@ class PlotSpec(_PlotSpecFields):
 
     __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check it too
+        return cls(*super()._make(iterable))
+
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in PATH_KINDS | MARKER_KINDS:

@@ -158,6 +158,10 @@ class IntegratorConfig(_IntegratorConfigFields):
 
     __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check it too
+        return cls(*super()._make(iterable))
+
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.t_end <= MAX_GRID:

@@ -38,6 +38,10 @@ class Spheroid(_SpheroidFields):
 
     __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check it too
+        return cls(*super()._make(iterable))
+
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         # h22 holds a * a: its overflow (a = 1e160) or underflow would

@@ -214,6 +214,8 @@ MUTANTS = [
     ("PlotSpec.__new__'s refusal of an unknown view axis", EXPORT,
      'if self.view_axis not in ("x", "y", "z"):', "if False:", T_EXPORT),
     ("a __dict__ on every Spheroid", SPHEROID, "__slots__ = ()", "pass", T_RECORDS),
+    ("IntegratorConfig._replace unchecked", INTEGRATE,
+     "return cls(*super()._make(iterable))", "return super()._make(iterable)", T_RECORDS),
     ("zero-length chord of a cap step at rest", INTEGRATE,
      "if not dd > 0.0:", "if False:", T_INTEGRATE),
     ("wind's phi-rate in a time-optimal start", SPRAY,

@@ -83,6 +83,19 @@ def test_record_is_an_immutable_named_tuple(cls, fields, text):
         rec.extra = 1
 
 
+@pytest.mark.parametrize("rec, bad", [
+    (Spheroid(0.75), {"a": -1.0}),
+    (PlotSpec("polar"), {"view_axis": "w"}),
+    (IntegratorConfig(t_end=3.0), {"sample_dt": 4.0}),
+], ids=["Spheroid", "PlotSpec", "IntegratorConfig"])
+def test_replace_checks_as_construction_does(rec, bad):
+    name = next(iter(bad))
+    assert rec._replace(**{name: getattr(rec, name)}) == rec
+    assert type(rec._replace()) is type(rec)
+    with pytest.raises(ValueError):
+        rec._replace(**bad)
+
+
 @pytest.mark.parametrize("command", ["geodesic", "family", "compare", "report"])
 def test_cli_step_defaults_are_the_config_defaults(command):
     # a NamedTuple's class attribute is a field accessor, not the default
@@ -94,7 +107,8 @@ def test_cli_step_defaults_are_the_config_defaults(command):
 
 def test_cli_import_loads_no_dataclasses():
     # dataclasses and the inspect it imports were most of a cold start
-    script = "import sys, znav.cli; print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    script = ("import sys, znav.cli;"
+              " print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
     src = os.path.dirname(os.path.dirname(znav.__file__))
     proc = subprocess.run([sys.executable, "-S", "-c", script],
                           env={**os.environ, "PYTHONPATH": src},
